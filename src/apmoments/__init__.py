@@ -56,7 +56,6 @@ from .prime_sums import (
 from .sieve import (
     PrimeRange,
     Progression,
-    SpfProvider,
     euler_phi,
     factorize,
     primes_in_progression,

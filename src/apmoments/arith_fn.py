@@ -1,11 +1,16 @@
 """Declarative prime-function specs and additive evaluation.
 
 A :class:`PrimeFunction` fixes the value at primes; an :class:`Extension`
-fixes how values spread to prime powers (strongly additive, completely
+fixes the value at every prime power (strongly additive, completely
 additive, or either with a finite table of prime-power overrides).  The
 number-of-distinct-prime-divisors function, its with-multiplicity variant,
 the residue-class-restricted variant, and the half-weight variant are all
 built from these two pieces.
+
+Bulk evaluation over progression members reads an additive function as one
+table of increments f(p^a) - f(p^(a-1)), one row per prime power: every
+member divisible by p^a gains the increment of that row, so the members
+divisible exactly by p^a end up with f(p^a) whatever the rule behind it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import MEMBER_BLOCK
-from .sieve import Progression, primes_upto_monolithic
+from .sieve import Progression, factorize, primes_upto_monolithic
 
 KINDS = (
     "constant",
@@ -180,19 +185,16 @@ class PrimeFunction:
             vals = self.c * self.inner.values_at(p_int)
         else:  # tabulated
             lookup = dict(self.table)
-            vals = np.empty(p.shape)
-            start = self.start_prime
-            for i, q in enumerate(p_int.ravel()):
-                q = int(q)
-                if q < start:
-                    vals.flat[i] = 0.0
-                    continue
-                v = lookup.get(q, self.default)
-                if v is None:
-                    raise TabulatedLookupError(
-                        f"no table entry (and no default) for prime {q}"
-                    )
-                vals.flat[i] = v
+            keys = np.array(sorted(lookup), dtype=np.int64)
+            pos = np.minimum(np.searchsorted(keys, p_int), keys.size - 1)
+            hit = keys[pos] == p_int
+            missing = ~hit & (p_int >= self.start_prime)
+            if self.default is None and np.any(missing):
+                raise TabulatedLookupError(
+                    f"no table entry (and no default) for prime {int(p_int[missing][0])}"
+                )
+            table_vals = np.array([lookup[q] for q in keys.tolist()])
+            vals = np.where(hit, table_vals[pos], self.default or 0.0)
         vals = np.where(p_int < self.start_prime, 0.0, vals)
         if self.residue_filter is not None and not self.residue_filter.is_full:
             k, l = self.residue_filter.modulus, self.residue_filter.residue
@@ -212,7 +214,9 @@ class Extension:
     A finite overrides table ((p, a) -> value) replaces individual
     prime-power values on top of the base mode; the table being finite is
     what keeps an overridden function in the same limit-law family as its
-    base.
+    base.  The member sweep sees the rule only through the increments
+    f(p^a) - f(p^(a-1)), so an override is one more table value and not a
+    separate pass.
     """
 
     mode: str = "strong"
@@ -222,7 +226,7 @@ class Extension:
         if self.mode not in ("strong", "complete"):
             raise ValueError(f"extension mode must be strong|complete, got {self.mode!r}")
         for (p, a), _ in self.overrides:
-            if p < 2 or a < 1:
+            if p < 2 or a < 1 or factorize(p) != [(p, 1)]:
                 raise ValueError(f"invalid override position ({p}, {a})")
 
     @property
@@ -233,24 +237,24 @@ class Extension:
     def is_strongly_additive(self) -> bool:
         return self.mode == "strong" and not self.overrides
 
+    def base_value(self, a: int, fp: float) -> float:
+        """f(p^a) by the mode alone, given f(p) = fp."""
+        return fp if self.mode == "strong" else a * fp
+
+    def power_value(self, p: int, a: int, fp: float) -> float:
+        """f(p^a) given f(p) = fp: the override if one is set, else the mode's rule."""
+        return self.override_map.get((p, a), self.base_value(a, fp))
+
 
 STRONG = Extension("strong")
 COMPLETE = Extension("complete")
-
-
-def prime_power_value(fn: PrimeFunction, ext: Extension, p: int, a: int) -> float:
-    ov = ext.override_map.get((p, a))
-    if ov is not None:
-        return ov
-    v = eval_at_prime(fn, p)
-    return v if ext.mode == "strong" else a * v
 
 
 def eval_additive(
     fn: PrimeFunction, ext: Extension, factorization: Iterable[tuple[int, int]]
 ) -> float:
     """Sum of prime-power values over a factorization (0 for the empty one)."""
-    return sum(prime_power_value(fn, ext, p, a) for p, a in factorization)
+    return sum(ext.power_value(p, a, eval_at_prime(fn, p)) for p, a in factorization)
 
 
 @dataclass(frozen=True)
@@ -389,6 +393,32 @@ def _residue_for(start: int, step: int, modulus: int) -> int:
     return (-start * inv) % modulus
 
 
+def _increment_table(
+    specs: Sequence[tuple[PrimeFunction, Extension]], progression: Progression, n: int
+) -> list[tuple[int, int, int, list[float]]]:
+    """Rows (p, p^a, first member index divisible by p^a, increment per spec).
+
+    One row per prime power p^a <= n with p coprime to the modulus and p
+    either at most sqrt(n) or carrying an override; a spec's increment is
+    f(p^a) - f(p^(a-1)).  Rows ascend in p, then in a.
+    """
+    k, start = progression.modulus, progression.first_member
+    candidates = {int(p) for p in primes_upto_monolithic(math.isqrt(n))}
+    candidates.update(p for _, ext in specs for p, _ in ext.override_map if p <= n)
+    primes = np.array(sorted(p for p in candidates if k % p), dtype=np.int64)
+    f_at = [fn.values_at(primes) for fn, _ in specs]
+    rows = []
+    for j, p in enumerate(primes.tolist()):
+        prev = [0.0] * len(specs)
+        a, pa = 1, p
+        while pa <= n:
+            cur = [ext.power_value(p, a, float(f[j])) for (_, ext), f in zip(specs, f_at)]
+            rows.append((p, pa, _residue_for(start, k, pa), [c - q for c, q in zip(cur, prev)]))
+            prev = cur
+            a, pa = a + 1, pa * p
+    return rows
+
+
 def iter_progression_values(
     specs: Sequence[tuple[PrimeFunction, Extension]],
     progression: Progression,
@@ -397,84 +427,42 @@ def iter_progression_values(
 ) -> Iterator[list[np.ndarray]]:
     """Evaluate additive functions over all progression members up to n.
 
-    Yields, per block of members, one float64 array per spec.  One shared
-    factorization sweep serves every spec: members are peeled by the base
-    primes up to sqrt(n) with stride arithmetic on the member index (the
-    members form an arithmetic sequence, so multiples of p fall on a
-    fixed stride), after which any residual > 1 is a single large prime
-    factor of multiplicity one.
+    Yields, per block of members, one float64 array per spec.  One table of
+    prime-power increments serves every spec (see :func:`_increment_table`).
+    The members form an arithmetic sequence with step coprime to p, so the
+    multiples of p^a among them sit on one stride of the member index: each
+    row adds its increments on that stride and divides one p out of the
+    members there.  What is left of a member is then 1 or its single prime
+    factor above sqrt(n), which is evaluated directly.
     """
     total = progression.count(n)
     if total == 0:
         return
     start = progression.first_member
     k = progression.modulus
-
-    base = [int(p) for p in primes_upto_monolithic(math.isqrt(n))]
-    usable = [(j, p) for j, p in enumerate(base) if k % p != 0]
-    t_res = {p: _residue_for(start, k, p) for _, p in usable}
-
-    base_arr = np.array(base, dtype=np.int64)
-    f_at_base = [fn.values_at(base_arr) if base else np.empty(0) for fn, _ in specs]
-    complete_mode = [ext.mode == "complete" for _, ext in specs]
+    rows = _increment_table(specs, progression, n)
 
     for t_lo in range(0, total, block_members):
-        t_hi = min(t_lo + block_members, total)
-        size = t_hi - t_lo
-        members = start + k * np.arange(t_lo, t_hi, dtype=np.int64)
-        residual = members.copy()
+        size = min(block_members, total - t_lo)
+        rest = start + k * np.arange(t_lo, t_lo + size, dtype=np.int64)
         vals = [np.zeros(size) for _ in specs]
 
-        for j, p in usable:
-            off = (t_res[p] - t_lo) % p
+        for p, pa, t0, deltas in rows:
+            off = (t0 - t_lo) % pa
             if off >= size:
                 continue
-            idx = np.arange(off, size, p)
-            residual[idx] //= p
-            for i in range(len(specs)):
-                fp = f_at_base[i][j]
-                if fp != 0.0:
-                    vals[i][idx] += fp
-            cur = idx[residual[idx] % p == 0]
-            while cur.size:
-                residual[cur] //= p
-                for i in range(len(specs)):
-                    fp = f_at_base[i][j]
-                    if complete_mode[i] and fp != 0.0:
-                        vals[i][cur] += fp
-                cur = cur[residual[cur] % p == 0]
+            rest[off::pa] //= p
+            for v, d in zip(vals, deltas):
+                if d != 0.0:
+                    v[off::pa] += d
 
-        big = residual > 1
+        big = rest > 1
         if np.any(big):
-            leftovers = residual[big]
-            for i, (fn, _) in enumerate(specs):
+            leftovers = rest[big]
+            for v, (fn, _) in zip(vals, specs):
                 fv = fn.values_at(leftovers)
                 if np.any(fv):
-                    vals[i][big] += fv
-
-        # Finite prime-power overrides: members with p^a exactly dividing
-        # them sit on a stride mod p^a minus the sub-stride mod p^(a+1).
-        for i, (fn, ext) in enumerate(specs):
-            for (p, a), v in ext.overrides:
-                if k % p == 0:
-                    continue
-                pa = p**a
-                if pa > n:
-                    continue
-                ca = _residue_for(start, k, pa)
-                off = (ca - t_lo) % pa
-                if off >= size:
-                    continue
-                idx = np.arange(off, size, pa)
-                ca1 = _residue_for(start, k, pa * p)
-                t_vals = t_lo + idx
-                exact = idx[(t_vals - ca1) % (pa * p) != 0]
-                if exact.size == 0:
-                    continue
-                base_val = eval_at_prime(fn, p)
-                if ext.mode == "complete":
-                    base_val *= a
-                vals[i][exact] += v - base_val
+                    v[big] += fv
 
         yield vals
 

@@ -37,8 +37,14 @@ from .sieve import Progression, iter_prime_blocks
 
 _CSV_HEADER = ["x", "k", "l", "u", "exact_sum", "main_term", "err1", "err2", "case", "verdict"]
 
-_INT_KEYS = {"mod", "res", "n", "x", "limit", "p0", "u", "umax", "seed", "trials", "workers"}
-_FLOAT_KEYS = {"epsilon"}
+_BUILTIN_NAMES = ("omega", "bigomega", "big_omega", "omega1", "half_omega")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
 
 
 def _fmt(v: Any) -> str:
@@ -105,15 +111,22 @@ def _report(args: argparse.Namespace, payload: dict) -> dict:
     return {"config": _resolved_config(args), "version": __version__, **payload}
 
 
+class _UsageError(ValueError):
+    """A bad argument value found after parsing; exits 2 like a parser error."""
+
+
 def _progression(args) -> Progression:
-    return Progression(args.mod, args.res)
+    try:
+        return Progression(args.mod, args.res)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _resolve_fn(args) -> tuple[PrimeFunction, Extension]:
     """Function spec + extension from --fn/--ext/--p0, including builtins."""
     name = args.fn.lower()
     ext_flag = getattr(args, "ext", "strong")
-    if name in ("omega", "bigomega", "big_omega", "omega1", "half_omega"):
+    if name in _BUILTIN_NAMES:
         prog = _progression(args) if name == "omega1" else None
         fn, ext = builtin(name, prog)
     else:
@@ -124,6 +137,16 @@ def _resolve_fn(args) -> tuple[PrimeFunction, Extension]:
     if getattr(args, "p0", None) is not None:
         fn = dataclasses.replace(fn, p0=args.p0)
     return fn, ext
+
+
+def _fn_spec(text: str) -> str:
+    """Parser type for --fn/--fn-star: the spec text, once it parses."""
+    if text.lower() not in _BUILTIN_NAMES:
+        try:
+            parse_fn(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _checkpoints(args) -> tuple[int, ...]:
@@ -384,7 +407,8 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "x" in names:
         p.add_argument("--x", type=lambda s: int(float(s)), required=True, help="prime limit")
     if "fn" in names:
-        p.add_argument("--fn", required=True, help="function spec, e.g. const:1, invloglog, omega")
+        p.add_argument("--fn", type=_fn_spec, required=True,
+                       help="function spec, e.g. const:1, invloglog, omega")
         p.add_argument("--ext", choices=["strong", "complete"], default="strong")
         p.add_argument("--p0", type=int, default=None, help="override start prime")
     if "u" in names:
@@ -397,13 +421,11 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--spill", default=None, help="raw float64 value file")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="write report to file (atomic)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker budget; results are worker-count invariant")
     p.add_argument("--config", default=None, help="flat key=value defaults file")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apmoments",
         description="Prime sums, moments, and normal-limit diagnostics on arithmetic progressions",
     )
@@ -461,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_compare(parent, name):
         p = parent.add_parser(name, help="empirical comparison of a function pair")
         _add_common(p, "mod", "n", "fn", "umax")
-        p.add_argument("--fn-star", dest="fn_star", required=True,
+        p.add_argument("--fn-star", dest="fn_star", type=_fn_spec, required=True,
                        help="strongly additive reference function")
         p.add_argument("--class", dest="pair_class", choices=["H", "V"], default="V")
         p.set_defaults(func=cmd_model_compare)
@@ -481,7 +503,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     """Inject key=value file entries as flag defaults (flags win)."""
     if "--config" not in argv:
         return argv
-    path = argv[argv.index("--config") + 1]
+    i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("argument --config: expected one argument")
+    path = argv[i + 1]
     given = {tok.split("=", 1)[0].lstrip("-") for tok in argv if tok.startswith("--")}
     extra: list[str] = []
     for line in Path(path).read_text().splitlines():
@@ -505,11 +530,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     started = time.perf_counter()
     try:
         args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, KeyError, OSError, prime_sums.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -327,9 +327,7 @@ def compare_pair(
             for (p, a), v in ext_i.overrides:
                 if k % p == 0:
                     continue
-                base = eval_at_prime(fn_i, p)
-                if ext_i.mode == "complete":
-                    base *= a
+                base = ext_i.base_value(a, eval_at_prime(fn_i, p))
                 density = (1.0 / p**a) * (1.0 - 1.0 / p)
                 total += abs(v - base) * density
         override_total = total

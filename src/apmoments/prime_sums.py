@@ -1,8 +1,8 @@
 """Exact prime sums over progressions, asymptotic estimates, and probes.
 
 The central quantity is the partial sum of f(p)^u / p over primes p <= x
-in a residue class.  Exact values come from the sieve with compensated
-accumulation; estimates come from the prime-density integral
+in a residue class.  Exact values come from the sieve, with block
+partials combined by math.fsum; estimates come from the prime-density integral
 (1/phi(k)) * integral of g(t)/ln(t), with the two error magnitudes
 |g(x)| sqrt(x) ln(x) and integral of |g'(t)| sqrt(t) ln(t) reported
 alongside (they are conditional magnitudes, not bounds).
@@ -99,8 +99,10 @@ def prime_power_sum(
 ) -> PrimeSumResult:
     """Exact sum of f(p)^u / p over primes p <= x in the progression.
 
-    Per-block partial sums are combined with error-free summation, so the
-    result is independent of the block partition up to one final rounding.
+    Each block's terms are added with numpy's pairwise summation and the
+    block partials are combined exactly (math.fsum), so the block partition
+    moves the result only by the per-block rounding: for terms of one sign,
+    a relative error of at most a few tens of ulps, not one final rounding.
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")

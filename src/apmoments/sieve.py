@@ -1,4 +1,4 @@
-"""Segmented prime sieve, progression filtering, and factorization support.
+"""Segmented prime sieve, progression filtering, and trial-division factorization.
 
 All operations are deterministic and pure given their inputs.  Prime
 arrays returned here are read-only numpy views; a module-level cache
@@ -9,7 +9,6 @@ do not pay for sieving twice.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -144,23 +143,19 @@ class _PrimeCache:
     """Memoizes the largest sieved prime array up to PRIME_CACHE_MAX."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._limit = 0
         self._primes = np.empty(0, dtype=np.int64)
 
     def primes_upto(self, limit: int) -> np.ndarray:
-        with self._lock:
-            if limit <= self._limit:
-                cut = np.searchsorted(self._primes, limit, side="right")
-                return self._primes[:cut]
+        if limit <= self._limit:
+            cut = np.searchsorted(self._primes, limit, side="right")
+            return self._primes[:cut]
         blocks = list(_sieve_segments(limit, SIEVE_BLOCK))
         arr = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
         arr.flags.writeable = False
         if limit <= PRIME_CACHE_MAX:
-            with self._lock:
-                if limit > self._limit:
-                    self._limit = limit
-                    self._primes = arr
+            self._limit = limit
+            self._primes = arr
         return arr
 
 
@@ -226,105 +221,26 @@ def iter_prime_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Smallest-prime-factor blocks and factorization
+# Factorization
 
 
-@dataclass(frozen=True)
-class SpfBlock:
-    """Smallest prime factor for every integer in [start, end).
-
-    spf[i] is the smallest prime factor of start+i; equal to the number
-    itself exactly when the number is prime (and 1 for m = 1).
-    """
-
-    start: int
-    end: int
-    spf: np.ndarray
-
-    def spf_of(self, m: int) -> int:
-        if not self.start <= m < self.end:
-            raise IndexError(f"{m} outside block [{self.start}, {self.end})")
-        return int(self.spf[m - self.start])
-
-
-def spf_block(start: int, end: int) -> SpfBlock:
-    """Build the SPF table for [start, end) with 32-bit entries when they fit."""
-    if start < 1 or end <= start:
-        raise ValueError(f"invalid SPF block bounds [{start}, {end})")
-    dtype = np.uint32 if end - 1 < 2**32 else np.int64
-    size = end - start
-    spf = np.zeros(size, dtype=dtype)
-    for p in primes_upto_monolithic(math.isqrt(end - 1)):
-        p = int(p)
-        first = max(p, ((start + p - 1) // p) * p)
-        idx = np.arange(first - start, size, p)
-        unset = spf[idx] == 0
-        spf[idx[unset]] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = (start + rest).astype(dtype)  # primes above sqrt(end), and 1
-    return SpfBlock(start, end, spf)
-
-
-class SpfProvider:
-    """Block-cached SPF lookups backing on-demand factorization.
-
-    Blocks are computed lazily and kept; a lock guards the cache so the
-    provider can be shared across threads.
-    """
-
-    def __init__(self, block_size: int = SIEVE_BLOCK) -> None:
-        _validate_block(block_size)
-        self._bs = block_size
-        self._blocks: dict[int, SpfBlock] = {}
-        self._lock = threading.Lock()
-
-    def _block_for(self, m: int) -> SpfBlock:
-        i = m // self._bs
-        with self._lock:
-            blk = self._blocks.get(i)
-        if blk is None:
-            lo = max(1, i * self._bs)
-            blk = spf_block(lo, (i + 1) * self._bs)
-            with self._lock:
-                blk = self._blocks.setdefault(i, blk)
-        return blk
-
-    def spf(self, m: int) -> int:
-        if m < 2:
-            raise ValueError(f"spf undefined for {m}")
-        return self._block_for(m).spf_of(m)
-
-    def factorize(self, m: int) -> list[tuple[int, int]]:
-        """Ordered (prime, exponent) factorization; empty for m = 1."""
-        if m < 1:
-            raise ValueError(f"cannot factorize {m}; argument must be >= 1")
-        out: list[tuple[int, int]] = []
-        while m > 1:
-            p = self.spf(m)
+def factorize(m: int) -> list[tuple[int, int]]:
+    """Canonical factorization of m >= 1 into ascending (prime, exponent) pairs."""
+    if m < 1:
+        raise ValueError(f"cannot factorize {m}; argument must be >= 1")
+    out: list[tuple[int, int]] = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
             out.append((p, a))
-        return out
-
-
-_default_provider: SpfProvider | None = None
-_provider_lock = threading.Lock()
-
-
-def default_provider() -> SpfProvider:
-    global _default_provider
-    if _default_provider is None:
-        with _provider_lock:
-            if _default_provider is None:
-                _default_provider = SpfProvider()
-    return _default_provider
-
-
-def factorize(m: int, provider: SpfProvider | None = None) -> list[tuple[int, int]]:
-    """Canonical factorization of m >= 1 into (prime, exponent) pairs."""
-    return (provider or default_provider()).factorize(m)
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
 def euler_phi(k: int) -> int:

@@ -48,10 +48,16 @@ class TestEvalAtPrime:
         fn = PrimeFunction("tabulated", table=((5, 1.5),))
         with pytest.raises(TabulatedLookupError):
             eval_at_prime(fn, 7)
+        with pytest.raises(TabulatedLookupError, match="prime 11"):
+            fn.values_at(np.array([3, 5, 11, 5]))
+        assert fn.values_at(np.array([3, 5, 2])).tolist() == [0.0, 1.5, 0.0]
 
     def test_tabulated_default(self):
         fn = PrimeFunction("tabulated", table=((5, 1.5),), default=0.25)
         assert eval_at_prime(fn, 7) == 0.25
+        unsorted = PrimeFunction("tabulated", table=((7, 2.0), (5, 1.5)), default=0.25)
+        got = unsorted.values_at(np.array([2, 5, 7, 11, 13]))
+        assert got.tolist() == [0.0, 1.5, 2.0, 0.25, 0.25]
 
     def test_start_prime_validation(self):
         with pytest.raises(ValueError):
@@ -112,6 +118,11 @@ class TestAdditiveEval:
         assert eval_additive(OMEGA, ext, factorize(8)) == 5.0
         assert eval_additive(OMEGA, ext, factorize(4)) == 1.0
         assert eval_additive(OMEGA, ext, factorize(24)) == 6.0  # 2^3 * 3
+
+    def test_override_position_must_be_a_prime(self):
+        # the member sweep divides each override position out as a prime
+        with pytest.raises(ValueError):
+            Extension("strong", overrides=(((4, 1), 1.0),))
 
     @given(st.integers(2, 10**4), st.integers(2, 10**4))
     @settings(max_examples=150, deadline=None)
@@ -189,6 +200,8 @@ class TestBulkEvaluation:
             (PrimeFunction("indicator_one", residue_filter=Progression(4, 3)), STRONG),
             (PrimeFunction("indicator_one"), Extension("strong", overrides=(((3, 2), 9.0), ((7, 1), -1.0)))),
             (PrimeFunction("indicator_one"), Extension("complete", overrides=(((2, 5), 0.0),))),
+            (PrimeFunction("indicator_one"), Extension("strong", overrides=(((61, 1), 4.0),))),
+            (PrimeFunction("one_over_log"), Extension("complete", overrides=(((5, 1), 2.0),))),
         ],
     )
     @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(4, 1), Progression(12, 7)])

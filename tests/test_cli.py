@@ -56,6 +56,14 @@ class TestDispatch:
         assert report["mode"] == "density"
         assert len(report["kappa"]) == 3
 
+    def test_asymptotic_reads_only_the_modulus(self, capsys):
+        # no --res: the default residue 0 is not coprime to 4, but unused here
+        code, out = run_cli(
+            ["asymptotic", "--mod", "4", "--x", "1e4", "--fn", "invloglog"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["k"] == 4
+
     def test_probe(self, capsys):
         code, out = run_cli(
             ["probe", "--series", "inv_p_squared", "--mod", "4", "--res", "1",
@@ -88,6 +96,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sum", "--x", "10", "--fn", "const:1", "--config"],
+            ["sum", "--mod", "4", "--res", "2", "--x", "100", "--fn", "const:1"],
+            ["sum", "--x", "100", "--fn", "zeta"],
+        ],
+        ids=["config_without_path", "non_coprime_class", "unparsable_fn"],
+    )
+    def test_bad_input_is_one_line_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_computation_error_is_one(self, capsys):
         code = main(["moments", "--mod", "7", "--res", "5", "--n", "4", "--fn", "omega"])

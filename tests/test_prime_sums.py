@@ -62,6 +62,24 @@ class TestPrimePowerSum:
         got = prime_power_sum(fn, 2, 10**6, prog).value
         assert got == pytest.approx(oracle, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "fn,u,prog",
+        [
+            (ONE, 1, Progression(4, 1)),
+            (SQRTLOGLOG, 2, Progression(1, 0)),
+            (PrimeFunction("scaled", c=-1.0, inner=INVLOGLOG), 1, Progression(3, 2)),
+        ],
+    )
+    def test_block_partition_moves_sum_by_ulps(self, fn, u, prog):
+        # per-block pairwise sums round differently and fsum adds no further
+        # error; 1e-14 (~45 ulps) sits above numpy's pairwise-summation bound
+        # for terms of one sign, which all three cases have
+        x = 10**6
+        ref = prime_power_sum(fn, u, x, prog).value
+        for block in (1 << 10, 1 << 16):
+            got = prime_power_sum(fn, u, x, prog, block_size=block).value
+            assert got == pytest.approx(ref, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("k", [3, 4, 5, 12])
     def test_residue_partition(self, k):
         # classes plus primes dividing k reassemble the unfiltered sum

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from apmoments.sieve import (
     Progression,
     SegmentSizeError,
-    SpfProvider,
     euler_phi,
     factorize,
     iter_prime_blocks,
     primes_in_progression,
     primes_upto_monolithic,
     sieve_primes,
-    spf_block,
 )
 
 
@@ -121,14 +119,6 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
-    def test_product_roundtrip_range(self):
-        provider = SpfProvider(block_size=1 << 12)
-        for m in range(2, 10**5, 97):
-            prod = 1
-            for p, a in provider.factorize(m):
-                prod *= p**a
-            assert prod == m
-
     @given(st.integers(2, 10**6))
     @settings(max_examples=200, deadline=None)
     def test_product_roundtrip(self, m):
@@ -141,22 +131,6 @@ class TestFactorize:
             seen.add(p)
             prod *= p**a
         assert prod == m
-
-    def test_spf_block_properties(self):
-        blk = spf_block(1, 2000)
-        assert blk.spf_of(1) == 1
-        for m in range(2, 2000):
-            s = blk.spf_of(m)
-            assert m % s == 0
-            # s prime, and s == m exactly when m is prime
-            assert all(s % d for d in range(2, math.isqrt(s) + 1))
-            is_prime = all(m % d for d in range(2, math.isqrt(m) + 1))
-            assert (s == m) == is_prime
-
-    def test_spf_block_offset(self):
-        blk = spf_block(10**6, 10**6 + 500)
-        for m in range(10**6, 10**6 + 500):
-            assert m % blk.spf_of(m) == 0
 
 
 class TestEulerPhi:
