@@ -23,12 +23,12 @@ def main() -> None:
     prog = Progression(args.mod, args.res)
     fn, ext = builtin("omega")
     print(f"omega over {args.res} mod {args.mod}, normalization={args.norm}")
-    print(f"{'n':>12} {'count':>10} {'mean':>8} {'scale':>8} {'KS':>8}")
+    print(f"{'n':>12} {'count':>10} {'mean':>8} {'scale':>8} {'KS':>8} {'floor':>8}")
     for d in (int(t) for t in args.decades.split(",")):
         rep = erdos_kac_report(fn, ext, prog, 10**d, normalization=args.norm)
         print(
             f"{rep.n:>12} {rep.count:>10} {rep.center:>8.4f} "
-            f"{rep.scale:>8.4f} {rep.ks:>8.4f}"
+            f"{rep.scale:>8.4f} {rep.ks:>8.4f} {rep.ks_floor:>8.4f}"
         )
 
 

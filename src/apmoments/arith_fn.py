@@ -58,7 +58,7 @@ _MIN_START = {
 }
 
 
-class TabulatedLookupError(KeyError):
+class TabulatedLookupError(LookupError):
     """A tabulated function was evaluated at a prime it has no entry for."""
 
 

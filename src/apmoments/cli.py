@@ -24,15 +24,8 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__, model, moments, prime_sums, stats
-from .arith_fn import (
-    Extension,
-    FunctionPair,
-    PrimeFunction,
-    builtin,
-    iter_progression_values,
-    parse_fn,
-)
-from .config import CHEBYSHEV_B_DEFAULT, PROBE_CHECKPOINTS, U_MAX_DEFAULT
+from .arith_fn import Extension, FunctionPair, PrimeFunction, builtin, parse_fn
+from .config import CHEBYSHEV_B_DEFAULT, PROBE_CHECKPOINTS, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression, iter_prime_blocks
 
 _CSV_HEADER = ["x", "k", "l", "u", "exact_sum", "main_term", "err1", "err2", "case", "verdict"]
@@ -135,7 +128,10 @@ def _resolve_fn(args) -> tuple[PrimeFunction, Extension]:
     if name == "omega" and ext_flag == "complete":
         ext = Extension("complete")
     if getattr(args, "p0", None) is not None:
-        fn = dataclasses.replace(fn, p0=args.p0)
+        try:
+            fn = dataclasses.replace(fn, p0=args.p0)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     return fn, ext
 
 
@@ -173,6 +169,8 @@ def cmd_sieve(args) -> None:
 
 def cmd_sum(args) -> None:
     fn, _ = _resolve_fn(args)
+    if args.u < 1:
+        raise _UsageError(f"argument --u: sum needs an order >= 1, got {args.u}")
     res = prime_sums.prime_power_sum(fn, args.u, args.x, _progression(args))
     payload = {
         "x": res.x,
@@ -251,14 +249,8 @@ def cmd_moments(args) -> None:
     summary = moments.empirical_moments(
         fn, ext, prog, args.n, u_max=args.umax, spill=args.spill
     )
-    if args.spill:
-        values_source: Any = args.spill
-    else:
-        values_source = (
-            vals
-            for (vals,) in iter_progression_values([(fn, ext)], prog, args.n)
-        )
-    cheb = moments.chebyshev_check(summary, values_source, CHEBYSHEV_B_DEFAULT)
+    blocks = moments.value_blocks(fn, ext, prog, args.n, args.spill)
+    cheb = moments.chebyshev_check(summary, blocks, CHEBYSHEV_B_DEFAULT)
     preds = model.mean_predictions(fn, prog, args.n)
     payload = {
         "n": summary.n,
@@ -383,6 +375,7 @@ def cmd_ektest(args) -> None:
     )
     payload = {
         "ks": rep.ks,
+        "ks_floor": rep.ks_floor,
         "n": rep.n,
         "count": rep.count,
         "normalization": rep.normalization,
@@ -414,7 +407,8 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "u" in names:
         p.add_argument("--u", type=int, default=1, help="power applied to f(p)")
     if "umax" in names:
-        p.add_argument("--umax", type=int, default=U_MAX_DEFAULT, help="highest central moment")
+        p.add_argument("--umax", type=int, default=U_MAX_DEFAULT, metavar="U",
+                       choices=range(2, U_MAX_CAP + 1), help="highest central moment")
     if "mode" in names:
         p.add_argument("--mode", choices=["restricted", "density"], default="restricted")
     if "spill" in names:
@@ -466,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     msub = pm.add_subparsers(dest="model_op", required=True)
 
     p = msub.add_parser("exact", help="exact cumulants and central moments")
-    _add_common(p, "mod", "n", "fn", "umax", "mode")
+    _add_common(p, "mod", "n", "fn", "mode")
+    p.add_argument("--umax", type=int, default=U_MAX_DEFAULT, metavar="U",
+                   choices=range(1, U_MAX_CAP + 1), help="highest moment order")
     p.set_defaults(func=cmd_model_exact)
 
     p = msub.add_parser("sample", help="seeded Monte Carlo realizations")
@@ -535,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except _UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, KeyError, OSError, prime_sums.QuadratureError) as exc:
+    except (ValueError, LookupError, OSError, prime_sums.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"# completed in {time.perf_counter() - started:.2f}s", file=sys.stderr)

@@ -88,14 +88,7 @@ def mode_primes(progression: Progression, n: int, mode: str) -> np.ndarray:
         return primes_in_progression(n, progression).primes
     if mode == "density":
         primes = sieve_primes(n).primes
-        k = progression.modulus
-        if k > 1:
-            mask = np.ones(primes.size, dtype=bool)
-            for p in primes[primes <= k]:
-                if k % int(p) == 0:
-                    mask &= primes != p
-            primes = primes[mask]
-        return primes
+        return primes[progression.modulus % primes != 0]
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
@@ -206,40 +199,22 @@ def sample(
 
     Work is scattered per prime: the number of successful trials is drawn
     from Binomial(trials, 1/p) and f(p) is added to that many distinct
-    trial slots (Floyd sampling), giving expected work O(trials * lnln n)
-    instead of O(trials * pi(n)).  Every prime owns a counter-based
-    stream keyed by (seed, prime index), so results are reproducible and
-    independent of evaluation order.
+    trial slots, giving expected work O(trials * lnln n) instead of
+    O(trials * pi(n)).  All draws come in a fixed order from one stream
+    seeded by `seed`, so a seed reproduces its sample exactly.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
     primes = mode_primes(progression, n, mode)
     fv = fn.values_at(primes)
-    active = np.flatnonzero(fv != 0.0)
+    active = fv != 0.0
+    successes = rng.binomial(trials, 1.0 / primes[active])
     values = np.zeros(trials)
-    for idx in active:
-        g = np.random.Generator(
-            np.random.Philox(key=np.array([seed, idx], dtype=np.uint64))
-        )
-        p = int(primes[idx])
-        c = int(g.binomial(trials, 1.0 / p))
-        if c == 0:
-            continue
-        slots = _floyd_sample(g, trials, c)
-        values[slots] += fv[idx]
+    for f, c in zip(fv[active], successes.tolist()):
+        if c:
+            values[rng.choice(trials, c, replace=False)] += f
     return SampleSet(seed, trials, values)
-
-
-def _floyd_sample(g: np.random.Generator, n: int, c: int) -> np.ndarray:
-    # uniform c-subset of range(n) in O(c) draws
-    chosen: set[int] = set()
-    for j in range(n - c, n):
-        t = int(g.integers(0, j + 1))
-        if t in chosen:
-            chosen.add(j)
-        else:
-            chosen.add(t)
-    return np.fromiter(chosen, dtype=np.int64, count=c)
 
 
 def lindeberg_check(

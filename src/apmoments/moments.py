@@ -6,6 +6,10 @@ merge rule is exact in real arithmetic, so chunked evaluation matches a
 two-pass computation up to rounding.  The mean additionally has an exact
 closed-form cross-check for strongly additive functions, obtained by
 counting multiples of each prime inside the progression.
+
+A dataset's values are read back through one reader, :func:`value_blocks`:
+from its spill file when one was written, otherwise from a fresh sweep.
+Chebyshev and LLN coverage both count through one within-radius counter.
 """
 
 from __future__ import annotations
@@ -202,14 +206,9 @@ def mean_via_counts(
         )
     k, l = progression.modulus, progression.residue
     primes = sieve.sieve_primes(n).primes
+    primes = primes[k % primes != 0]
     if primes.size == 0:
         return 0.0
-
-    keep = np.ones(primes.size, dtype=bool)
-    for p in range(2, k + 1):
-        if k % p == 0 and all(p % q for q in range(2, p)):
-            keep &= primes != p
-    primes = primes[keep]
 
     inv = np.array(
         [pow(r, -1, k) if math.gcd(r, k) == 1 else 0 for r in range(k)],
@@ -225,37 +224,53 @@ def mean_via_counts(
     return float(np.dot(fvals, counts.astype(np.float64))) / count
 
 
-def _iter_value_blocks(
-    source: np.ndarray | str | Path | Iterable[np.ndarray],
+def value_blocks(
+    fn: PrimeFunction,
+    ext: Extension,
+    progression: Progression,
+    n: int,
+    spill: str | Path | None = None,
+    block_members: int = MEMBER_BLOCK,
 ) -> Iterator[np.ndarray]:
-    if isinstance(source, np.ndarray):
-        yield source
-    elif isinstance(source, (str, Path)):
-        yield read_spill(source)
-    else:
-        yield from source
+    """A dataset's values: read back from its spill file when one is given,
+    otherwise evaluated afresh block by block."""
+    if spill is not None:
+        yield read_spill(spill)
+        return
+    for (vals,) in iter_progression_values([(fn, ext)], progression, n, block_members):
+        yield vals
+
+
+def _count_within(
+    values: np.ndarray | Iterable[np.ndarray], center: float, radii: Sequence[float]
+) -> tuple[list[int], int]:
+    """Per radius r, how many values satisfy |value - center| <= r; and the total."""
+    inside = [0] * len(radii)
+    total = 0
+    for block in [values] if isinstance(values, np.ndarray) else values:
+        dev = np.abs(block - center)
+        total += block.size
+        for i, r in enumerate(radii):
+            inside[i] += int(np.count_nonzero(dev <= r))
+    return inside, total
 
 
 def chebyshev_check(
     summary: MomentSummary,
-    values: np.ndarray | str | Path | Iterable[np.ndarray],
+    values: np.ndarray | Iterable[np.ndarray],
     b_values: Sequence[float] = CHEBYSHEV_B_DEFAULT,
 ) -> ChebyshevReport:
     """Empirical coverage P(|f - mean| <= b*sigma) next to the 1 - 1/b^2 bound.
 
-    The inequality holds exactly for any finite population; a zero
-    deviation makes every coverage 1 and is flagged degenerate.
+    `values` is one array or an iterable of blocks, such as
+    :func:`value_blocks`.  The inequality holds exactly for any finite
+    population; a zero deviation makes every coverage 1 and is flagged
+    degenerate.
     """
     bs = tuple(float(b) for b in b_values)
     if summary.sigma == 0.0:
         return ChebyshevReport(bs, tuple(1.0 for _ in bs), _bounds(bs), degenerate=True)
-    inside = np.zeros(len(bs), dtype=np.int64)
-    total = 0
-    for block in _iter_value_blocks(values):
-        dev = np.abs(block - summary.mean)
-        total += block.size
-        for i, b in enumerate(bs):
-            inside[i] += int(np.count_nonzero(dev <= b * summary.sigma))
+    inside, total = _count_within(values, summary.mean, [b * summary.sigma for b in bs])
     if total != summary.count:
         raise ValueError(
             f"value source has {total} entries, summary counted {summary.count}"
@@ -294,22 +309,16 @@ def lln_check(
         summary = empirical_moments(fn, ext, progression, n, u_max=2, block_members=block_members)
         b = float(b_fn(n))
         bound = max(0.0, 1.0 - 1.0 / (b * b))
-        radius_sigma = b * summary.sigma
         use_mean = summary.mean > 0.0
-        radius_mean = b * math.sqrt(summary.mean) if use_mean else None
-        in_sigma = 0
-        in_mean = 0
-        for (vals,) in iter_progression_values([(fn, ext)], progression, n, block_members):
-            dev = np.abs(vals - summary.mean)
-            in_sigma += int(np.count_nonzero(dev <= radius_sigma))
-            if use_mean:
-                in_mean += int(np.count_nonzero(dev <= radius_mean))
+        radii = [b * summary.sigma] + ([b * math.sqrt(summary.mean)] if use_mean else [])
+        blocks = value_blocks(fn, ext, progression, n, block_members=block_members)
+        inside, _ = _count_within(blocks, summary.mean, radii)
         records.append(
             LlnRecord(
                 n=n,
                 b=b,
-                coverage_sigma=in_sigma / summary.count,
-                coverage_sqrt_mean=(in_mean / summary.count) if use_mean else None,
+                coverage_sigma=inside[0] / summary.count,
+                coverage_sqrt_mean=(inside[1] / summary.count) if use_mean else None,
                 bound=bound,
                 skipped=not use_mean,
             )

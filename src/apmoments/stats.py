@@ -4,6 +4,10 @@ The headline statistic everywhere is the Kolmogorov-Smirnov sup-norm gap
 between an empirical CDF and the standard normal, measured after
 centering and scaling by either (mean, deviation) or (mean, sqrt(mean)).
 Raw distances only; no p-values.
+
+A dataset is sorted once into a table of distinct values and counts; the
+empirical CDF only steps there, so the KS gap, the CDF grid and the
+discreteness floor (largest point mass / 2) are all read off that table.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith_fn import Extension, PrimeFunction, collect_values
+from .arith_fn import Extension, PrimeFunction
 from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS, MEMBER_BLOCK
-from .moments import read_spill
+from .moments import value_blocks
 from .sieve import Progression
 
 NORMALIZATIONS = ("sigma", "sqrt_mean")
@@ -41,18 +45,23 @@ def phi_inv(q: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def ks_distance(values: np.ndarray, center: float, scale: float) -> float:
-    """KS statistic of (values - center)/scale against the standard normal."""
+def ks_distance(x: np.ndarray, counts: np.ndarray, center: float, scale: float) -> float:
+    """KS statistic of (values - center)/scale against the standard normal.
+
+    The values come as ``x, counts = np.unique(values, return_counts=True)``.
+    Over a run of tied values the per-value gaps peak at its last value
+    (F_emp - Phi) and its first (Phi - F_emp before it): one Phi per run.
+    """
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
-    v = np.sort((np.asarray(values, dtype=np.float64) - center) / scale)
-    if v.size == 0:
+    if x.size == 0:
         raise ValueError("values must be non-empty")
-    m = v.size
-    cdf = 0.5 * np.vectorize(math.erfc)(-v / math.sqrt(2.0))
-    grid = np.arange(1, m + 1) / m
-    d_plus = float(np.max(grid - cdf))
-    d_minus = float(np.max(cdf - (grid - 1.0 / m)))
+    z = (np.asarray(x, dtype=np.float64) - center) / scale
+    cdf = 0.5 * np.fromiter(map(math.erfc, -z / math.sqrt(2.0)), np.float64, z.size)
+    upto = np.cumsum(counts)
+    m = upto[-1]
+    d_plus = float(np.max(upto / m - cdf))
+    d_minus = float(np.max(cdf - (upto - counts) / m))
     return max(d_plus, d_minus)
 
 
@@ -64,18 +73,18 @@ class NormalityReport:
     center: float
     scale: float
     ks: float
+    ks_floor: float  # largest point mass / 2: no continuous CDF gets closer
     grid: tuple[tuple[float, float, float], ...]  # (x, empirical, normal cdf)
 
 
-def _cdf_grid(normalized: np.ndarray) -> tuple[tuple[float, float, float], ...]:
+def _cdf_grid(
+    x: np.ndarray, counts: np.ndarray, center: float, scale: float
+) -> tuple[tuple[float, float, float], ...]:
     qs = np.linspace(CDF_GRID_LO, CDF_GRID_HI, CDF_GRID_POINTS)
     xs = [phi_inv(float(q)) for q in qs]
-    v = np.sort(normalized)
-    rows = []
-    for x in xs:
-        emp = float(np.searchsorted(v, x, side="right")) / v.size
-        rows.append((x, emp, phi(x)))
-    return tuple(rows)
+    below = np.concatenate(([0], np.cumsum(counts)))  # values before each distinct one
+    steps = np.searchsorted((x - center) / scale, xs, side="right")
+    return tuple((t, float(below[i]) / below[-1], phi(t)) for t, i in zip(xs, steps))
 
 
 def erdos_kac_report(
@@ -101,8 +110,8 @@ def erdos_kac_report(
         raise ValueError(
             "sqrt_mean normalization requires 0 <= f(p) <= 1; use sigma instead"
         )
-    values = read_spill(spill) if spill is not None else collect_values(
-        fn, ext, progression, n, block_members
+    values = np.concatenate(  # np.empty(0): a progression may have no members
+        [np.empty(0), *value_blocks(fn, ext, progression, n, spill, block_members)]
     )
     count = progression.count(n)
     if values.size != count:
@@ -118,6 +127,8 @@ def erdos_kac_report(
         if center <= 0.0:
             raise ValueError("degenerate normalization: mean is not positive")
         scale = math.sqrt(center)
-    ks = ks_distance(values, center, scale)
-    grid = _cdf_grid((values - center) / scale)
-    return NormalityReport(n, count, normalization, center, scale, ks, grid)
+    x, counts = np.unique(values, return_counts=True)
+    ks = ks_distance(x, counts, center, scale)
+    floor = float(counts.max()) / count / 2.0
+    grid = _cdf_grid(x, counts, center, scale)
+    return NormalityReport(n, count, normalization, center, scale, ks, floor, grid)

@@ -103,8 +103,12 @@ class TestExitCodes:
             ["sum", "--x", "10", "--fn", "const:1", "--config"],
             ["sum", "--mod", "4", "--res", "2", "--x", "100", "--fn", "const:1"],
             ["sum", "--x", "100", "--fn", "zeta"],
+            ["sum", "--x", "100", "--fn", "invloglog", "--p0", "7"],
+            ["sum", "--x", "100", "--fn", "const:1", "--u", "0"],
+            ["moments", "--n", "100", "--fn", "omega", "--umax", "50"],
         ],
-        ids=["config_without_path", "non_coprime_class", "unparsable_fn"],
+        ids=["config_without_path", "non_coprime_class", "unparsable_fn",
+             "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -112,6 +116,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_model_exact_accepts_umax_one(self, capsys):
+        code, out = run_cli(["model", "exact", "--n", "100", "--fn", "const:1", "--umax", "1"],
+                            capsys)
+        assert code == 0
+        assert len(json.loads(out)["kappa"]) == 1
+
+    def test_missing_table_entry_is_one_unquoted_line(self, capsys):
+        code = main(["moments", "--n", "100", "--fn", "tab:5=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no table entry") and err.count("\n") == 1
 
     def test_computation_error_is_one(self, capsys):
         code = main(["moments", "--mod", "7", "--res", "5", "--n", "4", "--fn", "omega"])

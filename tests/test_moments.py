@@ -20,6 +20,7 @@ from apmoments.moments import (
     mean_via_counts,
     read_spill,
     two_pass_central_moments,
+    value_blocks,
 )
 from apmoments.sieve import Progression
 
@@ -205,6 +206,17 @@ class TestChebyshev:
         rep = chebyshev_check(s, values, (1.5, 2.0, 3.0))
         for cov, bound in zip(rep.coverage, rep.bounds):
             assert cov >= bound - 1e-12
+
+    def test_spill_blocks_match_sweep(self, tmp_path):
+        prog = Progression(4, 3)
+        path = tmp_path / "values.f64"
+        s = empirical_moments(SQRTLOGLOG, STRONG, prog, 10**5, spill=path)
+        bs = (1.0, 1.5, 2.0, 3.0)
+        sweep = value_blocks(SQRTLOGLOG, STRONG, prog, 10**5, block_members=999)
+        swept = chebyshev_check(s, sweep, bs)
+        spilled = chebyshev_check(s, value_blocks(SQRTLOGLOG, STRONG, prog, 10**5, path), bs)
+        assert spilled.coverage == swept.coverage
+        assert 0.0 < swept.coverage[0] < 1.0
 
     def test_mismatched_count_rejected(self):
         prog = Progression(4, 1)

@@ -5,10 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments.arith_fn import PrimeFunction, STRONG, builtin
+from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values
 from apmoments.model import exact_moments, sample
 from apmoments.sieve import Progression
 from apmoments.stats import erdos_kac_report, ks_distance, phi, phi_inv
+
+
+def table(values):
+    return np.unique(values, return_counts=True)
+
+
+def brute_force_ks(values, center: float, scale: float) -> float:
+    # per-value sup gap: F_emp just after and just before each sorted value
+    v = sorted((float(t) - center) / scale for t in values)
+    m = len(v)
+    return max(
+        max((i + 1) / m - phi(t), phi(t) - i / m) for i, t in enumerate(v)
+    )
+
+
+def brute_force_cdf(normalized, x: float) -> float:
+    return sum(1 for t in normalized if t <= x) / len(normalized)
 
 
 def phi_quadrature_oracle(x: float) -> float:
@@ -54,17 +71,17 @@ class TestKsDistance:
     def test_exact_quantile_construction(self):
         m = 1000
         values = np.array([phi_inv((i - 0.5) / m) for i in range(1, m + 1)])
-        assert ks_distance(values, 0.0, 1.0) <= 0.0005 + 1e-12
+        assert ks_distance(*table(values), 0.0, 1.0) <= 0.0005 + 1e-12
 
     def test_point_mass(self):
-        assert ks_distance(np.zeros(100), 0.0, 1.0) >= 0.5
+        assert ks_distance(*table(np.zeros(100)), 0.0, 1.0) >= 0.5
 
     def test_single_value_at_median(self):
-        assert ks_distance(np.array([0.0]), 0.0, 1.0) == pytest.approx(0.5)
+        assert ks_distance(*table(np.array([0.0])), 0.0, 1.0) == pytest.approx(0.5)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            ks_distance(np.array([1.0]), 0.0, 0.0)
+            ks_distance(*table(np.array([1.0])), 0.0, 0.0)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=2, max_size=200),
@@ -74,9 +91,23 @@ class TestKsDistance:
     @settings(max_examples=100, deadline=None)
     def test_affine_invariance(self, data, shift, stretch):
         values = np.array(data)
-        base = ks_distance(values, 1.5, 2.0)
-        moved = ks_distance(values * stretch + shift, 1.5 * stretch + shift, 2.0 * stretch)
+        base = ks_distance(*table(values), 1.5, 2.0)
+        moved = ks_distance(
+            *table(values * stretch + shift), 1.5 * stretch + shift, 2.0 * stretch
+        )
         assert moved == pytest.approx(base, abs=1e-9)
+
+
+    @given(
+        st.lists(st.integers(-3, 6), min_size=1, max_size=200),
+        st.floats(-2, 4),
+        st.floats(0.1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ties_match_per_value_brute_force(self, data, center, scale):
+        values = np.array(data, dtype=np.float64)
+        got = ks_distance(*table(values), center, scale)
+        assert got == pytest.approx(brute_force_ks(values, center, scale), abs=1e-15)
 
 
 class TestErdosKacReport:
@@ -86,8 +117,11 @@ class TestErdosKacReport:
         assert 0.0 < rep.ks < 0.5
         assert rep.count == 10**5
         assert len(rep.grid) == 21
+        values = collect_values(om, ste, Progression(1, 0), 10**5)
+        normalized = ((values - rep.center) / rep.scale).tolist()
         for x, emp, ph in rep.grid:
             assert 0.0 <= emp <= 1.0
+            assert emp == brute_force_cdf(normalized, x)
             assert ph == pytest.approx(phi(x), abs=1e-12)
 
     def test_trend_with_n(self):
@@ -116,6 +150,16 @@ class TestErdosKacReport:
         with pytest.raises(ValueError):
             erdos_kac_report(om, ste, Progression(10**4, 9973), 9973, "sqrt_mean")
 
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_ks_at_least_discreteness_floor(self, n):
+        om, ste = builtin("omega")
+        prog = Progression(4, 1)
+        rep = erdos_kac_report(om, ste, prog, n, "sqrt_mean")
+        values = collect_values(om, ste, prog, n)
+        max_mass = np.bincount(values.astype(np.int64)).max() / values.size
+        assert rep.ks_floor == max_mass / 2
+        assert rep.ks >= rep.ks_floor
+
     def test_spill_input(self, tmp_path):
         from apmoments.moments import empirical_moments
 
@@ -138,6 +182,6 @@ class TestModelSamplesLookNormal:
             mm = exact_moments(one, prog, n, u_max=2)
             ss = sample(one, prog, n, trials=10**5, seed=11)
             distances.append(
-                ks_distance(ss.values, mm.kappa[1], math.sqrt(mm.kappa[2]))
+                ks_distance(*table(ss.values), mm.kappa[1], math.sqrt(mm.kappa[2]))
             )
         assert distances[1] < distances[0]
