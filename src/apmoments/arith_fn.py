@@ -474,8 +474,9 @@ def collect_values(
     n: int,
     block_members: int = MEMBER_BLOCK,
 ) -> np.ndarray:
-    """Materialize f over all members up to n (desk scale)."""
-    blocks = [b[0] for b in iter_progression_values([(fn, ext)], progression, n, block_members)]
-    if not blocks:
-        return np.empty(0)
-    return np.concatenate(blocks)
+    """f over all members up to n as one float64 array, filled block by block."""
+    values = np.empty(progression.count(n))
+    blocks = iter_progression_values([(fn, ext)], progression, n, block_members)
+    for i, (block,) in enumerate(blocks):
+        values[i * block_members : i * block_members + block.size] = block
+    return values

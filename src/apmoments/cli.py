@@ -16,15 +16,13 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any
 
 from . import __version__, model, moments, prime_sums, stats
-from .arith_fn import Extension, FunctionPair, PrimeFunction, builtin, parse_fn
+from .arith_fn import Extension, FunctionPair, PrimeFunction, builtin, collect_values, parse_fn
 from .config import CHEBYSHEV_B_DEFAULT, PROBE_CHECKPOINTS, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression, iter_prime_blocks
 
@@ -58,16 +56,8 @@ def _quantize(obj: Any) -> Any:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".apmoments-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with moments.atomic_file(path) as fh:
+        fh.write(text.encode())
 
 
 def _emit(report: dict, args: argparse.Namespace, csv_rows: list[list] | None = None) -> None:
@@ -145,10 +135,26 @@ def _fn_spec(text: str) -> str:
     return text
 
 
+def _modulus(text: str) -> int:
+    """Parser type for --mod: an integer k >= 1."""
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"modulus must be >= 1, got {k}")
+    return k
+
+
 def _checkpoints(args) -> tuple[int, ...]:
     if not getattr(args, "checkpoints", None):
         return PROBE_CHECKPOINTS
-    return tuple(int(float(tok)) for tok in args.checkpoints.split(","))
+    try:
+        cps = tuple(int(float(tok)) for tok in args.checkpoints.split(","))
+    except ValueError:
+        cps = ()
+    if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise _UsageError(
+            f"argument --checkpoints: expected increasing limits, got {args.checkpoints!r}"
+        )
+    return cps
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +252,13 @@ def cmd_probe(args) -> None:
 def cmd_moments(args) -> None:
     fn, ext = _resolve_fn(args)
     prog = _progression(args)
-    summary = moments.empirical_moments(
-        fn, ext, prog, args.n, u_max=args.umax, spill=args.spill
-    )
-    blocks = moments.value_blocks(fn, ext, prog, args.n, args.spill)
-    cheb = moments.chebyshev_check(summary, blocks, CHEBYSHEV_B_DEFAULT)
+    # predictions first, so the sieve's temporaries are gone before the values exist
     preds = model.mean_predictions(fn, prog, args.n)
+    values = collect_values(fn, ext, prog, args.n)
+    summary = moments.moment_summary(values, prog, args.n, u_max=args.umax)
+    if args.spill:
+        moments.write_spill(args.spill, values)
+    cheb = moments.chebyshev_check(summary, values, CHEBYSHEV_B_DEFAULT)
     payload = {
         "n": summary.n,
         "k": prog.modulus,
@@ -302,7 +309,7 @@ def cmd_model_sample(args) -> None:
         else 0.0
     )
     if args.spill:
-        ss.values.astype("<f8").tofile(args.spill)
+        moments.write_spill(args.spill, ss.values)
     payload = {
         "mode": args.mode,
         "seed": ss.seed,
@@ -393,7 +400,7 @@ def cmd_ektest(args) -> None:
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "mod" in names:
-        p.add_argument("--mod", type=int, default=1, help="progression modulus k")
+        p.add_argument("--mod", type=_modulus, default=1, help="progression modulus k")
         p.add_argument("--res", type=int, default=0, help="progression residue l")
     if "n" in names:
         p.add_argument("--n", type=lambda s: int(float(s)), required=True, help="member limit")
@@ -449,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["inv_p_squared", "inv_p_log2p", "inv_p_logp", "custom"])
     p.add_argument("--integral", action="store_true",
                    help="probe the rate integral instead of partial sums")
-    p.add_argument("--checkpoints", default=None, help="comma-separated limits")
+    p.add_argument("--checkpoints", default=None, help="comma-separated increasing limits")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("moments", help="empirical moments over progression members")

@@ -1,28 +1,29 @@
 """Empirical moments of additive functions over progression members.
 
-The pipeline streams members block by block, never holding all values:
-per-block statistics merge into a running central-moment state whose
-merge rule is exact in real arithmetic, so chunked evaluation matches a
-two-pass computation up to rounding.  The mean additionally has an exact
-closed-form cross-check for strongly additive functions, obtained by
-counting multiples of each prime inside the progression.
-
-A dataset's values are read back through one reader, :func:`value_blocks`:
-from its spill file when one was written, otherwise from a fresh sweep.
-Chebyshev and LLN coverage both count through one within-radius counter.
+A dataset is one float64 array of f over the members, filled by one
+member sweep; its moments, Chebyshev/LLN coverage and spill file are all
+read off that array.  Moments feed the array to a mergeable central-moment
+state in slices of the sweep's block length; the merge rule is exact in
+real arithmetic, so chunked evaluation matches a two-pass computation up
+to rounding.  The mean additionally has an exact closed-form cross-check
+for strongly additive functions, obtained by counting multiples of each
+prime inside the progression.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import sieve
-from .arith_fn import Extension, PrimeFunction, iter_progression_values
+from .arith_fn import Extension, PrimeFunction, collect_values
 from .config import CHEBYSHEV_B_DEFAULT, MEMBER_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression
 
@@ -139,6 +140,21 @@ class LlnRecord:
     skipped: bool = False
 
 
+def moment_summary(
+    values: np.ndarray, progression: Progression, n: int, u_max: int = U_MAX_DEFAULT
+) -> MomentSummary:
+    """Mean, deviation, and central moments of one dataset's values, fed to
+    the running state in MEMBER_BLOCK slices (the member sweep's blocks)."""
+    if values.size == 0:
+        raise ValueError(
+            f"no progression members <= {n} (first member is {progression.first_member})"
+        )
+    acc = CoMoments(u_max)
+    for lo in range(0, values.size, MEMBER_BLOCK):
+        acc.add_batch(values[lo : lo + MEMBER_BLOCK])
+    return MomentSummary(n, progression, acc.n, acc.mean, acc.sigma, acc.central_moments())
+
+
 def empirical_moments(
     fn: PrimeFunction,
     ext: Extension,
@@ -150,33 +166,40 @@ def empirical_moments(
 ) -> MomentSummary:
     """Mean, deviation, and central moments of f over members up to n.
 
-    Values stream through in blocks; with `spill` set the raw values are
-    also appended to a little-endian float64 file for later re-use by the
-    distribution diagnostics.
+    The values are swept once into one array (one float64 per member); with
+    `spill` set that array is also written with :func:`write_spill` for
+    later re-use by the distribution diagnostics.
     """
-    count = progression.count(n)
-    if count == 0:
-        raise ValueError(
-            f"no progression members <= {n} (first member is {progression.first_member})"
-        )
-    acc = CoMoments(u_max)
-    sink = open(spill, "wb") if spill is not None else None
-    try:
-        for (vals,) in iter_progression_values([(fn, ext)], progression, n, block_members):
-            acc.add_batch(vals)
-            if sink is not None:
-                sink.write(vals.astype("<f8").tobytes())
-    finally:
-        if sink is not None:
-            sink.close()
-    assert acc.n == count
-    return MomentSummary(
-        n, progression, count, acc.mean, acc.sigma, acc.central_moments()
-    )
+    values = collect_values(fn, ext, progression, n, block_members)
+    summary = moment_summary(values, progression, n, u_max)
+    if spill is not None:
+        write_spill(spill, values)
+    return summary
 
 
 def read_spill(path: str | Path) -> np.ndarray:
     return np.fromfile(path, dtype="<f8")
+
+
+@contextmanager
+def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces `path` only when the block completes: it is
+    written as a temporary sibling and renamed, so no partial file survives
+    an error.  Every output file (reports, spills) is written this way."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".apmoments-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_spill(path: str | Path, values: np.ndarray) -> None:
+    with atomic_file(path) as fh:
+        values.astype("<f8", copy=False).tofile(fh)
 
 
 def two_pass_central_moments(values: np.ndarray, u_max: int) -> dict[int, float]:
@@ -224,58 +247,34 @@ def mean_via_counts(
     return float(np.dot(fvals, counts.astype(np.float64))) / count
 
 
-def value_blocks(
-    fn: PrimeFunction,
-    ext: Extension,
-    progression: Progression,
-    n: int,
-    spill: str | Path | None = None,
-    block_members: int = MEMBER_BLOCK,
-) -> Iterator[np.ndarray]:
-    """A dataset's values: read back from its spill file when one is given,
-    otherwise evaluated afresh block by block."""
-    if spill is not None:
-        yield read_spill(spill)
-        return
-    for (vals,) in iter_progression_values([(fn, ext)], progression, n, block_members):
-        yield vals
-
-
-def _count_within(
-    values: np.ndarray | Iterable[np.ndarray], center: float, radii: Sequence[float]
-) -> tuple[list[int], int]:
-    """Per radius r, how many values satisfy |value - center| <= r; and the total."""
+def _count_within(values: np.ndarray, center: float, radii: Sequence[float]) -> list[int]:
+    """Per radius r, how many values satisfy |value - center| <= r (block-sized temporaries)."""
     inside = [0] * len(radii)
-    total = 0
-    for block in [values] if isinstance(values, np.ndarray) else values:
-        dev = np.abs(block - center)
-        total += block.size
+    for lo in range(0, values.size, MEMBER_BLOCK):
+        dev = np.abs(values[lo : lo + MEMBER_BLOCK] - center)
         for i, r in enumerate(radii):
             inside[i] += int(np.count_nonzero(dev <= r))
-    return inside, total
+    return inside
 
 
 def chebyshev_check(
     summary: MomentSummary,
-    values: np.ndarray | Iterable[np.ndarray],
+    values: np.ndarray,
     b_values: Sequence[float] = CHEBYSHEV_B_DEFAULT,
 ) -> ChebyshevReport:
     """Empirical coverage P(|f - mean| <= b*sigma) next to the 1 - 1/b^2 bound.
 
-    `values` is one array or an iterable of blocks, such as
-    :func:`value_blocks`.  The inequality holds exactly for any finite
-    population; a zero deviation makes every coverage 1 and is flagged
-    degenerate.
+    `values` is the dataset's array, the one `summary` was taken from.  The
+    inequality holds exactly for any finite population; a zero deviation
+    makes every coverage 1 and is flagged degenerate.
     """
     bs = tuple(float(b) for b in b_values)
     if summary.sigma == 0.0:
         return ChebyshevReport(bs, tuple(1.0 for _ in bs), _bounds(bs), degenerate=True)
-    inside, total = _count_within(values, summary.mean, [b * summary.sigma for b in bs])
-    if total != summary.count:
-        raise ValueError(
-            f"value source has {total} entries, summary counted {summary.count}"
-        )
-    return ChebyshevReport(bs, tuple(float(c) / total for c in inside), _bounds(bs))
+    if values.size != summary.count:
+        raise ValueError(f"value array has {values.size} entries, summary counted {summary.count}")
+    inside = _count_within(values, summary.mean, [b * summary.sigma for b in bs])
+    return ChebyshevReport(bs, tuple(float(c) / values.size for c in inside), _bounds(bs))
 
 
 def _bounds(bs: tuple[float, ...]) -> tuple[float, ...]:
@@ -306,21 +305,13 @@ def lln_check(
     b_fn = LLN_B_CHOICES[b_of_n] if isinstance(b_of_n, str) else b_of_n
     records = []
     for n in n_list:
-        summary = empirical_moments(fn, ext, progression, n, u_max=2, block_members=block_members)
+        values = collect_values(fn, ext, progression, n, block_members)
+        summary = moment_summary(values, progression, n, u_max=2)
         b = float(b_fn(n))
         bound = max(0.0, 1.0 - 1.0 / (b * b))
         use_mean = summary.mean > 0.0
         radii = [b * summary.sigma] + ([b * math.sqrt(summary.mean)] if use_mean else [])
-        blocks = value_blocks(fn, ext, progression, n, block_members=block_members)
-        inside, _ = _count_within(blocks, summary.mean, radii)
-        records.append(
-            LlnRecord(
-                n=n,
-                b=b,
-                coverage_sigma=inside[0] / summary.count,
-                coverage_sqrt_mean=(inside[1] / summary.count) if use_mean else None,
-                bound=bound,
-                skipped=not use_mean,
-            )
-        )
+        inside = _count_within(values, summary.mean, radii)
+        sqrt_mean = inside[1] / summary.count if use_mean else None
+        records.append(LlnRecord(n, b, inside[0] / summary.count, sqrt_mean, bound, not use_mean))
     return records

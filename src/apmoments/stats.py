@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith_fn import Extension, PrimeFunction
+from .arith_fn import Extension, PrimeFunction, collect_values
 from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS, MEMBER_BLOCK
-from .moments import value_blocks
+from .moments import read_spill
 from .sieve import Progression
 
 NORMALIZATIONS = ("sigma", "sqrt_mean")
@@ -102,7 +102,7 @@ def erdos_kac_report(
     deviation; "sqrt_mean" scales by sqrt(mean) and is only offered for
     nonnegative functions bounded by 1 at primes, the regime where that
     scaling has a normal limit.  Values come from an existing spill file
-    when given, otherwise from a fresh streaming evaluation.
+    when given, otherwise from one member sweep.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -110,9 +110,8 @@ def erdos_kac_report(
         raise ValueError(
             "sqrt_mean normalization requires 0 <= f(p) <= 1; use sigma instead"
         )
-    values = np.concatenate(  # np.empty(0): a progression may have no members
-        [np.empty(0), *value_blocks(fn, ext, progression, n, spill, block_members)]
-    )
+    values = (read_spill(spill) if spill is not None
+              else collect_values(fn, ext, progression, n, block_members))
     count = progression.count(n)
     if values.size != count:
         raise ValueError(f"expected {count} values, got {values.size}")

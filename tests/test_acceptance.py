@@ -290,7 +290,7 @@ def test_criterion_8_erdos_kac_trend(erdos_kac_datasets):
     # 0.3596 (exact count), so the sup-norm gap against ANY continuous
     # CDF is at least 0.3596/2 = 0.1798 > 0.15 for every choice of
     # centering and scaling.  The 0.15 bound is unattainable at this
-    # scale, not a defect of the pipeline; see the decisions ledger.
+    # scale, not a defect of the pipeline.
     values = erdos_kac_datasets[10**7][1]
     max_mass = np.bincount(values.astype(np.int64)).max() / values.size
     assert ks7 <= 0.15, (

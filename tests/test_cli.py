@@ -106,9 +106,15 @@ class TestExitCodes:
             ["sum", "--x", "100", "--fn", "invloglog", "--p0", "7"],
             ["sum", "--x", "100", "--fn", "const:1", "--u", "0"],
             ["moments", "--n", "100", "--fn", "omega", "--umax", "50"],
+            ["asymptotic", "--mod", "0", "--x", "1e4", "--fn", "invloglog"],
+            ["asymptotic", "--mod", "-3", "--x", "1e4", "--fn", "invloglog"],
+            ["probe", "--fn", "invloglog", "--checkpoints", "1e3,abc"],
+            ["probe", "--fn", "invloglog", "--checkpoints", "1e4,1e3"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
-             "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap"],
+             "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
+             "modulus_zero", "modulus_negative", "checkpoint_not_a_number",
+             "checkpoints_not_increasing"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -185,6 +191,20 @@ class TestEmission:
                      "--fn", "omega", "--out", str(out_file)])
         assert code == 1
         assert not out_file.exists()
+
+    def test_no_partial_spill_on_error(self, tmp_path, capsys):
+        spill = tmp_path / "values.f64"
+        code = main(["moments", "--n", "100", "--fn", "tab:5=1", "--spill", str(spill)])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spill_written_atomically(self, tmp_path, capsys):
+        spill = tmp_path / "values.f64"
+        argv = ["model", "sample", "--n", "1e3", "--fn", "const:1", "--trials", "100",
+                "--spill", str(spill)]
+        assert main(argv) == 0
+        assert spill.stat().st_size == 100 * 8
+        assert list(tmp_path.iterdir()) == [spill]
 
     def test_fifteen_significant_digits(self, capsys):
         _, out = run_cli(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apmoments import arith_fn, cli
 from apmoments.arith_fn import (
     STRONG,
     Extension,
@@ -20,7 +21,6 @@ from apmoments.moments import (
     mean_via_counts,
     read_spill,
     two_pass_central_moments,
-    value_blocks,
 )
 from apmoments.sieve import Progression
 
@@ -212,9 +212,9 @@ class TestChebyshev:
         path = tmp_path / "values.f64"
         s = empirical_moments(SQRTLOGLOG, STRONG, prog, 10**5, spill=path)
         bs = (1.0, 1.5, 2.0, 3.0)
-        sweep = value_blocks(SQRTLOGLOG, STRONG, prog, 10**5, block_members=999)
+        sweep = collect_values(SQRTLOGLOG, STRONG, prog, 10**5, block_members=999)
         swept = chebyshev_check(s, sweep, bs)
-        spilled = chebyshev_check(s, value_blocks(SQRTLOGLOG, STRONG, prog, 10**5, path), bs)
+        spilled = chebyshev_check(s, read_spill(path), bs)
         assert spilled.coverage == swept.coverage
         assert 0.0 < swept.coverage[0] < 1.0
 
@@ -223,6 +223,28 @@ class TestChebyshev:
         s = empirical_moments(OMEGA, OMEGA_EXT, prog, 30)
         with pytest.raises(ValueError):
             chebyshev_check(s, np.zeros(5), (2.0,))
+
+
+class TestOneSweepPerDataset:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = arith_fn.iter_progression_values
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(arith_fn, "iter_progression_values", counted)
+        return calls
+
+    def test_moments_subcommand_sweeps_once(self, sweeps, capsys):
+        assert cli.main(["moments", "--mod", "4", "--res", "1", "--n", "1e4", "--fn", "omega"]) == 0
+        assert sweeps == [10**4]
+
+    def test_lln_check_sweeps_once_per_n(self, sweeps):
+        lln_check(OMEGA, OMEGA_EXT, Progression(4, 1), [10**4, 10**5])
+        assert sweeps == [10**4, 10**5]
 
 
 class TestLln:
