@@ -55,11 +55,6 @@ def _quantize(obj: Any) -> Any:
     return obj
 
 
-def _atomic_write(path: str, text: str) -> None:
-    with moments.atomic_file(path) as fh:
-        fh.write(text.encode())
-
-
 def _emit(report: dict, args: argparse.Namespace, csv_rows: list[list] | None = None) -> None:
     cfg = report["config"]
     if args.format == "csv":
@@ -75,7 +70,8 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows: list[list] | None = 
     else:
         text = json.dumps(_quantize(report), indent=2) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        with moments.atomic_file(args.out) as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
 
@@ -135,24 +131,57 @@ def _fn_spec(text: str) -> str:
     return text
 
 
+def _integer(text: str) -> int:
+    """Parser type for sizes (--n, --x, --limit, --trials): an integer, 1e6 allowed."""
+    try:
+        return int(float(text))
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
+def _positive_integer(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _modulus(text: str) -> int:
     """Parser type for --mod: an integer k >= 1."""
-    k = int(text)
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
     if k < 1:
         raise argparse.ArgumentTypeError(f"modulus must be >= 1, got {k}")
     return k
 
 
-def _checkpoints(args) -> tuple[int, ...]:
-    if not getattr(args, "checkpoints", None):
-        return PROBE_CHECKPOINTS
-    try:
-        cps = tuple(int(float(tok)) for tok in args.checkpoints.split(","))
-    except ValueError:
-        cps = ()
-    if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
+def _sieve_limit(flag: str, limit: int) -> int:
+    if limit < 2:
+        raise _UsageError(f"argument --{flag}: sieve limit must be >= 2, got {limit}")
+    return limit
+
+
+def _checkpoints(args, start_prime: int | None = None) -> tuple[int, ...]:
+    """--checkpoints (or the defaults): increasing sieve limits, or, for the
+    rate integral, increasing upper ends above its start prime."""
+    cps = PROBE_CHECKPOINTS
+    if args.checkpoints:
+        try:
+            cps = tuple(int(float(tok)) for tok in args.checkpoints.split(","))
+        except (ValueError, OverflowError):
+            cps = ()
+        if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
+            raise _UsageError(
+                f"argument --checkpoints: expected increasing limits, got {args.checkpoints!r}"
+            )
+    if start_prime is None and cps[0] < 2:
+        raise _UsageError(f"argument --checkpoints: sieve limits must be >= 2, got {cps[0]}")
+    if start_prime is not None and cps[0] <= start_prime:
         raise _UsageError(
-            f"argument --checkpoints: expected increasing limits, got {args.checkpoints!r}"
+            f"argument --checkpoints: the first checkpoint must exceed the start prime "
+            f"{start_prime}, got {cps[0]}"
         )
     return cps
 
@@ -163,14 +192,15 @@ def _checkpoints(args) -> tuple[int, ...]:
 
 def cmd_sieve(args) -> None:
     prog = _progression(args)
-    lines = []
-    for block in iter_prime_blocks(args.limit, None if prog.is_full else prog):
-        lines.extend(str(int(p)) for p in block)
-    text = "\n".join(lines) + ("\n" if lines else "")
+    blocks = iter_prime_blocks(_sieve_limit("limit", args.limit), None if prog.is_full else prog)
+    texts = ("\n".join(map(str, block.tolist())) + "\n" for block in blocks)
     if args.out:
-        _atomic_write(args.out, text)
+        with moments.atomic_file(args.out) as fh:
+            for text in texts:
+                fh.write(text.encode())
     else:
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
 
 
 def cmd_sum(args) -> None:
@@ -227,15 +257,15 @@ def cmd_classify(args) -> None:
 
 
 def cmd_probe(args) -> None:
-    cps = _checkpoints(args)
     if args.integral:
         fn, _ = _resolve_fn(args)
-        res = prime_sums.divergence_probe(fn, args.u, cps)
+        res = prime_sums.divergence_probe(fn, args.u, _checkpoints(args, fn.start_prime))
     elif args.series == "custom":
         fn, _ = _resolve_fn(args)
-        res = prime_sums.convergence_probe("custom", _progression(args), cps, custom=(fn, args.u))
+        res = prime_sums.convergence_probe("custom", _progression(args), _checkpoints(args),
+                                           custom=(fn, args.u))
     else:
-        res = prime_sums.convergence_probe(args.series, _progression(args), cps)
+        res = prime_sums.convergence_probe(args.series, _progression(args), _checkpoints(args))
     payload = {
         "checkpoints": list(res.checkpoints),
         "values": list(res.values),
@@ -281,7 +311,8 @@ def cmd_moments(args) -> None:
 
 def cmd_model_exact(args) -> None:
     fn, _ = _resolve_fn(args)
-    mm = model.exact_moments(fn, _progression(args), args.n, u_max=args.umax, mode=args.mode)
+    n = _sieve_limit("n", args.n)
+    mm = model.exact_moments(fn, _progression(args), n, u_max=args.umax, mode=args.mode)
     payload = {
         "n": mm.n,
         "k": args.mod,
@@ -299,8 +330,9 @@ def cmd_model_exact(args) -> None:
 def cmd_model_sample(args) -> None:
     fn, _ = _resolve_fn(args)
     prog = _progression(args)
-    ss = model.sample(fn, prog, args.n, args.trials, args.seed, mode=args.mode)
-    mm = model.exact_moments(fn, prog, args.n, u_max=2, mode=args.mode)
+    n = _sieve_limit("n", args.n)
+    ss = model.sample(fn, prog, n, args.trials, args.seed, mode=args.mode)
+    mm = model.exact_moments(fn, prog, n, u_max=2, mode=args.mode)
     mean = float(ss.values.mean())
     var = float(ss.values.var())
     z = (
@@ -324,7 +356,10 @@ def cmd_model_sample(args) -> None:
 
 def cmd_model_lindeberg(args) -> None:
     fn, _ = _resolve_fn(args)
-    rep = model.lindeberg_check(fn, _progression(args), args.n, args.epsilon, mode=args.mode)
+    if not args.epsilon > 0.0:
+        raise _UsageError(f"argument --epsilon: epsilon must be positive, got {args.epsilon}")
+    n = _sieve_limit("n", args.n)
+    rep = model.lindeberg_check(fn, _progression(args), n, args.epsilon, mode=args.mode)
     payload = {
         "n": rep.n,
         "epsilon": rep.epsilon,
@@ -403,9 +438,9 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--mod", type=_modulus, default=1, help="progression modulus k")
         p.add_argument("--res", type=int, default=0, help="progression residue l")
     if "n" in names:
-        p.add_argument("--n", type=lambda s: int(float(s)), required=True, help="member limit")
+        p.add_argument("--n", type=_integer, required=True, help="member limit")
     if "x" in names:
-        p.add_argument("--x", type=lambda s: int(float(s)), required=True, help="prime limit")
+        p.add_argument("--x", type=_integer, required=True, help="prime limit")
     if "fn" in names:
         p.add_argument("--fn", type=_fn_spec, required=True,
                        help="function spec, e.g. const:1, invloglog, omega")
@@ -433,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("sieve", help="list primes, optionally in a residue class")
-    p.add_argument("--limit", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--limit", type=_integer, required=True)
     _add_common(p, "mod")
     p.set_defaults(func=cmd_sieve)
 
@@ -474,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = msub.add_parser("sample", help="seeded Monte Carlo realizations")
     _add_common(p, "mod", "n", "fn", "mode", "spill")
-    p.add_argument("--trials", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--trials", type=_positive_integer, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_model_sample)
 

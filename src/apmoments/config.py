@@ -1,8 +1,9 @@
 """Tunable constants shared across the package.
 
-Everything here is a plain default; functions that depend on one of these
-values also accept it as a keyword argument so experiments can override
-without touching module state.
+Everything here is a plain default.  Where a function also takes one of
+these values as a keyword argument (segment and member block sizes,
+quadrature tolerances, u_max), experiments can override it there without
+touching module state.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ SIEVE_CEILING = 1 << 34
 PRIME_CACHE_MAX = 200_000_000
 # Chunk length used when replaying cached primes to block consumers.
 PRIME_CHUNK = 1 << 19
+
+# Primes per row block of the model's per-prime moment recursion: its two
+# (u_max + 1) x MODEL_BLOCK float64 matrices stay a few MB at u_max = 10.
+MODEL_BLOCK = 1 << 16
 
 # Progression-member evaluation block (number of members per batch).
 MEMBER_BLOCK = 1 << 19

@@ -8,21 +8,28 @@ recursion followed by the cumulant-to-central-moment recursion, both
 generic up to order 10.  Alongside the exact values we carry the
 first-order approximation sum f(p)^u / p and its gap budget
 sum |f(p)|^u / p^2.
+
+The per-prime recursion is streamed block by block: the prime set comes
+from the sieve's block iterator, each block's rows are reduced to one
+partial per order, and the partials are combined exactly with math.fsum
+(as in prime_sums).  Memory is bounded by one block, so the exact
+moments, the Lindeberg ratio and the mean predictions also run past the
+prime cache.  Only `sample` holds the whole prime set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import prime_sums
 from .arith_fn import FunctionPair, PrimeFunction, eval_at_prime, iter_progression_values
-from .config import MEMBER_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
+from .config import MEMBER_BLOCK, MODEL_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import CoMoments, MomentSummary
-from .sieve import Progression, primes_in_progression, sieve_primes
+from .sieve import Progression, iter_prime_blocks
 
 MODES = ("restricted", "density")
 
@@ -81,15 +88,35 @@ class PairComparison:
     override_contribution: float | None  # class-H pairs with explicit overrides
 
 
-def mode_primes(progression: Progression, n: int, mode: str) -> np.ndarray:
-    """Prime set behind a model: the residue class itself, or all p not
-    dividing the modulus (the uniform-density reading)."""
+def _mode_blocks(progression: Progression, n: int, mode: str) -> Iterator[np.ndarray]:
+    """Prime set behind a model, in ascending blocks of at most MODEL_BLOCK
+    primes: the residue class itself, or all p not dividing the modulus (the
+    uniform-density reading)."""
     if mode == "restricted":
-        return primes_in_progression(n, progression).primes
-    if mode == "density":
-        primes = sieve_primes(n).primes
-        return primes[progression.modulus % primes != 0]
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        blocks = iter_prime_blocks(n, progression)
+    elif mode == "density":
+        k = progression.modulus
+        blocks = (block[k % block != 0] for block in iter_prime_blocks(n))
+    else:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return (b[i : i + MODEL_BLOCK] for b in blocks for i in range(0, b.size, MODEL_BLOCK))
+
+
+def _active_blocks(
+    fn: PrimeFunction, progression: Progression, n: int, mode: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(p as float64, f(p)) per block, restricted to the primes with f(p) != 0."""
+    for block in _mode_blocks(progression, n, mode):
+        fv = fn.values_at(block)
+        active = fv != 0.0
+        if np.any(active):
+            yield block[active].astype(np.float64), fv[active]
+
+
+def mode_primes(progression: Progression, n: int, mode: str) -> np.ndarray:
+    """The whole prime set of a model as one array (only `sample` needs it)."""
+    blocks = list(_mode_blocks(progression, n, mode))
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
 def _raw_to_cumulants(raw: np.ndarray) -> np.ndarray:
@@ -129,36 +156,40 @@ def exact_moments(
     u_max: int = U_MAX_DEFAULT,
     mode: str = "restricted",
 ) -> ModelMoments:
-    """Exact cumulants and central moments of the model sum up to u_max."""
+    """Exact cumulants and central moments of the model sum up to u_max.
+
+    One pass over the prime blocks: each block's per-prime raw moments go
+    through the moment-to-cumulant recursion, and every order keeps one
+    partial per block for kappa, first_order and gap_bound.
+    """
     if not 1 <= u_max <= U_MAX_CAP:
         raise ValueError(f"u_max must be in [1, {U_MAX_CAP}]")
-    primes = mode_primes(progression, n, mode)
-    fv = fn.values_at(primes)
-    active = fv != 0.0
-    p = primes[active].astype(np.float64)
-    f = fv[active]
+    orders = range(1, u_max + 1)
+    kappa_parts: dict[int, list[float]] = {j: [] for j in orders}
+    first_parts: dict[int, list[float]] = {j: [] for j in orders}
+    gap_parts: dict[int, list[float]] = {j: [] for j in orders}
+    count = 0
+    for p, f in _active_blocks(fn, progression, n, mode):
+        count += p.size
+        raw = np.empty((u_max + 1, p.size))
+        raw[0] = 1.0
+        inv_p = 1.0 / p
+        power = np.ones_like(f)
+        for j in orders:
+            power = power * f
+            raw[j] = power * inv_p
+            first_parts[j].append(float(np.sum(raw[j])))
+            gap_parts[j].append(float(np.sum(np.abs(power) * inv_p * inv_p)))
+        kappa_terms = _raw_to_cumulants(raw)
+        for j in orders:
+            kappa_parts[j].append(float(np.sum(kappa_terms[j])))
 
-    if p.size == 0:
-        zeros = {u: 0.0 for u in range(1, u_max + 1)}
-        return ModelMoments(n, progression, mode, dict(zeros), dict(zeros), dict(zeros), dict(zeros), 0)
-
-    raw = np.zeros((u_max + 1, p.size))
-    raw[0] = 1.0
-    inv_p = 1.0 / p
-    power = np.ones_like(f)
-    first = {}
-    gap = {}
-    for j in range(1, u_max + 1):
-        power = power * f
-        raw[j] = power * inv_p
-        first[j] = float(np.sum(power * inv_p))
-        gap[j] = float(np.sum(np.abs(power) * inv_p * inv_p))
-
-    kappa_terms = _raw_to_cumulants(raw)
-    kappa = {j: float(np.sum(kappa_terms[j])) for j in range(1, u_max + 1)}
-    central = _cumulants_to_central([0.0] + [kappa[j] for j in range(1, u_max + 1)])
-    mu = {j: central[j] for j in range(1, u_max + 1)}
-    return ModelMoments(n, progression, mode, kappa, mu, first, gap, int(p.size))
+    kappa = {j: math.fsum(kappa_parts[j]) for j in orders}
+    first = {j: math.fsum(first_parts[j]) for j in orders}
+    gap = {j: math.fsum(gap_parts[j]) for j in orders}
+    central = _cumulants_to_central([0.0] + [kappa[j] for j in orders])
+    mu = {j: central[j] for j in orders}
+    return ModelMoments(n, progression, mode, kappa, mu, first, gap, count)
 
 
 def central_moment_first_order(
@@ -228,36 +259,38 @@ def lindeberg_check(
 
     Returns (1/D) * sum of f(p)^2/p over primes with |f(p)| > eps*sqrt(D),
     where D = sum f(p)^2/p, plus the coarser diagnostic max|f|/sqrt(D).
+    Two passes over the prime blocks: D and max|f| first, then the tail.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    primes = mode_primes(progression, n, mode)
-    fv = fn.values_at(primes)
-    active = fv != 0.0
-    p = primes[active].astype(np.float64)
-    f = fv[active]
-    if p.size == 0:
+    parts: list[float] = []
+    f_max = 0.0
+    for p, f in _active_blocks(fn, progression, n, mode):
+        parts.append(float(np.sum(f * f / p)))
+        f_max = max(f_max, float(np.max(np.abs(f))))
+    if not parts:
         raise ValueError("degenerate: no primes contribute (variance is 0)")
-    contrib = f * f / p
-    variance = float(np.sum(contrib))
+    variance = math.fsum(parts)
     if variance <= 0.0:
         raise ValueError("degenerate: variance is 0")
     threshold = epsilon * math.sqrt(variance)
-    ratio = float(np.sum(contrib[np.abs(f) > threshold])) / variance
-    max_over = float(np.max(np.abs(f))) / math.sqrt(variance)
-    return LindebergReport(n, epsilon, variance, ratio, max_over)
+    tail = []
+    for p, f in _active_blocks(fn, progression, n, mode):
+        big = np.abs(f) > threshold
+        tail.append(float(np.sum(f[big] * f[big] / p[big])))
+    ratio = math.fsum(tail) / variance
+    return LindebergReport(n, epsilon, variance, ratio, f_max / math.sqrt(variance))
 
 
 def mean_predictions(
     fn: PrimeFunction, progression: Progression, n: int
 ) -> dict[str, float]:
     """First-moment prediction under both prime-set readings."""
-    out = {}
-    for mode in MODES:
-        primes = mode_primes(progression, n, mode)
-        fv = fn.values_at(primes)
-        out[mode] = float(np.sum(fv / primes))
-    return out
+    return {
+        mode: math.fsum(float(np.sum(fn.values_at(block) / block))
+                        for block in _mode_blocks(progression, n, mode))
+        for mode in MODES
+    }
 
 
 def compare_pair(

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from apmoments.cli import main
+from apmoments.sieve import primes_upto_monolithic
 
 
 def run_cli(argv, capsys):
@@ -110,11 +111,23 @@ class TestExitCodes:
             ["asymptotic", "--mod", "-3", "--x", "1e4", "--fn", "invloglog"],
             ["probe", "--fn", "invloglog", "--checkpoints", "1e3,abc"],
             ["probe", "--fn", "invloglog", "--checkpoints", "1e4,1e3"],
+            ["probe", "--fn", "invloglog", "--checkpoints", "0,10"],
+            ["probe", "--fn", "invloglog", "--integral", "--checkpoints", "5,100"],
+            ["model", "lindeberg", "--n", "100", "--fn", "const:1", "--epsilon", "-1"],
+            ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "0"],
+            ["model", "exact", "--n", "1", "--fn", "const:1"],
+            ["model", "lindeberg", "--n", "1", "--fn", "const:1"],
+            ["model", "sample", "--n", "1", "--fn", "const:1", "--trials", "10"],
+            ["sieve", "--limit", "1"],
+            ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "inf"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
              "modulus_zero", "modulus_negative", "checkpoint_not_a_number",
-             "checkpoints_not_increasing"],
+             "checkpoints_not_increasing", "checkpoint_below_two",
+             "integral_checkpoint_below_start_prime", "epsilon_negative", "trials_zero",
+             "model_exact_limit_one", "model_lindeberg_limit_one", "model_sample_limit_one",
+             "sieve_limit_one", "trials_infinite"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -122,6 +135,25 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "abc", "--fn", "omega"],
+            ["moments", "--n", "100", "--fn", "omega", "--mod", "abc"],
+            ["sum", "--x", "abc", "--fn", "const:1"],
+            ["sieve", "--limit", "abc"],
+            ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "abc"],
+        ],
+        ids=["n", "mod", "x", "limit", "trials"],
+    )
+    def test_malformed_number_names_a_readable_type(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid integer value: 'abc'" in err
+        assert "<lambda>" not in err and "invalid _" not in err
 
     def test_model_exact_accepts_umax_one(self, capsys):
         code, out = run_cli(["model", "exact", "--n", "100", "--fn", "const:1", "--umax", "1"],
@@ -205,6 +237,16 @@ class TestEmission:
         assert main(argv) == 0
         assert spill.stat().st_size == 100 * 8
         assert list(tmp_path.iterdir()) == [spill]
+
+    def test_sieve_file_matches_monolithic_sieve(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("apmoments.sieve.PRIME_CHUNK", 1000)  # about ten blocks
+        out_file = tmp_path / "primes.txt"
+        argv = ["sieve", "--limit", "1e5", "--mod", "4", "--res", "3", "--out", str(out_file)]
+        assert main(argv) == 0
+        primes = primes_upto_monolithic(10**5)
+        want = "".join(f"{p}\n" for p in primes[primes % 4 == 3].tolist())
+        assert out_file.read_bytes() == want.encode()
+        assert list(tmp_path.iterdir()) == [out_file]
 
     def test_fifteen_significant_digits(self, capsys):
         _, out = run_cli(

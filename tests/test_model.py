@@ -1,16 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from apmoments import model, sieve
 from apmoments.arith_fn import (
     Extension,
     FunctionPair,
     PrimeFunction,
     builtin,
 )
+from apmoments.config import MODEL_BLOCK
 from apmoments.model import (
+    MODES,
     BernoulliTerm,
+    _cumulants_to_central,
     brute_force_central_moments,
     compare_pair,
     exact_moments,
@@ -21,7 +26,7 @@ from apmoments.model import (
     sample,
 )
 from apmoments.prime_sums import prime_power_sum
-from apmoments.sieve import Progression, sieve_primes
+from apmoments.sieve import Progression, primes_in_progression, sieve_primes
 
 ONE = PrimeFunction("constant", c=1.0)
 FULL = Progression(1, 0)
@@ -88,6 +93,144 @@ class TestExactMoments:
         assert density.kappa[1] > restricted.kappa[1]
         with pytest.raises(ValueError):
             exact_moments(ONE, prog, 100, mode="weighted")
+
+
+def _bernoulli_cumulant_polys(u_max):
+    """Integer coefficients (index = power of q) of kappa_j(q), the j-th
+    cumulant of Bernoulli(q): kappa_1 = q, kappa_{j+1} = q(1 - q) d kappa_j/dq."""
+    polys = {1: [0, 1]}
+    for j in range(1, u_max):
+        deriv = [i * c for i, c in enumerate(polys[j])][1:]
+        nxt = [0] * (len(deriv) + 2)
+        for i, c in enumerate(deriv):
+            nxt[i + 1] += c
+            nxt[i + 2] -= c
+        polys[j + 1] = nxt
+    return polys
+
+
+def _whole_array_moments(fn, progression, n, u_max, mode):
+    """The former computation: one (u_max + 1) x P matrix of per-prime raw
+    moments over the whole prime set, then one of per-prime cumulants."""
+    if mode == "restricted":
+        primes = primes_in_progression(n, progression).primes
+    else:
+        primes = sieve_primes(n).primes
+        primes = primes[progression.modulus % primes != 0]
+    fv = fn.values_at(primes)
+    active = fv != 0.0
+    p = primes[active].astype(np.float64)
+    f = fv[active]
+    raw = np.zeros((u_max + 1, p.size))
+    raw[0] = 1.0
+    power = np.ones_like(f)
+    first, gap = {}, {}
+    for j in range(1, u_max + 1):
+        power = power * f
+        raw[j] = power / p
+        first[j] = float(np.sum(raw[j]))
+        gap[j] = float(np.sum(np.abs(power) / p / p))
+    kappa_terms = np.zeros_like(raw)
+    for order in range(1, u_max + 1):
+        acc = raw[order].copy()
+        for j in range(1, order):
+            acc -= math.comb(order - 1, j - 1) * kappa_terms[j] * raw[order - j]
+        kappa_terms[order] = acc
+    kappa = {j: float(np.sum(kappa_terms[j])) for j in range(1, u_max + 1)}
+    central = _cumulants_to_central([0.0] + [kappa[j] for j in range(1, u_max + 1)])
+    mu = {j: central[j] for j in range(1, u_max + 1)}
+    return kappa, mu, first, gap, int(p.size)
+
+
+TABULATED = PrimeFunction("tabulated", table=((2, 1.5), (3, -0.5), (7, 2.0)), default=0.25)
+
+
+class TestStreamedModel:
+    @pytest.mark.parametrize(
+        "fn", [ONE, PrimeFunction("constant", c=0.7), TABULATED], ids=["const1", "const07", "tab"]
+    )
+    def test_cumulants_match_exact_rational_sum(self, fn):
+        # kappa_j = sum_p f(p)^j kappa_j(1/p), each term exact in Fraction and
+        # correctly rounded once; math.fsum adds the rounded terms exactly
+        u_max, n = 10, 10**4
+        polys = _bernoulli_cumulant_polys(u_max)
+        primes = sieve_primes(n).primes.tolist()
+        f_exact = [Fraction(float(v)) for v in fn.values_at(primes)]
+        mm = exact_moments(fn, FULL, n, u_max=u_max)
+        for j in range(1, u_max + 1):
+            kappa, first, gap = [], [], []
+            for p, f in zip(primes, f_exact):
+                q_poly = Fraction(sum(c * p ** (j - i) for i, c in enumerate(polys[j])), p**j)
+                kappa.append(float(f**j * q_poly))
+                first.append(float(f**j / p))
+                gap.append(float(abs(f) ** j / p**2))
+            assert mm.kappa[j] == pytest.approx(math.fsum(kappa), rel=1e-13)
+            assert mm.first_order[j] == pytest.approx(math.fsum(first), rel=1e-13)
+            assert mm.gap_bound[j] == pytest.approx(math.fsum(gap), rel=1e-13)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("fn", [ONE, PrimeFunction("sqrt_loglog")], ids=["const1", "sqrtloglog"])
+    def test_matches_whole_array_recursion(self, fn, mode):
+        prog = Progression(4, 1)
+        kappa, mu, first, gap, count = _whole_array_moments(fn, prog, 10**6, 10, mode)
+        mm = exact_moments(fn, prog, 10**6, u_max=10, mode=mode)
+        assert mm.term_count == count
+        for u in range(1, 11):
+            assert mm.kappa[u] == pytest.approx(kappa[u], rel=1e-12)
+            assert mm.mu[u] == pytest.approx(mu[u], rel=1e-12)
+            assert mm.first_order[u] == pytest.approx(first[u], rel=1e-12)
+            assert mm.gap_bound[u] == pytest.approx(gap[u], rel=1e-12)
+
+    def test_recursion_sees_only_blocks(self, monkeypatch):
+        # density mode on 1 mod 4 up to 10^6 has 78497 active primes: two row blocks
+        widths = []
+        recursion = model._raw_to_cumulants
+
+        def recording(raw):
+            widths.append(raw.shape[1])
+            return recursion(raw)
+
+        monkeypatch.setattr(model, "_raw_to_cumulants", recording)
+        mm = exact_moments(ONE, Progression(4, 1), 10**6, u_max=6, mode="density")
+        assert max(widths) <= MODEL_BLOCK
+        assert len(widths) == 2 and sum(widths) == mm.term_count
+
+    def test_runs_without_a_materialized_prime_set(self, monkeypatch):
+        fn, prog, n = PrimeFunction("sqrt_loglog"), Progression(4, 1), 10**5
+        want = {mode: (exact_moments(fn, prog, n, u_max=6, mode=mode),
+                       lindeberg_check(fn, prog, n, 0.5, mode=mode)) for mode in MODES}
+        want_preds = mean_predictions(fn, prog, n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model materialized its whole prime set")
+
+        for name in ("sieve_primes", "primes_in_progression"):
+            monkeypatch.setattr(model, name, refuse, raising=False)
+            monkeypatch.setattr(sieve, name, refuse)
+        blocks = []
+
+        def streamed(limit, progression=None, block_size=None):
+            # small sieve segments, never the prime cache
+            for block in sieve.iter_prime_blocks(limit, progression, block_size=1 << 12):
+                blocks.append(block.size)
+                yield block
+
+        monkeypatch.setattr(model, "iter_prime_blocks", streamed)
+        for mode in MODES:
+            mm, rep = want[mode]
+            got = exact_moments(fn, prog, n, u_max=6, mode=mode)
+            assert got.term_count == mm.term_count
+            for u in range(1, 7):
+                assert got.kappa[u] == pytest.approx(mm.kappa[u], rel=1e-13)
+                assert got.mu[u] == pytest.approx(mm.mu[u], rel=1e-13)
+            got_rep = lindeberg_check(fn, prog, n, 0.5, mode=mode)
+            assert got_rep.variance == pytest.approx(rep.variance, rel=1e-13)
+            assert got_rep.ratio == pytest.approx(rep.ratio, rel=1e-13)
+            assert got_rep.max_over_sqrt_d == pytest.approx(rep.max_over_sqrt_d, rel=1e-13)
+        preds = mean_predictions(fn, prog, n)
+        for mode in MODES:
+            assert preds[mode] == pytest.approx(want_preds[mode], rel=1e-13)
+        assert len(blocks) > 20 and max(blocks) < 1 << 12
 
 
 class TestCentralMomentFirstOrder:
