@@ -11,6 +11,10 @@ Bulk evaluation over progression members reads an additive function as one
 table of increments f(p^a) - f(p^(a-1)), one row per prime power: every
 member divisible by p^a gains the increment of that row, so the members
 divisible exactly by p^a end up with f(p^a) whatever the rule behind it.
+The rows also multiply up the part of each member they cover; a member
+that part falls short of has one prime factor q above sqrt(n) left,
+worth f(q).  When f is one constant on every prime above sqrt(n)
+(:meth:`PrimeFunction.constant_above`), that value needs no q at all.
 """
 
 from __future__ import annotations
@@ -158,6 +162,29 @@ class PrimeFunction:
     def bounded_by_one(self) -> bool:
         bound = self.value_bound()
         return bound is not None and bound <= 1.0 + 1e-15
+
+    def constant_above(self, x: int) -> float | None:
+        """c when f(p) = c for every prime p > x, else None.
+
+        A property of the spec alone: constant and indicator specs (and
+        scaled ones of those) that start by x + 1 and have no residue
+        filter, and tabulated specs with a default and every key <= x.
+        """
+        if self.start_prime > x + 1:
+            return None
+        if self.residue_filter is not None and not self.residue_filter.is_full:
+            return None
+        if self.kind == "constant":
+            return self.c
+        if self.kind == "indicator_one":
+            return 1.0
+        if self.kind == "scaled":
+            inner = self.inner.constant_above(x)
+            return None if inner is None else self.c * inner
+        if self.kind == "tabulated" and self.default is not None:
+            if max(p for p, _ in self.table) <= x:
+                return self.default
+        return None
 
     def values_at(self, primes: np.ndarray | Sequence[int]) -> np.ndarray:
         """Vectorized f(p) for an array of primes (0 below start / off-class)."""
@@ -431,9 +458,11 @@ def iter_progression_values(
     prime-power increments serves every spec (see :func:`_increment_table`).
     The members form an arithmetic sequence with step coprime to p, so the
     multiples of p^a among them sit on one stride of the member index: each
-    row adds its increments on that stride and divides one p out of the
-    members there.  What is left of a member is then 1 or its single prime
-    factor above sqrt(n), which is evaluated directly.
+    row adds its increments on that stride and multiplies p into the
+    member's found part there.  A member whose found part falls short of it
+    has exactly one prime factor q above sqrt(n) left.  A spec that is one
+    constant c on those primes adds c there; any other spec gets f(q), with
+    q = member // found computed once, on the leftovers only.
     """
     total = progression.count(n)
     if total == 0:
@@ -441,28 +470,34 @@ def iter_progression_values(
     start = progression.first_member
     k = progression.modulus
     rows = _increment_table(specs, progression, n)
+    constants = [fn.constant_above(math.isqrt(n)) for fn, _ in specs]
 
     for t_lo in range(0, total, block_members):
         size = min(block_members, total - t_lo)
-        rest = start + k * np.arange(t_lo, t_lo + size, dtype=np.int64)
+        members = np.arange(start + k * t_lo, start + k * (t_lo + size), k, dtype=np.int64)
+        found = np.ones(size, dtype=np.int64)
         vals = [np.zeros(size) for _ in specs]
 
         for p, pa, t0, deltas in rows:
             off = (t0 - t_lo) % pa
             if off >= size:
                 continue
-            rest[off::pa] //= p
+            found[off::pa] *= p
             for v, d in zip(vals, deltas):
                 if d != 0.0:
                     v[off::pa] += d
 
-        big = rest > 1
+        big = found < members
         if np.any(big):
-            leftovers = rest[big]
-            for v, (fn, _) in zip(vals, specs):
-                fv = fn.values_at(leftovers)
-                if np.any(fv):
-                    v[big] += fv
+            if None in constants:
+                leftovers = members[big] // found[big]
+            for v, (fn, _), c in zip(vals, specs, constants):
+                if c is None:
+                    fv = fn.values_at(leftovers)
+                    if np.any(fv):
+                        v[big] += fv
+                elif c != 0.0:
+                    v += c * big
 
         yield vals
 

@@ -39,7 +39,7 @@ def _binom_row(n: int) -> np.ndarray:
 
 
 class CoMoments:
-    """Mergeable running state for central moments up to order u_max.
+    """Running state for central moments up to order u_max.
 
     Tracks n, the mean, and the centered power sums M_j = sum (x - mean)^j
     for j = 2..u_max.  Batches are absorbed by computing their exact local
@@ -68,11 +68,6 @@ class CoMoments:
             bm[j] = float(power.sum())
             power = power * d
         self._merge_raw(bn, bmean, bm)
-
-    def merge(self, other: "CoMoments") -> None:
-        if other.u_max != self.u_max:
-            raise ValueError("cannot merge states with different u_max")
-        self._merge_raw(other.n, other.mean, other.m.copy())
 
     def _merge_raw(self, bn: int, bmean: float, bm: np.ndarray) -> None:
         if bn == 0:

@@ -139,6 +139,24 @@ def _sieve_segments(limit: int, block_size: int) -> Iterator[np.ndarray]:
         lo = hi
 
 
+def _sieve_array(limit: int, block_size: int) -> np.ndarray:
+    """All primes <= limit as one read-only array, filled segment by segment.
+
+    The buffer is sized by the Rosser-Schoenfeld bound
+    pi(x) < 1.25506 x / ln x, and the primes are copied in as they are
+    sieved, so the array is never held twice; the pages past the last
+    prime are never written and so never become resident.
+    """
+    buf = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    used = 0
+    for seg in _sieve_segments(limit, block_size):
+        buf[used : used + seg.size] = seg
+        used += seg.size
+    arr = buf[:used]
+    arr.flags.writeable = False
+    return arr
+
+
 class _PrimeCache:
     """Memoizes the largest sieved prime array up to PRIME_CACHE_MAX."""
 
@@ -150,9 +168,7 @@ class _PrimeCache:
         if limit <= self._limit:
             cut = np.searchsorted(self._primes, limit, side="right")
             return self._primes[:cut]
-        blocks = list(_sieve_segments(limit, SIEVE_BLOCK))
-        arr = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-        arr.flags.writeable = False
+        arr = _sieve_array(limit, SIEVE_BLOCK)
         if limit <= PRIME_CACHE_MAX:
             self._limit = limit
             self._primes = arr
@@ -171,9 +187,7 @@ def sieve_primes(limit: int, block_size: int | None = None) -> PrimeRange:
     _validate_limit(limit)
     if block_size is not None:
         _validate_block(block_size)
-        blocks = list(_sieve_segments(limit, block_size))
-        arr = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-        return PrimeRange(limit, arr)
+        return PrimeRange(limit, _sieve_array(limit, block_size))
     return PrimeRange(limit, _cache.primes_upto(limit))
 
 

@@ -11,10 +11,12 @@ from apmoments.arith_fn import (
     Extension,
     PrimeFunction,
     TabulatedLookupError,
+    _increment_table,
     builtin,
     collect_values,
     eval_additive,
     eval_at_prime,
+    iter_progression_values,
     parse_fn,
 )
 from apmoments.sieve import Progression, factorize, sieve_primes
@@ -202,18 +204,21 @@ class TestBulkEvaluation:
             (PrimeFunction("indicator_one"), Extension("complete", overrides=(((2, 5), 0.0),))),
             (PrimeFunction("indicator_one"), Extension("strong", overrides=(((61, 1), 4.0),))),
             (PrimeFunction("one_over_log"), Extension("complete", overrides=(((5, 1), 2.0),))),
+            # constant from a start prime between sqrt(n) and n: leftovers
+            # below it are worth 0, so it must take the gather path
+            (PrimeFunction("constant", c=2.5, p0=101), STRONG),
+            (PrimeFunction("scaled", c=-1.5, inner=PrimeFunction("indicator_one")), COMPLETE),
+            (PrimeFunction("tabulated", table=((5, 1.5), (7, 2.0), (103, -3.0)), default=0.25), STRONG),
         ],
     )
     @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(4, 1), Progression(12, 7)])
     def test_matches_per_member_oracle(self, spec, ext, prog):
-        n = 3000
-        if prog.count(n) == 0:
-            return
-        got = collect_values(spec, ext, prog, n, block_members=257)
-        want = np.array(
-            [eval_additive(spec, ext, factorize(int(m))) for m in prog.members(n)]
-        )
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        for n in (3000, 59**2):  # at 59^2, sqrt(n) is itself a prime
+            got = collect_values(spec, ext, prog, n, block_members=257)
+            want = np.array(
+                [eval_additive(spec, ext, factorize(int(m))) for m in prog.members(n)]
+            )
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_block_size_invariance(self):
         prog = Progression(3, 2)
@@ -223,3 +228,146 @@ class TestBulkEvaluation:
 
     def test_empty_progression_yields_nothing(self):
         assert collect_values(OMEGA, OMEGA_EXT, Progression(7, 5), 4).size == 0
+
+
+def _division_sweep(specs, progression, n, block_members):
+    """The former block kernel, kept as an oracle for the sweep.
+
+    Each row divides one p out of the members on its stride; whatever is
+    left above 1 is a prime and is evaluated with ``values_at``.
+    """
+    total = progression.count(n)
+    rows = _increment_table(specs, progression, n)
+    out = [np.empty(total) for _ in specs]
+    for t_lo in range(0, total, block_members):
+        size = min(block_members, total - t_lo)
+        rest = progression.first_member + progression.modulus * np.arange(
+            t_lo, t_lo + size, dtype=np.int64
+        )
+        vals = [np.zeros(size) for _ in specs]
+        for p, pa, t0, deltas in rows:
+            off = (t0 - t_lo) % pa
+            if off >= size:
+                continue
+            rest[off::pa] //= p
+            for v, d in zip(vals, deltas):
+                if d != 0.0:
+                    v[off::pa] += d
+        big = rest > 1
+        if np.any(big):
+            leftovers = rest[big]
+            for v, (fn, _) in zip(vals, specs):
+                fv = fn.values_at(leftovers)
+                if np.any(fv):
+                    v[big] += fv
+        for o, v in zip(out, vals):
+            o[t_lo : t_lo + size] = v
+    return out
+
+
+EXACT_SPECS = {
+    "omega": (OMEGA, OMEGA_EXT),
+    "bigomega": (BIG_OMEGA, BIG_OMEGA_EXT),
+    "half_omega": builtin("half_omega"),
+    "const-0.7": (parse_fn("const:-0.7"), STRONG),
+    "const0": (parse_fn("const:0"), STRONG),
+    "tab": (parse_fn("tab:5=1.5,7=2,default=0.25"), STRONG),
+    "omega1": None,  # built per progression: its residue filter is the class
+    "sqrtloglog": (PrimeFunction("sqrt_loglog"), STRONG),
+    "invloglog_complete": (PrimeFunction("one_over_loglog"), COMPLETE),
+}
+
+
+class TestSweepExactness:
+    N = 100_003
+    BLOCK = 4099  # odd, so rows start at every offset across blocks
+
+    @staticmethod
+    def _spec(name, prog):
+        return builtin("omega1", prog) if name == "omega1" else EXACT_SPECS[name]
+
+    @pytest.mark.parametrize("name", list(EXACT_SPECS))
+    @pytest.mark.parametrize("prog", [Progression(4, 1), Progression(12, 7), Progression(1, 0)])
+    def test_bit_identical_to_division_sweep(self, name, prog):
+        fn, ext = self._spec(name, prog)
+        got = collect_values(fn, ext, prog, self.N, block_members=self.BLOCK)
+        (want,) = _division_sweep([(fn, ext)], prog, self.N, self.BLOCK)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("prog", [Progression(4, 1), Progression(1, 0)])
+    def test_mixed_sweep_bit_identical(self, prog):
+        # constant and gather specs in one sweep share the found part
+        specs = [self._spec(name, prog) for name in EXACT_SPECS]
+        got = [np.concatenate(cols) for cols in zip(*iter_progression_values(
+            specs, prog, self.N, block_members=self.BLOCK))]
+        want = _division_sweep(specs, prog, self.N, self.BLOCK)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_lattice_sweep_skips_leftover_evaluation(self, monkeypatch):
+        sizes = []
+        values_at = PrimeFunction.values_at
+
+        def recording(self, primes):
+            sizes.append(np.asarray(primes).size)
+            return values_at(self, primes)
+
+        monkeypatch.setattr(PrimeFunction, "values_at", recording)
+        n = 10**5
+        collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), n)
+        assert sizes  # the increment table still asks for f at its primes
+        assert max(sizes) <= sieve_primes(math.isqrt(n)).primes.size
+
+
+class TestConstantAbove:
+    X = 50
+
+    def test_constant_and_indicator(self):
+        assert PrimeFunction("constant", c=-0.7).constant_above(self.X) == -0.7
+        assert PrimeFunction("indicator_one").constant_above(self.X) == 1.0
+        assert PrimeFunction("constant", c=2.5, p0=51).constant_above(self.X) == 2.5
+        assert PrimeFunction("constant", c=2.5, p0=53).constant_above(self.X) is None
+
+    def test_residue_filter(self):
+        restricted = PrimeFunction("indicator_one", residue_filter=Progression(4, 1))
+        assert restricted.constant_above(self.X) is None
+        full = PrimeFunction("indicator_one", residue_filter=Progression(1, 0))
+        assert full.constant_above(self.X) == 1.0
+
+    def test_scaled(self):
+        one = PrimeFunction("indicator_one")
+        assert PrimeFunction("scaled", c=-1.5, inner=one).constant_above(self.X) == -1.5
+        late = PrimeFunction("constant", c=2.0, p0=101)
+        assert PrimeFunction("scaled", c=0.5, inner=late).constant_above(self.X) is None
+        curved = PrimeFunction("one_over_log")
+        assert PrimeFunction("scaled", c=0.5, inner=curved).constant_above(self.X) is None
+
+    def test_tabulated(self):
+        tab = PrimeFunction("tabulated", table=((5, 1.5), (47, 2.0)), default=0.25)
+        assert tab.constant_above(self.X) == 0.25
+        above = PrimeFunction("tabulated", table=((5, 1.5), (53, 2.0)), default=0.25)
+        assert above.constant_above(self.X) is None
+        no_default = PrimeFunction("tabulated", table=((5, 1.5),))
+        assert no_default.constant_above(self.X) is None
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["one_over_loglog", "one_over_log", "sqrt_loglog", "one_minus_one_over_p",
+         "one_minus_one_over_log"],
+    )
+    def test_varying_kinds(self, kind):
+        assert PrimeFunction(kind).constant_above(self.X) is None
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            PrimeFunction("constant", c=-0.7),
+            PrimeFunction("scaled", c=-1.5, inner=PrimeFunction("indicator_one")),
+            PrimeFunction("tabulated", table=((5, 1.5), (47, 2.0)), default=0.25),
+        ],
+    )
+    def test_agrees_with_values_at(self, fn):
+        c = fn.constant_above(self.X)
+        primes = sieve_primes(10**4).primes
+        big = primes[primes > self.X]
+        assert np.array_equal(fn.values_at(big), np.full(big.size, c))

@@ -46,25 +46,6 @@ class TestCoMoments:
                 oracle[u], rel=1e-7, abs=1e-9 * scale
             )
 
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=80),
-        st.lists(finite_floats, min_size=1, max_size=80),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_merge_equals_concatenation(self, xs, ys):
-        a = CoMoments(6)
-        a.add_batch(np.array(xs))
-        b = CoMoments(6)
-        b.add_batch(np.array(ys))
-        a.merge(b)
-        whole = CoMoments(6)
-        whole.add_batch(np.array(xs + ys))
-        scale = max(1.0, float(np.max(np.abs(xs + ys)))) ** 6
-        for u in range(2, 7):
-            assert a.central_moments()[u] == pytest.approx(
-                whole.central_moments()[u], rel=1e-7, abs=1e-9 * scale
-            )
-
     def test_rejects_silly_order(self):
         with pytest.raises(ValueError):
             CoMoments(1)
