@@ -10,7 +10,7 @@ is asserted as the correct one.
 
 import argparse
 
-from apmoments.arith_fn import Extension, parse_fn
+from apmoments.arith_fn import resolve_spec
 from apmoments.model import exact_moments
 from apmoments.moments import empirical_moments
 from apmoments.sieve import Progression
@@ -22,22 +22,19 @@ def main() -> None:
     ap.add_argument("--res", type=int, default=1)
     ap.add_argument("--n", type=lambda s: int(float(s)), default=10**6)
     ap.add_argument("--fn", default="omega")
-    ap.add_argument("--ext", choices=["strong", "complete"], default="strong")
+    ap.add_argument("--ext", choices=["strong", "complete"], default=None,
+                    help="prime-power rule (default: the built-in's, else strong)")
     ap.add_argument("--umax", type=int, default=4)
     args = ap.parse_args()
 
     prog = Progression(args.mod, args.res)
-    if args.fn == "omega":
-        fn = parse_fn("one")
-    else:
-        fn = parse_fn(args.fn)
-    ext = Extension(args.ext)
+    fn, ext = resolve_spec(args.fn, prog, args.ext)
 
     emp = empirical_moments(fn, ext, prog, args.n, u_max=args.umax)
     restricted = exact_moments(fn, prog, args.n, u_max=args.umax, mode="restricted")
     density = exact_moments(fn, prog, args.n, u_max=args.umax, mode="density")
 
-    print(f"fn={args.fn} ext={args.ext} over {args.res} mod {args.mod}, n={args.n}")
+    print(f"fn={args.fn} ext={ext.mode} over {args.res} mod {args.mod}, n={args.n}")
     print(f"{'':>14} {'empirical':>12} {'restricted':>12} {'density':>12} {'approx(r)':>12}")
     print(
         f"{'mean':>14} {emp.mean:>12.6f} {restricted.kappa[1]:>12.6f} "

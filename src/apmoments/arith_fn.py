@@ -7,6 +7,12 @@ number-of-distinct-prime-divisors function, its with-multiplicity variant,
 the residue-class-restricted variant, and the half-weight variant are all
 built from these two pieces.
 
+Everything known about a formula kind of f(p) (its formula and
+derivative, start primes, bound, decay case and closed form) is one entry
+of :data:`FORMULAS`; ``scaled`` and ``tabulated`` are the two structural
+kinds built on top.  :func:`resolve_spec` turns spec text, built-in names
+included, into a function and its prime-power rule.
+
 Bulk evaluation over progression members reads an additive function as one
 table of increments f(p^a) - f(p^(a-1)), one row per prime power: every
 member divisible by p^a gains the increment of that row, so the members
@@ -19,47 +25,132 @@ worth f(q).  When f is one constant on every prime above sqrt(n)
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from enum import Enum
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import MEMBER_BLOCK
 from .sieve import Progression, factorize, primes_upto_monolithic
 
-KINDS = (
-    "constant",
-    "one_over_loglog",
-    "one_over_log",
-    "sqrt_loglog",
-    "one_minus_one_over_p",
-    "one_minus_one_over_log",
-    "indicator_one",
-    "scaled",
-    "tabulated",
-)
 
-# Default start primes.  Values at primes below the start are 0, which
-# leaves every downstream sum identical to a sum truncated at the start.
-_DEFAULT_START = {
-    "constant": 2,
-    "indicator_one": 2,
-    "one_over_loglog": 11,
-    "one_over_log": 3,
-    "sqrt_loglog": 3,
-    "one_minus_one_over_p": 2,
-    "one_minus_one_over_log": 3,
-    "tabulated": 2,
+class DecayCase(Enum):
+    CASE1 = 1  # constant C != 0
+    CASE2 = 2  # monotone with nonzero limit C
+    CASE3 = 3  # decays like C/lnln(p) or slower
+    CASE4 = 4  # decays like C/ln(p) or faster; the series converges
+
+    @property
+    def label(self) -> str:
+        return f"Case{self.value}"
+
+
+@dataclass(frozen=True)
+class Formula:
+    """Everything catalogued about one formula kind of f(p).
+
+    c is the constant kind's value; the other kinds ignore it.  value and
+    derivative are numpy expressions in t: values_at applies them to
+    arrays of primes, the quadrature to floats.  bound and antiderivative
+    are evaluated at single points.  Every formula keeps, on all
+    p >= minimum, the sign of its value at minimum.
+    """
+
+    value: Callable[[Any, float], Any]  # f(t)
+    derivative: Callable[[Any, float], Any]  # f'(t)
+    bound: Callable[[int, float], float | None]  # sup |f(p)| over p >= p0, None if unbounded
+    case: Callable[[int], tuple[DecayCase | None, str]]  # decay case of f^u and a note
+    # F(t) with F'(t) = f(t)^u / (t ln t), None at orders without a closed form
+    antiderivative: Callable[[float, int, float], float | None] = lambda t, u, c: None
+    tag: str = ""  # formula tag of the closed form
+    names: tuple[str, ...] = ()  # spec names; one ending in ":" takes c after it
+    start: int = 2  # default start prime
+    minimum: int = 2  # smallest allowed start prime
+
+    def sign(self, c: float) -> float:
+        """Sign of f(p) on every prime past the minimum start (0 for the zero constant)."""
+        return float(np.sign(self.value(self.minimum, c)))
+
+
+def _lnln(t: float) -> float:
+    return math.log(math.log(t))
+
+
+FORMULAS: dict[str, Formula] = {
+    "constant": Formula(
+        value=lambda t, c: c,
+        derivative=lambda t, c: 0.0,
+        bound=lambda p0, c: abs(c),
+        case=lambda u: (DecayCase.CASE1, ""),
+        antiderivative=lambda t, u, c: c**u * _lnln(t),
+        tag="mertens",
+        names=("const:", "constant:"),
+    ),
+    "indicator_one": Formula(
+        value=lambda t, c: 1.0,
+        derivative=lambda t, c: 0.0,
+        bound=lambda p0, c: 1.0,
+        case=lambda u: (DecayCase.CASE1, ""),
+        antiderivative=lambda t, u, c: _lnln(t),
+        tag="mertens",
+        names=("one", "indicator_one", "omega"),
+    ),
+    "one_over_loglog": Formula(
+        value=lambda t, c: 1.0 / np.log(np.log(t)),
+        derivative=lambda t, c: -1.0 / (t * np.log(t) * np.log(np.log(t)) ** 2),
+        bound=lambda p0, c: 1.0 / _lnln(p0),
+        case=lambda u: (DecayCase.CASE3, "") if u == 1 else (
+            DecayCase.CASE4, "order >= 2: series converges despite sub-log decay"),
+        antiderivative=lambda t, u, c: math.log(_lnln(t)) if u == 1 else None,
+        tag="lnlnln",
+        names=("invloglog",),
+        start=11,
+        minimum=11,
+    ),
+    "one_over_log": Formula(
+        value=lambda t, c: 1.0 / np.log(t),
+        derivative=lambda t, c: -1.0 / (t * np.log(t) ** 2),
+        bound=lambda p0, c: 1.0 / math.log(p0),
+        case=lambda u: (DecayCase.CASE4, ""),
+        names=("invlog",),
+        start=3,
+        minimum=3,
+    ),
+    "sqrt_loglog": Formula(
+        value=lambda t, c: np.sqrt(np.log(np.log(t))),
+        derivative=lambda t, c: 1.0 / (2.0 * t * np.log(t) * np.sqrt(np.log(np.log(t)))),
+        bound=lambda p0, c: None,
+        case=lambda u: (None, "unbounded kind; outside the catalogue"),
+        antiderivative=lambda t, u, c: _lnln(t) ** (u / 2.0 + 1.0) / (u / 2.0 + 1.0),
+        tag="power-of-loglog",
+        names=("sqrtloglog",),
+        start=3,
+        minimum=3,
+    ),
+    "one_minus_one_over_p": Formula(
+        value=lambda t, c: 1.0 - 1.0 / t,
+        derivative=lambda t, c: 1.0 / (t * t),
+        bound=lambda p0, c: 1.0,
+        case=lambda u: (DecayCase.CASE2, ""),
+        names=("one_minus_inv_p", "oneminusinvp"),
+    ),
+    "one_minus_one_over_log": Formula(
+        value=lambda t, c: 1.0 - 1.0 / np.log(t),
+        derivative=lambda t, c: 1.0 / (t * np.log(t) ** 2),
+        bound=lambda p0, c: max(abs(1.0 - 1.0 / math.log(p0)), 1.0),
+        case=lambda u: (DecayCase.CASE2, ""),
+        names=("one_minus_inv_log", "oneminusinvlog"),
+        start=3,
+        minimum=3,
+    ),
 }
 
-# Hard lower bounds per kind: log log p must exceed 0/1 style constraints.
-_MIN_START = {
-    "one_over_loglog": 11,
-    "one_over_log": 3,
-    "sqrt_loglog": 3,
-    "one_minus_one_over_log": 3,
-}
+KINDS = (*FORMULAS, "scaled", "tabulated")
+
+_SPEC_KINDS = {name: kind for kind, f in FORMULAS.items() for name in f.names}
 
 
 class TabulatedLookupError(LookupError):
@@ -75,7 +166,7 @@ class PrimeFunction:
     kind : str
         One of :data:`KINDS`.
     c : float
-        Constant value (kind="constant") or scale factor (kind="scaled").
+        Value of the constant formula kind, or the factor of kind="scaled".
     inner : PrimeFunction, optional
         Wrapped spec for kind="scaled".
     table : tuple of (prime, value), optional
@@ -104,11 +195,35 @@ class PrimeFunction:
             raise ValueError("scaled kind requires an inner spec")
         if self.kind == "tabulated" and not self.table:
             raise ValueError("tabulated kind requires a non-empty table")
-        minimum = _MIN_START.get(self.kind)
-        if minimum is not None and self.p0 is not None and self.p0 < minimum:
+        if not all(math.isfinite(v) for v in (self.c, *self._table_values())):
+            raise ValueError("function values must be finite numbers")
+        if self.start_prime < self.minimum_start:
             raise ValueError(
-                f"kind {self.kind} requires start prime >= {minimum}, got {self.p0}"
+                f"kind {self.kind} requires start prime >= {self.minimum_start}, "
+                f"got {self.start_prime}"
             )
+
+    def _table_values(self) -> list[float]:
+        values = [v for _, v in self.table or ()]
+        return values if self.default is None else [*values, self.default]
+
+    @property
+    def formula(self) -> Formula | None:
+        """The kind's entry in :data:`FORMULAS` (None for scaled and tabulated)."""
+        return FORMULAS.get(self.kind)
+
+    def unscaled(self) -> tuple[float, PrimeFunction]:
+        """(s, g) with f = s * g at primes past the start, and g not scaled."""
+        if self.kind != "scaled":
+            return 1.0, self
+        s, g = self.inner.unscaled()
+        return self.c * s, g
+
+    @property
+    def minimum_start(self) -> int:
+        if self.kind == "scaled":
+            return self.inner.minimum_start
+        return self.formula.minimum if self.formula else 2
 
     @property
     def start_prime(self) -> int:
@@ -118,45 +233,24 @@ class PrimeFunction:
             return self.inner.start_prime
         if self.kind == "tabulated":
             return min(p for p, _ in self.table)
-        return _DEFAULT_START[self.kind]
+        return self.formula.start
 
     @property
     def nonnegative(self) -> bool:
-        if self.kind == "constant":
-            return self.c >= 0
         if self.kind == "scaled":
-            return self.inner.nonnegative if self.c >= 0 else False
+            return self.c >= 0 and self.inner.nonnegative
         if self.kind == "tabulated":
-            vals = [v for _, v in self.table]
-            if self.default is not None:
-                vals.append(self.default)
-            return all(v >= 0 for v in vals)
-        return True  # remaining kinds are nonnegative past their start prime
+            return all(v >= 0 for v in self._table_values())
+        return self.formula.sign(self.c) >= 0
 
     def value_bound(self) -> float | None:
         """Supremum of |f(p)| over p >= start prime, None if unbounded."""
-        p0 = self.start_prime
-        if self.kind == "constant":
-            return abs(self.c)
-        if self.kind == "indicator_one":
-            return 1.0
-        if self.kind == "one_over_loglog":
-            return 1.0 / math.log(math.log(p0))
-        if self.kind == "one_over_log":
-            return 1.0 / math.log(p0)
-        if self.kind == "sqrt_loglog":
-            return None
-        if self.kind == "one_minus_one_over_p":
-            return 1.0
-        if self.kind == "one_minus_one_over_log":
-            return max(abs(1.0 - 1.0 / math.log(p0)), 1.0)
         if self.kind == "scaled":
             inner = self.inner.value_bound()
             return None if inner is None else abs(self.c) * inner
-        vals = [abs(v) for _, v in self.table]
-        if self.default is not None:
-            vals.append(abs(self.default))
-        return max(vals)
+        if self.kind == "tabulated":
+            return max(abs(v) for v in self._table_values())
+        return self.formula.bound(self.start_prime, self.c)
 
     @property
     def bounded_by_one(self) -> bool:
@@ -166,51 +260,31 @@ class PrimeFunction:
     def constant_above(self, x: int) -> float | None:
         """c when f(p) = c for every prime p > x, else None.
 
-        A property of the spec alone: constant and indicator specs (and
-        scaled ones of those) that start by x + 1 and have no residue
-        filter, and tabulated specs with a default and every key <= x.
+        A property of the spec alone: Case1 (constant) formulas, and scaled
+        ones of those, that start by x + 1 and have no residue filter, and
+        tabulated specs with a default and every key <= x.
         """
         if self.start_prime > x + 1:
             return None
         if self.residue_filter is not None and not self.residue_filter.is_full:
             return None
-        if self.kind == "constant":
-            return self.c
-        if self.kind == "indicator_one":
-            return 1.0
         if self.kind == "scaled":
             inner = self.inner.constant_above(x)
             return None if inner is None else self.c * inner
-        if self.kind == "tabulated" and self.default is not None:
-            if max(p for p, _ in self.table) <= x:
+        if self.kind == "tabulated":
+            if self.default is not None and max(p for p, _ in self.table) <= x:
                 return self.default
+            return None
+        if self.formula.case(1)[0] is DecayCase.CASE1:
+            return self.formula.value(x, self.c)
         return None
 
     def values_at(self, primes: np.ndarray | Sequence[int]) -> np.ndarray:
         """Vectorized f(p) for an array of primes (0 below start / off-class)."""
         p_int = np.asarray(primes, dtype=np.int64)
-        p = p_int.astype(np.float64)
-        # entries below the start prime are masked to 0 at the end; clip the
-        # formula input so they never produce NaN on the way there
-        pc = np.maximum(p, float(self.start_prime))
-        kind = self.kind
-        if kind == "constant":
-            vals = np.full(p.shape, self.c)
-        elif kind == "indicator_one":
-            vals = np.ones(p.shape)
-        elif kind == "one_over_loglog":
-            vals = 1.0 / np.log(np.log(pc))
-        elif kind == "one_over_log":
-            vals = 1.0 / np.log(pc)
-        elif kind == "sqrt_loglog":
-            vals = np.sqrt(np.log(np.log(pc)))
-        elif kind == "one_minus_one_over_p":
-            vals = 1.0 - 1.0 / pc
-        elif kind == "one_minus_one_over_log":
-            vals = 1.0 - 1.0 / np.log(pc)
-        elif kind == "scaled":
+        if self.kind == "scaled":
             vals = self.c * self.inner.values_at(p_int)
-        else:  # tabulated
+        elif self.kind == "tabulated":
             lookup = dict(self.table)
             keys = np.array(sorted(lookup), dtype=np.int64)
             pos = np.minimum(np.searchsorted(keys, p_int), keys.size - 1)
@@ -222,6 +296,11 @@ class PrimeFunction:
                 )
             table_vals = np.array([lookup[q] for q in keys.tolist()])
             vals = np.where(hit, table_vals[pos], self.default or 0.0)
+        else:
+            # entries below the start prime are masked to 0 at the end; clip the
+            # formula input so they never produce NaN on the way there
+            pc = np.maximum(p_int.astype(np.float64), float(self.start_prime))
+            vals = self.formula.value(pc, self.c)
         vals = np.where(p_int < self.start_prime, 0.0, vals)
         if self.residue_filter is not None and not self.residue_filter.is_full:
             k, l = self.residue_filter.modulus, self.residue_filter.residue
@@ -297,6 +376,19 @@ class FunctionPair:
             raise ValueError("declared_class must be 'H' or 'V'")
 
 
+# Built-in functions: name -> (spec, default prime-power rule, whether its
+# primes are restricted to the progression's class).
+_BUILTINS = {
+    "omega": ("one", STRONG, False),
+    "w": ("one", STRONG, False),
+    "big_omega": ("one", COMPLETE, False),
+    "bigomega": ("one", COMPLETE, False),
+    "capital_omega": ("one", COMPLETE, False),
+    "omega1": ("one", STRONG, True),
+    "half_omega": ("scaled:0.5:one", STRONG, False),
+}
+
+
 def builtin(name: str, progression: Progression | None = None) -> tuple[PrimeFunction, Extension]:
     """Canonical built-in functions by name.
 
@@ -305,41 +397,16 @@ def builtin(name: str, progression: Progression | None = None) -> tuple[PrimeFun
     omega1       distinct prime divisors lying in the given residue class
     half_omega   omega scaled by 0.5
     """
-    key = name.lower()
-    if key in ("omega", "w"):
-        return PrimeFunction("indicator_one"), STRONG
-    if key in ("big_omega", "bigomega", "capital_omega"):
-        return PrimeFunction("indicator_one"), COMPLETE
-    if key == "omega1":
-        if progression is None:
-            raise ValueError("omega1 needs a progression for its residue filter")
-        return PrimeFunction("indicator_one", residue_filter=progression), STRONG
-    if key == "half_omega":
-        return (
-            PrimeFunction("scaled", c=0.5, inner=PrimeFunction("indicator_one")),
-            STRONG,
-        )
-    raise ValueError(f"unknown builtin {name!r}")
+    if name.lower() not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}")
+    return resolve_spec(name, progression)
 
 
 def parse_fn(text: str) -> PrimeFunction:
-    """Parse the CLI spec syntax, e.g. const:0.7, invloglog, scaled:-1:invloglog."""
-    head, _, rest = text.partition(":")
+    """Parse the spec syntax: a spec name from :data:`FORMULAS` (const:0.7,
+    invloglog), scaled:<c>:<spec>, or tab:<p>=<v>,...[,default=<v>]."""
+    head, colon, rest = text.partition(":")
     head = head.lower()
-    if head in ("const", "constant"):
-        return PrimeFunction("constant", c=float(rest))
-    if head == "invloglog":
-        return PrimeFunction("one_over_loglog")
-    if head == "invlog":
-        return PrimeFunction("one_over_log")
-    if head == "sqrtloglog":
-        return PrimeFunction("sqrt_loglog")
-    if head in ("one_minus_inv_p", "oneminusinvp"):
-        return PrimeFunction("one_minus_one_over_p")
-    if head in ("one_minus_inv_log", "oneminusinvlog"):
-        return PrimeFunction("one_minus_one_over_log")
-    if head in ("one", "indicator_one", "omega"):
-        return PrimeFunction("indicator_one")
     if head == "scaled":
         factor, _, inner = rest.partition(":")
         return PrimeFunction("scaled", c=float(factor), inner=parse_fn(inner))
@@ -355,58 +422,33 @@ def parse_fn(text: str) -> PrimeFunction:
         return PrimeFunction(
             "tabulated", table=tuple(sorted(entries.items())), default=default
         )
-    raise ValueError(f"cannot parse function spec {text!r}")
+    kind = _SPEC_KINDS.get(head + colon)
+    if kind is None:
+        raise ValueError(f"cannot parse function spec {text!r}")
+    return PrimeFunction(kind, c=float(rest)) if colon else PrimeFunction(kind)
 
 
-# ---------------------------------------------------------------------------
-# Continuous forms, for quadrature against the density of primes
+def resolve_spec(
+    text: str,
+    progression: Progression | None = None,
+    mode: str | None = None,
+    p0: int | None = None,
+) -> tuple[PrimeFunction, Extension]:
+    """(f, prime-power rule) for a built-in name or a spec (see :func:`parse_fn`).
 
-
-def continuous_value(fn: PrimeFunction) -> Callable[[float], float]:
-    """The kind's formula as a function of a real t (no start/filter masking)."""
-    kind = fn.kind
-    if kind == "constant":
-        c = fn.c
-        return lambda t: c
-    if kind == "indicator_one":
-        return lambda t: 1.0
-    if kind == "one_over_loglog":
-        return lambda t: 1.0 / math.log(math.log(t))
-    if kind == "one_over_log":
-        return lambda t: 1.0 / math.log(t)
-    if kind == "sqrt_loglog":
-        return lambda t: math.sqrt(math.log(math.log(t)))
-    if kind == "one_minus_one_over_p":
-        return lambda t: 1.0 - 1.0 / t
-    if kind == "one_minus_one_over_log":
-        return lambda t: 1.0 - 1.0 / math.log(t)
-    if kind == "scaled":
-        g = continuous_value(fn.inner)
-        c = fn.c
-        return lambda t: c * g(t)
-    raise ValueError(f"kind {kind!r} has no continuous form")
-
-
-def continuous_derivative(fn: PrimeFunction) -> Callable[[float], float]:
-    """d/dt of the continuous form, catalogued per kind."""
-    kind = fn.kind
-    if kind in ("constant", "indicator_one"):
-        return lambda t: 0.0
-    if kind == "one_over_loglog":
-        return lambda t: -1.0 / (t * math.log(t) * math.log(math.log(t)) ** 2)
-    if kind == "one_over_log":
-        return lambda t: -1.0 / (t * math.log(t) ** 2)
-    if kind == "sqrt_loglog":
-        return lambda t: 1.0 / (2.0 * t * math.log(t) * math.sqrt(math.log(math.log(t))))
-    if kind == "one_minus_one_over_p":
-        return lambda t: 1.0 / (t * t)
-    if kind == "one_minus_one_over_log":
-        return lambda t: 1.0 / (t * math.log(t) ** 2)
-    if kind == "scaled":
-        g = continuous_derivative(fn.inner)
-        c = fn.c
-        return lambda t: c * g(t)
-    raise ValueError(f"kind {kind!r} has no catalogued derivative")
+    A built-in brings its own rule and a spec the strong one; mode, when
+    given, replaces either.  omega1 takes its residue filter from the
+    progression; p0, when given, replaces the start prime.
+    """
+    spec, ext, restricted = _BUILTINS.get(text.lower(), (text, STRONG, False))
+    fn = parse_fn(spec)
+    if restricted:
+        if progression is None:
+            raise ValueError(f"{text} needs a progression for its residue filter")
+        fn = dataclasses.replace(fn, residue_filter=progression)
+    if p0 is not None:
+        fn = dataclasses.replace(fn, p0=p0)
+    return fn, ext if mode is None else Extension(mode)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -22,13 +21,11 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__, model, moments, prime_sums, stats
-from .arith_fn import Extension, FunctionPair, PrimeFunction, builtin, collect_values, parse_fn
+from .arith_fn import Extension, FunctionPair, PrimeFunction, collect_values, resolve_spec
 from .config import CHEBYSHEV_B_DEFAULT, PROBE_CHECKPOINTS, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression, iter_prime_blocks
 
 _CSV_HEADER = ["x", "k", "l", "u", "exact_sum", "main_term", "err1", "err2", "case", "verdict"]
-
-_BUILTIN_NAMES = ("omega", "bigomega", "big_omega", "omega1", "half_omega")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,34 +98,23 @@ def _progression(args) -> Progression:
         raise _UsageError(str(exc)) from None
 
 
-def _resolve_fn(args) -> tuple[PrimeFunction, Extension]:
-    """Function spec + extension from --fn/--ext/--p0, including builtins."""
-    name = args.fn.lower()
-    ext_flag = getattr(args, "ext", "strong")
-    if name in _BUILTIN_NAMES:
-        prog = _progression(args) if name == "omega1" else None
-        fn, ext = builtin(name, prog)
-    else:
-        fn = parse_fn(args.fn)
-        ext = Extension(ext_flag)
-    if name == "omega" and ext_flag == "complete":
-        ext = Extension("complete")
-    if getattr(args, "p0", None) is not None:
-        try:
-            fn = dataclasses.replace(fn, p0=args.p0)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+def _resolve_fn(args, flag: str = "fn") -> tuple[PrimeFunction, Extension]:
+    """(f, rule) for --fn (or --fn-star) with --ext and --p0 applied.
+
+    omega1 reads its class from --mod/--res.  Resolving --fn records the
+    rule it runs with as the config's ext.
+    """
+    try:
+        prog = Progression(args.mod, args.res)
+    except (AttributeError, ValueError):
+        prog = None  # the subcommand has no class, or reports a bad one itself
+    try:
+        fn, ext = resolve_spec(getattr(args, flag), prog, args.ext, args.p0)
+    except ValueError as exc:
+        raise _UsageError(f"argument --{flag.replace('_', '-')}: {exc}") from None
+    if flag == "fn":
+        args.ext = ext.mode
     return fn, ext
-
-
-def _fn_spec(text: str) -> str:
-    """Parser type for --fn/--fn-star: the spec text, once it parses."""
-    if text.lower() not in _BUILTIN_NAMES:
-        try:
-            parse_fn(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def _integer(text: str) -> int:
@@ -257,11 +243,10 @@ def cmd_classify(args) -> None:
 
 
 def cmd_probe(args) -> None:
+    fn, _ = _resolve_fn(args)
     if args.integral:
-        fn, _ = _resolve_fn(args)
         res = prime_sums.divergence_probe(fn, args.u, _checkpoints(args, fn.start_prime))
     elif args.series == "custom":
-        fn, _ = _resolve_fn(args)
         res = prime_sums.convergence_probe("custom", _progression(args), _checkpoints(args),
                                            custom=(fn, args.u))
     else:
@@ -372,12 +357,8 @@ def cmd_model_lindeberg(args) -> None:
 
 def cmd_model_compare(args) -> None:
     prog = _progression(args)
-
-    def resolve(name: str) -> tuple[PrimeFunction, Extension]:
-        sub = argparse.Namespace(**{**vars(args), "fn": name})
-        return _resolve_fn(sub)
-
-    pair = FunctionPair(resolve(args.fn_star), resolve(args.fn), args.pair_class)
+    star = _resolve_fn(args, "fn_star")  # before --fn, which records its rule in args.ext
+    pair = FunctionPair(star, _resolve_fn(args), args.pair_class)
     cmp = model.compare_pair(pair, prog, args.n, u_max=args.umax)
 
     def summary_dict(s) -> dict:
@@ -393,8 +374,9 @@ def cmd_model_compare(args) -> None:
         "k": prog.modulus,
         "l": prog.residue,
         "class": args.pair_class,
-        "f_star": {"fn": args.fn_star, **summary_dict(cmp.summary_star)},
-        "f": {"fn": args.fn, **summary_dict(cmp.summary)},
+        "f_star": {"fn": args.fn_star, "ext": pair.f_star[1].mode,
+                   **summary_dict(cmp.summary_star)},
+        "f": {"fn": args.fn, "ext": pair.f[1].mode, **summary_dict(cmp.summary)},
         "mean_diff": cmp.mean_diff,
         "mu_diff": [cmp.mu_diff[u] for u in sorted(cmp.mu_diff)],
         "predictions_f_star": {
@@ -442,9 +424,9 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "x" in names:
         p.add_argument("--x", type=_integer, required=True, help="prime limit")
     if "fn" in names:
-        p.add_argument("--fn", type=_fn_spec, required=True,
-                       help="function spec, e.g. const:1, invloglog, omega")
-        p.add_argument("--ext", choices=["strong", "complete"], default="strong")
+        p.add_argument("--fn", required=True, help="function spec, e.g. const:1, invloglog, omega")
+        p.add_argument("--ext", choices=["strong", "complete"], default=None,
+                       help="prime-power rule (default: the built-in's, else strong)")
         p.add_argument("--p0", type=int, default=None, help="override start prime")
     if "u" in names:
         p.add_argument("--u", type=int, default=1, help="power applied to f(p)")
@@ -521,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_compare(parent, name):
         p = parent.add_parser(name, help="empirical comparison of a function pair")
         _add_common(p, "mod", "n", "fn", "umax")
-        p.add_argument("--fn-star", dest="fn_star", type=_fn_spec, required=True,
+        p.add_argument("--fn-star", dest="fn_star", required=True,
                        help="strongly additive reference function")
         p.add_argument("--class", dest="pair_class", choices=["H", "V"], default="V")
         p.set_defaults(func=cmd_model_compare)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .arith_fn import PrimeFunction, continuous_derivative, continuous_value
+from .arith_fn import DecayCase, PrimeFunction
 from .config import (
     DEFAULT_PROBE_THRESHOLDS,
     PROBE_CHECKPOINTS,
@@ -58,17 +57,6 @@ class AsymptoticEstimate:
     error_magnitude_1: float
     error_magnitude_2: float
     formula_tag: str
-
-
-class DecayCase(Enum):
-    CASE1 = 1  # constant C, 0 < |C| <= 1
-    CASE2 = 2  # monotone with nonzero limit C
-    CASE3 = 3  # decays like C/lnln(p) or slower
-    CASE4 = 4  # decays like C/ln(p) or faster; the series converges
-
-    @property
-    def label(self) -> str:
-        return f"Case{self.value}"
 
 
 @dataclass(frozen=True)
@@ -161,15 +149,23 @@ def adaptive_simpson(
     return result
 
 
+def _continuous(fn: PrimeFunction) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """f and f' as functions of a real t, from the kinds table (no start/filter masking)."""
+    s, g = fn.unscaled()
+    if g.formula is None:
+        raise ValueError(f"kind {g.kind!r} has no continuous form")
+    value, derivative, c = g.formula.value, g.formula.derivative, g.c
+    return (lambda t: s * float(value(t, c))), (lambda t: s * float(derivative(t, c)))
+
+
 def _summand(fn: PrimeFunction, u: int) -> Callable[[float], float]:
     # g(t) = f(t)^u / t, the per-prime term as a function of a real t
-    h = continuous_value(fn)
+    h, _ = _continuous(fn)
     return lambda t: h(t) ** u / t
 
 
 def _summand_derivative(fn: PrimeFunction, u: int) -> Callable[[float], float]:
-    h = continuous_value(fn)
-    dh = continuous_derivative(fn)
+    h, dh = _continuous(fn)
 
     def g1(t: float) -> float:
         v = h(t)
@@ -205,7 +201,7 @@ def integral_asymptotic(
     p0 = fn.start_prime
     if x <= p0:
         raise ValueError(f"x must exceed the start prime {p0}, got {x}")
-    h = continuous_value(fn)
+    h, _ = _continuous(fn)
     integrand = lambda s: h(math.exp(s)) ** u / s
     integral = adaptive_simpson(integrand, math.log(p0), math.log(x), rel_tol)
     err1, err2 = _error_terms(fn, u, x, rel_tol)
@@ -213,48 +209,26 @@ def integral_asymptotic(
 
 
 def closed_form_asymptotic(fn: PrimeFunction, u: int, x: float, k: int) -> AsymptoticEstimate:
-    """Catalogued antiderivative forms, anchored at the start prime.
+    """The kinds table's antiderivative F of f^u/(t ln t), anchored at the start prime.
 
-    constant-valued kinds  ->  (C^u/phi(k)) (lnln x - lnln p0)
-    one_over_loglog, u=1   ->  (1/phi(k)) (lnlnln x - lnlnln p0)
-    sqrt_loglog            ->  (1/phi(k)) ((lnln x)^(u/2+1) - (lnln p0)^(u/2+1)) / (u/2+1)
-
-    Raises ClosedFormUnavailable for anything else.
+    For f = s * g with g a formula kind: (s^u/phi(k)) (F(x) - F(p0)), e.g.
+    Mertens' lnln for the constant kinds, lnlnln for 1/lnln p at u = 1 and
+    (lnln)^(u/2+1)/(u/2+1) for sqrt(lnln p).  Raises ClosedFormUnavailable
+    where the table has none.
     """
-    phi = euler_phi(k)
     p0 = fn.start_prime
     if x <= p0:
         raise ValueError(f"x must exceed the start prime {p0}, got {x}")
-
-    def resolve(f: PrimeFunction, scale: float) -> tuple[float, str]:
-        kind = f.kind
-        if kind in ("constant", "indicator_one"):
-            c = f.c if kind == "constant" else 1.0
-            value = (scale * c**u / phi) * (
-                math.log(math.log(x)) - math.log(math.log(p0))
-            )
-            return value, "mertens"
-        if kind == "one_over_loglog" and u == 1:
-            value = (scale / phi) * (
-                math.log(math.log(math.log(x))) - math.log(math.log(math.log(p0)))
-            )
-            return value, "lnlnln"
-        if kind == "sqrt_loglog":
-            e = u / 2.0 + 1.0
-            value = (scale / phi) * (
-                math.log(math.log(x)) ** e - math.log(math.log(p0)) ** e
-            ) / e
-            return value, "power-of-loglog"
-        if kind == "scaled":
-            return resolve(f.inner, scale * f.c**u)
+    s, g = fn.unscaled()
+    high = None if g.formula is None else g.formula.antiderivative(x, u, g.c)
+    if high is None:
         raise ClosedFormUnavailable(
-            f"no catalogued closed form for kind {kind!r} at order {u}; "
+            f"no catalogued closed form for kind {g.kind!r} at order {u}; "
             "use integral_asymptotic"
         )
-
-    main, tag = resolve(fn, 1.0)
+    main = (s**u / euler_phi(k)) * (high - g.formula.antiderivative(p0, u, g.c))
     err1, err2 = _error_terms(fn, u, x, QUAD_REL_TOL)
-    return AsymptoticEstimate(main, err1, err2, tag)
+    return AsymptoticEstimate(main, err1, err2, g.formula.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -262,41 +236,24 @@ def closed_form_asymptotic(fn: PrimeFunction, u: int, x: float, k: int) -> Asymp
 
 
 def classify_decay(fn: PrimeFunction, u: int = 1) -> Classification:
-    """Assign the catalogued decay case of f(p)^u (symbolic, not numeric).
+    """The kinds table's decay case of f(p)^u (symbolic, not numeric).
 
     Case1: constant; Case2: monotone with nonzero limit; Case3: decays
     like C/lnln(p) or slower (the sum still diverges, triple-log rate);
     Case4: the sum over f^u(p)/p converges.  Orders u >= 2 of the
     lnln-reciprocal kind fall to Case4 because the resulting series
-    converges, even though the decay is slower than 1/ln(p).
+    converges, even though the decay is slower than 1/ln(p).  A zero
+    function has no case.
     """
-
-    def resolve(f: PrimeFunction, scale: float) -> Classification:
-        kind = f.kind
-        if kind in ("constant", "indicator_one"):
-            c = (f.c if kind == "constant" else 1.0) ** u * scale
-            if c == 0.0:
-                raise ValueError("zero constant has no catalogued decay case")
-            return Classification(DecayCase.CASE1, 1 if c > 0 else -1)
-        if kind in ("one_minus_one_over_p", "one_minus_one_over_log"):
-            return Classification(DecayCase.CASE2, 1 if scale > 0 else -1)
-        if kind == "one_over_loglog":
-            if u == 1:
-                return Classification(DecayCase.CASE3, 1 if scale > 0 else -1)
-            return Classification(
-                DecayCase.CASE4,
-                1 if scale > 0 else -1,
-                "order >= 2: series converges despite sub-log decay",
-            )
-        if kind == "one_over_log":
-            return Classification(DecayCase.CASE4, 1 if scale > 0 else -1)
-        if kind == "scaled":
-            return resolve(f.inner, scale * f.c**u)
-        if kind == "sqrt_loglog":
-            return Classification(None, 1, "unbounded kind; outside the catalogue")
-        return Classification(None, 1, "tabulated kind has no symbolic form")
-
-    return resolve(fn, 1.0)
+    s, g = fn.unscaled()
+    if g.formula is None:
+        return Classification(None, 1, f"{g.kind} kind has no symbolic form")
+    lead = s * g.formula.sign(g.c)
+    if lead == 0.0:
+        raise ValueError("zero function has no catalogued decay case")
+    case, note = g.formula.case(u)
+    sign = (1 if lead > 0 else -1) ** u if case is not None else 1
+    return Classification(case, sign, note)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from apmoments.cli import main
-from apmoments.sieve import primes_upto_monolithic
+from apmoments.sieve import factorize, primes_upto_monolithic
 
 
 def run_cli(argv, capsys):
@@ -120,6 +120,11 @@ class TestExitCodes:
             ["model", "sample", "--n", "1", "--fn", "const:1", "--trials", "10"],
             ["sieve", "--limit", "1"],
             ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "inf"],
+            ["sum", "--x", "100", "--fn", "const:nan"],
+            ["sum", "--x", "100", "--fn", "scaled:inf:invlog"],
+            ["sum", "--x", "100", "--fn", "tab:5=nan,default=1"],
+            ["asymptotic", "--fn", "const:1", "--x", "1e6", "--p0", "1"],
+            ["classify", "--fn", "omega1"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
@@ -127,7 +132,8 @@ class TestExitCodes:
              "checkpoints_not_increasing", "checkpoint_below_two",
              "integral_checkpoint_below_start_prime", "epsilon_negative", "trials_zero",
              "model_exact_limit_one", "model_lindeberg_limit_one", "model_sample_limit_one",
-             "sieve_limit_one", "trials_infinite"],
+             "sieve_limit_one", "trials_infinite", "const_nan", "scaled_inf",
+             "tab_nan", "p0_below_two", "omega1_without_class"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -177,6 +183,49 @@ class TestExitCodes:
                      "--method", "closed"])
         assert code == 1
         assert "integral_asymptotic" in capsys.readouterr().err
+
+
+class TestExtensionRule:
+    """A built-in brings its prime-power rule; an explicit --ext replaces any."""
+
+    @staticmethod
+    def _mean(capsys, *argv):
+        code, out = run_cli(["moments", "--n", "1000", *argv], capsys)
+        assert code == 0
+        report = json.loads(out)
+        return report["mean"], report["config"]["ext"]
+
+    def test_half_omega_complete(self, capsys):
+        assert self._mean(capsys, "--fn", "half_omega", "--ext", "complete") == (
+            self._mean(capsys, "--fn", "scaled:0.5:one", "--ext", "complete"))
+        assert self._mean(capsys, "--fn", "half_omega")[1] == "strong"
+
+    def test_omega1_complete(self, capsys):
+        cls = ("--mod", "4", "--res", "1")
+        members = range(1, 1001, 4)
+        want = sum(a for m in members for p, a in factorize(m) if p % 4 == 1) / len(members)
+        mean, ext = self._mean(capsys, "--fn", "omega1", "--ext", "complete", *cls)
+        assert mean == pytest.approx(want, rel=1e-12) and ext == "complete"
+
+    def test_bigomega_strong_is_omega(self, capsys):
+        assert self._mean(capsys, "--fn", "bigomega", "--ext", "strong") == (
+            self._mean(capsys, "--fn", "omega"))
+        assert self._mean(capsys, "--fn", "bigomega")[1] == "complete"
+
+    def test_compare_records_each_rule(self, capsys):
+        code, out = run_cli(["compare", "--n", "1000", "--fn-star", "omega", "--fn", "bigomega"],
+                            capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["f_star"]["ext"], report["f"]["ext"]) == ("strong", "complete")
+        assert report["config"]["ext"] == "complete"
+
+
+class TestZeroFunction:
+    @pytest.mark.parametrize("spec", ["const:0", "scaled:0:invlog", "scaled:0:sqrtloglog"])
+    def test_zero_has_no_decay_case(self, spec, capsys):
+        assert main(["classify", "--fn", spec]) == 1
+        assert capsys.readouterr().err == "error: zero function has no catalogued decay case\n"
 
 
 class TestEmission:

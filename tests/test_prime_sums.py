@@ -180,6 +180,14 @@ class TestClassifier:
         with pytest.raises(ValueError):
             classify_decay(PrimeFunction("constant", c=0.0), 1)
 
+    def test_zero_scale_rejected_like_zero_constant(self):
+        zero = PrimeFunction("scaled", c=0.0, inner=PrimeFunction("one_over_log"))
+        with pytest.raises(ValueError, match="zero function"):
+            classify_decay(zero, 1)
+
+    def test_case1_for_any_nonzero_constant(self):
+        assert classify_decay(PrimeFunction("constant", c=2.0), 1).case is DecayCase.CASE1
+
     def test_higher_order_series_convergence(self):
         assert classify_decay(INVLOGLOG, 2).case is DecayCase.CASE4
 
