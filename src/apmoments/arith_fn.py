@@ -551,9 +551,70 @@ def collect_values(
     n: int,
     block_members: int = MEMBER_BLOCK,
 ) -> np.ndarray:
-    """f over all members up to n as one float64 array, filled block by block."""
+    """f over all members up to n as one float64 array, filled block by block.
+
+    Only datasets that are not on a lattice (see :func:`lattice_step`) and
+    spill files are built this way; a lattice dataset is folded block by
+    block into a :class:`LatticeCounts` table instead.
+    """
     values = np.empty(progression.count(n))
     blocks = iter_progression_values([(fn, ext)], progression, n, block_members)
     for i, (block,) in enumerate(blocks):
         values[i * block_members : i * block_members + block.size] = block
     return values
+
+
+def lattice_step(
+    fn: PrimeFunction, ext: Extension, progression: Progression, n: int
+) -> float | None:
+    """|c| when every value of f on the members up to n is an integer multiple
+    of c = f's constant above sqrt(n), else None.
+
+    Decided from the spec alone: c must be nonzero, and every increment of
+    f's rows in :func:`_increment_table` an exact integer multiple of c.  A
+    member's value is then its rows' increments plus c for a prime above
+    sqrt(n) (omega, bigomega, half_omega, const:c and tabulated specs whose
+    entries are multiples of their default).
+    """
+    c = fn.constant_above(math.isqrt(n))
+    if not c:
+        return None
+    rows = _increment_table([(fn, ext)], progression, n)
+    if all(d == round(d / c) * c for _, _, _, (d,) in rows):
+        return abs(c)
+    return None
+
+
+class LatticeCounts:
+    """Integer histogram of values k * step, filled block by block.
+
+    Each block is binned by round(v / step) relative to its own minimum,
+    and blocks merge by adding counts, so memory follows the number of
+    lattice points spanned, not the number of values.
+    """
+
+    def __init__(self, step: float):
+        self.step = step
+        self.lo = 0  # lattice index of counts[0]
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def add_batch(self, values: np.ndarray) -> None:
+        for at in range(0, values.size, MEMBER_BLOCK):
+            k = np.rint(values[at : at + MEMBER_BLOCK] / self.step).astype(np.int64)
+            lo = int(k.min())
+            hist = np.bincount(k - lo)
+            if not self.counts.size:
+                self.lo, self.counts = lo, hist
+                continue
+            new_lo = min(lo, self.lo)
+            new_hi = max(lo + hist.size, self.lo + self.counts.size)
+            if new_hi - new_lo > self.counts.size:
+                grown = np.zeros(new_hi - new_lo, dtype=np.int64)
+                grown[self.lo - new_lo : self.lo - new_lo + self.counts.size] = self.counts
+                self.lo, self.counts = new_lo, grown
+            self.counts[lo - self.lo : lo - self.lo + hist.size] += hist
+
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, counts): the occupied values k * step, ascending, and their counts."""
+        k = np.flatnonzero(self.counts)
+        return (k + self.lo) * self.step, self.counts[k]

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__, model, moments, prime_sums, stats
-from .arith_fn import Extension, FunctionPair, PrimeFunction, collect_values, resolve_spec
+from .arith_fn import Extension, FunctionPair, PrimeFunction, resolve_spec
 from .config import CHEBYSHEV_B_DEFAULT, PROBE_CHECKPOINTS, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression, iter_prime_blocks
 
@@ -209,6 +209,10 @@ def cmd_sum(args) -> None:
 
 def cmd_asymptotic(args) -> None:
     fn, _ = _resolve_fn(args)
+    if args.x <= fn.start_prime:
+        raise _UsageError(
+            f"argument --x: x must exceed the start prime {fn.start_prime}, got {args.x}"
+        )
     k = args.mod
     method = args.method
     est = None
@@ -269,11 +273,9 @@ def cmd_moments(args) -> None:
     prog = _progression(args)
     # predictions first, so the sieve's temporaries are gone before the values exist
     preds = model.mean_predictions(fn, prog, args.n)
-    values = collect_values(fn, ext, prog, args.n)
-    summary = moments.moment_summary(values, prog, args.n, u_max=args.umax)
-    if args.spill:
-        moments.write_spill(args.spill, values)
-    cheb = moments.chebyshev_check(summary, values, CHEBYSHEV_B_DEFAULT)
+    x, counts = moments.collect_dataset(fn, ext, prog, args.n, spill=args.spill)
+    summary = moments.moment_summary(x, prog, args.n, u_max=args.umax, counts=counts)
+    cheb = moments.chebyshev_check(summary, x, CHEBYSHEV_B_DEFAULT, counts)
     payload = {
         "n": summary.n,
         "k": prog.modulus,
@@ -400,6 +402,7 @@ def cmd_ektest(args) -> None:
     payload = {
         "ks": rep.ks,
         "ks_floor": rep.ks_floor,
+        "ks_lattice": rep.ks_lattice,
         "n": rep.n,
         "count": rep.count,
         "normalization": rep.normalization,

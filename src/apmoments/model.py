@@ -26,9 +26,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import prime_sums
-from .arith_fn import FunctionPair, PrimeFunction, eval_at_prime, iter_progression_values
+from .arith_fn import (
+    FunctionPair,
+    LatticeCounts,
+    PrimeFunction,
+    eval_at_prime,
+    iter_progression_values,
+    lattice_step,
+)
 from .config import MEMBER_BLOCK, MODEL_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
-from .moments import CoMoments, MomentSummary
+from .moments import CoMoments, MomentSummary, moment_summary
 from .sieve import Progression, iter_prime_blocks
 
 MODES = ("restricted", "density")
@@ -302,29 +309,34 @@ def compare_pair(
 ) -> PairComparison:
     """Empirical moments of both pair members over the progression.
 
-    Both functions are evaluated in one factorization sweep.  For pairs
-    whose compared member carries explicit prime-power overrides, the
-    total override weight sum |delta f(p^a)| * density(p^a exactly
-    divides a member) is reported; the density of an exact power p^a
-    among members is (1/p^a)(1 - 1/p) for p not dividing the modulus.
+    Both functions are evaluated in one factorization sweep.  Each side
+    keeps one accumulator of its kind: a lattice side folds every block
+    into its value/count table, any other side merges the block into its
+    running moments.  For pairs whose compared member carries explicit
+    prime-power overrides, the total override weight sum |delta f(p^a)| *
+    density(p^a exactly divides a member) is reported; the density of an
+    exact power p^a among members is (1/p^a)(1 - 1/p) for p not dividing
+    the modulus.
     """
     fn_star, ext_star = pair.f_star
     fn, ext = pair.f
     count = progression.count(n)
     if count == 0:
         raise ValueError("no progression members <= n")
-    acc_star = CoMoments(u_max)
-    acc = CoMoments(u_max)
-    for vals_star, vals in iter_progression_values(
-        [(fn_star, ext_star), (fn, ext)], progression, n, block_members
-    ):
-        acc_star.add_batch(vals_star)
-        acc.add_batch(vals)
+    sides = [pair.f_star, pair.f]
+    steps = [lattice_step(f, e, progression, n) for f, e in sides]
+    accs = [CoMoments(u_max) if c is None else LatticeCounts(c) for c in steps]
+    for blocks in iter_progression_values(sides, progression, n, block_members):
+        for a, block in zip(accs, blocks):
+            a.add_batch(block)
 
-    def summarize(a: CoMoments) -> MomentSummary:
+    def summarize(a: CoMoments | LatticeCounts) -> MomentSummary:
+        if isinstance(a, LatticeCounts):
+            x, counts = a.table()
+            return moment_summary(x, progression, n, u_max, counts)
         return MomentSummary(n, progression, a.n, a.mean, a.sigma, a.central_moments())
 
-    s_star, s = summarize(acc_star), summarize(acc)
+    s_star, s = (summarize(a) for a in accs)
     mu_diff = {u: s.mu[u] - s_star.mu[u] for u in s.mu}
 
     override_total: float | None = None

@@ -1,13 +1,18 @@
 """Empirical moments of additive functions over progression members.
 
-A dataset is one float64 array of f over the members, filled by one
-member sweep; its moments, Chebyshev/LLN coverage and spill file are all
-read off that array.  Moments feed the array to a mergeable central-moment
-state in slices of the sweep's block length; the merge rule is exact in
-real arithmetic, so chunked evaluation matches a two-pass computation up
-to rounding.  The mean additionally has an exact closed-form cross-check
-for strongly additive functions, obtained by counting multiples of each
-prime inside the progression.
+A dataset is one pair (x, counts), filled by one member sweep.  For a
+spec on a lattice (see :func:`arith_fn.lattice_step`) it is the table of
+distinct values k*c and their counts, folded block by block, so no
+per-member array exists; any other spec gives its per-member float64
+array and counts=None (unit weights).  Moments and Chebyshev/LLN coverage
+read either kind the same way, as weighted values.  Moments feed the data
+to a mergeable central-moment state (a per-member array in slices of the
+sweep's block length, a table at once); the merge rule is exact in real
+arithmetic, so chunked evaluation matches a two-pass computation up to
+rounding.  A spill file is per member by contract, so spilling is the one
+case that builds the array of a lattice spec.  The mean additionally has
+an exact closed-form cross-check for strongly additive functions,
+obtained by counting multiples of each prime inside the progression.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import sieve
-from .arith_fn import Extension, PrimeFunction, collect_values
+from . import arith_fn, sieve
+from .arith_fn import Extension, PrimeFunction
 from .config import CHEBYSHEV_B_DEFAULT, MEMBER_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression
 
@@ -44,7 +49,8 @@ class CoMoments:
     Tracks n, the mean, and the centered power sums M_j = sum (x - mean)^j
     for j = 2..u_max.  Batches are absorbed by computing their exact local
     statistics and merging, which keeps the update one-pass over the data
-    while staying associative.
+    while staying associative.  A batch with counts weighs each value by
+    its count (a distinct-value table); without, every value counts once.
     """
 
     def __init__(self, u_max: int = U_MAX_DEFAULT):
@@ -55,17 +61,18 @@ class CoMoments:
         self.mean = 0.0
         self.m = np.zeros(u_max + 1)  # m[j] = M_j; m[0], m[1] unused
 
-    def add_batch(self, values: np.ndarray) -> None:
+    def add_batch(self, values: np.ndarray, counts: np.ndarray | None = None) -> None:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
-        bn = values.size
-        bmean = float(values.mean())
+        w = None if counts is None else np.asarray(counts, dtype=np.float64)
+        bn = values.size if w is None else int(np.sum(counts))
+        bmean = float(values.mean()) if w is None else float((w * values).sum()) / bn
         d = values - bmean
         bm = np.zeros(self.u_max + 1)
         power = d * d
         for j in range(2, self.u_max + 1):
-            bm[j] = float(power.sum())
+            bm[j] = float(power.sum() if w is None else (w * power).sum())
             power = power * d
         self._merge_raw(bn, bmean, bm)
 
@@ -136,18 +143,68 @@ class LlnRecord:
 
 
 def moment_summary(
-    values: np.ndarray, progression: Progression, n: int, u_max: int = U_MAX_DEFAULT
+    values: np.ndarray,
+    progression: Progression,
+    n: int,
+    u_max: int = U_MAX_DEFAULT,
+    counts: np.ndarray | None = None,
 ) -> MomentSummary:
-    """Mean, deviation, and central moments of one dataset's values, fed to
-    the running state in MEMBER_BLOCK slices (the member sweep's blocks)."""
+    """Mean, deviation, and central moments of one dataset (values, counts).
+
+    A per-member array (counts None) is fed to the running state in
+    MEMBER_BLOCK slices, the member sweep's blocks; a table in one batch.
+    """
     if values.size == 0:
         raise ValueError(
             f"no progression members <= {n} (first member is {progression.first_member})"
         )
     acc = CoMoments(u_max)
-    for lo in range(0, values.size, MEMBER_BLOCK):
-        acc.add_batch(values[lo : lo + MEMBER_BLOCK])
+    if counts is not None:
+        acc.add_batch(values, counts)
+    else:
+        for lo in range(0, values.size, MEMBER_BLOCK):
+            acc.add_batch(values[lo : lo + MEMBER_BLOCK])
     return MomentSummary(n, progression, acc.n, acc.mean, acc.sigma, acc.central_moments())
+
+
+def value_table(
+    values: np.ndarray, step: float | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A per-member array as a dataset: its lattice table when step is set,
+    else the array itself with counts None."""
+    if step is None:
+        return values, None
+    table = arith_fn.LatticeCounts(step)
+    table.add_batch(values)
+    return table.table()
+
+
+def collect_dataset(
+    fn: PrimeFunction,
+    ext: Extension,
+    progression: Progression,
+    n: int,
+    block_members: int = MEMBER_BLOCK,
+    spill: str | Path | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """f over the members up to n as one dataset (x, counts), from one sweep.
+
+    A lattice spec folds each sweep block into its value/count table; any
+    other spec fills one float64 array (counts None).  With `spill` set the
+    per-member array is built for either kind and written with
+    :func:`write_spill` before it becomes the dataset.
+    """
+    step = arith_fn.lattice_step(fn, ext, progression, n)
+    if step is not None and spill is None:
+        table = arith_fn.LatticeCounts(step)
+        for (block,) in arith_fn.iter_progression_values([(fn, ext)], progression, n,
+                                                          block_members):
+            table.add_batch(block)
+        return table.table()
+    values = arith_fn.collect_values(fn, ext, progression, n, block_members)
+    if spill is not None:
+        write_spill(spill, values)
+    return value_table(values, step)
 
 
 def empirical_moments(
@@ -161,15 +218,12 @@ def empirical_moments(
 ) -> MomentSummary:
     """Mean, deviation, and central moments of f over members up to n.
 
-    The values are swept once into one array (one float64 per member); with
-    `spill` set that array is also written with :func:`write_spill` for
-    later re-use by the distribution diagnostics.
+    The dataset comes from one sweep (see :func:`collect_dataset`); with
+    `spill` set the per-member values are also written with
+    :func:`write_spill` for later re-use by the distribution diagnostics.
     """
-    values = collect_values(fn, ext, progression, n, block_members)
-    summary = moment_summary(values, progression, n, u_max)
-    if spill is not None:
-        write_spill(spill, values)
-    return summary
+    x, counts = collect_dataset(fn, ext, progression, n, block_members, spill)
+    return moment_summary(x, progression, n, u_max, counts)
 
 
 def read_spill(path: str | Path) -> np.ndarray:
@@ -242,13 +296,19 @@ def mean_via_counts(
     return float(np.dot(fvals, counts.astype(np.float64))) / count
 
 
-def _count_within(values: np.ndarray, center: float, radii: Sequence[float]) -> list[int]:
-    """Per radius r, how many values satisfy |value - center| <= r (block-sized temporaries)."""
+def _count_within(
+    values: np.ndarray, center: float, radii: Sequence[float], counts: np.ndarray | None = None
+) -> list[int]:
+    """Per radius r, how many members satisfy |value - center| <= r: each
+    value weighs its count, or 1 without counts (block-sized temporaries)."""
     inside = [0] * len(radii)
     for lo in range(0, values.size, MEMBER_BLOCK):
         dev = np.abs(values[lo : lo + MEMBER_BLOCK] - center)
         for i, r in enumerate(radii):
-            inside[i] += int(np.count_nonzero(dev <= r))
+            if counts is None:
+                inside[i] += int(np.count_nonzero(dev <= r))
+            else:
+                inside[i] += int(counts[lo : lo + MEMBER_BLOCK][dev <= r].sum())
     return inside
 
 
@@ -256,20 +316,22 @@ def chebyshev_check(
     summary: MomentSummary,
     values: np.ndarray,
     b_values: Sequence[float] = CHEBYSHEV_B_DEFAULT,
+    counts: np.ndarray | None = None,
 ) -> ChebyshevReport:
     """Empirical coverage P(|f - mean| <= b*sigma) next to the 1 - 1/b^2 bound.
 
-    `values` is the dataset's array, the one `summary` was taken from.  The
+    (values, counts) is the dataset `summary` was taken from.  The
     inequality holds exactly for any finite population; a zero deviation
     makes every coverage 1 and is flagged degenerate.
     """
     bs = tuple(float(b) for b in b_values)
     if summary.sigma == 0.0:
         return ChebyshevReport(bs, tuple(1.0 for _ in bs), _bounds(bs), degenerate=True)
-    if values.size != summary.count:
-        raise ValueError(f"value array has {values.size} entries, summary counted {summary.count}")
-    inside = _count_within(values, summary.mean, [b * summary.sigma for b in bs])
-    return ChebyshevReport(bs, tuple(float(c) / values.size for c in inside), _bounds(bs))
+    total = values.size if counts is None else int(counts.sum())
+    if total != summary.count:
+        raise ValueError(f"dataset has {total} values, summary counted {summary.count}")
+    inside = _count_within(values, summary.mean, [b * summary.sigma for b in bs], counts)
+    return ChebyshevReport(bs, tuple(float(c) / total for c in inside), _bounds(bs))
 
 
 def _bounds(bs: tuple[float, ...]) -> tuple[float, ...]:
@@ -300,13 +362,13 @@ def lln_check(
     b_fn = LLN_B_CHOICES[b_of_n] if isinstance(b_of_n, str) else b_of_n
     records = []
     for n in n_list:
-        values = collect_values(fn, ext, progression, n, block_members)
-        summary = moment_summary(values, progression, n, u_max=2)
+        x, counts = collect_dataset(fn, ext, progression, n, block_members)
+        summary = moment_summary(x, progression, n, u_max=2, counts=counts)
         b = float(b_fn(n))
         bound = max(0.0, 1.0 - 1.0 / (b * b))
         use_mean = summary.mean > 0.0
         radii = [b * summary.sigma] + ([b * math.sqrt(summary.mean)] if use_mean else [])
-        inside = _count_within(values, summary.mean, radii)
+        inside = _count_within(x, summary.mean, radii, counts)
         sqrt_mean = inside[1] / summary.count if use_mean else None
         records.append(LlnRecord(n, b, inside[0] / summary.count, sqrt_mean, bound, not use_mean))
     return records

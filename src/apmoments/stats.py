@@ -5,9 +5,16 @@ between an empirical CDF and the standard normal, measured after
 centering and scaling by either (mean, deviation) or (mean, sqrt(mean)).
 Raw distances only; no p-values.
 
-A dataset is sorted once into a table of distinct values and counts; the
-empirical CDF only steps there, so the KS gap, the CDF grid and the
-discreteness floor (largest point mass / 2) are all read off that table.
+A dataset is one table of distinct values and counts.  A lattice spec's
+sweep folds its values straight into it, and so does its spill file; any
+other per-member array (a sweep or a spill file) is sorted into it once.
+The empirical CDF only steps at those values, so the normalization
+(center and scale), the KS gap, the CDF grid and the discreteness floor
+(largest point mass / 2) are all read off that table; the same dataset
+gives the same report from a sweep or from its spill file.  For lattice
+values with step c the table also gives Esseen's continuity-corrected
+KS, which compares the empirical CDF at each value x with the normal CDF
+at the half-lattice point x + c/2.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith_fn import Extension, PrimeFunction, collect_values
+from .arith_fn import Extension, PrimeFunction, lattice_step
 from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS, MEMBER_BLOCK
-from .moments import read_spill
+from .moments import CoMoments, collect_dataset, read_spill, value_table
 from .sieve import Progression
 
 NORMALIZATIONS = ("sigma", "sqrt_mean")
@@ -56,13 +63,30 @@ def ks_distance(x: np.ndarray, counts: np.ndarray, center: float, scale: float) 
         raise ValueError(f"scale must be positive, got {scale}")
     if x.size == 0:
         raise ValueError("values must be non-empty")
-    z = (np.asarray(x, dtype=np.float64) - center) / scale
-    cdf = 0.5 * np.fromiter(map(math.erfc, -z / math.sqrt(2.0)), np.float64, z.size)
+    cdf = _phi_at((np.asarray(x, dtype=np.float64) - center) / scale)
     upto = np.cumsum(counts)
     m = upto[-1]
     d_plus = float(np.max(upto / m - cdf))
     d_minus = float(np.max(cdf - (upto - counts) / m))
     return max(d_plus, d_minus)
+
+
+def _phi_at(z: np.ndarray) -> np.ndarray:
+    return 0.5 * np.fromiter(map(math.erfc, -z / math.sqrt(2.0)), np.float64, z.size)
+
+
+def ks_lattice(
+    x: np.ndarray, counts: np.ndarray, center: float, scale: float, step: float
+) -> float:
+    """Continuity-corrected KS for values on a lattice of the given step.
+
+    sup over the distinct values x_i of |F_emp(x_i) - Phi((x_i + step/2 -
+    center)/scale)|: Esseen's correction, which compares the empirical CDF
+    of a lattice variable with the normal CDF half a step past each value.
+    """
+    cdf = _phi_at((np.asarray(x, dtype=np.float64) + step / 2.0 - center) / scale)
+    upto = np.cumsum(counts)
+    return float(np.max(np.abs(upto / upto[-1] - cdf)))
 
 
 @dataclass(frozen=True)
@@ -74,6 +98,7 @@ class NormalityReport:
     scale: float
     ks: float
     ks_floor: float  # largest point mass / 2: no continuous CDF gets closer
+    ks_lattice: float | None  # continuity-corrected KS, None off a lattice
     grid: tuple[tuple[float, float, float], ...]  # (x, empirical, normal cdf)
 
 
@@ -102,7 +127,9 @@ def erdos_kac_report(
     deviation; "sqrt_mean" scales by sqrt(mean) and is only offered for
     nonnegative functions bounded by 1 at primes, the regime where that
     scaling has a normal limit.  Values come from an existing spill file
-    when given, otherwise from one member sweep.
+    when given, otherwise from one member sweep; either way they become one
+    value/count table, folded on the spec's lattice when it has one, and
+    everything is read off that table.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -110,24 +137,32 @@ def erdos_kac_report(
         raise ValueError(
             "sqrt_mean normalization requires 0 <= f(p) <= 1; use sigma instead"
         )
-    values = (read_spill(spill) if spill is not None
-              else collect_values(fn, ext, progression, n, block_members))
+    step = lattice_step(fn, ext, progression, n)
+    if spill is not None:
+        x, counts = value_table(read_spill(spill), step)
+    else:
+        x, counts = collect_dataset(fn, ext, progression, n, block_members)
+    if counts is None:
+        x, counts = np.unique(x, return_counts=True)
     count = progression.count(n)
-    if values.size != count:
-        raise ValueError(f"expected {count} values, got {values.size}")
+    total = int(counts.sum())
+    if total != count:
+        raise ValueError(f"expected {count} values, got {total}")
     if count < 2:
         raise ValueError("degenerate progression: need at least 2 members")
-    center = float(values.mean())
+    acc = CoMoments(2)
+    acc.add_batch(x, counts)
+    center = acc.mean
     if normalization == "sigma":
-        scale = float(values.std())
+        scale = acc.sigma
         if scale <= 0.0:
             raise ValueError("degenerate normalization: deviation is 0")
     else:
         if center <= 0.0:
             raise ValueError("degenerate normalization: mean is not positive")
         scale = math.sqrt(center)
-    x, counts = np.unique(values, return_counts=True)
     ks = ks_distance(x, counts, center, scale)
     floor = float(counts.max()) / count / 2.0
+    corrected = None if step is None else ks_lattice(x, counts, center, scale, step)
     grid = _cdf_grid(x, counts, center, scale)
-    return NormalityReport(n, count, normalization, center, scale, ks, floor, grid)
+    return NormalityReport(n, count, normalization, center, scale, ks, floor, corrected, grid)

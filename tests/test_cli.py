@@ -125,6 +125,7 @@ class TestExitCodes:
             ["sum", "--x", "100", "--fn", "tab:5=nan,default=1"],
             ["asymptotic", "--fn", "const:1", "--x", "1e6", "--p0", "1"],
             ["classify", "--fn", "omega1"],
+            ["asymptotic", "--fn", "invloglog", "--x", "11"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
@@ -133,7 +134,8 @@ class TestExitCodes:
              "integral_checkpoint_below_start_prime", "epsilon_negative", "trials_zero",
              "model_exact_limit_one", "model_lindeberg_limit_one", "model_sample_limit_one",
              "sieve_limit_one", "trials_infinite", "const_nan", "scaled_inf",
-             "tab_nan", "p0_below_two", "omega1_without_class"],
+             "tab_nan", "p0_below_two", "omega1_without_class",
+             "asymptotic_x_at_start_prime"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

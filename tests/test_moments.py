@@ -1,4 +1,7 @@
+import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,16 +16,18 @@ from apmoments.arith_fn import (
     builtin,
     collect_values,
 )
+from apmoments.config import MEMBER_BLOCK
 from apmoments.moments import (
     CoMoments,
     chebyshev_check,
+    collect_dataset,
     empirical_moments,
     lln_check,
     mean_via_counts,
     read_spill,
     two_pass_central_moments,
 )
-from apmoments.sieve import Progression
+from apmoments.sieve import Progression, factorize
 
 OMEGA, OMEGA_EXT = builtin("omega")
 SQRTLOGLOG = PrimeFunction("sqrt_loglog")
@@ -246,3 +251,146 @@ class TestLln:
         records = lln_check(neg, STRONG, Progression(4, 1), [10**4])
         assert records[0].skipped
         assert records[0].coverage_sqrt_mean is None
+
+
+def _spec(text, p0=None):
+    return arith_fn.resolve_spec(text, Progression(4, 1), p0=p0)
+
+
+LATTICE_SPECS = [
+    ("omega", None, 1.0),
+    ("bigomega", None, 1.0),
+    ("half_omega", None, 0.5),
+    ("const:2.5", 101, 2.5),
+    ("tab:5=1,7=2,default=0.5", None, 0.5),
+    ("tab:5=-1,7=2,default=0.5", None, 0.5),
+    ("scaled:-1.5:one", None, 1.5),
+]
+
+
+class TestLatticeTable:
+    """Lattice datasets as a value/count table, against the per-member array."""
+
+    @pytest.mark.parametrize("text,p0,step", LATTICE_SPECS, ids=[s[0] for s in LATTICE_SPECS])
+    def test_table_equals_unique_of_values(self, text, p0, step):
+        fn, ext = _spec(text, p0)
+        prog, n = Progression(4, 1), 10**5
+        assert arith_fn.lattice_step(fn, ext, prog, n) == step
+        x, counts = collect_dataset(fn, ext, prog, n, block_members=257)
+        want_x, want_counts = np.unique(collect_values(fn, ext, prog, n), return_counts=True)
+        assert np.array_equal(x, want_x) and np.array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize("text", ["omega", "bigomega", "half_omega"])
+    def test_moments_match_exact_rational_evaluation(self, text):
+        fn, ext = _spec(text)
+        prog, n = Progression(4, 1), 10**5
+        weight = Fraction(1, 2) if text == "half_omega" else Fraction(1)
+        per_member = Counter()
+        for m in range(prog.first_member, n + 1, prog.modulus):
+            fac = factorize(m)
+            per_member[weight * sum(a if text == "bigomega" else 1 for _, a in fac)] += 1
+        count = sum(per_member.values())
+        mean = sum(v * c for v, c in per_member.items()) / count
+        s = empirical_moments(fn, ext, prog, n, u_max=6)
+        assert collect_dataset(fn, ext, prog, n)[1] is not None  # the table path ran
+        assert s.count == count
+        assert s.mean == pytest.approx(float(mean), rel=1e-14)
+        for u in range(2, 7):
+            mu = sum(c * (v - mean) ** u for v, c in per_member.items()) / count
+            assert s.mu[u] == pytest.approx(float(mu), rel=1e-14)
+
+    def test_block_merge_spans_negative_and_positive_indices(self):
+        table = arith_fn.LatticeCounts(0.5)
+        for block in ([1.0, 1.5], [-2.0, -2.0], [0.0], [3.0, -2.0]):
+            table.add_batch(np.array(block))
+        x, counts = table.table()
+        assert x.tolist() == [-2.0, 0.0, 1.0, 1.5, 3.0]
+        assert counts.tolist() == [3, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "text", ["sqrtloglog", "invloglog", "omega1", "const:0", "tab:5=0.7,default=0.5",
+                 "override"])
+    def test_non_lattice_specs_stay_on_the_array_path(self, text):
+        # the last two are constant above sqrt(n), but 0.7 and an override
+        # worth 0.25 are not multiples of that constant
+        if text == "override":
+            fn, ext = OMEGA, Extension("strong", overrides=(((3, 1), 0.25),))
+        else:
+            fn, ext = _spec(text)
+        prog, n = Progression(4, 1), 10**5
+        assert arith_fn.lattice_step(fn, ext, prog, n) is None
+        values = collect_values(fn, ext, prog, n)
+        x, counts = collect_dataset(fn, ext, prog, n)
+        assert counts is None and np.array_equal(x, values)
+        # the per-member path as it was before weights: blocks of MEMBER_BLOCK,
+        # each reduced by unweighted sums and merged into one state
+        acc = CoMoments(6)
+        for lo in range(0, values.size, MEMBER_BLOCK):
+            block = values[lo : lo + MEMBER_BLOCK]
+            bmean = float(block.mean())
+            d = block - bmean
+            bm, power = np.zeros(7), d * d
+            for j in range(2, 7):
+                bm[j] = float(power.sum())
+                power = power * d
+            acc._merge_raw(block.size, bmean, bm)
+        s = empirical_moments(fn, ext, prog, n, u_max=6)
+        assert (s.count, s.mean, s.sigma) == (acc.n, acc.mean, acc.sigma)
+        assert s.mu == acc.central_moments()
+
+    def test_weighted_batch_equals_repeated_values(self):
+        x = np.array([-1.0, 0.5, 2.0, 7.0])
+        counts = np.array([3, 1, 4, 2])
+        weighted, repeated = CoMoments(6), CoMoments(6)
+        weighted.add_batch(x, counts)
+        repeated.add_batch(np.repeat(x, counts))
+        assert weighted.n == repeated.n == 10
+        assert weighted.mean == pytest.approx(repeated.mean, rel=1e-15)
+        for u, mu in repeated.central_moments().items():
+            assert weighted.central_moments()[u] == pytest.approx(mu, rel=1e-14)
+
+    def test_weighted_coverage_equals_per_member_coverage(self):
+        prog, n = Progression(4, 3), 10**5
+        s = empirical_moments(OMEGA, OMEGA_EXT, prog, n)
+        x, counts = collect_dataset(OMEGA, OMEGA_EXT, prog, n)
+        bs = (1.0, 1.5, 2.0, 3.0)
+        per_member = chebyshev_check(s, collect_values(OMEGA, OMEGA_EXT, prog, n), bs)
+        assert chebyshev_check(s, x, bs, counts).coverage == per_member.coverage
+
+
+class TestNoPerMemberArray:
+    """Lattice subcommands never build one float64 per member."""
+
+    @pytest.fixture
+    def no_arrays(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-member array built")
+
+        monkeypatch.setattr(arith_fn, "collect_values", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--fn", "omega"],
+            ["moments", "--fn", "bigomega", "--umax", "6"],
+            ["ektest", "--fn", "omega"],
+            ["ektest", "--fn", "bigomega", "--norm", "sigma"],
+            ["compare", "--fn-star", "omega", "--fn", "bigomega", "--class", "H"],
+        ],
+        ids=["moments_omega", "moments_bigomega", "ektest_omega", "ektest_bigomega", "compare"],
+    )
+    def test_subcommand_runs_without_collect_values(self, no_arrays, argv, capsys):
+        assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
+
+    def test_spill_still_writes_one_float64_per_member(self, tmp_path, capsys):
+        spill = tmp_path / "values.f64"
+        argv = ["moments", "--fn", "omega", "--mod", "4", "--res", "1", "--n", "1e5"]
+        assert cli.main([*argv, "--spill", str(spill)]) == 0
+        with_spill = json.loads(capsys.readouterr().out)
+        assert spill.stat().st_size == with_spill["count"] * 8
+        assert np.array_equal(read_spill(spill),
+                              collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), 10**5))
+        assert cli.main(argv) == 0
+        without = json.loads(capsys.readouterr().out)
+        for key in ("count", "mean", "sigma", "mu", "coverage"):
+            assert with_spill[key] == without[key]

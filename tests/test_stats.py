@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values
 from apmoments.model import exact_moments, sample
 from apmoments.sieve import Progression
-from apmoments.stats import erdos_kac_report, ks_distance, phi, phi_inv
+from apmoments.stats import erdos_kac_report, ks_distance, ks_lattice, phi, phi_inv
 
 
 def table(values):
@@ -21,6 +21,15 @@ def brute_force_ks(values, center: float, scale: float) -> float:
     m = len(v)
     return max(
         max((i + 1) / m - phi(t), phi(t) - i / m) for i, t in enumerate(v)
+    )
+
+
+def brute_force_ks_lattice(values, center: float, scale: float, step: float) -> float:
+    # per value v: F_emp(v) against the normal CDF half a lattice step past v
+    m = len(values)
+    return max(
+        abs(sum(1 for t in values if t <= v) / m - phi((float(v) + step / 2 - center) / scale))
+        for v in values
     )
 
 
@@ -110,6 +119,43 @@ class TestKsDistance:
         assert got == pytest.approx(brute_force_ks(values, center, scale), abs=1e-15)
 
 
+class TestKsLattice:
+    @given(
+        st.lists(st.integers(-3, 6), min_size=1, max_size=120),
+        st.sampled_from([0.5, 1.0, 2.5]),
+        st.floats(-2, 4),
+        st.floats(0.1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_value_brute_force(self, data, step, center, scale):
+        values = np.array(data, dtype=np.float64) * step
+        got = ks_lattice(*table(values), center, scale, step)
+        assert got == pytest.approx(brute_force_ks_lattice(values, center, scale, step), abs=1e-15)
+
+    def test_report_field_on_omega(self):
+        om, ste = builtin("omega")
+        prog = Progression(4, 3)
+        rep = erdos_kac_report(om, ste, prog, 3000, "sqrt_mean")
+        values = collect_values(om, ste, prog, 3000)
+        want = brute_force_ks_lattice(values.tolist(), rep.center, rep.scale, 1.0)
+        assert rep.ks_lattice == pytest.approx(want, abs=1e-15)
+        # the half-step shift undoes most of the discreteness gap
+        assert rep.ks_lattice < rep.ks_floor < rep.ks
+
+    def test_half_omega_uses_its_step(self):
+        half, ext = builtin("half_omega")
+        prog = Progression(4, 1)
+        rep = erdos_kac_report(half, ext, prog, 3000, "sigma")
+        values = collect_values(half, ext, prog, 3000)
+        want = brute_force_ks_lattice(values.tolist(), rep.center, rep.scale, 0.5)
+        assert rep.ks_lattice == pytest.approx(want, abs=1e-15)
+
+    def test_null_off_the_lattice(self):
+        rep = erdos_kac_report(PrimeFunction("sqrt_loglog"), STRONG, Progression(1, 0), 10**4,
+                               "sigma")
+        assert rep.ks_lattice is None
+
+
 class TestErdosKacReport:
     def test_omega_full_series(self):
         om, ste = builtin("omega")
@@ -170,6 +216,40 @@ class TestErdosKacReport:
         rep_direct = erdos_kac_report(om, ste, prog, 10**4, "sqrt_mean")
         rep_spill = erdos_kac_report(om, ste, prog, 10**4, "sqrt_mean", spill=path)
         assert rep_spill.ks == rep_direct.ks
+
+    @pytest.mark.parametrize(
+        "spec,norm,k,l",
+        # const:0.1 sums to other floats than k * 0.1 (0.6 != 6 * 0.1), so a
+        # spill file only reproduces the sweep after folding onto the lattice
+        [("omega", "sqrt_mean", 4, 3), ("sqrtloglog", "sigma", 4, 3), ("const:0.1", "sigma", 1, 0)],
+    )
+    def test_spill_and_sweep_agree_bit_for_bit(self, tmp_path, spec, norm, k, l):
+        from apmoments.arith_fn import resolve_spec
+        from apmoments.moments import empirical_moments
+
+        fn, ext = resolve_spec(spec)
+        prog = Progression(k, l)
+        path = tmp_path / "spill.f64"
+        empirical_moments(fn, ext, prog, 10**5, spill=path)
+        swept = erdos_kac_report(fn, ext, prog, 10**5, norm)
+        spilled = erdos_kac_report(fn, ext, prog, 10**5, norm, spill=path)
+        assert swept == spilled
+        values = collect_values(fn, ext, prog, 10**5)
+        assert swept.center == pytest.approx(float(values.mean()), rel=1e-14)
+
+    def test_spill_is_read_onto_the_lattice(self, tmp_path):
+        # a spilled value an ulp off its lattice point still counts there
+        from apmoments.moments import write_spill
+
+        om, ste = builtin("omega")
+        prog = Progression(4, 3)
+        values = collect_values(om, ste, prog, 10**4)
+        modal = np.flatnonzero(values == np.bincount(values.astype(np.int64)).argmax())[0]
+        values[modal] = np.nextafter(values[modal], np.inf)
+        path = tmp_path / "spill.f64"
+        write_spill(path, values)
+        spilled = erdos_kac_report(om, ste, prog, 10**4, "sigma", spill=path)
+        assert spilled == erdos_kac_report(om, ste, prog, 10**4, "sigma")
 
 
 class TestModelSamplesLookNormal:
