@@ -351,6 +351,16 @@ class Extension:
         """f(p^a) given f(p) = fp: the override if one is set, else the mode's rule."""
         return self.override_map.get((p, a), self.base_value(a, fp))
 
+    def increment(self, p: int, a: int, fp: float) -> float:
+        """f(p^a) - f(p^(a-1)) given f(p) = fp.  Away from overrides the rule
+        fixes it exactly: f(p) at a = 1, then 0 (strong) or f(p) (complete),
+        never a difference of rounded products such as 3*0.1 - 2*0.1."""
+        overrides = self.override_map
+        if (p, a) not in overrides and (p, a - 1) not in overrides:
+            return fp if a == 1 or self.mode == "complete" else 0.0
+        prev = self.power_value(p, a - 1, fp) if a > 1 else 0.0
+        return self.power_value(p, a, fp) - prev
+
 
 STRONG = Extension("strong")
 COMPLETE = Extension("complete")
@@ -462,14 +472,19 @@ def _residue_for(start: int, step: int, modulus: int) -> int:
     return (-start * inv) % modulus
 
 
-def _increment_table(
+Row = tuple[int, int, int, list[float]]
+
+
+def increment_table(
     specs: Sequence[tuple[PrimeFunction, Extension]], progression: Progression, n: int
-) -> list[tuple[int, int, int, list[float]]]:
+) -> list[Row]:
     """Rows (p, p^a, first member index divisible by p^a, increment per spec).
 
     One row per prime power p^a <= n with p coprime to the modulus and p
     either at most sqrt(n) or carrying an override; a spec's increment is
-    f(p^a) - f(p^(a-1)).  Rows ascend in p, then in a.
+    :meth:`Extension.increment`.  Rows ascend in p, then in a.  A dataset
+    builds its table once and hands it to :func:`lattice_steps` and the
+    sweep.
     """
     k, start = progression.modulus, progression.first_member
     candidates = {int(p) for p in primes_upto_monolithic(math.isqrt(n))}
@@ -478,12 +493,10 @@ def _increment_table(
     f_at = [fn.values_at(primes) for fn, _ in specs]
     rows = []
     for j, p in enumerate(primes.tolist()):
-        prev = [0.0] * len(specs)
         a, pa = 1, p
         while pa <= n:
-            cur = [ext.power_value(p, a, float(f[j])) for (_, ext), f in zip(specs, f_at)]
-            rows.append((p, pa, _residue_for(start, k, pa), [c - q for c, q in zip(cur, prev)]))
-            prev = cur
+            deltas = [ext.increment(p, a, float(f[j])) for (_, ext), f in zip(specs, f_at)]
+            rows.append((p, pa, _residue_for(start, k, pa), deltas))
             a, pa = a + 1, pa * p
     return rows
 
@@ -493,11 +506,13 @@ def iter_progression_values(
     progression: Progression,
     n: int,
     block_members: int = MEMBER_BLOCK,
+    rows: list[Row] | None = None,
 ) -> Iterator[list[np.ndarray]]:
     """Evaluate additive functions over all progression members up to n.
 
     Yields, per block of members, one float64 array per spec.  One table of
-    prime-power increments serves every spec (see :func:`_increment_table`).
+    prime-power increments serves every spec: `rows`, when the caller has
+    built it, else a fresh :func:`increment_table`.
     The members form an arithmetic sequence with step coprime to p, so the
     multiples of p^a among them sit on one stride of the member index: each
     row adds its increments on that stride and multiplies p into the
@@ -511,7 +526,8 @@ def iter_progression_values(
         return
     start = progression.first_member
     k = progression.modulus
-    rows = _increment_table(specs, progression, n)
+    if rows is None:
+        rows = increment_table(specs, progression, n)
     constants = [fn.constant_above(math.isqrt(n)) for fn, _ in specs]
 
     for t_lo in range(0, total, block_members):
@@ -550,39 +566,40 @@ def collect_values(
     progression: Progression,
     n: int,
     block_members: int = MEMBER_BLOCK,
+    rows: list[Row] | None = None,
 ) -> np.ndarray:
     """f over all members up to n as one float64 array, filled block by block.
 
-    Only datasets that are not on a lattice (see :func:`lattice_step`) and
+    Only datasets that are not on a lattice (see :func:`lattice_steps`) and
     spill files are built this way; a lattice dataset is folded block by
     block into a :class:`LatticeCounts` table instead.
     """
     values = np.empty(progression.count(n))
-    blocks = iter_progression_values([(fn, ext)], progression, n, block_members)
+    blocks = iter_progression_values([(fn, ext)], progression, n, block_members, rows)
     for i, (block,) in enumerate(blocks):
         values[i * block_members : i * block_members + block.size] = block
     return values
 
 
-def lattice_step(
-    fn: PrimeFunction, ext: Extension, progression: Progression, n: int
-) -> float | None:
-    """|c| when every value of f on the members up to n is an integer multiple
-    of c = f's constant above sqrt(n), else None.
+def lattice_steps(
+    specs: Sequence[tuple[PrimeFunction, Extension]], rows: list[Row], n: int
+) -> list[float | None]:
+    """Per spec, |c| when every value of f on the members up to n is an
+    integer multiple of c = f's constant above sqrt(n), else None.
 
-    Decided from the spec alone: c must be nonzero, and every increment of
-    f's rows in :func:`_increment_table` an exact integer multiple of c.  A
-    member's value is then its rows' increments plus c for a prime above
-    sqrt(n) (omega, bigomega, half_omega, const:c and tabulated specs whose
-    entries are multiples of their default).
+    Decided from the spec and its column of `rows` (the specs'
+    :func:`increment_table`), never from the values: c must be nonzero and
+    every increment an exact integer multiple of c.  A member's value is
+    then its rows' increments plus c for a prime above sqrt(n) (omega,
+    bigomega, half_omega, const:c under either rule and tabulated specs
+    whose entries are multiples of their default).
     """
-    c = fn.constant_above(math.isqrt(n))
-    if not c:
-        return None
-    rows = _increment_table([(fn, ext)], progression, n)
-    if all(d == round(d / c) * c for _, _, _, (d,) in rows):
-        return abs(c)
-    return None
+    steps: list[float | None] = []
+    for j, (fn, _) in enumerate(specs):
+        c = fn.constant_above(math.isqrt(n))
+        on = bool(c) and all(row[3][j] == round(row[3][j] / c) * c for row in rows)
+        steps.append(abs(c) if on else None)
+    return steps
 
 
 class LatticeCounts:

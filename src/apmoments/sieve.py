@@ -4,6 +4,16 @@ All operations are deterministic and pure given their inputs.  Prime
 arrays returned here are read-only numpy views; a module-level cache
 memoizes the largest sieved range so repeated sums over the same limit
 do not pay for sieving twice.
+
+The sieve (Bays & Hudson's segmented sieve) keeps one flag per odd number
+of a segment.  Each segment starts as a copy of a small-prime wheel
+pattern with the odd multiples of 3, 5, 7, 11 and 13 already struck
+(Pritchard's pre-sieve; period 15015 flags), so only the base primes from
+17 up strike, one slice each at offsets computed as one vector per
+segment.  The odd members of a residue class mod k are every s-th flag
+(s = k/2 for even k, s = k for odd k), so a class's primes are read off
+that strided view: the streamed path never reduces a prime mod k.  The
+cache holds every prime and cuts a class out of it with np.compress.
 """
 
 from __future__ import annotations
@@ -108,34 +118,85 @@ def _validate_block(block_size: int) -> None:
         )
 
 
-def _sieve_segments(limit: int, block_size: int) -> Iterator[np.ndarray]:
-    """Yield ascending int64 prime arrays covering [2, limit] block by block."""
+# The pre-sieve: odd flag j stands for 2j + 1 and is cleared when 2j + 1 has
+# a factor among these primes.  The pattern repeats every 3*5*7*11*13 = 15015
+# flags, so each segment starts as a copy of it taken at the segment's phase.
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
+_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
+
+
+def _presieve_pattern() -> np.ndarray:
+    pattern = np.ones(_PRESIEVE_PERIOD, dtype=bool)
+    for p in _PRESIEVE_PRIMES:
+        pattern[(p - 1) // 2 :: p] = False
+    pattern.flags.writeable = False
+    return pattern
+
+
+_PRESIEVE = _presieve_pattern()
+
+
+def _fill_presieved(flags: np.ndarray, first: int) -> None:
+    """Set flags to the pre-sieve pattern; flag 0 stands for the odd number `first`."""
+    phase = (first // 2) % _PRESIEVE_PERIOD
+    head = min(_PRESIEVE_PERIOD - phase, flags.size)
+    flags[:head] = _PRESIEVE[phase : phase + head]
+    for at in range(head, flags.size, _PRESIEVE_PERIOD):
+        flags[at : at + _PRESIEVE_PERIOD] = _PRESIEVE[: flags.size - at]
+
+
+def _sieve_segments(
+    limit: int, block_size: int, progression: Progression | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the ascending primes of [2, limit] in the progression (all primes
+    when None), one int64 array per segment of block_size integers.
+
+    A segment holds one flag per odd number.  It starts as the pre-sieve
+    pattern; the base primes above the pre-sieve strike their odd multiples
+    from max(p^2, first multiple in the segment), each at an offset taken
+    from one vector computation per segment.  The progression's odd members
+    are every s-th flag, so its primes are read off that strided view and
+    no prime value is ever reduced mod k.
+    """
+    k, r = (1, 0) if progression is None else (progression.modulus, progression.residue)
+    # The odd members of the class are one residue mod `period`: k for even k
+    # (whose coprime classes hold only odd numbers), 2k for odd k.
+    period = k if k % 2 == 0 else 2 * k
+    r_odd = r if r % 2 else r + k
+    s = period // 2
+    # A stride past the segment selects at most its first flag, so capping
+    # the multiplier keeps it inside int64 for any modulus.
+    step = 2 * min(s, block_size)
+
     base = primes_upto_monolithic(math.isqrt(limit))
-    base_odd = [int(p) for p in base if p > 2]
+    base = base[base > _PRESIEVE_PRIMES[-1]]
+    squares = base * base
+    base_list = base.tolist()
+    buf = np.empty((block_size + 1) // 2, dtype=bool)
+
     lo = 2
     while lo <= limit:
         hi = min(lo + block_size, limit + 1)  # half-open [lo, hi)
         o0 = lo | 1
-        if o0 >= hi:
-            if lo <= 2 < hi:
-                yield np.array([2], dtype=np.int64)
-            lo = hi
-            continue
-        flags = np.ones((hi - o0 + 1) // 2, dtype=bool)
-        for p in base_odd:
-            if p * p >= hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= hi:
-                continue
-            flags[(start - o0) >> 1 :: p] = False
-        odds = o0 + 2 * np.flatnonzero(flags).astype(np.int64)
-        if lo <= 2 < hi:
-            yield np.concatenate((np.array([2], dtype=np.int64), odds))
-        else:
-            yield odds
+        flags = buf[: (hi - o0 + 1) // 2]
+        _fill_presieved(flags, o0)
+        if lo == 2:
+            for p in _PRESIEVE_PRIMES:
+                if p < hi:
+                    flags[(p - o0) >> 1] = True
+        m = int(np.searchsorted(squares, hi))  # the base primes with p^2 < hi
+        gap = (-o0) % base[:m]  # from o0 to the next multiple of p
+        offsets = np.where(gap & 1, gap + base[:m], gap) >> 1
+        np.maximum(offsets, (squares[:m] - o0) >> 1, out=offsets)
+        for p, at in zip(base_list, offsets.tolist()):
+            flags[at::p] = False
+        c = ((r_odd - o0) % period) >> 1  # first flag of the class
+        primes = np.empty(0, dtype=np.int64)
+        if c < flags.size:
+            primes = np.flatnonzero(flags[c::s]) * step + (o0 + 2 * c)
+        if lo == 2 and 2 % k == r:
+            primes = np.concatenate((np.array([2], dtype=np.int64), primes))
+        yield primes
         lo = hi
 
 
@@ -195,11 +256,10 @@ def primes_in_progression(
     limit: int, progression: Progression, block_size: int | None = None
 ) -> PrimeRange:
     """Primes p <= limit with p in the progression's residue class."""
-    full = sieve_primes(limit, block_size)
-    if progression.is_full:
-        return PrimeRange(limit, full.primes, progression)
-    mask = full.primes % progression.modulus == progression.residue
-    return PrimeRange(limit, full.primes[mask], progression)
+    primes = sieve_primes(limit, block_size).primes
+    if not progression.is_full:
+        primes = np.compress(primes % progression.modulus == progression.residue, primes)
+    return PrimeRange(limit, primes, progression)
 
 
 def iter_prime_blocks(
@@ -207,31 +267,36 @@ def iter_prime_blocks(
     progression: Progression | None = None,
     block_size: int | None = None,
 ) -> Iterator[np.ndarray]:
-    """Stream primes <= limit in ascending blocks, optionally filtered.
+    """Stream the primes <= limit in the progression as ascending, non-empty
+    int64 blocks (all primes when the progression is None or full).
 
-    Serves chunks from the cache when the limit fits the cache budget;
-    otherwise sieves segment by segment so memory stays bounded.
+    Two layouts, with the same primes in the same order:
+
+    - cached (limit <= PRIME_CACHE_MAX and no block_size): the cache's array
+      in chunks of PRIME_CHUNK primes, each cut to the class with one
+      np.compress, so a block holds at most PRIME_CHUNK primes;
+    - streamed (otherwise): one block per sieve segment of block_size
+      integers (SIEVE_BLOCK by default), read off the class's strided view
+      of the segment's flags; memory stays one segment, and no prime is
+      reduced mod k.
     """
     _validate_limit(limit)
     bs = SIEVE_BLOCK if block_size is None else block_size
     _validate_block(bs)
 
-    def _filtered(block: np.ndarray) -> np.ndarray:
-        if progression is None or progression.is_full:
-            return block
-        return block[block % progression.modulus == progression.residue]
-
+    if progression is not None and progression.is_full:
+        progression = None
     if limit <= PRIME_CACHE_MAX and block_size is None:
         arr = _cache.primes_upto(limit)
-        for i in range(0, arr.size, PRIME_CHUNK):
-            blk = _filtered(arr[i : i + PRIME_CHUNK])
-            if blk.size:
-                yield blk
+        blocks = (arr[i : i + PRIME_CHUNK] for i in range(0, arr.size, PRIME_CHUNK))
+        if progression is not None:
+            k, r = progression.modulus, progression.residue
+            blocks = (np.compress(b % k == r, b) for b in blocks)
     else:
-        for raw in _sieve_segments(limit, bs):
-            blk = _filtered(raw)
-            if blk.size:
-                yield blk
+        blocks = _sieve_segments(limit, bs, progression)
+    for blk in blocks:
+        if blk.size:
+            yield blk
 
 
 # ---------------------------------------------------------------------------

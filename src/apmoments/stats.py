@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith_fn import Extension, PrimeFunction, lattice_step
+from .arith_fn import Extension, PrimeFunction, increment_table, lattice_steps
 from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS, MEMBER_BLOCK
 from .moments import CoMoments, collect_dataset, read_spill, value_table
 from .sieve import Progression
@@ -137,11 +137,13 @@ def erdos_kac_report(
         raise ValueError(
             "sqrt_mean normalization requires 0 <= f(p) <= 1; use sigma instead"
         )
-    step = lattice_step(fn, ext, progression, n)
+    specs = [(fn, ext)]
+    rows = increment_table(specs, progression, n)
+    (step,) = lattice_steps(specs, rows, n)
     if spill is not None:
         x, counts = value_table(read_spill(spill), step)
     else:
-        x, counts = collect_dataset(fn, ext, progression, n, block_members)
+        x, counts = collect_dataset(fn, ext, progression, n, block_members, rows=rows)
     if counts is None:
         x, counts = np.unique(x, return_counts=True)
     count = progression.count(n)

@@ -11,7 +11,7 @@ from apmoments.arith_fn import (
     Extension,
     PrimeFunction,
     TabulatedLookupError,
-    _increment_table,
+    increment_table,
     builtin,
     collect_values,
     eval_additive,
@@ -237,7 +237,7 @@ def _division_sweep(specs, progression, n, block_members):
     left above 1 is a prime and is evaluated with ``values_at``.
     """
     total = progression.count(n)
-    rows = _increment_table(specs, progression, n)
+    rows = increment_table(specs, progression, n)
     out = [np.empty(total) for _ in specs]
     for t_lo in range(0, total, block_members):
         size = min(block_members, total - t_lo)

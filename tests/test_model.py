@@ -353,21 +353,22 @@ class TestComparePair:
     def test_each_side_matches_its_own_dataset(self, star, f):
         # a lattice side reads its value/count table, any other side its
         # per-member blocks: each summary equals that side's moments alone
-        from apmoments.arith_fn import lattice_step, resolve_spec
+        from apmoments.arith_fn import increment_table, lattice_steps, resolve_spec
         from apmoments.moments import empirical_moments
 
         prog, n = Progression(4, 1), 10**5
         pair = FunctionPair(resolve_spec(star), resolve_spec(f), "V")
         cmp = compare_pair(pair, prog, n, u_max=6, block_members=4099)
-        kinds = [lattice_step(*side, prog, n) is not None for side in (pair.f_star, pair.f)]
-        assert kinds != [False, False]
-        for side, got in ((pair.f_star, cmp.summary_star), (pair.f, cmp.summary)):
+        sides = [pair.f_star, pair.f]
+        steps = lattice_steps(sides, increment_table(sides, prog, n), n)
+        assert steps != [None, None]
+        for side, got, step in zip(sides, (cmp.summary_star, cmp.summary), steps):
             want = empirical_moments(*side, prog, n, u_max=6)
             assert got.count == want.count
             assert got.mean == pytest.approx(want.mean, rel=1e-14)
             for u in range(2, 7):
                 assert got.mu[u] == pytest.approx(want.mu[u], rel=1e-12)
-            if lattice_step(*side, prog, n) is not None:
+            if step is not None:
                 assert got == want  # the same table, read the same way
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments import arith_fn, cli
+from apmoments import arith_fn, cli, model, stats
 from apmoments.arith_fn import (
     STRONG,
     Extension,
@@ -24,10 +24,12 @@ from apmoments.moments import (
     empirical_moments,
     lln_check,
     mean_via_counts,
+    moment_summary,
     read_spill,
     two_pass_central_moments,
 )
 from apmoments.sieve import Progression, factorize
+from apmoments.stats import erdos_kac_report
 
 OMEGA, OMEGA_EXT = builtin("omega")
 SQRTLOGLOG = PrimeFunction("sqrt_loglog")
@@ -233,6 +235,46 @@ class TestOneSweepPerDataset:
         assert sweeps == [10**4, 10**5]
 
 
+class TestOneTableBuildPerDataset:
+    """Each dataset builds its increment table once; the lattice decision
+    and the sweep share it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = arith_fn.increment_table
+
+        def counted(specs, progression, n):
+            calls.append(n)
+            return build(specs, progression, n)
+
+        for mod in (arith_fn, stats, model):  # every namespace holding the name
+            if getattr(mod, "increment_table", None) is build:
+                monkeypatch.setattr(mod, "increment_table", counted)
+        return calls
+
+    @pytest.mark.parametrize("text", ["omega", "sqrtloglog"])
+    def test_moments_and_ektest_build_once(self, builds, text):
+        fn, ext = _spec(text)
+        prog, n = Progression(4, 1), 10**4
+        empirical_moments(fn, ext, prog, n)
+        assert builds == [n]
+        erdos_kac_report(fn, ext, prog, 2 * n, "sigma")
+        assert builds == [n, 2 * n]
+
+    def test_spill_read_builds_once(self, builds, tmp_path):
+        path = tmp_path / "values.f64"
+        prog, n = Progression(4, 1), 10**4
+        empirical_moments(OMEGA, OMEGA_EXT, prog, n, spill=path)
+        erdos_kac_report(OMEGA, OMEGA_EXT, prog, n, spill=path)
+        assert builds == [n, n]
+
+    def test_compare_builds_once_for_both_sides(self, builds):
+        pair = arith_fn.FunctionPair(_spec("omega"), _spec("sqrtloglog"), "V")
+        model.compare_pair(pair, Progression(4, 1), 10**4)
+        assert builds == [10**4]
+
+
 class TestLln:
     def test_coverage_above_bound_at_scale(self):
         records = lln_check(OMEGA, OMEGA_EXT, Progression(4, 1), [10**4, 10**6])
@@ -257,6 +299,11 @@ def _spec(text, p0=None):
     return arith_fn.resolve_spec(text, Progression(4, 1), p0=p0)
 
 
+def _step(fn, ext, prog, n):
+    specs = [(fn, ext)]
+    return arith_fn.lattice_steps(specs, arith_fn.increment_table(specs, prog, n), n)[0]
+
+
 LATTICE_SPECS = [
     ("omega", None, 1.0),
     ("bigomega", None, 1.0),
@@ -275,7 +322,7 @@ class TestLatticeTable:
     def test_table_equals_unique_of_values(self, text, p0, step):
         fn, ext = _spec(text, p0)
         prog, n = Progression(4, 1), 10**5
-        assert arith_fn.lattice_step(fn, ext, prog, n) == step
+        assert _step(fn, ext, prog, n) == step
         x, counts = collect_dataset(fn, ext, prog, n, block_members=257)
         want_x, want_counts = np.unique(collect_values(fn, ext, prog, n), return_counts=True)
         assert np.array_equal(x, want_x) and np.array_equal(counts, want_counts)
@@ -299,6 +346,22 @@ class TestLatticeTable:
             mu = sum(c * (v - mean) ** u for v, c in per_member.items()) / count
             assert s.mu[u] == pytest.approx(float(mu), rel=1e-14)
 
+    def test_complete_rule_of_a_fraction_folds_onto_the_lattice(self):
+        # a*0.1 - (a-1)*0.1 rounds away from 0.1 (3*0.1 - 2*0.1 is
+        # 0.10000000000000003); the complete rule's increment is f(p) itself
+        fn, ext = arith_fn.resolve_spec("const:0.1", mode="complete")
+        prog, n = Progression(4, 1), 10**5
+        assert _step(fn, ext, prog, n) == 0.1
+        x, counts = collect_dataset(fn, ext, prog, n, block_members=4099)
+        assert counts is not None
+        table = moment_summary(x, prog, n, 6, counts)
+        array = moment_summary(collect_values(fn, ext, prog, n), prog, n, 6)
+        assert table.count == array.count
+        assert table.mean == pytest.approx(array.mean, rel=1e-12)
+        for u in range(2, 7):
+            assert table.mu[u] == pytest.approx(array.mu[u], rel=1e-12)
+        assert erdos_kac_report(fn, ext, prog, n).ks_lattice is not None
+
     def test_block_merge_spans_negative_and_positive_indices(self):
         table = arith_fn.LatticeCounts(0.5)
         for block in ([1.0, 1.5], [-2.0, -2.0], [0.0], [3.0, -2.0]):
@@ -318,7 +381,7 @@ class TestLatticeTable:
         else:
             fn, ext = _spec(text)
         prog, n = Progression(4, 1), 10**5
-        assert arith_fn.lattice_step(fn, ext, prog, n) is None
+        assert _step(fn, ext, prog, n) is None
         values = collect_values(fn, ext, prog, n)
         x, counts = collect_dataset(fn, ext, prog, n)
         assert counts is None and np.array_equal(x, values)

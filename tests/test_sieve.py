@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apmoments.cli import main
 from apmoments.sieve import (
     Progression,
     SegmentSizeError,
@@ -149,3 +151,72 @@ class TestEulerPhi:
         assert euler_phi(k) == sum(1 for r in range(k) if math.gcd(r, k) == 1) or k == 1
         if k == 1:
             assert euler_phi(1) == 1
+
+
+# Moduli for the class oracle: the pre-sieve's period and its factors, and
+# one modulus longer than any segment (its classes have at most one member
+# per segment and most segments have none).
+ORACLE_MODULI = [1, 2, 3, 4, 12, 15, 30, 15015, (1 << 21) + 1]
+# Limits inside the pre-sieve primes and on both sides of pattern periods.
+ORACLE_LIMITS = list(range(2, 21)) + [15015 * j + d for j in (1, 2) for d in (-1, 1)]
+ORACLE_BLOCKS = [1024, 4099, 999_983]
+ORACLE_PRIMES = primes_upto_monolithic(max(ORACLE_LIMITS))
+
+
+def coprime_classes(k, below):
+    """The coprime classes mod k with a member <= below (the rest are empty)."""
+    if k == 1:
+        return [0]
+    return [r for r in range(1, min(k, below + 1)) if math.gcd(k, r) == 1]
+
+
+class TestClassOracle:
+    """Both layouts of iter_prime_blocks against the monolithic sieve cut by % k."""
+
+    @staticmethod
+    def check(x, k, r):
+        ref = ORACLE_PRIMES[ORACLE_PRIMES <= x]
+        want = ref[ref % k == r]
+        prog = Progression(k, r)
+        layouts = [None, *ORACLE_BLOCKS]
+        for block_size in layouts:
+            blocks = list(iter_prime_blocks(x, prog, block_size))
+            assert all(b.size and b.dtype == np.int64 for b in blocks)
+            got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+            assert np.array_equal(got, want), (x, k, r, block_size)
+
+    @pytest.mark.parametrize("k", ORACLE_MODULI)
+    def test_classes_at_every_limit_and_layout(self, k):
+        # every class for the small moduli; an even spread of about 60
+        # classes (the last included) for the two large ones
+        for x in ORACLE_LIMITS:
+            classes = coprime_classes(k, x)
+            spread = classes[:: max(1, len(classes) // 60)] + classes[-1:]
+            for r in sorted(set(spread)):
+                self.check(x, k, r)
+
+    @pytest.mark.parametrize("k", [15015, (1 << 21) + 1])
+    def test_every_class_of_a_large_modulus(self, k):
+        # every class with a member up to x, from one segment and from the cache
+        x = 15015 + 1
+        ref = ORACLE_PRIMES[ORACLE_PRIMES <= x]
+        for r in coprime_classes(k, x):
+            want = ref[ref % k == r]
+            prog = Progression(k, r)
+            for block_size in (None, 999_983):
+                blocks = list(iter_prime_blocks(x, prog, block_size))
+                got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+                assert np.array_equal(got, want), (k, r, block_size)
+
+
+class TestStreamedSum:
+    def test_sum_past_the_cache_matches_the_cached_sum(self, monkeypatch, capsys):
+        # with the cache budget below x, `sum` reads the streamed segments
+        argv = ["sum", "--fn", "const:1", "--mod", "4", "--res", "1", "--x", "1e6"]
+        assert main(argv) == 0
+        cached = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr("apmoments.sieve.PRIME_CACHE_MAX", 1000)
+        assert main(argv) == 0
+        streamed = json.loads(capsys.readouterr().out)
+        assert streamed["term_count"] == cached["term_count"] == 39175
+        assert streamed["exact_sum"] == pytest.approx(cached["exact_sum"], rel=1e-14, abs=0)
