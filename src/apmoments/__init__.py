@@ -16,7 +16,6 @@ from .arith_fn import (
     PrimeFunction,
     builtin,
     collect_values,
-    eval_additive,
     eval_at_prime,
     parse_fn,
 )
@@ -28,7 +27,6 @@ from .model import (
     compare_pair,
     exact_moments,
     lindeberg_check,
-    central_moment_first_order,
     sample,
 )
 from .moments import (

@@ -29,7 +29,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -366,13 +366,6 @@ STRONG = Extension("strong")
 COMPLETE = Extension("complete")
 
 
-def eval_additive(
-    fn: PrimeFunction, ext: Extension, factorization: Iterable[tuple[int, int]]
-) -> float:
-    """Sum of prime-power values over a factorization (0 for the empty one)."""
-    return sum(ext.power_value(p, a, eval_at_prime(fn, p)) for p, a in factorization)
-
-
 @dataclass(frozen=True)
 class FunctionPair:
     """A strongly additive reference function and a compared function."""
@@ -505,14 +498,13 @@ def iter_progression_values(
     specs: Sequence[tuple[PrimeFunction, Extension]],
     progression: Progression,
     n: int,
-    block_members: int = MEMBER_BLOCK,
     rows: list[Row] | None = None,
 ) -> Iterator[list[np.ndarray]]:
     """Evaluate additive functions over all progression members up to n.
 
-    Yields, per block of members, one float64 array per spec.  One table of
-    prime-power increments serves every spec: `rows`, when the caller has
-    built it, else a fresh :func:`increment_table`.
+    Yields, per block of MEMBER_BLOCK members, one float64 array per spec.
+    One table of prime-power increments serves every spec: `rows`, when the
+    caller has built it, else a fresh :func:`increment_table`.
     The members form an arithmetic sequence with step coprime to p, so the
     multiples of p^a among them sit on one stride of the member index: each
     row adds its increments on that stride and multiplies p into the
@@ -530,8 +522,8 @@ def iter_progression_values(
         rows = increment_table(specs, progression, n)
     constants = [fn.constant_above(math.isqrt(n)) for fn, _ in specs]
 
-    for t_lo in range(0, total, block_members):
-        size = min(block_members, total - t_lo)
+    for t_lo in range(0, total, MEMBER_BLOCK):
+        size = min(MEMBER_BLOCK, total - t_lo)
         members = np.arange(start + k * t_lo, start + k * (t_lo + size), k, dtype=np.int64)
         found = np.ones(size, dtype=np.int64)
         vals = [np.zeros(size) for _ in specs]
@@ -565,7 +557,6 @@ def collect_values(
     ext: Extension,
     progression: Progression,
     n: int,
-    block_members: int = MEMBER_BLOCK,
     rows: list[Row] | None = None,
 ) -> np.ndarray:
     """f over all members up to n as one float64 array, filled block by block.
@@ -575,9 +566,9 @@ def collect_values(
     block into a :class:`LatticeCounts` table instead.
     """
     values = np.empty(progression.count(n))
-    blocks = iter_progression_values([(fn, ext)], progression, n, block_members, rows)
+    blocks = iter_progression_values([(fn, ext)], progression, n, rows)
     for i, (block,) in enumerate(blocks):
-        values[i * block_members : i * block_members + block.size] = block
+        values[i * MEMBER_BLOCK : i * MEMBER_BLOCK + block.size] = block
     return values
 
 

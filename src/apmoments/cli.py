@@ -22,7 +22,13 @@ from typing import Any
 
 from . import __version__, model, moments, prime_sums, stats
 from .arith_fn import Extension, FunctionPair, PrimeFunction, resolve_spec
-from .config import CHEBYSHEV_B_DEFAULT, PROBE_CHECKPOINTS, U_MAX_CAP, U_MAX_DEFAULT
+from .config import (
+    CHEBYSHEV_B_DEFAULT,
+    PROBE_CHECKPOINTS,
+    SIEVE_CEILING,
+    U_MAX_CAP,
+    U_MAX_DEFAULT,
+)
 from .sieve import Progression, iter_prime_blocks
 
 _CSV_HEADER = ["x", "k", "l", "u", "exact_sum", "main_term", "err1", "err2", "case", "verdict"]
@@ -144,8 +150,13 @@ def _modulus(text: str) -> int:
 
 
 def _sieve_limit(flag: str, limit: int) -> int:
+    """A size the sieve runs to: at least 2 and at most SIEVE_CEILING."""
     if limit < 2:
         raise _UsageError(f"argument --{flag}: sieve limit must be >= 2, got {limit}")
+    if limit > SIEVE_CEILING:
+        raise _UsageError(
+            f"argument --{flag}: sieve limit {limit} exceeds ceiling {SIEVE_CEILING}"
+        )
     return limit
 
 
@@ -162,8 +173,9 @@ def _checkpoints(args, start_prime: int | None = None) -> tuple[int, ...]:
             raise _UsageError(
                 f"argument --checkpoints: expected increasing limits, got {args.checkpoints!r}"
             )
-    if start_prime is None and cps[0] < 2:
-        raise _UsageError(f"argument --checkpoints: sieve limits must be >= 2, got {cps[0]}")
+    if start_prime is None:
+        _sieve_limit("checkpoints", cps[0])
+        _sieve_limit("checkpoints", cps[-1])
     if start_prime is not None and cps[0] <= start_prime:
         raise _UsageError(
             f"argument --checkpoints: the first checkpoint must exceed the start prime "
@@ -193,7 +205,7 @@ def cmd_sum(args) -> None:
     fn, _ = _resolve_fn(args)
     if args.u < 1:
         raise _UsageError(f"argument --u: sum needs an order >= 1, got {args.u}")
-    res = prime_sums.prime_power_sum(fn, args.u, args.x, _progression(args))
+    res = prime_sums.prime_power_sum(fn, args.u, _sieve_limit("x", args.x), _progression(args))
     payload = {
         "x": res.x,
         "k": res.progression.modulus,
@@ -271,10 +283,11 @@ def cmd_probe(args) -> None:
 def cmd_moments(args) -> None:
     fn, ext = _resolve_fn(args)
     prog = _progression(args)
+    n = _sieve_limit("n", args.n)
     # predictions first, so the sieve's temporaries are gone before the values exist
-    preds = model.mean_predictions(fn, prog, args.n)
-    x, counts = moments.collect_dataset(fn, ext, prog, args.n, spill=args.spill)
-    summary = moments.moment_summary(x, prog, args.n, u_max=args.umax, counts=counts)
+    preds = model.mean_predictions(fn, prog, n)
+    x, counts = moments.collect_dataset(fn, ext, prog, n, spill=args.spill)
+    summary = moments.moment_summary(x, prog, n, u_max=args.umax, counts=counts)
     cheb = moments.chebyshev_check(summary, x, CHEBYSHEV_B_DEFAULT, counts)
     payload = {
         "n": summary.n,
@@ -361,7 +374,7 @@ def cmd_model_compare(args) -> None:
     prog = _progression(args)
     star = _resolve_fn(args, "fn_star")  # before --fn, which records its rule in args.ext
     pair = FunctionPair(star, _resolve_fn(args), args.pair_class)
-    cmp = model.compare_pair(pair, prog, args.n, u_max=args.umax)
+    cmp = model.compare_pair(pair, prog, _sieve_limit("n", args.n), u_max=args.umax)
 
     def summary_dict(s) -> dict:
         return {
@@ -560,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     except (ValueError, LookupError, OSError, prime_sums.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     print(f"# completed in {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return 0

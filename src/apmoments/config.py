@@ -1,9 +1,13 @@
 """Tunable constants shared across the package.
 
-Everything here is a plain default.  Where a function also takes one of
-these values as a keyword argument (segment and member block sizes,
-quadrature tolerances, u_max), experiments can override it there without
-touching module state.
+Segment and member block sizes, the prime cache budget, quadrature
+tolerances and probe thresholds are module constants, not per-call
+options (only the bare quadrature routine, adaptive_simpson, takes a
+tolerance and depth).  The block sizes and the cache budget are read at
+call time from the module that uses them, so another geometry is set
+there, e.g. ``apmoments.sieve.SIEVE_BLOCK`` or
+``apmoments.arith_fn.MEMBER_BLOCK``.  The u_max defaults are per-call
+arguments.
 """
 
 from __future__ import annotations

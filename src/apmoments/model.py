@@ -25,7 +25,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import prime_sums
 from .arith_fn import (
     FunctionPair,
     LatticeCounts,
@@ -35,7 +34,7 @@ from .arith_fn import (
     iter_progression_values,
     lattice_steps,
 )
-from .config import MEMBER_BLOCK, MODEL_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
+from .config import MODEL_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import CoMoments, MomentSummary, moment_summary
 from .sieve import Progression, iter_prime_blocks
 
@@ -201,15 +200,6 @@ def exact_moments(
     return ModelMoments(n, progression, mode, kappa, mu, first, gap, count)
 
 
-def central_moment_first_order(
-    fn: PrimeFunction, progression: Progression, n: int, u: int
-) -> float:
-    """First-order stand-in for the u-th central moment: the exact sum of f(p)^u / p."""
-    if u < 2:
-        raise ValueError(f"central moment order must be >= 2, got {u}")
-    return prime_sums.prime_power_sum(fn, u, n, progression).value
-
-
 def brute_force_central_moments(
     terms: Sequence[BernoulliTerm], u_max: int
 ) -> dict[int, float]:
@@ -307,7 +297,6 @@ def compare_pair(
     progression: Progression,
     n: int,
     u_max: int = U_MAX_DEFAULT,
-    block_members: int = MEMBER_BLOCK,
 ) -> PairComparison:
     """Empirical moments of both pair members over the progression.
 
@@ -329,7 +318,7 @@ def compare_pair(
     rows = increment_table(sides, progression, n)
     accs = [CoMoments(u_max) if c is None else LatticeCounts(c)
             for c in lattice_steps(sides, rows, n)]
-    for blocks in iter_progression_values(sides, progression, n, block_members, rows):
+    for blocks in iter_progression_values(sides, progression, n, rows):
         for a, block in zip(accs, blocks):
             a.add_batch(block)
 

@@ -184,7 +184,6 @@ def collect_dataset(
     ext: Extension,
     progression: Progression,
     n: int,
-    block_members: int = MEMBER_BLOCK,
     spill: str | Path | None = None,
     rows: list[arith_fn.Row] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -202,11 +201,10 @@ def collect_dataset(
     (step,) = arith_fn.lattice_steps(specs, rows, n)
     if step is not None and spill is None:
         table = arith_fn.LatticeCounts(step)
-        for (block,) in arith_fn.iter_progression_values(specs, progression, n, block_members,
-                                                          rows):
+        for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
             table.add_batch(block)
         return table.table()
-    values = arith_fn.collect_values(fn, ext, progression, n, block_members, rows)
+    values = arith_fn.collect_values(fn, ext, progression, n, rows)
     if spill is not None:
         write_spill(spill, values)
     return value_table(values, step)
@@ -218,7 +216,6 @@ def empirical_moments(
     progression: Progression,
     n: int,
     u_max: int = U_MAX_DEFAULT,
-    block_members: int = MEMBER_BLOCK,
     spill: str | Path | None = None,
 ) -> MomentSummary:
     """Mean, deviation, and central moments of f over members up to n.
@@ -227,7 +224,7 @@ def empirical_moments(
     `spill` set the per-member values are also written with
     :func:`write_spill` for later re-use by the distribution diagnostics.
     """
-    x, counts = collect_dataset(fn, ext, progression, n, block_members, spill)
+    x, counts = collect_dataset(fn, ext, progression, n, spill)
     return moment_summary(x, progression, n, u_max, counts)
 
 
@@ -239,28 +236,27 @@ def read_spill(path: str | Path) -> np.ndarray:
 def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file that replaces `path` only when the block completes: it is
     written as a temporary sibling and renamed, so no partial file survives
-    an error.  Every output file (reports, spills) is written this way."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".apmoments-")
+    an error.  Every output file (reports, spills) is written this way, and
+    an error about the sibling is reported against `path`."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".apmoments-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
 def write_spill(path: str | Path, values: np.ndarray) -> None:
     with atomic_file(path) as fh:
         values.astype("<f8", copy=False).tofile(fh)
-
-
-def two_pass_central_moments(values: np.ndarray, u_max: int) -> dict[int, float]:
-    """Naive oracle: mean first, then averaged deviation powers."""
-    mean = float(np.mean(values))
-    d = values - mean
-    return {u: float(np.mean(d**u)) for u in range(2, u_max + 1)}
 
 
 def mean_via_counts(
@@ -357,7 +353,6 @@ def lln_check(
     progression: Progression,
     n_list: Sequence[int],
     b_of_n: str | Callable[[int], float] = "cbrt_loglog",
-    block_members: int = MEMBER_BLOCK,
 ) -> list[LlnRecord]:
     """Coverage trend for radii b(n)*sigma_n and b(n)*sqrt(mean_n).
 
@@ -367,7 +362,7 @@ def lln_check(
     b_fn = LLN_B_CHOICES[b_of_n] if isinstance(b_of_n, str) else b_of_n
     records = []
     for n in n_list:
-        x, counts = collect_dataset(fn, ext, progression, n, block_members)
+        x, counts = collect_dataset(fn, ext, progression, n)
         summary = moment_summary(x, progression, n, u_max=2, counts=counts)
         b = float(b_fn(n))
         bound = max(0.0, 1.0 - 1.0 / (b * b))

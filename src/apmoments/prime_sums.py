@@ -17,13 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arith_fn import DecayCase, PrimeFunction
-from .config import (
-    DEFAULT_PROBE_THRESHOLDS,
-    PROBE_CHECKPOINTS,
-    QUAD_MAX_DEPTH,
-    QUAD_REL_TOL,
-    ProbeThresholds,
-)
+from .config import DEFAULT_PROBE_THRESHOLDS, PROBE_CHECKPOINTS, QUAD_MAX_DEPTH, QUAD_REL_TOL
 from .sieve import Progression, euler_phi, iter_prime_blocks
 
 
@@ -78,13 +72,7 @@ class ProbeResult:
     tail_bound: float | None = None
 
 
-def prime_power_sum(
-    fn: PrimeFunction,
-    u: int,
-    x: int,
-    progression: Progression,
-    block_size: int | None = None,
-) -> PrimeSumResult:
+def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression) -> PrimeSumResult:
     """Exact sum of f(p)^u / p over primes p <= x in the progression.
 
     Each block's terms are added with numpy's pairwise summation and the
@@ -99,7 +87,7 @@ def prime_power_sum(
     p0 = fn.start_prime
     parts: list[float] = []
     count = 0
-    for block in iter_prime_blocks(x, progression, block_size):
+    for block in iter_prime_blocks(x, progression):
         count += int(np.count_nonzero(block >= p0))
         f = fn.values_at(block)
         if u > 1:
@@ -174,24 +162,18 @@ def _summand_derivative(fn: PrimeFunction, u: int) -> Callable[[float], float]:
     return g1
 
 
-def _error_terms(fn: PrimeFunction, u: int, x: float, rel_tol: float) -> tuple[float, float]:
+def _error_terms(fn: PrimeFunction, u: int, x: float) -> tuple[float, float]:
     p0 = fn.start_prime
     g = _summand(fn, u)
     g1 = _summand_derivative(fn, u)
     err1 = abs(g(x)) * math.sqrt(x) * math.log(x)
     # substitute t = e^s so the integrand decays smoothly on a short interval
     integrand = lambda s: abs(g1(math.exp(s))) * math.exp(1.5 * s) * s
-    err2 = adaptive_simpson(integrand, math.log(p0), math.log(x), rel_tol)
+    err2 = adaptive_simpson(integrand, math.log(p0), math.log(x))
     return err1, err2
 
 
-def integral_asymptotic(
-    fn: PrimeFunction,
-    u: int,
-    x: float,
-    k: int,
-    rel_tol: float = QUAD_REL_TOL,
-) -> AsymptoticEstimate:
+def integral_asymptotic(fn: PrimeFunction, u: int, x: float, k: int) -> AsymptoticEstimate:
     """Estimate the prime sum by (1/phi(k)) * integral of g(t)/ln(t).
 
     Integration runs from the function's start prime (the difference against a
@@ -203,8 +185,8 @@ def integral_asymptotic(
         raise ValueError(f"x must exceed the start prime {p0}, got {x}")
     h, _ = _continuous(fn)
     integrand = lambda s: h(math.exp(s)) ** u / s
-    integral = adaptive_simpson(integrand, math.log(p0), math.log(x), rel_tol)
-    err1, err2 = _error_terms(fn, u, x, rel_tol)
+    integral = adaptive_simpson(integrand, math.log(p0), math.log(x))
+    err1, err2 = _error_terms(fn, u, x)
     return AsymptoticEstimate(integral / euler_phi(k), err1, err2, "generic-quadrature")
 
 
@@ -227,7 +209,7 @@ def closed_form_asymptotic(fn: PrimeFunction, u: int, x: float, k: int) -> Asymp
             "use integral_asymptotic"
         )
     main = (s**u / euler_phi(k)) * (high - g.formula.antiderivative(p0, u, g.c))
-    err1, err2 = _error_terms(fn, u, x, QUAD_REL_TOL)
+    err1, err2 = _error_terms(fn, u, x)
     return AsymptoticEstimate(main, err1, err2, g.formula.tag)
 
 
@@ -260,7 +242,8 @@ def classify_decay(fn: PrimeFunction, u: int = 1) -> Classification:
 # Convergence / divergence probes
 
 
-def _verdict(values: Sequence[float], thresholds: ProbeThresholds) -> str:
+def _verdict(values: Sequence[float]) -> str:
+    thresholds = DEFAULT_PROBE_THRESHOLDS
     if len(values) < 3:
         return "inconclusive"
     v = list(values)
@@ -306,7 +289,6 @@ def convergence_probe(
     progression: Progression,
     checkpoints: Sequence[int] = PROBE_CHECKPOINTS,
     custom: tuple[PrimeFunction, int] | None = None,
-    thresholds: ProbeThresholds = DEFAULT_PROBE_THRESHOLDS,
 ) -> ProbeResult:
     """Partial sums of a catalogued series (or custom f^u/p) at checkpoints.
 
@@ -349,7 +331,7 @@ def convergence_probe(
         done = math.fsum(parts)
         sums.append(done)
 
-    verdict = _verdict(sums, thresholds)
+    verdict = _verdict(sums)
     tail = None
     if series != "custom":
         tail = _series_tail_bound(series, cps[-1], progression.modulus)
@@ -360,8 +342,6 @@ def divergence_probe(
     fn: PrimeFunction,
     u: int,
     checkpoints: Sequence[int] = PROBE_CHECKPOINTS,
-    thresholds: ProbeThresholds = DEFAULT_PROBE_THRESHOLDS,
-    rel_tol: float = QUAD_REL_TOL,
 ) -> ProbeResult:
     """Evaluate I(n) = integral of t g'(t)/ln(t) from p0 to each checkpoint.
 
@@ -383,7 +363,7 @@ def divergence_probe(
     lo = math.log(p0)
     for cp in cps:
         hi = math.log(cp)
-        acc += adaptive_simpson(integrand, lo, hi, rel_tol)
+        acc += adaptive_simpson(integrand, lo, hi)
         values.append(acc)
         lo = hi
-    return ProbeResult(tuple(cps), tuple(values), _verdict(values, thresholds))
+    return ProbeResult(tuple(cps), tuple(values), _verdict(values))

@@ -27,10 +27,6 @@ import numpy as np
 from .config import PRIME_CACHE_MAX, PRIME_CHUNK, SIEVE_BLOCK, SIEVE_CEILING
 
 
-class SegmentSizeError(ValueError):
-    """Raised when a requested sieve segment size is outside the memory budget."""
-
-
 @dataclass(frozen=True)
 class Progression:
     """Arithmetic progression residue, residue+modulus, ... meeting [1, n].
@@ -109,15 +105,6 @@ def _validate_limit(limit: int) -> None:
         raise ValueError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
 
 
-def _validate_block(block_size: int) -> None:
-    # Segments below 2^10 thrash on base-prime setup; above 2^26 a single
-    # odd-flag buffer exceeds the intended working-set budget.
-    if not (1 << 10) <= block_size <= (1 << 26):
-        raise SegmentSizeError(
-            f"segment size {block_size} outside supported range [2^10, 2^26]"
-        )
-
-
 # The pre-sieve: odd flag j stands for 2j + 1 and is cleared when 2j + 1 has
 # a factor among these primes.  The pattern repeats every 3*5*7*11*13 = 15015
 # flags, so each segment starts as a copy of it taken at the segment's phase.
@@ -145,11 +132,9 @@ def _fill_presieved(flags: np.ndarray, first: int) -> None:
         flags[at : at + _PRESIEVE_PERIOD] = _PRESIEVE[: flags.size - at]
 
 
-def _sieve_segments(
-    limit: int, block_size: int, progression: Progression | None = None
-) -> Iterator[np.ndarray]:
+def _sieve_segments(limit: int, progression: Progression | None = None) -> Iterator[np.ndarray]:
     """Yield the ascending primes of [2, limit] in the progression (all primes
-    when None), one int64 array per segment of block_size integers.
+    when None), one int64 array per segment of SIEVE_BLOCK integers.
 
     A segment holds one flag per odd number.  It starts as the pre-sieve
     pattern; the base primes above the pre-sieve strike their odd multiples
@@ -166,17 +151,17 @@ def _sieve_segments(
     s = period // 2
     # A stride past the segment selects at most its first flag, so capping
     # the multiplier keeps it inside int64 for any modulus.
-    step = 2 * min(s, block_size)
+    step = 2 * min(s, SIEVE_BLOCK)
 
     base = primes_upto_monolithic(math.isqrt(limit))
     base = base[base > _PRESIEVE_PRIMES[-1]]
     squares = base * base
     base_list = base.tolist()
-    buf = np.empty((block_size + 1) // 2, dtype=bool)
+    buf = np.empty((SIEVE_BLOCK + 1) // 2, dtype=bool)
 
     lo = 2
     while lo <= limit:
-        hi = min(lo + block_size, limit + 1)  # half-open [lo, hi)
+        hi = min(lo + SIEVE_BLOCK, limit + 1)  # half-open [lo, hi)
         o0 = lo | 1
         flags = buf[: (hi - o0 + 1) // 2]
         _fill_presieved(flags, o0)
@@ -200,7 +185,7 @@ def _sieve_segments(
         lo = hi
 
 
-def _sieve_array(limit: int, block_size: int) -> np.ndarray:
+def _sieve_array(limit: int) -> np.ndarray:
     """All primes <= limit as one read-only array, filled segment by segment.
 
     The buffer is sized by the Rosser-Schoenfeld bound
@@ -210,7 +195,7 @@ def _sieve_array(limit: int, block_size: int) -> np.ndarray:
     """
     buf = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
     used = 0
-    for seg in _sieve_segments(limit, block_size):
+    for seg in _sieve_segments(limit):
         buf[used : used + seg.size] = seg
         used += seg.size
     arr = buf[:used]
@@ -229,7 +214,7 @@ class _PrimeCache:
         if limit <= self._limit:
             cut = np.searchsorted(self._primes, limit, side="right")
             return self._primes[:cut]
-        arr = _sieve_array(limit, SIEVE_BLOCK)
+        arr = _sieve_array(limit)
         if limit <= PRIME_CACHE_MAX:
             self._limit = limit
             self._primes = arr
@@ -239,61 +224,47 @@ class _PrimeCache:
 _cache = _PrimeCache()
 
 
-def sieve_primes(limit: int, block_size: int | None = None) -> PrimeRange:
+def sieve_primes(limit: int) -> PrimeRange:
     """All primes <= limit as one ascending array.
 
     Materializes the full list; for limits past the cache budget prefer
     :func:`iter_prime_blocks`.
     """
     _validate_limit(limit)
-    if block_size is not None:
-        _validate_block(block_size)
-        return PrimeRange(limit, _sieve_array(limit, block_size))
     return PrimeRange(limit, _cache.primes_upto(limit))
 
 
-def primes_in_progression(
-    limit: int, progression: Progression, block_size: int | None = None
-) -> PrimeRange:
+def primes_in_progression(limit: int, progression: Progression) -> PrimeRange:
     """Primes p <= limit with p in the progression's residue class."""
-    primes = sieve_primes(limit, block_size).primes
-    if not progression.is_full:
-        primes = np.compress(primes % progression.modulus == progression.residue, primes)
-    return PrimeRange(limit, primes, progression)
+    blocks = iter_prime_blocks(limit, progression)
+    return PrimeRange(limit, np.concatenate([np.empty(0, dtype=np.int64), *blocks]), progression)
 
 
-def iter_prime_blocks(
-    limit: int,
-    progression: Progression | None = None,
-    block_size: int | None = None,
-) -> Iterator[np.ndarray]:
+def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Iterator[np.ndarray]:
     """Stream the primes <= limit in the progression as ascending, non-empty
     int64 blocks (all primes when the progression is None or full).
 
-    Two layouts, with the same primes in the same order:
+    The limit picks one of two layouts, with the same primes in the same
+    order:
 
-    - cached (limit <= PRIME_CACHE_MAX and no block_size): the cache's array
-      in chunks of PRIME_CHUNK primes, each cut to the class with one
-      np.compress, so a block holds at most PRIME_CHUNK primes;
-    - streamed (otherwise): one block per sieve segment of block_size
-      integers (SIEVE_BLOCK by default), read off the class's strided view
-      of the segment's flags; memory stays one segment, and no prime is
-      reduced mod k.
+    - cached (limit <= PRIME_CACHE_MAX): the cache's array in chunks of
+      PRIME_CHUNK primes, each cut to the class with one np.compress, so a
+      block holds at most PRIME_CHUNK primes;
+    - streamed (past it): one block per sieve segment of SIEVE_BLOCK
+      integers, read off the class's strided view of the segment's flags;
+      memory stays one segment, and no prime is reduced mod k.
     """
     _validate_limit(limit)
-    bs = SIEVE_BLOCK if block_size is None else block_size
-    _validate_block(bs)
-
     if progression is not None and progression.is_full:
         progression = None
-    if limit <= PRIME_CACHE_MAX and block_size is None:
+    if limit <= PRIME_CACHE_MAX:
         arr = _cache.primes_upto(limit)
         blocks = (arr[i : i + PRIME_CHUNK] for i in range(0, arr.size, PRIME_CHUNK))
         if progression is not None:
             k, r = progression.modulus, progression.residue
             blocks = (np.compress(b % k == r, b) for b in blocks)
     else:
-        blocks = _sieve_segments(limit, bs, progression)
+        blocks = _sieve_segments(limit, progression)
     for blk in blocks:
         if blk.size:
             yield blk

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith_fn import Extension, PrimeFunction, increment_table, lattice_steps
-from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS, MEMBER_BLOCK
+from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS
 from .moments import CoMoments, collect_dataset, read_spill, value_table
 from .sieve import Progression
 
@@ -119,7 +119,6 @@ def erdos_kac_report(
     n: int,
     normalization: str = "sqrt_mean",
     spill: str | Path | None = None,
-    block_members: int = MEMBER_BLOCK,
 ) -> NormalityReport:
     """KS distance of normalized f values against the standard normal.
 
@@ -143,7 +142,7 @@ def erdos_kac_report(
     if spill is not None:
         x, counts = value_table(read_spill(spill), step)
     else:
-        x, counts = collect_dataset(fn, ext, progression, n, block_members, rows=rows)
+        x, counts = collect_dataset(fn, ext, progression, n, rows=rows)
     if counts is None:
         x, counts = np.unique(x, return_counts=True)
     count = progression.count(n)

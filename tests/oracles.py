@@ -1,0 +1,41 @@
+"""Reference evaluations that only the tests use.
+
+eval_additive evaluates one member from its factorization, and
+two_pass_central_moments takes moments in two plain passes; both are
+the slow, direct forms the sweep and the streaming moments are checked
+against.  central_moment_first_order is the model's first-order stand-in
+for a central moment, one exact prime sum.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from apmoments.arith_fn import Extension, PrimeFunction, eval_at_prime
+from apmoments.prime_sums import prime_power_sum
+from apmoments.sieve import Progression
+
+
+def eval_additive(
+    fn: PrimeFunction, ext: Extension, factorization: Iterable[tuple[int, int]]
+) -> float:
+    """Sum of prime-power values over a factorization (0 for the empty one)."""
+    return sum(ext.power_value(p, a, eval_at_prime(fn, p)) for p, a in factorization)
+
+
+def two_pass_central_moments(values: np.ndarray, u_max: int) -> dict[int, float]:
+    """Naive oracle: mean first, then averaged deviation powers."""
+    mean = float(np.mean(values))
+    d = values - mean
+    return {u: float(np.mean(d**u)) for u in range(2, u_max + 1)}
+
+
+def central_moment_first_order(
+    fn: PrimeFunction, progression: Progression, n: int, u: int
+) -> float:
+    """First-order stand-in for the u-th central moment: the exact sum of f(p)^u / p."""
+    if u < 2:
+        raise ValueError(f"central moment order must be >= 2, got {u}")
+    return prime_power_sum(fn, u, n, progression).value

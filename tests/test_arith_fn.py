@@ -14,12 +14,12 @@ from apmoments.arith_fn import (
     increment_table,
     builtin,
     collect_values,
-    eval_additive,
     eval_at_prime,
     iter_progression_values,
     parse_fn,
 )
 from apmoments.sieve import Progression, factorize, sieve_primes
+from oracles import eval_additive
 
 OMEGA, OMEGA_EXT = builtin("omega")
 BIG_OMEGA, BIG_OMEGA_EXT = builtin("big_omega")
@@ -212,19 +212,31 @@ class TestBulkEvaluation:
         ],
     )
     @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(4, 1), Progression(12, 7)])
-    def test_matches_per_member_oracle(self, spec, ext, prog):
+    def test_matches_per_member_oracle(self, spec, ext, prog, member_block):
+        member_block(257)
         for n in (3000, 59**2):  # at 59^2, sqrt(n) is itself a prime
-            got = collect_values(spec, ext, prog, n, block_members=257)
+            got = collect_values(spec, ext, prog, n)
             want = np.array(
                 [eval_additive(spec, ext, factorize(int(m))) for m in prog.members(n)]
             )
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_block_size_invariance(self):
+    def test_block_size_invariance(self, member_block):
         prog = Progression(3, 2)
-        a = collect_values(OMEGA, OMEGA_EXT, prog, 10**4, block_members=101)
-        b = collect_values(OMEGA, OMEGA_EXT, prog, 10**4, block_members=1 << 15)
+        member_block(101)
+        a = collect_values(OMEGA, OMEGA_EXT, prog, 10**4)
+        member_block(1 << 15)
+        b = collect_values(OMEGA, OMEGA_EXT, prog, 10**4)
         assert np.array_equal(a, b)
+
+    def test_sweep_blocks_follow_member_block(self, member_block):
+        # the block length is read at call time, so the sizes the tests
+        # above set are the ones the sweep runs
+        prog, n = Progression(3, 2), 10**4
+        member_block(101)
+        sizes = [block.size for (block,) in iter_progression_values([(OMEGA, OMEGA_EXT)], prog, n)]
+        assert len(sizes) == -(-prog.count(n) // 101) and sizes[:-1] == [101] * (len(sizes) - 1)
+        assert sum(sizes) == prog.count(n)
 
     def test_empty_progression_yields_nothing(self):
         assert collect_values(OMEGA, OMEGA_EXT, Progression(7, 5), 4).size == 0
@@ -288,18 +300,19 @@ class TestSweepExactness:
 
     @pytest.mark.parametrize("name", list(EXACT_SPECS))
     @pytest.mark.parametrize("prog", [Progression(4, 1), Progression(12, 7), Progression(1, 0)])
-    def test_bit_identical_to_division_sweep(self, name, prog):
+    def test_bit_identical_to_division_sweep(self, name, prog, member_block):
         fn, ext = self._spec(name, prog)
-        got = collect_values(fn, ext, prog, self.N, block_members=self.BLOCK)
+        member_block(self.BLOCK)
+        got = collect_values(fn, ext, prog, self.N)
         (want,) = _division_sweep([(fn, ext)], prog, self.N, self.BLOCK)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("prog", [Progression(4, 1), Progression(1, 0)])
-    def test_mixed_sweep_bit_identical(self, prog):
+    def test_mixed_sweep_bit_identical(self, prog, member_block):
         # constant and gather specs in one sweep share the found part
         specs = [self._spec(name, prog) for name in EXACT_SPECS]
-        got = [np.concatenate(cols) for cols in zip(*iter_progression_values(
-            specs, prog, self.N, block_members=self.BLOCK))]
+        member_block(self.BLOCK)
+        got = [np.concatenate(cols) for cols in zip(*iter_progression_values(specs, prog, self.N))]
         want = _division_sweep(specs, prog, self.N, self.BLOCK)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

@@ -126,6 +126,12 @@ class TestExitCodes:
             ["asymptotic", "--fn", "const:1", "--x", "1e6", "--p0", "1"],
             ["classify", "--fn", "omega1"],
             ["asymptotic", "--fn", "invloglog", "--x", "11"],
+            ["moments", "--n", "1", "--fn", "omega"],
+            ["compare", "--fn-star", "omega", "--fn", "bigomega", "--n", "1"],
+            ["sum", "--x", "1e40", "--fn", "const:1"],
+            ["sieve", "--limit", "1e40"],
+            ["model", "exact", "--n", "1e40", "--fn", "const:1"],
+            ["probe", "--fn", "invloglog", "--checkpoints", "1e40"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
@@ -135,7 +141,9 @@ class TestExitCodes:
              "model_exact_limit_one", "model_lindeberg_limit_one", "model_sample_limit_one",
              "sieve_limit_one", "trials_infinite", "const_nan", "scaled_inf",
              "tab_nan", "p0_below_two", "omega1_without_class",
-             "asymptotic_x_at_start_prime"],
+             "asymptotic_x_at_start_prime", "moments_limit_one", "compare_limit_one",
+             "sum_above_ceiling", "sieve_above_ceiling", "model_exact_above_ceiling",
+             "checkpoint_above_ceiling"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -143,6 +151,31 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_out_of_memory_is_one_line(self, monkeypatch, capsys):
+        # a stand-in for np.zeros(trials) failing on a huge --trials
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr("apmoments.model.sample", refuse)
+        code = main(["model", "sample", "--n", "1e4", "--fn", "const:1", "--trials", "1e13"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--spill"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_output_path_error_names_the_given_path(self, flag, where, tmp_path, capsys):
+        target = tmp_path / "missing" / "p.txt" if where == "missing_dir" else tmp_path / "dir"
+        if where == "directory":
+            target.mkdir()
+        argv = (["sieve", "--limit", "100"] if flag == "--out"
+                else ["moments", "--fn", "omega", "--n", "100"])
+        assert main([*argv, flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(target) in err and ".apmoments-" not in err
+        assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".apmoments-")]
 
     @pytest.mark.parametrize(
         "argv",

@@ -22,11 +22,11 @@ from apmoments.model import (
     lindeberg_check,
     mean_predictions,
     mode_primes,
-    central_moment_first_order,
     sample,
 )
 from apmoments.prime_sums import prime_power_sum
 from apmoments.sieve import Progression, primes_in_progression, sieve_primes
+from oracles import central_moment_first_order
 
 ONE = PrimeFunction("constant", c=1.0)
 FULL = Progression(1, 0)
@@ -195,7 +195,7 @@ class TestStreamedModel:
         assert max(widths) <= MODEL_BLOCK
         assert len(widths) == 2 and sum(widths) == mm.term_count
 
-    def test_runs_without_a_materialized_prime_set(self, monkeypatch):
+    def test_runs_without_a_materialized_prime_set(self, monkeypatch, sieve_geometry):
         fn, prog, n = PrimeFunction("sqrt_loglog"), Progression(4, 1), 10**5
         want = {mode: (exact_moments(fn, prog, n, u_max=6, mode=mode),
                        lindeberg_check(fn, prog, n, 0.5, mode=mode)) for mode in MODES}
@@ -207,11 +207,11 @@ class TestStreamedModel:
         for name in ("sieve_primes", "primes_in_progression"):
             monkeypatch.setattr(model, name, refuse, raising=False)
             monkeypatch.setattr(sieve, name, refuse)
+        sieve_geometry(1 << 12, cache_max=0)  # small sieve segments, never the prime cache
         blocks = []
 
-        def streamed(limit, progression=None, block_size=None):
-            # small sieve segments, never the prime cache
-            for block in sieve.iter_prime_blocks(limit, progression, block_size=1 << 12):
+        def streamed(limit, progression=None):
+            for block in sieve.iter_prime_blocks(limit, progression):
                 blocks.append(block.size)
                 yield block
 
@@ -350,7 +350,7 @@ class TestComparePair:
     @pytest.mark.parametrize(
         "star,f", [("omega", "bigomega"), ("omega", "sqrtloglog"), ("invloglog", "half_omega")]
     )
-    def test_each_side_matches_its_own_dataset(self, star, f):
+    def test_each_side_matches_its_own_dataset(self, star, f, member_block):
         # a lattice side reads its value/count table, any other side its
         # per-member blocks: each summary equals that side's moments alone
         from apmoments.arith_fn import increment_table, lattice_steps, resolve_spec
@@ -358,7 +358,9 @@ class TestComparePair:
 
         prog, n = Progression(4, 1), 10**5
         pair = FunctionPair(resolve_spec(star), resolve_spec(f), "V")
-        cmp = compare_pair(pair, prog, n, u_max=6, block_members=4099)
+        member_block(4099)
+        cmp = compare_pair(pair, prog, n, u_max=6)
+        member_block()
         sides = [pair.f_star, pair.f]
         steps = lattice_steps(sides, increment_table(sides, prog, n), n)
         assert steps != [None, None]

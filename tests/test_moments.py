@@ -26,10 +26,10 @@ from apmoments.moments import (
     mean_via_counts,
     moment_summary,
     read_spill,
-    two_pass_central_moments,
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
+from oracles import two_pass_central_moments
 
 OMEGA, OMEGA_EXT = builtin("omega")
 SQRTLOGLOG = PrimeFunction("sqrt_loglog")
@@ -82,9 +82,11 @@ class TestEmpiricalMoments:
         with pytest.raises(ValueError):
             empirical_moments(OMEGA, OMEGA_EXT, Progression(7, 5), 4)
 
-    def test_streaming_matches_two_pass_oracle(self):
+    def test_streaming_matches_two_pass_oracle(self, member_block):
         prog = Progression(3, 2)
-        s = empirical_moments(SQRTLOGLOG, STRONG, prog, 10**5, u_max=6, block_members=4099)
+        member_block(4099)
+        s = empirical_moments(SQRTLOGLOG, STRONG, prog, 10**5, u_max=6)
+        member_block()
         values = collect_values(SQRTLOGLOG, STRONG, prog, 10**5)
         oracle = two_pass_central_moments(values, 6)
         for u in range(2, 7):
@@ -195,12 +197,13 @@ class TestChebyshev:
         for cov, bound in zip(rep.coverage, rep.bounds):
             assert cov >= bound - 1e-12
 
-    def test_spill_blocks_match_sweep(self, tmp_path):
+    def test_spill_blocks_match_sweep(self, tmp_path, member_block):
         prog = Progression(4, 3)
         path = tmp_path / "values.f64"
         s = empirical_moments(SQRTLOGLOG, STRONG, prog, 10**5, spill=path)
         bs = (1.0, 1.5, 2.0, 3.0)
-        sweep = collect_values(SQRTLOGLOG, STRONG, prog, 10**5, block_members=999)
+        member_block(999)
+        sweep = collect_values(SQRTLOGLOG, STRONG, prog, 10**5)
         swept = chebyshev_check(s, sweep, bs)
         spilled = chebyshev_check(s, read_spill(path), bs)
         assert spilled.coverage == swept.coverage
@@ -319,11 +322,13 @@ class TestLatticeTable:
     """Lattice datasets as a value/count table, against the per-member array."""
 
     @pytest.mark.parametrize("text,p0,step", LATTICE_SPECS, ids=[s[0] for s in LATTICE_SPECS])
-    def test_table_equals_unique_of_values(self, text, p0, step):
+    def test_table_equals_unique_of_values(self, text, p0, step, member_block):
         fn, ext = _spec(text, p0)
         prog, n = Progression(4, 1), 10**5
         assert _step(fn, ext, prog, n) == step
-        x, counts = collect_dataset(fn, ext, prog, n, block_members=257)
+        member_block(257)
+        x, counts = collect_dataset(fn, ext, prog, n)
+        member_block()
         want_x, want_counts = np.unique(collect_values(fn, ext, prog, n), return_counts=True)
         assert np.array_equal(x, want_x) and np.array_equal(counts, want_counts)
 
@@ -346,13 +351,15 @@ class TestLatticeTable:
             mu = sum(c * (v - mean) ** u for v, c in per_member.items()) / count
             assert s.mu[u] == pytest.approx(float(mu), rel=1e-14)
 
-    def test_complete_rule_of_a_fraction_folds_onto_the_lattice(self):
+    def test_complete_rule_of_a_fraction_folds_onto_the_lattice(self, member_block):
         # a*0.1 - (a-1)*0.1 rounds away from 0.1 (3*0.1 - 2*0.1 is
         # 0.10000000000000003); the complete rule's increment is f(p) itself
         fn, ext = arith_fn.resolve_spec("const:0.1", mode="complete")
         prog, n = Progression(4, 1), 10**5
         assert _step(fn, ext, prog, n) == 0.1
-        x, counts = collect_dataset(fn, ext, prog, n, block_members=4099)
+        member_block(4099)
+        x, counts = collect_dataset(fn, ext, prog, n)
+        member_block()
         assert counts is not None
         table = moment_summary(x, prog, n, 6, counts)
         array = moment_summary(collect_values(fn, ext, prog, n), prog, n, 6)

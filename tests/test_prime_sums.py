@@ -70,14 +70,15 @@ class TestPrimePowerSum:
             (PrimeFunction("scaled", c=-1.0, inner=INVLOGLOG), 1, Progression(3, 2)),
         ],
     )
-    def test_block_partition_moves_sum_by_ulps(self, fn, u, prog):
+    def test_block_partition_moves_sum_by_ulps(self, fn, u, prog, sieve_geometry):
         # per-block pairwise sums round differently and fsum adds no further
         # error; 1e-14 (~45 ulps) sits above numpy's pairwise-summation bound
         # for terms of one sign, which all three cases have
         x = 10**6
         ref = prime_power_sum(fn, u, x, prog).value
         for block in (1 << 10, 1 << 16):
-            got = prime_power_sum(fn, u, x, prog, block_size=block).value
+            sieve_geometry(block, cache_max=0)
+            got = prime_power_sum(fn, u, x, prog).value
             assert got == pytest.approx(ref, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 12])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from apmoments.cli import main
 from apmoments.sieve import (
     Progression,
-    SegmentSizeError,
     euler_phi,
     factorize,
     iter_prime_blocks,
@@ -70,18 +69,15 @@ class TestSievePrimes:
         with pytest.raises(ValueError):
             sieve_primes(1)
 
-    def test_rejects_bad_segment(self):
-        with pytest.raises(SegmentSizeError):
-            sieve_primes(100, block_size=4)
-
     def test_agrees_with_trial_division(self):
         assert sieve_primes(10**5).primes.tolist() == trial_division_primes(10**5)
 
-    def test_segmented_matches_monolithic(self):
+    def test_segmented_matches_monolithic(self, sieve_geometry):
         # identical sequences for several block sizes, including odd ones
         mono = primes_upto_monolithic(10**6)
         for block in (1 << 12, 1 << 16, 999_983):
-            seg = np.concatenate(list(iter_prime_blocks(10**6, block_size=block)))
+            sieve_geometry(block, cache_max=0)
+            seg = np.concatenate(list(iter_prime_blocks(10**6)))
             assert np.array_equal(seg, mono)
 
     def test_prime_count_1e7(self):
@@ -163,6 +159,14 @@ ORACLE_BLOCKS = [1024, 4099, 999_983]
 ORACLE_PRIMES = primes_upto_monolithic(max(ORACLE_LIMITS))
 
 
+def use_layout(sieve_geometry, block_size):
+    """None: the cached layout; a segment length: streamed segments of it."""
+    if block_size is None:
+        sieve_geometry()
+    else:
+        sieve_geometry(block_size, cache_max=0)
+
+
 def coprime_classes(k, below):
     """The coprime classes mod k with a member <= below (the rest are empty)."""
     if k == 1:
@@ -174,29 +178,30 @@ class TestClassOracle:
     """Both layouts of iter_prime_blocks against the monolithic sieve cut by % k."""
 
     @staticmethod
-    def check(x, k, r):
+    def check(x, k, r, sieve_geometry):
         ref = ORACLE_PRIMES[ORACLE_PRIMES <= x]
         want = ref[ref % k == r]
         prog = Progression(k, r)
         layouts = [None, *ORACLE_BLOCKS]
         for block_size in layouts:
-            blocks = list(iter_prime_blocks(x, prog, block_size))
+            use_layout(sieve_geometry, block_size)
+            blocks = list(iter_prime_blocks(x, prog))
             assert all(b.size and b.dtype == np.int64 for b in blocks)
             got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
             assert np.array_equal(got, want), (x, k, r, block_size)
 
     @pytest.mark.parametrize("k", ORACLE_MODULI)
-    def test_classes_at_every_limit_and_layout(self, k):
+    def test_classes_at_every_limit_and_layout(self, k, sieve_geometry):
         # every class for the small moduli; an even spread of about 60
         # classes (the last included) for the two large ones
         for x in ORACLE_LIMITS:
             classes = coprime_classes(k, x)
             spread = classes[:: max(1, len(classes) // 60)] + classes[-1:]
             for r in sorted(set(spread)):
-                self.check(x, k, r)
+                self.check(x, k, r, sieve_geometry)
 
     @pytest.mark.parametrize("k", [15015, (1 << 21) + 1])
-    def test_every_class_of_a_large_modulus(self, k):
+    def test_every_class_of_a_large_modulus(self, k, sieve_geometry):
         # every class with a member up to x, from one segment and from the cache
         x = 15015 + 1
         ref = ORACLE_PRIMES[ORACLE_PRIMES <= x]
@@ -204,18 +209,19 @@ class TestClassOracle:
             want = ref[ref % k == r]
             prog = Progression(k, r)
             for block_size in (None, 999_983):
-                blocks = list(iter_prime_blocks(x, prog, block_size))
+                use_layout(sieve_geometry, block_size)
+                blocks = list(iter_prime_blocks(x, prog))
                 got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
                 assert np.array_equal(got, want), (k, r, block_size)
 
 
 class TestStreamedSum:
-    def test_sum_past_the_cache_matches_the_cached_sum(self, monkeypatch, capsys):
+    def test_sum_past_the_cache_matches_the_cached_sum(self, sieve_geometry, capsys):
         # with the cache budget below x, `sum` reads the streamed segments
         argv = ["sum", "--fn", "const:1", "--mod", "4", "--res", "1", "--x", "1e6"]
         assert main(argv) == 0
         cached = json.loads(capsys.readouterr().out)
-        monkeypatch.setattr("apmoments.sieve.PRIME_CACHE_MAX", 1000)
+        sieve_geometry(cache_max=1000)
         assert main(argv) == 0
         streamed = json.loads(capsys.readouterr().out)
         assert streamed["term_count"] == cached["term_count"] == 39175
