@@ -3,16 +3,20 @@
 A dataset is one pair (x, counts), filled by one member sweep.  For a
 spec on a lattice (see :func:`arith_fn.lattice_steps`) it is the table of
 distinct values k*c and their counts, folded block by block, so no
-per-member array exists; any other spec gives its per-member float64
-array and counts=None (unit weights).  Moments and Chebyshev/LLN coverage
-read either kind the same way, as weighted values.  Moments feed the data
-to a mergeable central-moment state (a per-member array in slices of the
-sweep's block length, a table at once); the merge rule is exact in real
-arithmetic, so chunked evaluation matches a two-pass computation up to
-rounding.  A spill file is per member by contract, so spilling is the one
-case that builds the array of a lattice spec.  The mean additionally has
-an exact closed-form cross-check for strongly additive functions,
-obtained by counting multiples of each prime inside the progression.
+per-member array exists.  Any other spec gives per-member values and
+counts=None (unit weights): one float64 array, or with a spill file that
+file itself (:class:`SpillFile`), read back one block at a time.  With
+`--spill` the sweep writes each block to the file as it comes and the
+dataset is then read from the file, folded onto the lattice when the
+spec has one, so a spill file and a sweep give the same dataset.
+Moments and Chebyshev/LLN coverage read either kind the same way, as
+weighted values: per-member values in slices of the sweep's block length
+(:func:`iter_blocks`), a table at once.  Moments feed a mergeable
+central-moment state; the merge rule is exact in real arithmetic, so
+chunked evaluation matches a two-pass computation up to rounding.  The
+mean additionally has an exact closed-form cross-check for strongly
+additive functions, obtained by counting multiples of each prime inside
+the progression.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import arith_fn, sieve
 from .arith_fn import Extension, PrimeFunction
-from .config import CHEBYSHEV_B_DEFAULT, MEMBER_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
+from .config import CHEBYSHEV_B_DEFAULT, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression
 
 _BINOM_CACHE: dict[int, np.ndarray] = {}
@@ -143,7 +147,7 @@ class LlnRecord:
 
 
 def moment_summary(
-    values: np.ndarray,
+    values: np.ndarray | SpillFile,
     progression: Progression,
     n: int,
     u_max: int = U_MAX_DEFAULT,
@@ -151,8 +155,8 @@ def moment_summary(
 ) -> MomentSummary:
     """Mean, deviation, and central moments of one dataset (values, counts).
 
-    A per-member array (counts None) is fed to the running state in
-    MEMBER_BLOCK slices, the member sweep's blocks; a table in one batch.
+    Per-member values (counts None) are fed to the running state in the
+    member sweep's blocks (:func:`iter_blocks`); a table in one batch.
     """
     if values.size == 0:
         raise ValueError(
@@ -162,20 +166,56 @@ def moment_summary(
     if counts is not None:
         acc.add_batch(values, counts)
     else:
-        for lo in range(0, values.size, MEMBER_BLOCK):
-            acc.add_batch(values[lo : lo + MEMBER_BLOCK])
+        for block in iter_blocks(values):
+            acc.add_batch(block)
     return MomentSummary(n, progression, acc.n, acc.mean, acc.sigma, acc.central_moments())
 
 
-def value_table(
-    values: np.ndarray, step: float | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """A per-member array as a dataset: its lattice table when step is set,
-    else the array itself with counts None."""
+def iter_blocks(values: np.ndarray | SpillFile) -> Iterator[np.ndarray]:
+    """Per-member values in slices of the member sweep's block length
+    (``arith_fn.MEMBER_BLOCK``), so they fall on the sweep's own blocks."""
+    size = arith_fn.MEMBER_BLOCK
+    for lo in range(0, values.size, size):
+        yield values[lo : lo + size]
+
+
+class SpillFile:
+    """A spill file of `count` float64 values, read back by slice.
+
+    Each slice is one ``np.fromfile`` at its offset, so no whole-file array
+    exists.  A file of another length than 8 * count bytes is rejected
+    before any read, and a slice holding a NaN or an infinity when it is
+    read; either error names the file.
+    """
+
+    def __init__(self, path: str | Path, count: int):
+        self.path = os.fspath(path)
+        nbytes = os.stat(self.path).st_size
+        if nbytes != 8 * count:
+            raise ValueError(
+                f"spill file {self.path} holds {nbytes} bytes, expected 8 x {count} values"
+            )
+        self.size = count
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        lo, hi, _ = part.indices(self.size)
+        block = np.fromfile(self.path, dtype="<f8", count=max(hi - lo, 0), offset=8 * lo)
+        if not np.isfinite(block).all():
+            raise ValueError(f"spill file {self.path} holds a value that is not finite")
+        return block
+
+
+def spill_dataset(
+    path: str | Path, count: int, step: float | None
+) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
+    """The spill file of `count` values as a dataset: folded block by block
+    into its lattice table when step is set, else the file itself."""
+    values = SpillFile(path, count)
     if step is None:
         return values, None
     table = arith_fn.LatticeCounts(step)
-    table.add_batch(values)
+    for block in iter_blocks(values):
+        table.add_batch(block)
     return table.table()
 
 
@@ -186,28 +226,31 @@ def collect_dataset(
     n: int,
     spill: str | Path | None = None,
     rows: list[arith_fn.Row] | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
     """f over the members up to n as one dataset (x, counts), from one sweep.
 
     A lattice spec folds each sweep block into its value/count table; any
-    other spec fills one float64 array (counts None).  With `spill` set the
-    per-member array is built for either kind and written with
-    :func:`write_spill` before it becomes the dataset.  `rows` is the spec's
-    increment table when the caller has already built it.
+    other spec fills one float64 array (counts None).  With `spill` set
+    every block is written to that file as the sweep yields it (one
+    :func:`atomic_file`), and the dataset is read back from the file with
+    :func:`spill_dataset`.  `rows` is the spec's increment table when the
+    caller has already built it.
     """
     specs = [(fn, ext)]
     if rows is None:
         rows = arith_fn.increment_table(specs, progression, n)
     (step,) = arith_fn.lattice_steps(specs, rows, n)
-    if step is not None and spill is None:
-        table = arith_fn.LatticeCounts(step)
-        for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
-            table.add_batch(block)
-        return table.table()
-    values = arith_fn.collect_values(fn, ext, progression, n, rows)
     if spill is not None:
-        write_spill(spill, values)
-    return value_table(values, step)
+        with atomic_file(spill) as fh:
+            for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
+                block.astype("<f8", copy=False).tofile(fh)
+        return spill_dataset(spill, progression.count(n), step)
+    if step is None:
+        return arith_fn.collect_values(fn, ext, progression, n, rows), None
+    table = arith_fn.LatticeCounts(step)
+    for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
+        table.add_batch(block)
+    return table.table()
 
 
 def empirical_moments(
@@ -221,15 +264,11 @@ def empirical_moments(
     """Mean, deviation, and central moments of f over members up to n.
 
     The dataset comes from one sweep (see :func:`collect_dataset`); with
-    `spill` set the per-member values are also written with
-    :func:`write_spill` for later re-use by the distribution diagnostics.
+    `spill` set the per-member values are also written to that file for
+    later re-use by the distribution diagnostics.
     """
     x, counts = collect_dataset(fn, ext, progression, n, spill)
     return moment_summary(x, progression, n, u_max, counts)
-
-
-def read_spill(path: str | Path) -> np.ndarray:
-    return np.fromfile(path, dtype="<f8")
 
 
 @contextmanager
@@ -298,24 +337,28 @@ def mean_via_counts(
 
 
 def _count_within(
-    values: np.ndarray, center: float, radii: Sequence[float], counts: np.ndarray | None = None
+    values: np.ndarray | SpillFile,
+    center: float,
+    radii: Sequence[float],
+    counts: np.ndarray | None = None,
 ) -> list[int]:
-    """Per radius r, how many members satisfy |value - center| <= r: each
-    value weighs its count, or 1 without counts (block-sized temporaries)."""
+    """Per radius r, how many members satisfy |value - center| <= r: a table
+    weighs each value by its count, per-member values count once each and
+    are read in blocks (block-sized temporaries)."""
+    if counts is not None:
+        dev = np.abs(values - center)
+        return [int(counts[dev <= r].sum()) for r in radii]
     inside = [0] * len(radii)
-    for lo in range(0, values.size, MEMBER_BLOCK):
-        dev = np.abs(values[lo : lo + MEMBER_BLOCK] - center)
+    for block in iter_blocks(values):
+        dev = np.abs(block - center)
         for i, r in enumerate(radii):
-            if counts is None:
-                inside[i] += int(np.count_nonzero(dev <= r))
-            else:
-                inside[i] += int(counts[lo : lo + MEMBER_BLOCK][dev <= r].sum())
+            inside[i] += int(np.count_nonzero(dev <= r))
     return inside
 
 
 def chebyshev_check(
     summary: MomentSummary,
-    values: np.ndarray,
+    values: np.ndarray | SpillFile,
     b_values: Sequence[float] = CHEBYSHEV_B_DEFAULT,
     counts: np.ndarray | None = None,
 ) -> ChebyshevReport:

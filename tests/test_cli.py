@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from apmoments.cli import main
@@ -212,6 +213,25 @@ class TestExitCodes:
         code = main(["moments", "--mod", "7", "--res", "5", "--n", "4", "--fn", "omega"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fn,norm", [("sqrtloglog", "sigma"), ("omega", "sqrt_mean")],
+                             ids=["real", "lattice"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "short", "long", "ragged"])
+    def test_bad_spill_file_is_one_line_naming_it(self, bad, fn, norm, tmp_path, capsys):
+        # 1..1000 has 1000 members, so a good spill file holds 8000 bytes
+        spill = tmp_path / "values.f64"
+        values = np.ones(1000, dtype="<f8")
+        if bad in ("nan", "inf", "-inf"):
+            values[700] = float(bad)
+        data = values.tobytes()
+        data = {"short": data[:-8], "long": data + data[:8], "ragged": data[:-3]}.get(bad, data)
+        spill.write_bytes(data)
+        code = main(["ektest", "--fn", fn, "--norm", norm, "--n", "1000", "--spill", str(spill)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: spill file") and err.count("\n") == 1
+        assert str(spill) in err
 
     def test_closed_form_signal_is_error(self, capsys):
         code = main(["asymptotic", "--mod", "1", "--x", "1e4", "--fn", "invlog",

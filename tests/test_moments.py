@@ -25,13 +25,16 @@ from apmoments.moments import (
     lln_check,
     mean_via_counts,
     moment_summary,
-    read_spill,
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
 from oracles import two_pass_central_moments
 
 OMEGA, OMEGA_EXT = builtin("omega")
+
+
+def read_whole(path):
+    return np.fromfile(path, dtype="<f8")
 SQRTLOGLOG = PrimeFunction("sqrt_loglog")
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -95,10 +98,40 @@ class TestEmpiricalMoments:
     def test_spill_roundtrip(self, tmp_path):
         path = tmp_path / "values.f64"
         s = empirical_moments(OMEGA, OMEGA_EXT, Progression(4, 1), 10**4, spill=path)
-        spilled = read_spill(path)
+        spilled = read_whole(path)
         assert spilled.size == s.count
         direct = collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), 10**4)
         assert np.array_equal(spilled, direct)
+
+    def test_no_spill_when_the_sweep_fails_after_a_block(self, tmp_path, monkeypatch,
+                                                          member_block):
+        # the table covers every prime <= sqrt(100); 11, the first prime above,
+        # sits in the third block of four members, so two blocks are written
+        # to the spill before the lookup fails
+        sweep, blocks = arith_fn.iter_progression_values, []
+
+        def counted(*args, **kwargs):
+            for item in sweep(*args, **kwargs):
+                blocks.append(item[0].size)
+                yield item
+
+        monkeypatch.setattr(arith_fn, "iter_progression_values", counted)
+        member_block(4)
+        fn, ext = arith_fn.resolve_spec("tab:2=1,3=1,5=1,7=1")
+        with pytest.raises(arith_fn.TabulatedLookupError):
+            empirical_moments(fn, ext, Progression(1, 0), 100, spill=tmp_path / "values.f64")
+        assert blocks == [4, 4]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spill_is_written_and_read_in_sweep_blocks(self, tmp_path, member_block):
+        # several blocks through the file, against the same blocks in memory
+        prog, n = Progression(3, 2), 10**5
+        member_block(4099)
+        path = tmp_path / "values.f64"
+        spilled = empirical_moments(SQRTLOGLOG, STRONG, prog, n, spill=path)
+        swept = empirical_moments(SQRTLOGLOG, STRONG, prog, n)
+        assert spilled == swept
+        assert np.array_equal(read_whole(path), collect_values(SQRTLOGLOG, STRONG, prog, n))
 
     def test_translation_invariance(self):
         # adding a constant to every value must leave central moments alone
@@ -205,7 +238,7 @@ class TestChebyshev:
         member_block(999)
         sweep = collect_values(SQRTLOGLOG, STRONG, prog, 10**5)
         swept = chebyshev_check(s, sweep, bs)
-        spilled = chebyshev_check(s, read_spill(path), bs)
+        spilled = chebyshev_check(s, read_whole(path), bs)
         assert spilled.coverage == swept.coverage
         assert 0.0 < swept.coverage[0] < 1.0
 
@@ -458,7 +491,7 @@ class TestNoPerMemberArray:
         assert cli.main([*argv, "--spill", str(spill)]) == 0
         with_spill = json.loads(capsys.readouterr().out)
         assert spill.stat().st_size == with_spill["count"] * 8
-        assert np.array_equal(read_spill(spill),
+        assert np.array_equal(read_whole(spill),
                               collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), 10**5))
         assert cli.main(argv) == 0
         without = json.loads(capsys.readouterr().out)

@@ -1,12 +1,16 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values
+from apmoments import cli, stats
+from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values, resolve_spec
 from apmoments.model import exact_moments, sample
+from apmoments.moments import empirical_moments
 from apmoments.sieve import Progression
 from apmoments.stats import erdos_kac_report, ks_distance, ks_lattice, phi, phi_inv
 
@@ -250,6 +254,166 @@ class TestErdosKacReport:
         write_spill(path, values)
         spilled = erdos_kac_report(om, ste, prog, 10**4, "sigma", spill=path)
         assert spilled == erdos_kac_report(om, ste, prog, 10**4, "sigma")
+
+
+def bounded(values, center, scale):
+    values = np.asarray(values, dtype=np.float64)
+    return stats._bounded_ks(values, float(values.min()), float(values.max()), center, scale)
+
+
+def unique_oracle(values, center, scale):
+    # (KS, largest tie, CDF grid) read off the np.unique table of the values
+    x, counts = table(np.asarray(values, dtype=np.float64))
+    return ks_distance(x, counts, center, scale), int(counts.max()), stats._cdf_grid(
+        x, counts, center, scale)
+
+
+centers = st.floats(-3, 3)
+scales = st.floats(0.05, 5)
+
+
+class TestBoundedKs:
+    """The binned KS, largest tie and grid of per-member values equal the
+    np.unique table's exactly, given the same center and scale."""
+
+    @given(st.lists(st.integers(-4, 6), min_size=1, max_size=300), st.sampled_from([1.0, 0.1, 3.7]),
+           centers, scales)
+    @settings(max_examples=150, deadline=None)
+    def test_ties(self, ints, step, center, scale):
+        values = np.array(ints) * step
+        assert bounded(values, center, scale) == unique_oracle(values, center, scale)
+
+    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=300), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_real_values_with_repeats(self, data, draw):
+        values = np.array(data + draw.draw(st.lists(st.sampled_from(data), max_size=100)))
+        center, scale = float(values.mean()), float(values.std()) or 1.0
+        assert bounded(values, center, scale) == unique_oracle(values, center, scale)
+
+    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=200), centers, scales,
+           st.sampled_from([1, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_value_in_one_bin(self, data, center, scale, bins):
+        # one bin, or a few bins whose widened edges overlap everything
+        values = np.array(data)
+        with mock.patch.object(stats, "_KS_BINS", bins):
+            assert bounded(values, center, scale) == unique_oracle(values, center, scale)
+
+    @given(st.floats(-5, 5), st.floats(-5, 5), st.integers(1, 50), st.integers(1, 50),
+           centers, scales)
+    @settings(max_examples=150, deadline=None)
+    def test_two_distinct_values(self, a, b, na, nb, center, scale):
+        values = np.array([a] * na + [b] * nb)
+        assert bounded(values, center, scale) == unique_oracle(values, center, scale)
+
+    def test_one_distinct_value(self):
+        values = np.full(40, 2.5)
+        assert bounded(values, 2.0, 0.5) == unique_oracle(values, 2.0, 0.5)
+
+    @given(st.lists(st.integers(0, 8), min_size=6, max_size=200),
+           st.sampled_from([2.0**-10, 0.25, 1.0, 4.0]), st.integers(-100, 100), centers, scales)
+    @settings(max_examples=150, deadline=None)
+    def test_values_on_bin_edges(self, ks, width, lo, center, scale):
+        # 8 bins over [lo, lo + 8 * width], edges exact in floating point:
+        # every value is an edge
+        values = lo + np.array([0, 8, *ks]) * width
+        with mock.patch.object(stats, "_KS_BINS", 8):
+            assert bounded(values, center, scale) == unique_oracle(values, center, scale)
+
+    def test_value_an_ulp_below_its_bin_edge(self):
+        # floor((v - lo) * per) can put v in bin i although v sits an ulp
+        # below that bin's computed left edge; with a grid point between
+        # the two, only the widened edge counts v on the right side of it
+        t = stats._grid_points()[10]
+        rng = np.random.default_rng(0)
+        for _ in range(10_000):
+            lo = float(rng.uniform(-10, 10))
+            hi = lo + float(rng.uniform(1, 30))
+            edges = lo + np.arange(9) * ((hi - lo) / 8)
+            i = int(rng.integers(1, 8))
+            v = float(np.nextafter(edges[i], -np.inf))
+            if int((v - lo) * (8 / (hi - lo))) != i:
+                continue
+            center = v - t
+            for _ in range(8):  # a center with z(v) <= t < z(edge)
+                if v - center <= t < edges[i] - center:
+                    break
+                center = float(np.nextafter(center, np.inf if v - center > t else -np.inf))
+            else:
+                continue
+            values = np.array([lo, hi, v, v, v])
+            with mock.patch.object(stats, "_KS_BINS", 8):
+                assert bounded(values, center, 1.0) == unique_oracle(values, center, 1.0)
+            return
+        pytest.fail("no value below its bin edge found")
+
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.5]), min_size=1, max_size=200),
+           centers, scales)
+    @settings(max_examples=150, deadline=None)
+    def test_signed_zeros_are_one_value(self, data, center, scale):
+        values = np.array(data)
+        assert bounded(values, center, scale) == unique_oracle(values, center, scale)
+
+    @pytest.mark.parametrize("buckets", [1, 2])
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=200), st.floats(-10, 10),
+           centers, scales)
+    @settings(max_examples=100, deadline=None)
+    def test_bucket_collisions(self, buckets, ints, noise, center, scale):
+        # every value shares one of one or two buckets with many others
+        values = np.array(ints) * 0.5 + np.array(ints) ** 2 * noise
+        with mock.patch.object(stats, "_TIE_BUCKETS", buckets):
+            assert bounded(values, center, scale) == unique_oracle(values, center, scale)
+
+
+class TestReportWithoutSort:
+    @pytest.mark.parametrize("spec,k,l,n", [("sqrtloglog", 1, 0, 10**5),
+                                            ("invloglog", 3, 2, 10**5),
+                                            ("tab:5=0.7,default=0.5", 4, 1, 3 * 10**4)])
+    def test_report_equals_unique_table(self, spec, k, l, n):
+        fn, ext = resolve_spec(spec)
+        prog = Progression(k, l)
+        rep = erdos_kac_report(fn, ext, prog, n, "sigma")
+        x, counts = table(collect_values(fn, ext, prog, n))
+        assert rep.ks == ks_distance(x, counts, rep.center, rep.scale)
+        assert rep.ks_floor == counts.max() / rep.count / 2
+        assert rep.grid == stats._cdf_grid(x, counts, rep.center, rep.scale)
+        assert rep.ks_lattice is None
+
+    def test_no_table_of_every_value(self, monkeypatch):
+        # only the refined bins and buckets are tabled, never all the values
+        sizes = []
+        unique = np.unique
+
+        def spy(values, *args, **kwargs):
+            sizes.append(np.asarray(values).size)
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        rep = erdos_kac_report(PrimeFunction("sqrt_loglog"), STRONG, Progression(1, 0), 10**5,
+                               "sigma")
+        assert sizes and max(sizes) < rep.count // 20
+
+    def test_spill_center_is_the_moments_mean(self, tmp_path, member_block, capsys):
+        # blocks of 4099 move the sweep, the moments and the KS pass together
+        member_block(4099)
+        spill = str(tmp_path / "values.f64")
+        argv = ["--fn", "sqrtloglog", "--mod", "3", "--res", "1", "--n", "1e5", "--spill", spill]
+        assert cli.main(["moments", *argv]) == 0
+        mean = json.loads(capsys.readouterr().out)["mean"]
+        assert cli.main(["ektest", "--norm", "sigma", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["center"] == mean
+        fn, ext = resolve_spec("sqrtloglog")
+        rep = erdos_kac_report(fn, ext, Progression(3, 1), 10**5, "sigma", spill=spill)
+        assert rep.center == empirical_moments(fn, ext, Progression(3, 1), 10**5, spill=spill).mean
+
+    @pytest.mark.parametrize("spec", ["omega", "sqrtloglog", "tab:5=0.7,default=0.5"])
+    def test_spill_and_sweep_agree_in_small_blocks(self, tmp_path, member_block, spec):
+        member_block(4099)
+        fn, ext = resolve_spec(spec)
+        prog, path = Progression(4, 1), tmp_path / "spill.f64"
+        empirical_moments(fn, ext, prog, 10**5, spill=path)
+        swept = erdos_kac_report(fn, ext, prog, 10**5, "sigma")
+        assert erdos_kac_report(fn, ext, prog, 10**5, "sigma", spill=path) == swept
 
 
 class TestModelSamplesLookNormal:
