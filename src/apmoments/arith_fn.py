@@ -607,20 +607,19 @@ class LatticeCounts:
         self.counts = np.zeros(0, dtype=np.int64)
 
     def add_batch(self, values: np.ndarray) -> None:
-        for at in range(0, values.size, MEMBER_BLOCK):
-            k = np.rint(values[at : at + MEMBER_BLOCK] / self.step).astype(np.int64)
-            lo = int(k.min())
-            hist = np.bincount(k - lo)
-            if not self.counts.size:
-                self.lo, self.counts = lo, hist
-                continue
-            new_lo = min(lo, self.lo)
-            new_hi = max(lo + hist.size, self.lo + self.counts.size)
-            if new_hi - new_lo > self.counts.size:
-                grown = np.zeros(new_hi - new_lo, dtype=np.int64)
-                grown[self.lo - new_lo : self.lo - new_lo + self.counts.size] = self.counts
-                self.lo, self.counts = new_lo, grown
-            self.counts[lo - self.lo : lo - self.lo + hist.size] += hist
+        k = np.rint(values / self.step).astype(np.int64)
+        lo = int(k.min())
+        hist = np.bincount(k - lo)
+        if not self.counts.size:
+            self.lo, self.counts = lo, hist
+            return
+        new_lo = min(lo, self.lo)
+        new_hi = max(lo + hist.size, self.lo + self.counts.size)
+        if new_hi - new_lo > self.counts.size:
+            grown = np.zeros(new_hi - new_lo, dtype=np.int64)
+            grown[self.lo - new_lo : self.lo - new_lo + self.counts.size] = self.counts
+            self.lo, self.counts = new_lo, grown
+        self.counts[lo - self.lo : lo - self.lo + hist.size] += hist
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, counts): the occupied values k * step, ascending, and their counts."""

@@ -409,9 +409,8 @@ def cmd_model_compare(args) -> None:
 
 def cmd_ektest(args) -> None:
     fn, ext = _resolve_fn(args)
-    rep = stats.erdos_kac_report(
-        fn, ext, _progression(args), args.n, normalization=args.norm, spill=args.spill
-    )
+    n = _sieve_limit("n", args.n)
+    rep = stats.erdos_kac_report(fn, ext, _progression(args), n, args.norm, args.spill)
     payload = {
         "ks": rep.ks,
         "ks_floor": rep.ks_floor,
@@ -537,12 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Inject key=value file entries as flag defaults (flags win)."""
-    if "--config" not in argv:
+    i = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        parser.error("argument --config: expected one argument")
-    path = argv[i + 1]
+    _, eq, path = argv[i].partition("=")  # --config=FILE
+    if not eq:
+        if i + 1 == len(argv):
+            parser.error("argument --config: expected one argument")
+        path = argv[i + 1]
     given = {tok.split("=", 1)[0].lstrip("-") for tok in argv if tok.startswith("--")}
     extra: list[str] = []
     for line in Path(path).read_text().splitlines():

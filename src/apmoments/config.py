@@ -1,18 +1,16 @@
 """Tunable constants shared across the package.
 
 Segment and member block sizes, the prime cache budget, quadrature
-tolerances and probe thresholds are module constants, not per-call
-options (only the bare quadrature routine, adaptive_simpson, takes a
-tolerance and depth).  The block sizes and the cache budget are read at
-call time from the module that uses them, so another geometry is set
-there, e.g. ``apmoments.sieve.SIEVE_BLOCK`` or
-``apmoments.arith_fn.MEMBER_BLOCK``.  The u_max defaults are per-call
-arguments.
+tolerances, the CDF grid and the probe verdict thresholds are plain
+module constants, not per-call options or config classes (only the bare
+quadrature routine, adaptive_simpson, takes a tolerance and depth).  The
+block sizes and the cache budget are read at call time from the module
+that uses them, so another geometry is set there, e.g.
+``apmoments.sieve.SIEVE_BLOCK`` or ``apmoments.arith_fn.MEMBER_BLOCK``.
+The u_max defaults are per-call arguments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # Sieve geometry.  A segment of 2^21 integers is 2^20 odd flags (1 MiB), which
 # fits the 2 MiB per-core L2 of the 2 vCPU Xeon the sizes were measured on.
@@ -51,25 +49,14 @@ CDF_GRID_LO = 0.025
 CDF_GRID_HI = 0.975
 CDF_GRID_POINTS = 21
 
-
-@dataclass(frozen=True)
-class ProbeThresholds:
-    """Declared constants behind the convergence/divergence verdicts.
-
-    The verdict logic extrapolates a geometric tail from the last two
-    checkpoint increments: if increments decay with ratio r < max_ratio
-    and the extrapolated tail d*r/(1-r) is below tail_fraction of the
-    current magnitude, the quantity is called converging.  Magnitude
-    growth by growth_factor across the last two checkpoints, or
-    non-decaying increments, force a diverging verdict.
-    """
-
-    growth_factor: float = 1.5
-    tail_fraction: float = 0.10
-    max_ratio: float = 0.95
-
-
-DEFAULT_PROBE_THRESHOLDS = ProbeThresholds()
+# Probe verdicts extrapolate a geometric tail from the last two checkpoint
+# increments: if they decay with ratio r < PROBE_MAX_RATIO and the tail
+# d*r/(1-r) is below PROBE_TAIL_FRACTION of the current magnitude, the
+# quantity is converging.  Magnitude growth by PROBE_GROWTH_FACTOR across
+# the last two checkpoints, or non-decaying increments, mean diverging.
+PROBE_GROWTH_FACTOR = 1.5
+PROBE_TAIL_FRACTION = 0.10
+PROBE_MAX_RATIO = 0.95
 
 # Default geometric checkpoints for probes.
 PROBE_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6, 10**7)

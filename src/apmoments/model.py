@@ -52,9 +52,6 @@ class BernoulliTerm:
     def success_prob(self) -> float:
         return 1.0 / self.p
 
-    def raw_moment(self, j: int) -> float:
-        return self.value**j / self.p
-
 
 @dataclass(frozen=True)
 class ModelMoments:

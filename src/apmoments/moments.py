@@ -6,12 +6,13 @@ distinct values k*c and their counts, folded block by block, so no
 per-member array exists.  Any other spec gives per-member values and
 counts=None (unit weights): one float64 array, or with a spill file that
 file itself (:class:`SpillFile`), read back one block at a time.  With
-`--spill` the sweep writes each block to the file as it comes and the
-dataset is then read from the file, folded onto the lattice when the
-spec has one, so a spill file and a sweep give the same dataset.
-Moments and Chebyshev/LLN coverage read either kind the same way, as
-weighted values: per-member values in slices of the sweep's block length
-(:func:`iter_blocks`), a table at once.  Moments feed a mergeable
+`--spill` the sweep writes each block to the file as it comes, and a
+lattice spec folds the same blocks, never reading the file back; only
+`ektest --spill` folds a spill file (:func:`spill_dataset`), so a spill
+file and a sweep give the same dataset.  Moments and Chebyshev/LLN
+coverage read either kind through one reader (:func:`iter_blocks`), as
+(values, counts) pieces: a table whole, per-member values in slices of
+the sweep's block length.  Moments feed a mergeable
 central-moment state; the merge rule is exact in real arithmetic, so
 chunked evaluation matches a two-pass computation up to rounding.  The
 mean additionally has an exact closed-form cross-check for strongly
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
@@ -35,17 +36,6 @@ from . import arith_fn, sieve
 from .arith_fn import Extension, PrimeFunction
 from .config import CHEBYSHEV_B_DEFAULT, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression
-
-_BINOM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _binom_row(n: int) -> np.ndarray:
-    row = _BINOM_CACHE.get(n)
-    if row is None:
-        row = np.array([math.comb(n, j) for j in range(n + 1)], dtype=np.float64)
-        _BINOM_CACHE[n] = row
-    return row
-
 
 class CoMoments:
     """Running state for central moments up to order u_max.
@@ -93,12 +83,11 @@ class CoMoments:
         sb = delta * an / n
         out = np.zeros(self.u_max + 1)
         for p in range(2, self.u_max + 1):
-            comb = _binom_row(p)
             total = 0.0
             for j in range(0, p + 1):
                 ma = an if p - j == 0 else (0.0 if p - j == 1 else am[p - j])
                 mb = bn if p - j == 0 else (0.0 if p - j == 1 else bm[p - j])
-                total += comb[j] * (ma * sa**j + mb * sb**j)
+                total += math.comb(p, j) * (ma * sa**j + mb * sb**j)
             out[p] = total
         self.n = n
         self.mean = amean + delta * bn / n
@@ -153,30 +142,30 @@ def moment_summary(
     u_max: int = U_MAX_DEFAULT,
     counts: np.ndarray | None = None,
 ) -> MomentSummary:
-    """Mean, deviation, and central moments of one dataset (values, counts).
-
-    Per-member values (counts None) are fed to the running state in the
-    member sweep's blocks (:func:`iter_blocks`); a table in one batch.
-    """
+    """Mean, deviation, and central moments of one dataset (values, counts),
+    fed to the running state piece by piece (:func:`iter_blocks`)."""
     if values.size == 0:
         raise ValueError(
             f"no progression members <= {n} (first member is {progression.first_member})"
         )
     acc = CoMoments(u_max)
-    if counts is not None:
-        acc.add_batch(values, counts)
-    else:
-        for block in iter_blocks(values):
-            acc.add_batch(block)
+    for block, weights in iter_blocks(values, counts):
+        acc.add_batch(block, weights)
     return MomentSummary(n, progression, acc.n, acc.mean, acc.sigma, acc.central_moments())
 
 
-def iter_blocks(values: np.ndarray | SpillFile) -> Iterator[np.ndarray]:
-    """Per-member values in slices of the member sweep's block length
+def iter_blocks(
+    values: np.ndarray | SpillFile, counts: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """A dataset as (values, counts) pieces: a table whole, per-member
+    values (counts None) in slices of the member sweep's block length
     (``arith_fn.MEMBER_BLOCK``), so they fall on the sweep's own blocks."""
+    if counts is not None:
+        yield values, counts
+        return
     size = arith_fn.MEMBER_BLOCK
     for lo in range(0, values.size, size):
-        yield values[lo : lo + size]
+        yield values[lo : lo + size], None
 
 
 class SpillFile:
@@ -214,7 +203,7 @@ def spill_dataset(
     if step is None:
         return values, None
     table = arith_fn.LatticeCounts(step)
-    for block in iter_blocks(values):
+    for block, _ in iter_blocks(values):
         table.add_batch(block)
     return table.table()
 
@@ -230,26 +219,28 @@ def collect_dataset(
     """f over the members up to n as one dataset (x, counts), from one sweep.
 
     A lattice spec folds each sweep block into its value/count table; any
-    other spec fills one float64 array (counts None).  With `spill` set
-    every block is written to that file as the sweep yields it (one
-    :func:`atomic_file`), and the dataset is read back from the file with
-    :func:`spill_dataset`.  `rows` is the spec's increment table when the
-    caller has already built it.
+    other spec fills one float64 array (counts None), or with `spill` set
+    is the spill file itself.  With `spill` set every block is written to
+    that file as the sweep yields it (one :func:`atomic_file`), and a
+    lattice table is folded from the same blocks, not read back from the
+    file.  `rows` is the spec's increment table when the caller has
+    already built it.
     """
     specs = [(fn, ext)]
     if rows is None:
         rows = arith_fn.increment_table(specs, progression, n)
     (step,) = arith_fn.lattice_steps(specs, rows, n)
-    if spill is not None:
-        with atomic_file(spill) as fh:
-            for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
-                block.astype("<f8", copy=False).tofile(fh)
-        return spill_dataset(spill, progression.count(n), step)
-    if step is None:
+    if step is None and spill is None:
         return arith_fn.collect_values(fn, ext, progression, n, rows), None
-    table = arith_fn.LatticeCounts(step)
-    for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
-        table.add_batch(block)
+    table = None if step is None else arith_fn.LatticeCounts(step)
+    with atomic_file(spill) if spill is not None else nullcontext() as fh:
+        for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
+            if fh is not None:
+                block.astype("<f8", copy=False).tofile(fh)
+            if table is not None:
+                table.add_batch(block)
+    if table is None:
+        return SpillFile(spill, progression.count(n)), None
     return table.table()
 
 
@@ -345,14 +336,12 @@ def _count_within(
     """Per radius r, how many members satisfy |value - center| <= r: a table
     weighs each value by its count, per-member values count once each and
     are read in blocks (block-sized temporaries)."""
-    if counts is not None:
-        dev = np.abs(values - center)
-        return [int(counts[dev <= r].sum()) for r in radii]
     inside = [0] * len(radii)
-    for block in iter_blocks(values):
+    for block, weights in iter_blocks(values, counts):
         dev = np.abs(block - center)
         for i, r in enumerate(radii):
-            inside[i] += int(np.count_nonzero(dev <= r))
+            within = dev <= r
+            inside[i] += int(np.count_nonzero(within) if weights is None else weights[within].sum())
     return inside
 
 

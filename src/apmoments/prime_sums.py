@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arith_fn import DecayCase, PrimeFunction
-from .config import DEFAULT_PROBE_THRESHOLDS, PROBE_CHECKPOINTS, QUAD_MAX_DEPTH, QUAD_REL_TOL
+from .config import PROBE_CHECKPOINTS, PROBE_GROWTH_FACTOR, PROBE_MAX_RATIO, PROBE_TAIL_FRACTION
+from .config import QUAD_MAX_DEPTH, QUAD_REL_TOL
 from .sieve import Progression, euler_phi, iter_prime_blocks
 
 
@@ -243,7 +244,6 @@ def classify_decay(fn: PrimeFunction, u: int = 1) -> Classification:
 
 
 def _verdict(values: Sequence[float]) -> str:
-    thresholds = DEFAULT_PROBE_THRESHOLDS
     if len(values) < 3:
         return "inconclusive"
     v = list(values)
@@ -251,7 +251,7 @@ def _verdict(values: Sequence[float]) -> str:
     signs = {1 if x > 0 else -1 for x in d if x != 0.0}
     if len(signs) > 1:
         return "inconclusive"
-    if abs(v[-1]) >= thresholds.growth_factor * abs(v[-3]) and abs(v[-3]) > 0:
+    if abs(v[-1]) >= PROBE_GROWTH_FACTOR * abs(v[-3]) and abs(v[-3]) > 0:
         return "diverging"
     last, prev = abs(d[-1]), abs(d[-2])
     if last == 0.0:
@@ -259,10 +259,10 @@ def _verdict(values: Sequence[float]) -> str:
     if prev == 0.0:
         return "inconclusive"
     r = last / prev
-    if r >= thresholds.max_ratio:
+    if r >= PROBE_MAX_RATIO:
         return "diverging"
     tail = last * r / (1.0 - r)
-    if tail <= thresholds.tail_fraction * abs(v[-1]):
+    if tail <= PROBE_TAIL_FRACTION * abs(v[-1]):
         return "converging"
     return "diverging"
 
@@ -301,35 +301,22 @@ def convergence_probe(
         if custom is None:
             raise ValueError("custom series needs (fn, u)")
         fn, u = custom
-        term = None
-        p_min = fn.start_prime
+        term, p_min = (lambda p: fn.values_at(p) ** u / p), fn.start_prime
     else:
         if series not in _SERIES:
             raise ValueError(f"unknown series {series!r}")
-        term, p_min = _SERIES[series]
+        of_float, p_min = _SERIES[series]
+        term = lambda p: of_float(p.astype(np.float64))
 
-    parts: list[float] = []
-    sums: list[float] = []
-    boundary = 0
-    done = 0.0
-    for cp in cps:
-        for block in iter_prime_blocks(cp, progression):
-            block = block[block > boundary]
-            if block.size == 0:
-                continue
-            block = block[block >= p_min]
-            if block.size == 0:
-                continue
-            if term is not None:
-                parts.append(float(np.sum(term(block.astype(np.float64)))))
-            else:
-                f = fn.values_at(block)
-                if u > 1:
-                    f = f**u
-                parts.append(float(np.sum(f / block)))
-        boundary = cp
-        done = math.fsum(parts)
-        sums.append(done)
+    # one stream to the last checkpoint, each block split at the checkpoints
+    parts: list[tuple[int, float]] = []  # (checkpoint index, sum over a piece)
+    for block in iter_prime_blocks(cps[-1], progression):
+        block = block[block >= p_min]
+        cuts = np.searchsorted(block, cps, side="right").tolist()
+        for i, (a, b) in enumerate(zip([0, *cuts], cuts)):
+            if a < b:
+                parts.append((i, float(np.sum(term(block[a:b])))))
+    sums = [math.fsum(s for j, s in parts if j <= i) for i in range(len(cps))]
 
     verdict = _verdict(sums)
     tail = None

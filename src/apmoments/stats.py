@@ -14,6 +14,11 @@ with step c it also gives Esseen's continuity-corrected KS, which compares
 the empirical CDF at each value x with the normal CDF at the half-lattice
 point x + c/2.
 
+The CDF grid sits at evenly spaced normal quantiles, taken from
+``statistics.NormalDist``.  Either kind of dataset is read through
+``moments.iter_blocks``: a table whole, per-member values in the sweep's
+blocks.
+
 Per-member values are never sorted.  The center and scale come from one
 pass over the sweep's blocks (so the center is the ``moments`` mean bit
 for bit), and one more pass counts the values into equal-width range bins
@@ -47,20 +52,6 @@ NORMALIZATIONS = ("sigma", "sqrt_mean")
 def phi(x: float) -> float:
     """Standard normal CDF via the complementary error integral."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def phi_inv(q: float, tol: float = 1e-12) -> float:
-    """Inverse normal CDF by bisection (phi is strictly increasing)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile must be in (0, 1), got {q}")
-    lo, hi = -13.0, 13.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def ks_distance(x: np.ndarray, counts: np.ndarray, center: float, scale: float) -> float:
@@ -122,8 +113,10 @@ class NormalityReport:
 
 
 def _grid_points() -> list[float]:
+    import statistics  # here, so that importing the package does not load it
+
     qs = np.linspace(CDF_GRID_LO, CDF_GRID_HI, CDF_GRID_POINTS)
-    return [phi_inv(float(q)) for q in qs]
+    return [statistics.NormalDist().inv_cdf(float(q)) for q in qs]
 
 
 def _cdf_grid(
@@ -189,7 +182,7 @@ def _bounded_ks(
 
     in_bin = np.zeros(nbins, dtype=np.int64)
     in_bucket = np.zeros(nbuckets, dtype=np.int64)
-    for block in iter_blocks(values):
+    for block, _ in iter_blocks(values):
         in_bin += np.bincount(bin_of(block), minlength=nbins)
         in_bucket += np.bincount(bucket_of(block), minlength=nbuckets)
     before = np.concatenate(([0], np.cumsum(in_bin)))
@@ -200,7 +193,7 @@ def _bounded_ks(
         """The distinct values and counts of the chosen bins, and the
         largest tie in the chosen buckets, from one more pass."""
         in_bins, in_buckets = [], []
-        for block in iter_blocks(values):
+        for block, _ in iter_blocks(values):
             in_bins.append(block[bins[bin_of(block)]])
             in_buckets.append(block[buckets[bucket_of(block)]])
         x, counts = np.unique(np.concatenate(in_bins), return_counts=True)
@@ -283,13 +276,10 @@ def erdos_kac_report(
     if count < 2:
         raise ValueError("degenerate progression: need at least 2 members")
     acc = CoMoments(2)
-    if counts is not None:
-        acc.add_batch(x, counts)
-    else:
-        lo, hi = math.inf, -math.inf
-        for block in iter_blocks(x):
-            acc.add_batch(block)
-            lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+    lo, hi = math.inf, -math.inf
+    for block, weights in iter_blocks(x, counts):
+        acc.add_batch(block, weights)
+        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
     center = acc.mean
     if normalization == "sigma":
         scale = acc.sigma

@@ -133,6 +133,8 @@ class TestExitCodes:
             ["sieve", "--limit", "1e40"],
             ["model", "exact", "--n", "1e40", "--fn", "const:1"],
             ["probe", "--fn", "invloglog", "--checkpoints", "1e40"],
+            ["ektest", "--fn", "omega", "--n", "1"],
+            ["ektest", "--fn", "omega", "--mod", "4", "--res", "1", "--n", "1e20"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
@@ -144,7 +146,7 @@ class TestExitCodes:
              "tab_nan", "p0_below_two", "omega1_without_class",
              "asymptotic_x_at_start_prime", "moments_limit_one", "compare_limit_one",
              "sum_above_ceiling", "sieve_above_ceiling", "model_exact_above_ceiling",
-             "checkpoint_above_ceiling"],
+             "checkpoint_above_ceiling", "ektest_limit_one", "ektest_above_ceiling"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -377,6 +379,15 @@ class TestConfigFile:
         report = json.loads(out)
         assert report["x"] == 10
         assert report["term_count"] == 1  # only p = 5
+
+    def test_equals_form_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("mod=4\nres=1\n")
+        argv = ["moments", "--fn", "omega", "--n", "1e4"]
+        _, spaced = run_cli([*argv, "--config", str(cfg)], capsys)
+        _, joined = run_cli([*argv, f"--config={cfg}"], capsys)
+        assert json.loads(joined) == json.loads(spaced)
+        assert json.loads(joined)["k"] == 4 and json.loads(joined)["count"] == 2500
 
     def test_missing_config_file(self, capsys):
         code = main(["sum", "--config", "/nonexistent/path.cfg", "--x", "10",

@@ -19,6 +19,7 @@ from apmoments.arith_fn import (
 from apmoments.config import MEMBER_BLOCK
 from apmoments.moments import (
     CoMoments,
+    SpillFile,
     chebyshev_check,
     collect_dataset,
     empirical_moments,
@@ -132,6 +133,25 @@ class TestEmpiricalMoments:
         swept = empirical_moments(SQRTLOGLOG, STRONG, prog, n)
         assert spilled == swept
         assert np.array_equal(read_whole(path), collect_values(SQRTLOGLOG, STRONG, prog, n))
+
+    def test_lattice_spill_is_not_read_back(self, tmp_path, monkeypatch, capsys):
+        # the table is folded from the sweep's blocks as they are written
+        argv = ["moments", "--fn", "omega", "--mod", "4", "--res", "1", "--n", "1e5"]
+        assert cli.main(argv) == 0
+        swept = json.loads(capsys.readouterr().out)
+
+        def refuse(self, part):
+            raise AssertionError("spill file read back")
+
+        monkeypatch.setattr(SpillFile, "__getitem__", refuse)
+        path = tmp_path / "values.f64"
+        assert cli.main([*argv, "--spill", str(path)]) == 0
+        spilled = json.loads(capsys.readouterr().out)
+        assert spilled.pop("config")["spill"] == str(path)
+        swept.pop("config")
+        assert spilled == swept
+        assert np.array_equal(read_whole(path),
+                              collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), 10**5))
 
     def test_translation_invariance(self):
         # adding a constant to every value must leave central moments alone

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from apmoments import sieve
 from apmoments.arith_fn import PrimeFunction
 from apmoments.prime_sums import (
     ClosedFormUnavailable,
@@ -215,6 +216,22 @@ class TestProbes:
     def test_partial_sums_monotone(self):
         r = convergence_probe("custom", Progression(3, 2), custom=(INVLOGLOG, 1))
         assert all(b >= a for a, b in zip(r.values, r.values[1:]))
+
+    def test_one_prime_stream_for_all_checkpoints(self, monkeypatch):
+        calls = []
+
+        def counted(limit):
+            calls.append(limit)
+            return sieve_array(limit)
+
+        sieve_array = sieve._sieve_array
+        monkeypatch.setattr(sieve, "_cache", sieve._PrimeCache())  # cold cache
+        monkeypatch.setattr(sieve, "_sieve_array", counted)
+        prog, cps = Progression(4, 1), (10**3, 10**4, 10**5, 10**6)
+        r = convergence_probe("custom", prog, cps, custom=(INVLOGLOG, 1))
+        assert calls == [10**6]
+        for cp, value in zip(cps, r.values):
+            assert value == pytest.approx(prime_power_sum(INVLOGLOG, 1, cp, prog).value, rel=1e-14)
 
     def test_rejects_unsorted_checkpoints(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments import cli, stats
+from apmoments import cli, config, stats
 from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values, resolve_spec
 from apmoments.model import exact_moments, sample
 from apmoments.moments import empirical_moments
 from apmoments.sieve import Progression
-from apmoments.stats import erdos_kac_report, ks_distance, ks_lattice, phi, phi_inv
+from apmoments.stats import erdos_kac_report, ks_distance, ks_lattice, phi
 
 
 def table(values):
@@ -77,13 +78,13 @@ class TestPhi:
     @given(st.floats(0.001, 0.999))
     @settings(max_examples=50, deadline=None)
     def test_inverse_roundtrip(self, q):
-        assert phi(phi_inv(q)) == pytest.approx(q, abs=1e-10)
+        assert phi(NormalDist().inv_cdf(q)) == pytest.approx(q, abs=1e-10)
 
 
 class TestKsDistance:
     def test_exact_quantile_construction(self):
         m = 1000
-        values = np.array([phi_inv((i - 0.5) / m) for i in range(1, m + 1)])
+        values = np.array([NormalDist().inv_cdf((i - 0.5) / m) for i in range(1, m + 1)])
         assert ks_distance(*table(values), 0.0, 1.0) <= 0.0005 + 1e-12
 
     def test_point_mass(self):
@@ -173,6 +174,14 @@ class TestErdosKacReport:
             assert 0.0 <= emp <= 1.0
             assert emp == brute_force_cdf(normalized, x)
             assert ph == pytest.approx(phi(x), abs=1e-12)
+
+    @pytest.mark.parametrize("text", ["omega", "sqrtloglog"])  # a table, per-member values
+    def test_grid_sits_at_the_normal_quantiles(self, text):
+        fn, ext = resolve_spec(text)
+        rep = erdos_kac_report(fn, ext, Progression(4, 1), 10**4, "sigma")
+        qs = np.linspace(config.CDF_GRID_LO, config.CDF_GRID_HI, config.CDF_GRID_POINTS)
+        assert [ph for _, _, ph in rep.grid] == pytest.approx(qs, abs=1e-15, rel=0)
+        assert rep.grid[config.CDF_GRID_POINTS // 2][0] == 0.0
 
     def test_trend_with_n(self):
         om, ste = builtin("omega")
