@@ -35,7 +35,15 @@ _CSV_HEADER = ["x", "k", "l", "u", "exact_sum", "main_term", "err1", "err2", "ca
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one line on stderr, exit 2."""
+    """Argument parser whose usage errors are one line on stderr, exit 2.
+
+    Flags are never abbreviated: a prefix such as `--conf` would reach
+    argparse as `--config` without the file being read, and `--mo` would
+    lose to a config file's `mod`.
+    """
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
@@ -535,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject key=value file entries as flag defaults (flags win)."""
-    i = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    """Inject key=value file entries as flag defaults (flags win).  Of two
+    --config flags the last is read, as argparse records the last."""
+    i = next((i for i in reversed(range(len(argv))) if argv[i].partition("=")[0] == "--config"), None)
     if i is None:
         return argv
     _, eq, path = argv[i].partition("=")  # --config=FILE

@@ -12,15 +12,17 @@ The u_max defaults are per-call arguments.
 
 from __future__ import annotations
 
-# Sieve geometry.  A segment of 2^21 integers is 2^20 odd flags (1 MiB), which
-# fits the 2 MiB per-core L2 of the 2 vCPU Xeon the sizes were measured on.
-# Streaming the primes of 1 mod 4 up to 4e8 took 0.93, 0.86 and 0.87 s with
-# segments of 2^20, 2^21 and 2^22 integers, and a cold fill to 1e8 took
-# 0.22, 0.21 and 0.26 s.
-SIEVE_BLOCK = 1 << 21
+# Sieve geometry.  SIEVE_BLOCK counts member flags, not integers: a segment
+# holds one flag per member of the sieved class mod lcm(2, k), so 2^20 flags
+# (1 MiB) span 2^21 integers for the cache's odd numbers and 2^22 for a class
+# mod 4.  A 1 MiB buffer fits the 2 MiB per-core L2 of the 2 vCPU Xeon the
+# sizes were first measured on (odd-number segments of 2^19, 2^20 and 2^21
+# flags: 0.93, 0.86 and 0.87 s streaming 1 mod 4 to 4e8 with the sieve then).
+SIEVE_BLOCK = 1 << 20
 SIEVE_CEILING = 1 << 34
-# Full prime arrays are memoized only up to this limit (5.76M primes at
-# 10^8 is ~46 MB of int64; beyond ~2*10^8 callers should iterate blocks).
+# Full prime arrays are memoized only up to this limit, as uint32 (5.76M
+# primes at 10^8 is ~23 MB; the limit must stay below 2^32).  Beyond it
+# callers iterate blocks.
 PRIME_CACHE_MAX = 200_000_000
 # Chunk length used when replaying cached primes to block consumers.
 PRIME_CHUNK = 1 << 19

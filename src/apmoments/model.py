@@ -99,9 +99,15 @@ def _mode_blocks(progression: Progression, n: int, mode: str) -> Iterator[np.nda
     if mode == "restricted":
         blocks = iter_prime_blocks(n, progression)
     elif mode == "density":
-        # a prime dividing k is at most k, so only blocks starting there are cut
         k = progression.modulus
-        blocks = (b if b[0] > k else np.compress(k % b != 0, b) for b in iter_prime_blocks(n))
+
+        def coprime(b: np.ndarray) -> np.ndarray:
+            # a k past int64 is reduced by each prime as a Python int
+            residues = k % b if k < 2**63 else np.array([k % p for p in b.tolist()])
+            return np.compress(residues != 0, b)
+
+        # a prime dividing k is at most k, so only blocks starting there are cut
+        blocks = (b if b[0] > k else coprime(b) for b in iter_prime_blocks(n))
     else:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return (b[i : i + MODEL_BLOCK] for b in blocks for i in range(0, b.size, MODEL_BLOCK))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
@@ -233,7 +233,7 @@ def collect_dataset(
     if step is None and spill is None:
         return arith_fn.collect_values(fn, ext, progression, n, rows), None
     table = None if step is None else arith_fn.LatticeCounts(step)
-    with atomic_file(spill) if spill is not None else nullcontext() as fh:
+    with atomic_file(spill, unlink_first=True) if spill is not None else nullcontext() as fh:
         for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
             if fh is not None:
                 block.astype("<f8", copy=False).tofile(fh)
@@ -263,11 +263,17 @@ def empirical_moments(
 
 
 @contextmanager
-def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+def atomic_file(path: str | Path, *, unlink_first: bool = False) -> Iterator[BinaryIO]:
     """A binary file that replaces `path` only when the block completes: it is
     written as a temporary sibling and renamed, so no partial file survives
     an error.  Every output file (reports, spills) is written this way, and
-    an error about the sibling is reported against `path`."""
+    an error about the sibling is reported against `path`.
+
+    Spills set `unlink_first`: the previous file is unlinked just before the
+    rename, because on ext4 a rename over an existing file first flushes the
+    new one (auto_da_alloc), which stalled each rewrite of an 80 MB spill by
+    up to a second.  A failed block still leaves the previous file as it was.
+    """
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".apmoments-")
     except OSError as exc:
@@ -275,6 +281,9 @@ def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
+        if unlink_first:
+            with suppress(FileNotFoundError):
+                os.unlink(path)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -285,7 +294,7 @@ def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def write_spill(path: str | Path, values: np.ndarray) -> None:
-    with atomic_file(path) as fh:
+    with atomic_file(path, unlink_first=True) as fh:
         values.astype("<f8", copy=False).tofile(fh)
 
 

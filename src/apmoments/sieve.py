@@ -1,19 +1,21 @@
 """Segmented prime sieve, progression filtering, and trial-division factorization.
 
 All operations are deterministic and pure given their inputs.  Prime
-arrays returned here are read-only numpy views; a module-level cache
-memoizes the largest sieved range so repeated sums over the same limit
-do not pay for sieving twice.
+arrays are handed out as int64; a module-level cache memoizes the
+largest sieved range, as uint32, so repeated sums over the same limit do
+not pay for sieving twice.
 
-The sieve (Bays & Hudson's segmented sieve) keeps one flag per odd number
-of a segment.  Each segment starts as a copy of a small-prime wheel
-pattern with the odd multiples of 3, 5, 7, 11 and 13 already struck
-(Pritchard's pre-sieve; period 15015 flags), so only the base primes from
-17 up strike, one slice each at offsets computed as one vector per
-segment.  The odd members of a residue class mod k are every s-th flag
-(s = k/2 for even k, s = k for odd k), so a class's primes are read off
-that strided view: the streamed path never reduces a prime mod k.  The
-cache holds every prime and cuts a class out of it with np.compress.
+The sieve is the segmented sieve of primes in progressions (Bays &
+Hudson, BIT 17, 1977).  It keeps one flag per member of the odd class
+r mod lcm(2, k), so a class is sieved without its neighbours, and k = 1
+gives the odd numbers.  Each segment starts as a copy of the class's
+small-prime pattern, with the members divisible by 3, 5, 7, 11 or 13
+(those not dividing k) already struck (Pritchard's pre-sieve; period at
+most 15015 flags).  Only the base primes from 17 up strike, one stride
+each, at offsets computed as one vector per segment, so the streamed
+path never reduces a prime mod k.  The cache holds every prime up to
+its limit and cuts a class out of it with np.compress, one chunk at a
+time, widening only the cut to int64.
 """
 
 from __future__ import annotations
@@ -105,97 +107,88 @@ def _validate_limit(limit: int) -> None:
         raise ValueError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
 
 
-# The pre-sieve: odd flag j stands for 2j + 1 and is cleared when 2j + 1 has
-# a factor among these primes.  The pattern repeats every 3*5*7*11*13 = 15015
-# flags, so each segment starts as a copy of it taken at the segment's phase.
+# The pre-sieve primes.  A class's pattern strikes the members divisible by
+# those that do not divide k; its period, their product, divides 15015, so a
+# pattern of 15015 member flags serves every class.
 _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
 _PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 
 
-def _presieve_pattern() -> np.ndarray:
-    pattern = np.ones(_PRESIEVE_PERIOD, dtype=bool)
-    for p in _PRESIEVE_PRIMES:
-        pattern[(p - 1) // 2 :: p] = False
-    pattern.flags.writeable = False
-    return pattern
+def _fill_pattern(flags: np.ndarray, pattern: np.ndarray, phase: int) -> None:
+    """Set flags to the periodic pattern, flag 0 taking pattern[phase]."""
+    head = min(pattern.size - phase, flags.size)
+    flags[:head] = pattern[phase : phase + head]
+    for at in range(head, flags.size, pattern.size):
+        flags[at : at + pattern.size] = pattern[: flags.size - at]
 
 
-_PRESIEVE = _presieve_pattern()
+def _class_segments(limit: int, k: int, r: int) -> Iterator[np.ndarray]:
+    """Yield the ascending primes p <= limit with p % k == r, for k <= limit,
+    as int64 arrays: [2] first when 2 is in the class, then one array per
+    segment of SIEVE_BLOCK member flags.
 
-
-def _fill_presieved(flags: np.ndarray, first: int) -> None:
-    """Set flags to the pre-sieve pattern; flag 0 stands for the odd number `first`."""
-    phase = (first // 2) % _PRESIEVE_PERIOD
-    head = min(_PRESIEVE_PERIOD - phase, flags.size)
-    flags[:head] = _PRESIEVE[phase : phase + head]
-    for at in range(head, flags.size, _PRESIEVE_PERIOD):
-        flags[at : at + _PRESIEVE_PERIOD] = _PRESIEVE[: flags.size - at]
-
-
-def _sieve_segments(limit: int, progression: Progression | None = None) -> Iterator[np.ndarray]:
-    """Yield the ascending primes of [2, limit] in the progression (all primes
-    when None), one int64 array per segment of SIEVE_BLOCK integers.
-
-    A segment holds one flag per odd number.  It starts as the pre-sieve
-    pattern; the base primes above the pre-sieve strike their odd multiples
-    from max(p^2, first multiple in the segment), each at an offset taken
-    from one vector computation per segment.  The progression's odd members
-    are every s-th flag, so its primes are read off that strided view and
-    no prime value is ever reduced mod k.
+    Flag j stands for the odd member v0 + P*j of the class, P = lcm(2, k).
+    A segment starts as the class's pre-sieve pattern.  Each base prime q
+    from 17 up that does not divide k then strikes the members it divides,
+    one stride of q flags from the first member >= q^2; the members q
+    divides are those with j = -v0/P mod q, and the segment's offsets are
+    one vector computation.  At k = 1 the flags are the odd numbers.
     """
-    k, r = (1, 0) if progression is None else (progression.modulus, progression.residue)
-    # The odd members of the class are one residue mod `period`: k for even k
-    # (whose coprime classes hold only odd numbers), 2k for odd k.
     period = k if k % 2 == 0 else 2 * k
-    r_odd = r if r % 2 else r + k
-    s = period // 2
-    # A stride past the segment selects at most its first flag, so capping
-    # the multiplier keeps it inside int64 for any modulus.
-    step = 2 * min(s, SIEVE_BLOCK)
+    v0 = r if r % 2 else r + k
+    if 2 % k == r:
+        yield np.array([2], dtype=np.int64)
+    members = (limit - v0) // period + 1 if v0 <= limit else 0
 
-    base = primes_upto_monolithic(math.isqrt(limit))
-    base = base[base > _PRESIEVE_PRIMES[-1]]
-    squares = base * base
+    odd = primes_upto_monolithic(max(_PRESIEVE_PRIMES[-1], math.isqrt(limit)))[1:]
+    odd = odd[k % odd != 0]
+    # the index of the first member each odd prime divides
+    first = np.array([-v0 * pow(period, -1, q) % q for q in odd.tolist()], dtype=np.int64)
+    pre = odd <= _PRESIEVE_PRIMES[-1]
+    pattern = np.ones(_PRESIEVE_PERIOD, dtype=bool)
+    # the flags the pattern gets wrong: the member 1, and the pre-sieve primes
+    fixes = [(0, False)] if v0 == 1 else []
+    for q, j in zip(odd[pre].tolist(), first[pre].tolist()):
+        pattern[j::q] = False
+        if q % period == v0:
+            fixes.append(((q - v0) // period, True))
+    base, first = odd[~pre], first[~pre]
+    square = -((v0 - base * base) // period)  # index of the first member >= q^2, or below 0
     base_list = base.tolist()
-    buf = np.empty((SIEVE_BLOCK + 1) // 2, dtype=bool)
+    buf = np.empty(SIEVE_BLOCK, dtype=bool)
 
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + SIEVE_BLOCK, limit + 1)  # half-open [lo, hi)
-        o0 = lo | 1
-        flags = buf[: (hi - o0 + 1) // 2]
-        _fill_presieved(flags, o0)
-        if lo == 2:
-            for p in _PRESIEVE_PRIMES:
-                if p < hi:
-                    flags[(p - o0) >> 1] = True
-        m = int(np.searchsorted(squares, hi))  # the base primes with p^2 < hi
-        gap = (-o0) % base[:m]  # from o0 to the next multiple of p
-        offsets = np.where(gap & 1, gap + base[:m], gap) >> 1
-        np.maximum(offsets, (squares[:m] - o0) >> 1, out=offsets)
-        for p, at in zip(base_list, offsets.tolist()):
-            flags[at::p] = False
-        c = ((r_odd - o0) % period) >> 1  # first flag of the class
-        primes = np.empty(0, dtype=np.int64)
-        if c < flags.size:
-            primes = np.flatnonzero(flags[c::s]) * step + (o0 + 2 * c)
-        if lo == 2 and 2 % k == r:
-            primes = np.concatenate((np.array([2], dtype=np.int64), primes))
-        yield primes
-        lo = hi
+    for lo in range(0, members, SIEVE_BLOCK):
+        flags = buf[: min(SIEVE_BLOCK, members - lo)]
+        hi = lo + flags.size
+        _fill_pattern(flags, pattern, lo % _PRESIEVE_PERIOD)
+        for j, is_prime in fixes:
+            if lo <= j < hi:
+                flags[j - lo] = is_prime
+        m = int(np.searchsorted(square, hi))  # the base primes with q^2 below member hi
+        start = np.maximum(square[:m], lo)
+        offsets = start + (first[:m] - start) % base[:m] - lo
+        for q, at in zip(base_list, offsets.tolist()):
+            flags[at::q] = False
+        yield np.flatnonzero(flags) * period + (v0 + period * lo)
+
+
+def _is_prime(m: int) -> bool:
+    """Trial division by the primes up to sqrt(m)."""
+    return m >= 2 and bool(np.all(m % primes_upto_monolithic(math.isqrt(m))))
 
 
 def _sieve_array(limit: int) -> np.ndarray:
-    """All primes <= limit as one read-only array, filled segment by segment.
+    """All primes <= limit (< 2^32) as one read-only uint32 array, filled
+    segment by segment.
 
     The buffer is sized by the Rosser-Schoenfeld bound
     pi(x) < 1.25506 x / ln x, and the primes are copied in as they are
     sieved, so the array is never held twice; the pages past the last
     prime are never written and so never become resident.
     """
-    buf = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    buf = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.uint32)
     used = 0
-    for seg in _sieve_segments(limit):
+    for seg in _class_segments(limit, 1, 0):
         buf[used : used + seg.size] = seg
         used += seg.size
     arr = buf[:used]
@@ -204,40 +197,40 @@ def _sieve_array(limit: int) -> np.ndarray:
 
 
 class _PrimeCache:
-    """Memoizes the largest sieved prime array up to PRIME_CACHE_MAX."""
+    """Memoizes the largest sieved uint32 prime array up to PRIME_CACHE_MAX."""
 
     def __init__(self) -> None:
         self._limit = 0
-        self._primes = np.empty(0, dtype=np.int64)
+        self._primes = np.empty(0, dtype=np.uint32)
 
     def primes_upto(self, limit: int) -> np.ndarray:
-        if limit <= self._limit:
-            cut = np.searchsorted(self._primes, limit, side="right")
-            return self._primes[:cut]
-        arr = _sieve_array(limit)
-        if limit <= PRIME_CACHE_MAX:
-            self._limit = limit
-            self._primes = arr
-        return arr
+        """The cached primes <= limit (<= PRIME_CACHE_MAX), a uint32 view."""
+        if limit > self._limit:
+            self._limit, self._primes = limit, _sieve_array(limit)
+        # a Python int here would convert the whole cache to int64
+        cut = np.searchsorted(self._primes, np.uint32(limit), side="right")
+        return self._primes[:cut]
 
 
 _cache = _PrimeCache()
 
 
 def sieve_primes(limit: int) -> PrimeRange:
-    """All primes <= limit as one ascending array.
+    """All primes <= limit as one ascending int64 array.
 
     Materializes the full list; for limits past the cache budget prefer
     :func:`iter_prime_blocks`.
     """
-    _validate_limit(limit)
-    return PrimeRange(limit, _cache.primes_upto(limit))
+    return PrimeRange(limit, _concatenate(iter_prime_blocks(limit)))
 
 
 def primes_in_progression(limit: int, progression: Progression) -> PrimeRange:
     """Primes p <= limit with p in the progression's residue class."""
-    blocks = iter_prime_blocks(limit, progression)
-    return PrimeRange(limit, np.concatenate([np.empty(0, dtype=np.int64), *blocks]), progression)
+    return PrimeRange(limit, _concatenate(iter_prime_blocks(limit, progression)), progression)
+
+
+def _concatenate(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
 
 
 def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Iterator[np.ndarray]:
@@ -247,24 +240,30 @@ def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Ite
     The limit picks one of two layouts, with the same primes in the same
     order:
 
-    - cached (limit <= PRIME_CACHE_MAX): the cache's array in chunks of
-      PRIME_CHUNK primes, each cut to the class with one np.compress, so a
-      block holds at most PRIME_CHUNK primes;
-    - streamed (past it): one block per sieve segment of SIEVE_BLOCK
-      integers, read off the class's strided view of the segment's flags;
-      memory stays one segment, and no prime is reduced mod k.
+    - cached (limit <= PRIME_CACHE_MAX): the cache's uint32 array in
+      chunks of PRIME_CHUNK primes, each cut to the class with one
+      np.compress and then widened to int64, so a block holds at most
+      PRIME_CHUNK primes;
+    - streamed (past it): one block per segment of the class sieve; memory
+      stays one segment, and no prime is reduced mod k.
+
+    A modulus past the limit leaves one member, the residue, so the class
+    is that residue when it is prime.
     """
     _validate_limit(limit)
-    if progression is not None and progression.is_full:
-        progression = None
+    k, r = (1, 0) if progression is None else (progression.modulus, progression.residue)
+    if k > limit:
+        if r <= limit and _is_prime(r):
+            yield np.array([r], dtype=np.int64)
+        return
     if limit <= PRIME_CACHE_MAX:
         arr = _cache.primes_upto(limit)
-        blocks = (arr[i : i + PRIME_CHUNK] for i in range(0, arr.size, PRIME_CHUNK))
-        if progression is not None:
-            k, r = progression.modulus, progression.residue
-            blocks = (np.compress(b % k == r, b) for b in blocks)
+        chunks = (arr[i : i + PRIME_CHUNK] for i in range(0, arr.size, PRIME_CHUNK))
+        if k > 1:
+            chunks = (np.compress(c % k == r, c) for c in chunks)
+        blocks = (c.astype(np.int64) for c in chunks)
     else:
-        blocks = _sieve_segments(limit, progression)
+        blocks = _class_segments(limit, k, r)
     for blk in blocks:
         if blk.size:
             yield blk

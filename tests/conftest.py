@@ -12,8 +12,8 @@ from apmoments import config
 
 @pytest.fixture
 def sieve_geometry(monkeypatch):
-    """set(segment, cache_max): sieve segments of `segment` integers, and the
-    cached layout only for limits up to `cache_max` (0 streams every limit).
+    """set(segment, cache_max): sieve segments of `segment` member flags, and
+    the cached layout only for limits up to `cache_max` (0 streams every limit).
     Called with no arguments it restores the defaults."""
 
     def set_geometry(segment=config.SIEVE_BLOCK, cache_max=config.PRIME_CACHE_MAX):

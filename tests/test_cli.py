@@ -344,6 +344,26 @@ class TestEmission:
         assert spill.stat().st_size == 100 * 8
         assert list(tmp_path.iterdir()) == [spill]
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--fn", "sqrtloglog", "--n", "1e3"],
+        ["model", "sample", "--n", "1e3", "--fn", "const:1", "--trials", "100"],
+    ], ids=["sweep", "sample"])
+    def test_spill_rerun_gives_identical_bytes(self, argv, tmp_path, capsys):
+        spill = tmp_path / "values.f64"
+        assert main([*argv, "--spill", str(spill)]) == 0
+        first = spill.read_bytes()
+        assert main([*argv, "--spill", str(spill)]) == 0
+        assert spill.read_bytes() == first
+        assert list(tmp_path.iterdir()) == [spill]
+
+    def test_failed_sweep_keeps_the_previous_spill(self, tmp_path, capsys):
+        spill = tmp_path / "values.f64"
+        assert main(["moments", "--fn", "sqrtloglog", "--n", "1e3", "--spill", str(spill)]) == 0
+        before = spill.read_bytes()
+        assert main(["moments", "--n", "100", "--fn", "tab:5=1", "--spill", str(spill)]) == 1
+        assert spill.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [spill]
+
     def test_sieve_file_matches_monolithic_sieve(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("apmoments.sieve.PRIME_CHUNK", 1000)  # about ten blocks
         out_file = tmp_path / "primes.txt"
@@ -388,6 +408,31 @@ class TestConfigFile:
         _, joined = run_cli([*argv, f"--config={cfg}"], capsys)
         assert json.loads(joined) == json.loads(spaced)
         assert json.loads(joined)["k"] == 4 and json.loads(joined)["count"] == 2500
+
+    def test_last_of_two_config_files_is_read(self, tmp_path, capsys):
+        first, last = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("mod=3\nres=2\n")
+        last.write_text("mod=4\nres=1\n")
+        _, out = run_cli(["moments", "--fn", "omega", "--n", "1e4",
+                          "--config", str(first), f"--config={last}"], capsys)
+        report = json.loads(out)
+        assert report["config"]["config"] == str(last)
+        assert report["k"] == 4 and report["count"] == 2500
+
+    @pytest.mark.parametrize("flags, prefix", [
+        (["--conf", "{cfg}"], "--conf"),
+        (["--config", "{cfg}", "--mo", "3", "--res", "2"], "--mo"),
+    ], ids=["config_prefix", "mod_prefix"])
+    def test_abbreviated_flag_is_usage_error(self, flags, prefix, tmp_path, capsys):
+        # a prefix is no flag: neither --conf for --config nor --mo for --mod
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("mod=4\nres=1\n")
+        argv = ["moments", "--fn", "omega", "--n", "1e4", *(f.format(cfg=cfg) for f in flags)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unrecognized arguments: {prefix} " in err
 
     def test_missing_config_file(self, capsys):
         code = main(["sum", "--config", "/nonexistent/path.cfg", "--x", "10",

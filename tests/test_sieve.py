@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apmoments import sieve
 from apmoments.cli import main
 from apmoments.sieve import (
     Progression,
@@ -149,14 +151,18 @@ class TestEulerPhi:
             assert euler_phi(1) == 1
 
 
-# Moduli for the class oracle: the pre-sieve's period and its factors, and
-# one modulus longer than any segment (its classes have at most one member
-# per segment and most segments have none).
-ORACLE_MODULI = [1, 2, 3, 4, 12, 15, 30, 15015, (1 << 21) + 1]
-# Limits inside the pre-sieve primes and on both sides of pattern periods.
-ORACLE_LIMITS = list(range(2, 21)) + [15015 * j + d for j in (1, 2) for d in (-1, 1)]
+# Moduli for the class oracle: 1 and 2 (the odd-number flags), odd moduli
+# (members 2k apart) sharing none, some or all of the pre-sieve primes, or a
+# base prime, even moduli, and one modulus past every limit
+# (its classes hold at most their residue).
+ORACLE_MODULI = [1, 2, 3, 4, 7, 12, 15, 17, 30, 105, 15015, (1 << 21) + 1]
+# Limits inside the pre-sieve primes, on both sides of pattern periods, and
+# one with many segments of every length.
+ORACLE_LIMITS = list(range(2, 21)) + [15015 * j + d for j in (1, 2) for d in (-1, 1)] + [10**6]
 ORACLE_BLOCKS = [1024, 4099, 999_983]
 ORACLE_PRIMES = primes_upto_monolithic(max(ORACLE_LIMITS))
+# Moduli past any int64 prime and past int64 itself.
+HUGE_MODULI = [5_000_000_000, 9 * 10**19 + 1]
 
 
 def use_layout(sieve_geometry, block_size):
@@ -174,6 +180,14 @@ def coprime_classes(k, below):
     return [r for r in range(1, min(k, below + 1)) if math.gcd(k, r) == 1]
 
 
+def layout_primes(x, prog, sieve_geometry, block_size):
+    """The class's primes <= x from one layout; every block non-empty int64."""
+    use_layout(sieve_geometry, block_size)
+    blocks = list(iter_prime_blocks(x, prog))
+    assert all(b.size and b.dtype == np.int64 for b in blocks)
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+
+
 class TestClassOracle:
     """Both layouts of iter_prime_blocks against the monolithic sieve cut by % k."""
 
@@ -181,19 +195,14 @@ class TestClassOracle:
     def check(x, k, r, sieve_geometry):
         ref = ORACLE_PRIMES[ORACLE_PRIMES <= x]
         want = ref[ref % k == r]
-        prog = Progression(k, r)
-        layouts = [None, *ORACLE_BLOCKS]
-        for block_size in layouts:
-            use_layout(sieve_geometry, block_size)
-            blocks = list(iter_prime_blocks(x, prog))
-            assert all(b.size and b.dtype == np.int64 for b in blocks)
-            got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+        for block_size in [None, *ORACLE_BLOCKS]:
+            got = layout_primes(x, Progression(k, r), sieve_geometry, block_size)
             assert np.array_equal(got, want), (x, k, r, block_size)
 
     @pytest.mark.parametrize("k", ORACLE_MODULI)
     def test_classes_at_every_limit_and_layout(self, k, sieve_geometry):
         # every class for the small moduli; an even spread of about 60
-        # classes (the last included) for the two large ones
+        # classes (the last included) for the large ones
         for x in ORACLE_LIMITS:
             classes = coprime_classes(k, x)
             spread = classes[:: max(1, len(classes) // 60)] + classes[-1:]
@@ -207,12 +216,49 @@ class TestClassOracle:
         ref = ORACLE_PRIMES[ORACLE_PRIMES <= x]
         for r in coprime_classes(k, x):
             want = ref[ref % k == r]
-            prog = Progression(k, r)
             for block_size in (None, 999_983):
-                use_layout(sieve_geometry, block_size)
-                blocks = list(iter_prime_blocks(x, prog))
-                got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+                got = layout_primes(x, Progression(k, r), sieve_geometry, block_size)
                 assert np.array_equal(got, want), (k, r, block_size)
+
+    @pytest.mark.parametrize("k", HUGE_MODULI)
+    def test_modulus_past_int_types(self, k, sieve_geometry):
+        # the residues: 2, a composite, primes, a prime past x
+        x = 10**6
+        ref = ORACLE_PRIMES.tolist()
+        for r in (2, 9, 7, 4999, 999_983, 1_000_003):
+            if math.gcd(k, r) != 1:
+                continue
+            want = [p for p in ref if p <= x and p % k == r]
+            for block_size in [None, *ORACLE_BLOCKS]:
+                got = layout_primes(x, Progression(k, r), sieve_geometry, block_size)
+                assert got.tolist() == want, (k, r, block_size)
+
+
+class TestPrimeCache:
+    def test_cache_is_uint32_and_blocks_int64(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_cache", sieve._PrimeCache())
+        for prog in (None, Progression(4, 1), Progression(15015, 2)):
+            assert all(b.dtype == np.int64 for b in iter_prime_blocks(10**5, prog))
+        assert sieve._cache._primes.dtype == np.uint32
+        assert sieve_primes(10**5).primes.dtype == np.int64
+
+    def test_warm_class_pass_stays_within_two_chunks(self, monkeypatch):
+        # a Python int in the cache's searchsorted converts the whole cache
+        # (78498 primes at 1e6, 628 kB as int64) to int64 on every call
+        chunk = 1 << 14
+        monkeypatch.setattr(sieve, "_cache", sieve._PrimeCache())
+        monkeypatch.setattr(sieve, "PRIME_CHUNK", chunk)
+        prog = Progression(4, 1)
+        for _ in iter_prime_blocks(10**6, prog):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in iter_prime_blocks(10**6, prog):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * chunk * np.dtype(np.int64).itemsize
 
 
 class TestStreamedSum:
@@ -226,3 +272,35 @@ class TestStreamedSum:
         streamed = json.loads(capsys.readouterr().out)
         assert streamed["term_count"] == cached["term_count"] == 39175
         assert streamed["exact_sum"] == pytest.approx(cached["exact_sum"], rel=1e-14, abs=0)
+
+
+class TestModulusPastTheLimit:
+    @pytest.mark.parametrize("k", HUGE_MODULI)
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--fn", "const:1", "--x", "1e6"],
+        ["sieve", "--limit", "1e6"],
+        ["moments", "--fn", "omega", "--n", "1e6"],
+        ["model", "exact", "--fn", "omega", "--n", "1e6"],
+    ], ids=["sum", "sieve", "moments", "model_exact"])
+    def test_same_report_from_each_layout(self, argv, k, sieve_geometry, capsys):
+        argv = [*argv, "--mod", str(k), "--res", "4999"]
+        assert main(argv) == 0
+        cached = capsys.readouterr().out
+        sieve_geometry(1 << 12, cache_max=1000)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cached
+
+    @pytest.mark.parametrize("k", HUGE_MODULI)
+    def test_density_model_drops_the_primes_dividing_k(self, k, sieve_geometry, capsys):
+        # the layouts split the primes into different blocks, so the model's
+        # sums agree to rounding
+        argv = ["model", "exact", "--fn", "omega", "--n", "1e6", "--mode", "density",
+                "--mod", str(k), "--res", "4999"]
+        reports = []
+        for cache_max in (10**6, 1000):
+            sieve_geometry(1 << 12, cache_max=cache_max)
+            assert main(argv) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        cached, streamed = reports
+        assert cached["term_count"] == streamed["term_count"] == sum(1 for p in ORACLE_PRIMES.tolist() if k % p)
+        assert streamed["kappa"] == pytest.approx(cached["kappa"], rel=1e-12)
