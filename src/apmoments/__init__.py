@@ -20,7 +20,6 @@ from .arith_fn import (
     parse_fn,
 )
 from .model import (
-    BernoulliTerm,
     LindebergReport,
     ModelMoments,
     SampleSet,

@@ -17,10 +17,14 @@ Bulk evaluation over progression members reads an additive function as one
 table of increments f(p^a) - f(p^(a-1)), one row per prime power: every
 member divisible by p^a gains the increment of that row, so the members
 divisible exactly by p^a end up with f(p^a) whatever the rule behind it.
-The rows also multiply up the part of each member they cover; a member
-that part falls short of has one prime factor q above sqrt(n) left,
-worth f(q).  When f is one constant on every prime above sqrt(n)
-(:meth:`PrimeFunction.constant_above`), that value needs no q at all.
+The rows also multiply up the part of each member they cover (the found
+part, uint32 when n < 2^32); a member that part falls short of has one
+prime factor q above sqrt(n) left, worth f(q).  When f is one constant c
+on every prime above sqrt(n) (:meth:`PrimeFunction.constant_above`), that
+value needs no q at all.  When every increment is also an integer
+multiple of c (a lattice spec), the sweep can add integer lattice indices
+instead of floats: int8, or int16 (wider only for huge table entries) when
+floor(log2 n) rows times the largest row index, plus one, passes 127.
 """
 
 from __future__ import annotations
@@ -494,24 +498,46 @@ def increment_table(
     return rows
 
 
+def found_dtype(n: int) -> type:
+    """Type of the members up to n and of their found parts, which divide
+    them and so never overflow: uint32 below 2^32, else int64."""
+    return np.uint32 if n < 1 << 32 else np.int64
+
+
+def lattice_dtype(n: int, k_max: int) -> type:
+    """Type of a lattice column whose row increments are at most k_max in
+    size: a member up to n lies on at most floor(log2 n) rows and has at
+    most one prime above sqrt(n), so |k| <= floor(log2 n) * k_max + 1.  int8
+    when that is at most 127, else the narrowest that holds it (None past
+    int64)."""
+    bound = (n.bit_length() - 1) * k_max + 1
+    types = (np.int8, np.int16, np.int32, np.int64)
+    return next((t for t in types if bound <= np.iinfo(t).max), None)
+
+
 def iter_progression_values(
     specs: Sequence[tuple[PrimeFunction, Extension]],
     progression: Progression,
     n: int,
     rows: list[Row] | None = None,
+    steps: Sequence[float | None] | None = None,
 ) -> Iterator[list[np.ndarray]]:
     """Evaluate additive functions over all progression members up to n.
 
-    Yields, per block of MEMBER_BLOCK members, one float64 array per spec.
+    Yields, per block of MEMBER_BLOCK members, one array per spec.
     One table of prime-power increments serves every spec: `rows`, when the
     caller has built it, else a fresh :func:`increment_table`.
     The members form an arithmetic sequence with step coprime to p, so the
     multiples of p^a among them sit on one stride of the member index: each
     row adds its increments on that stride and multiplies p into the
-    member's found part there.  A member whose found part falls short of it
-    has exactly one prime factor q above sqrt(n) left.  A spec that is one
-    constant c on those primes adds c there; any other spec gets f(q), with
-    q = member // found computed once, on the leftovers only.
+    member's found part there (:func:`found_dtype`).  A member whose found
+    part falls short of it has exactly one prime factor q above sqrt(n)
+    left.  A spec that is one constant c on those primes adds c there; any
+    other spec gets f(q), with q = member // found computed once, on the
+    leftovers only.  A spec with a step in `steps` (see :func:`lattice_steps`)
+    gets integer lattice indices k for its values k * step
+    (:func:`lattice_dtype`): each row adds round(increment / step), a prime
+    above sqrt(n) the sign of c.  Other specs get float64 sums.
     """
     total = progression.count(n)
     if total == 0:
@@ -521,20 +547,29 @@ def iter_progression_values(
     if rows is None:
         rows = increment_table(specs, progression, n)
     constants = [fn.constant_above(math.isqrt(n)) for fn, _ in specs]
+    columns = [[row[3][j] for row in rows] for j in range(len(specs))]
+    dtypes = [np.float64] * len(specs)
+    for j, step in enumerate(steps or ()):
+        if step is not None:
+            columns[j] = [round(d / step) for d in columns[j]]
+            dtypes[j] = lattice_dtype(n, max(map(abs, columns[j]), default=0))
+            constants[j] = dtypes[j](math.copysign(1, constants[j]))
+    increments = list(zip(*columns))
+    fdt = found_dtype(n)
 
     for t_lo in range(0, total, MEMBER_BLOCK):
         size = min(MEMBER_BLOCK, total - t_lo)
-        members = np.arange(start + k * t_lo, start + k * (t_lo + size), k, dtype=np.int64)
-        found = np.ones(size, dtype=np.int64)
-        vals = [np.zeros(size) for _ in specs]
+        members = np.arange(start + k * t_lo, start + k * (t_lo + size), k, dtype=fdt)
+        found = np.ones(size, dtype=fdt)
+        vals = [np.zeros(size, dtype=t) for t in dtypes]
 
-        for p, pa, t0, deltas in rows:
+        for (p, pa, t0, _), deltas in zip(rows, increments):
             off = (t0 - t_lo) % pa
             if off >= size:
                 continue
             found[off::pa] *= p
             for v, d in zip(vals, deltas):
-                if d != 0.0:
+                if d != 0:
                     v[off::pa] += d
 
         big = found < members
@@ -546,7 +581,7 @@ def iter_progression_values(
                     fv = fn.values_at(leftovers)
                     if np.any(fv):
                         v[big] += fv
-                elif c != 0.0:
+                elif c != 0:
                     v += c * big
 
         yield vals
@@ -559,12 +594,8 @@ def collect_values(
     n: int,
     rows: list[Row] | None = None,
 ) -> np.ndarray:
-    """f over all members up to n as one float64 array, filled block by block.
-
-    Only datasets that are not on a lattice (see :func:`lattice_steps`) and
-    spill files are built this way; a lattice dataset is folded block by
-    block into a :class:`LatticeCounts` table instead.
-    """
+    """f over all members up to n as one float64 array, filled block by block
+    (the form of a dataset off the lattice, see :func:`lattice_steps`)."""
     values = np.empty(progression.count(n))
     blocks = iter_progression_values([(fn, ext)], progression, n, rows)
     for i, (block,) in enumerate(blocks):
@@ -580,7 +611,8 @@ def lattice_steps(
 
     Decided from the spec and its column of `rows` (the specs'
     :func:`increment_table`), never from the values: c must be nonzero and
-    every increment an exact integer multiple of c.  A member's value is
+    every increment an exact integer multiple of c, with every member's
+    lattice index within int64 (:func:`lattice_dtype`).  A member's value is
     then its rows' increments plus c for a prime above sqrt(n) (omega,
     bigomega, half_omega, const:c under either rule and tabulated specs
     whose entries are multiples of their default).
@@ -588,7 +620,10 @@ def lattice_steps(
     steps: list[float | None] = []
     for j, (fn, _) in enumerate(specs):
         c = fn.constant_above(math.isqrt(n))
-        on = bool(c) and all(row[3][j] == round(row[3][j] / c) * c for row in rows)
+        ks = [row[3][j] / c for row in rows] if c else None
+        on = (ks is not None and all(map(math.isfinite, ks))
+              and all(row[3][j] == round(k) * c for row, k in zip(rows, ks))
+              and lattice_dtype(n, max((abs(round(k)) for k in ks), default=0)) is not None)
         steps.append(abs(c) if on else None)
     return steps
 
@@ -596,9 +631,9 @@ def lattice_steps(
 class LatticeCounts:
     """Integer histogram of values k * step, filled block by block.
 
-    Each block is binned by round(v / step) relative to its own minimum,
-    and blocks merge by adding counts, so memory follows the number of
-    lattice points spanned, not the number of values.
+    Each block, lattice indices k of any integer type, is binned by k
+    relative to its own minimum; blocks merge by adding counts, so memory
+    follows the number of lattice points spanned, not the number of values.
     """
 
     def __init__(self, step: float):
@@ -606,10 +641,9 @@ class LatticeCounts:
         self.lo = 0  # lattice index of counts[0]
         self.counts = np.zeros(0, dtype=np.int64)
 
-    def add_batch(self, values: np.ndarray) -> None:
-        k = np.rint(values / self.step).astype(np.int64)
+    def add_batch(self, k: np.ndarray) -> None:
         lo = int(k.min())
-        hist = np.bincount(k - lo)
+        hist = np.bincount(np.subtract(k, lo, dtype=np.intp))  # in intp: int8 would wrap
         if not self.counts.size:
             self.lo, self.counts = lo, hist
             return

@@ -101,6 +101,10 @@ def _report(args: argparse.Namespace, payload: dict) -> dict:
     return {"config": _resolved_config(args), "version": __version__, **payload}
 
 
+def _predictions(preds: dict[str, float]) -> dict[str, float]:
+    return {"restricted_sum": preds["restricted"], "density_sum": preds["density"]}
+
+
 class _UsageError(ValueError):
     """A bad argument value found after parsing; exits 2 like a parser error."""
 
@@ -199,7 +203,9 @@ def _checkpoints(args, start_prime: int | None = None) -> tuple[int, ...]:
 def cmd_sieve(args) -> None:
     prog = _progression(args)
     blocks = iter_prime_blocks(_sieve_limit("limit", args.limit), None if prog.is_full else prog)
-    texts = ("\n".join(map(str, block.tolist())) + "\n" for block in blocks)
+    # text in slices of 2^16 primes: a whole cached chunk of 2^19 took ~55 MB
+    texts = ("\n".join(map(str, block[i : i + (1 << 16)].tolist())) + "\n"
+             for block in blocks for i in range(0, block.size, 1 << 16))
     if args.out:
         with moments.atomic_file(args.out) as fh:
             for text in texts:
@@ -294,8 +300,9 @@ def cmd_moments(args) -> None:
     n = _sieve_limit("n", args.n)
     # predictions first, so the sieve's temporaries are gone before the values exist
     preds = model.mean_predictions(fn, prog, n)
-    x, counts = moments.collect_dataset(fn, ext, prog, n, spill=args.spill)
-    summary = moments.moment_summary(x, prog, n, u_max=args.umax, counts=counts)
+    acc = moments.CoMoments(args.umax)
+    x, counts = moments.collect_dataset(fn, ext, prog, n, spill=args.spill, acc=acc)
+    summary = moments.summarize(acc, prog, n)
     cheb = moments.chebyshev_check(summary, x, CHEBYSHEV_B_DEFAULT, counts)
     payload = {
         "n": summary.n,
@@ -305,10 +312,7 @@ def cmd_moments(args) -> None:
         "mean": summary.mean,
         "sigma": summary.sigma,
         "mu": [summary.mu[u] for u in sorted(summary.mu)],
-        "predictions": {
-            "restricted_sum": preds["restricted"],
-            "density_sum": preds["density"],
-        },
+        "predictions": _predictions(preds),
         "coverage": [
             {"b": b, "coverage": c, "bound": bound}
             for b, c, bound in zip(cheb.b_values, cheb.coverage, cheb.bounds)
@@ -402,14 +406,8 @@ def cmd_model_compare(args) -> None:
         "f": {"fn": args.fn, "ext": pair.f[1].mode, **summary_dict(cmp.summary)},
         "mean_diff": cmp.mean_diff,
         "mu_diff": [cmp.mu_diff[u] for u in sorted(cmp.mu_diff)],
-        "predictions_f_star": {
-            "restricted_sum": cmp.predictions_star["restricted"],
-            "density_sum": cmp.predictions_star["density"],
-        },
-        "predictions_f": {
-            "restricted_sum": cmp.predictions["restricted"],
-            "density_sum": cmp.predictions["density"],
-        },
+        "predictions_f_star": _predictions(cmp.predictions_star),
+        "predictions_f": _predictions(cmp.predictions),
         "override_contribution": cmp.override_contribution,
     }
     _emit(_report(args, payload), args)

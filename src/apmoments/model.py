@@ -35,22 +35,10 @@ from .arith_fn import (
     lattice_steps,
 )
 from .config import MODEL_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
-from .moments import CoMoments, MomentSummary, moment_summary
+from .moments import CoMoments, MomentSummary, moment_summary, summarize
 from .sieve import Progression, iter_prime_blocks
 
 MODES = ("restricted", "density")
-
-
-@dataclass(frozen=True)
-class BernoulliTerm:
-    """One model term: value f(p) with probability 1/p, else 0."""
-
-    p: int
-    value: float
-
-    @property
-    def success_prob(self) -> float:
-        return 1.0 / self.p
 
 
 @dataclass(frozen=True)
@@ -203,23 +191,6 @@ def exact_moments(
     return ModelMoments(n, progression, mode, kappa, mu, first, gap, count)
 
 
-def brute_force_central_moments(
-    terms: Sequence[BernoulliTerm], u_max: int
-) -> dict[int, float]:
-    """Enumerate all 2^m outcomes of the model sum (oracle, m <= ~20)."""
-    values = np.zeros(1)
-    probs = np.ones(1)
-    for t in terms:
-        values = np.concatenate([values, values + t.value])
-        probs = np.concatenate([probs * (1.0 - t.success_prob), probs * t.success_prob])
-    mean = float(np.dot(probs, values))
-    d = values - mean
-    out = {1: 0.0}
-    for u in range(2, u_max + 1):
-        out[u] = float(np.dot(probs, d**u))
-    return out
-
-
 def sample(
     fn: PrimeFunction,
     progression: Progression,
@@ -304,34 +275,31 @@ def compare_pair(
     """Empirical moments of both pair members over the progression.
 
     Both functions are evaluated in one factorization sweep.  Each side
-    keeps one accumulator of its kind: a lattice side folds every block
-    into its value/count table, any other side merges the block into its
-    running moments.  For pairs whose compared member carries explicit
-    prime-power overrides, the total override weight sum |delta f(p^a)| *
-    density(p^a exactly divides a member) is reported; the density of an
-    exact power p^a among members is (1/p^a)(1 - 1/p) for p not dividing
-    the modulus.
+    keeps one accumulator of its kind: a lattice side folds every block of
+    its integer lattice indices into its value/count table, any other side
+    merges its float64 block into its running moments.  For pairs whose
+    compared member carries explicit prime-power overrides, the total
+    override weight sum |delta f(p^a)| * density(p^a exactly divides a
+    member) is reported; the density of an exact power p^a among members
+    is (1/p^a)(1 - 1/p) for p not dividing the modulus.
     """
     fn_star, ext_star = pair.f_star
     fn, ext = pair.f
-    count = progression.count(n)
-    if count == 0:
-        raise ValueError("no progression members <= n")
     sides = [pair.f_star, pair.f]
     rows = increment_table(sides, progression, n)
-    accs = [CoMoments(u_max) if c is None else LatticeCounts(c)
-            for c in lattice_steps(sides, rows, n)]
-    for blocks in iter_progression_values(sides, progression, n, rows):
+    steps = lattice_steps(sides, rows, n)
+    accs = [CoMoments(u_max) if c is None else LatticeCounts(c) for c in steps]
+    for blocks in iter_progression_values(sides, progression, n, rows, steps):
         for a, block in zip(accs, blocks):
             a.add_batch(block)
 
-    def summarize(a: CoMoments | LatticeCounts) -> MomentSummary:
+    def summary(a: CoMoments | LatticeCounts) -> MomentSummary:
         if isinstance(a, LatticeCounts):
             x, counts = a.table()
             return moment_summary(x, progression, n, u_max, counts)
-        return MomentSummary(n, progression, a.n, a.mean, a.sigma, a.central_moments())
+        return summarize(a, progression, n)
 
-    s_star, s = (summarize(a) for a in accs)
+    s_star, s = (summary(a) for a in accs)
     mu_diff = {u: s.mu[u] - s_star.mu[u] for u in s.mu}
 
     override_total: float | None = None

@@ -1,23 +1,21 @@
 """Empirical moments of additive functions over progression members.
 
-A dataset is one pair (x, counts), filled by one member sweep.  For a
-spec on a lattice (see :func:`arith_fn.lattice_steps`) it is the table of
-distinct values k*c and their counts, folded block by block, so no
-per-member array exists.  Any other spec gives per-member values and
-counts=None (unit weights): one float64 array, or with a spill file that
-file itself (:class:`SpillFile`), read back one block at a time.  With
-`--spill` the sweep writes each block to the file as it comes, and a
-lattice spec folds the same blocks, never reading the file back; only
-`ektest --spill` folds a spill file (:func:`spill_dataset`), so a spill
-file and a sweep give the same dataset.  Moments and Chebyshev/LLN
-coverage read either kind through one reader (:func:`iter_blocks`), as
-(values, counts) pieces: a table whole, per-member values in slices of
-the sweep's block length.  Moments feed a mergeable
-central-moment state; the merge rule is exact in real arithmetic, so
-chunked evaluation matches a two-pass computation up to rounding.  The
-mean additionally has an exact closed-form cross-check for strongly
-additive functions, obtained by counting multiples of each prime inside
-the progression.
+A dataset is one pair (x, counts), filled by one member sweep.  A spec on
+a lattice (see :func:`arith_fn.lattice_steps`) gives the table of
+distinct values k*c and their counts, folded block by block from the
+sweep's lattice indices k, so no per-member array exists.  Any other spec
+gives per-member values and counts=None: one float64 array, or with a
+spill file that file itself (:class:`SpillFile`), read back by block.
+With `--spill` the sweep writes each block to the file as it comes (k*c
+for a lattice spec), and the table or the moments are taken from the
+same blocks; only `ektest --spill` reads a spill file back into a
+dataset (:func:`spill_dataset`), and gets the sweep's dataset.  Moments
+and Chebyshev/LLN coverage read both kinds through :func:`iter_blocks`:
+a table whole, per-member values in the sweep's blocks.  Moments feed a
+mergeable central-moment state, exact in real arithmetic, so chunked
+evaluation matches a two-pass computation up to rounding.  The mean also
+has an exact closed-form cross-check for strongly additive functions,
+from counting the multiples of each prime in the progression.
 """
 
 from __future__ import annotations
@@ -144,13 +142,18 @@ def moment_summary(
 ) -> MomentSummary:
     """Mean, deviation, and central moments of one dataset (values, counts),
     fed to the running state piece by piece (:func:`iter_blocks`)."""
-    if values.size == 0:
-        raise ValueError(
-            f"no progression members <= {n} (first member is {progression.first_member})"
-        )
     acc = CoMoments(u_max)
     for block, weights in iter_blocks(values, counts):
         acc.add_batch(block, weights)
+    return summarize(acc, progression, n)
+
+
+def summarize(acc: CoMoments, progression: Progression, n: int) -> MomentSummary:
+    """The summary of a running state that holds a whole dataset."""
+    if acc.n == 0:
+        raise ValueError(
+            f"no progression members <= {n} (first member is {progression.first_member})"
+        )
     return MomentSummary(n, progression, acc.n, acc.mean, acc.sigma, acc.central_moments())
 
 
@@ -198,13 +201,14 @@ def spill_dataset(
     path: str | Path, count: int, step: float | None
 ) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
     """The spill file of `count` values as a dataset: folded block by block
-    into its lattice table when step is set, else the file itself."""
+    into its lattice table (v at round(v / step)) when step is set, else
+    the file itself."""
     values = SpillFile(path, count)
     if step is None:
         return values, None
     table = arith_fn.LatticeCounts(step)
     for block, _ in iter_blocks(values):
-        table.add_batch(block)
+        table.add_batch(np.rint(block / step).astype(np.int64))
     return table.table()
 
 
@@ -215,33 +219,42 @@ def collect_dataset(
     n: int,
     spill: str | Path | None = None,
     rows: list[arith_fn.Row] | None = None,
+    acc: CoMoments | None = None,
 ) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
     """f over the members up to n as one dataset (x, counts), from one sweep.
 
-    A lattice spec folds each sweep block into its value/count table; any
-    other spec fills one float64 array (counts None), or with `spill` set
-    is the spill file itself.  With `spill` set every block is written to
-    that file as the sweep yields it (one :func:`atomic_file`), and a
-    lattice table is folded from the same blocks, not read back from the
-    file.  `rows` is the spec's increment table when the caller has
-    already built it.
+    A lattice spec folds each sweep block (lattice indices) into its
+    value/count table; any other spec fills one float64 array (counts
+    None), or with `spill` set is the spill file itself.  `spill` gets every
+    block as the sweep yields it (one :func:`atomic_file`; index k as
+    k * step), and `acc` absorbs the dataset as :func:`moment_summary`
+    would, a spill's blocks as they are written (no read of the file).
+    `rows` is the spec's increment table when the caller has built it.
     """
     specs = [(fn, ext)]
     if rows is None:
         rows = arith_fn.increment_table(specs, progression, n)
-    (step,) = arith_fn.lattice_steps(specs, rows, n)
+    steps = arith_fn.lattice_steps(specs, rows, n)
+    (step,) = steps
     if step is None and spill is None:
-        return arith_fn.collect_values(fn, ext, progression, n, rows), None
-    table = None if step is None else arith_fn.LatticeCounts(step)
-    with atomic_file(spill, unlink_first=True) if spill is not None else nullcontext() as fh:
-        for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows):
-            if fh is not None:
-                block.astype("<f8", copy=False).tofile(fh)
-            if table is not None:
-                table.add_batch(block)
-    if table is None:
-        return SpillFile(spill, progression.count(n)), None
-    return table.table()
+        dataset = arith_fn.collect_values(fn, ext, progression, n, rows), None
+    else:
+        table = None if step is None else arith_fn.LatticeCounts(step)
+        with atomic_file(spill, unlink_first=True) if spill is not None else nullcontext() as fh:
+            for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows, steps):
+                if fh is not None:
+                    (block if table is None else block * step).astype("<f8", copy=False).tofile(fh)
+                if table is not None:
+                    table.add_batch(block)
+                elif acc is not None:
+                    acc.add_batch(block)
+        if table is None:
+            return SpillFile(spill, progression.count(n)), None
+        dataset = table.table()
+    if acc is not None:
+        for block, weights in iter_blocks(*dataset):
+            acc.add_batch(block, weights)
+    return dataset
 
 
 def empirical_moments(
@@ -252,14 +265,11 @@ def empirical_moments(
     u_max: int = U_MAX_DEFAULT,
     spill: str | Path | None = None,
 ) -> MomentSummary:
-    """Mean, deviation, and central moments of f over members up to n.
-
-    The dataset comes from one sweep (see :func:`collect_dataset`); with
-    `spill` set the per-member values are also written to that file for
-    later re-use by the distribution diagnostics.
-    """
-    x, counts = collect_dataset(fn, ext, progression, n, spill)
-    return moment_summary(x, progression, n, u_max, counts)
+    """Mean, deviation, and central moments of f over members up to n, from
+    one sweep (see :func:`collect_dataset`) that also writes `spill` if set."""
+    acc = CoMoments(u_max)
+    collect_dataset(fn, ext, progression, n, spill, acc=acc)
+    return summarize(acc, progression, n)
 
 
 @contextmanager

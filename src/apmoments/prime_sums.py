@@ -147,12 +147,6 @@ def _continuous(fn: PrimeFunction) -> tuple[Callable[[float], float], Callable[[
     return (lambda t: s * float(value(t, c))), (lambda t: s * float(derivative(t, c)))
 
 
-def _summand(fn: PrimeFunction, u: int) -> Callable[[float], float]:
-    # g(t) = f(t)^u / t, the per-prime term as a function of a real t
-    h, _ = _continuous(fn)
-    return lambda t: h(t) ** u / t
-
-
 def _summand_derivative(fn: PrimeFunction, u: int) -> Callable[[float], float]:
     h, dh = _continuous(fn)
 
@@ -165,9 +159,9 @@ def _summand_derivative(fn: PrimeFunction, u: int) -> Callable[[float], float]:
 
 def _error_terms(fn: PrimeFunction, u: int, x: float) -> tuple[float, float]:
     p0 = fn.start_prime
-    g = _summand(fn, u)
+    h, _ = _continuous(fn)
     g1 = _summand_derivative(fn, u)
-    err1 = abs(g(x)) * math.sqrt(x) * math.log(x)
+    err1 = abs(h(x) ** u / x) * math.sqrt(x) * math.log(x)  # |g(x)|, g(t) = f(t)^u / t
     # substitute t = e^s so the integrand decays smoothly on a short interval
     integrand = lambda s: abs(g1(math.exp(s))) * math.exp(1.5 * s) * s
     err2 = adaptive_simpson(integrand, math.log(p0), math.log(x))

@@ -270,9 +270,6 @@ def erdos_kac_report(
         x, counts = spill_dataset(spill, count, step)
     else:
         x, counts = collect_dataset(fn, ext, progression, n, rows=rows)
-    total = x.size if counts is None else int(counts.sum())
-    if total != count:
-        raise ValueError(f"expected {count} values, got {total}")
     if count < 2:
         raise ValueError("degenerate progression: need at least 2 members")
     acc = CoMoments(2)

@@ -4,12 +4,15 @@ eval_additive evaluates one member from its factorization, and
 two_pass_central_moments takes moments in two plain passes; both are
 the slow, direct forms the sweep and the streaming moments are checked
 against.  central_moment_first_order is the model's first-order stand-in
-for a central moment, one exact prime sum.
+for a central moment, one exact prime sum.  brute_force_central_moments
+enumerates every outcome of a small model sum of BernoulliTerms, against
+which the model's cumulant recursion is checked.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,3 +42,32 @@ def central_moment_first_order(
     if u < 2:
         raise ValueError(f"central moment order must be >= 2, got {u}")
     return prime_power_sum(fn, u, n, progression).value
+
+
+@dataclass(frozen=True)
+class BernoulliTerm:
+    """One model term: value f(p) with probability 1/p, else 0."""
+
+    p: int
+    value: float
+
+    @property
+    def success_prob(self) -> float:
+        return 1.0 / self.p
+
+
+def brute_force_central_moments(
+    terms: Sequence[BernoulliTerm], u_max: int
+) -> dict[int, float]:
+    """Enumerate all 2^m outcomes of the model sum (oracle, m <= ~20)."""
+    values = np.zeros(1)
+    probs = np.ones(1)
+    for t in terms:
+        values = np.concatenate([values, values + t.value])
+        probs = np.concatenate([probs * (1.0 - t.success_prob), probs * t.success_prob])
+    mean = float(np.dot(probs, values))
+    d = values - mean
+    out = {1: 0.0}
+    for u in range(2, u_max + 1):
+        out[u] = float(np.dot(probs, d**u))
+    return out

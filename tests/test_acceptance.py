@@ -16,8 +16,6 @@ import pytest
 from apmoments.arith_fn import STRONG, FunctionPair, PrimeFunction, builtin, collect_values
 from apmoments.cli import main as cli_main
 from apmoments.model import (
-    BernoulliTerm,
-    brute_force_central_moments,
     compare_pair,
     exact_moments,
     sample,
@@ -36,6 +34,7 @@ from apmoments.prime_sums import (
 )
 from apmoments.sieve import Progression, euler_phi
 from apmoments.stats import erdos_kac_report
+from oracles import BernoulliTerm, brute_force_central_moments
 
 ONE = PrimeFunction("constant", c=1.0)
 OMEGA, OMEGA_EXT = builtin("omega")

@@ -15,9 +15,13 @@ from apmoments.arith_fn import (
     builtin,
     collect_values,
     eval_at_prime,
+    found_dtype,
     iter_progression_values,
+    lattice_dtype,
+    lattice_steps,
     parse_fn,
 )
+from apmoments.cli import main as cli_main
 from apmoments.sieve import Progression, factorize, sieve_primes
 from oracles import eval_additive
 
@@ -384,3 +388,106 @@ class TestConstantAbove:
         primes = sieve_primes(10**4).primes
         big = primes[primes > self.X]
         assert np.array_equal(fn.values_at(big), np.full(big.size, c))
+
+
+class TestIntegerColumns:
+    """A lattice spec swept with its step: integer lattice indices k, the
+    value being k * step, in the narrow types of the two pure choosers."""
+
+    N = 100_003
+    BLOCK = 4099
+
+    def test_found_dtype_at_the_32_bit_edge(self):
+        assert found_dtype(2**32 - 1) is np.uint32
+        assert found_dtype(2**32) is np.int64
+
+    def test_lattice_dtype_at_its_edges(self):
+        # floor(log2 128) = 7 rows at most: 7 * 18 + 1 = 127, 7 * 19 + 1 = 134
+        assert lattice_dtype(128, 18) is np.int8
+        assert lattice_dtype(255, 18) is np.int8
+        assert lattice_dtype(128, 19) is np.int16
+        assert lattice_dtype(256, 18) is np.int16  # 8 rows
+        # floor(log2 4) = 2: the bound 2 * k_max + 1 at each type's maximum
+        assert lattice_dtype(4, 2**14 - 1) is np.int16
+        assert lattice_dtype(4, 2**14) is np.int32
+        assert lattice_dtype(4, 2**62 - 1) is np.int64
+        assert lattice_dtype(4, 2**62) is None
+
+    @staticmethod
+    def _columns(specs, prog, n, steps=None):
+        return [np.concatenate(cols)
+                for cols in zip(*iter_progression_values(specs, prog, n, steps=steps))]
+
+    @pytest.mark.parametrize("name", list(EXACT_SPECS))
+    @pytest.mark.parametrize("prog", [Progression(4, 1), Progression(12, 7), Progression(1, 0)])
+    def test_equals_the_float_sweep_folded_with_rint(self, name, prog, member_block):
+        # a spec off the lattice keeps its float64 column even when steps are given
+        specs = [TestSweepExactness._spec(name, prog)]
+        steps = lattice_steps(specs, increment_table(specs, prog, self.N), self.N)
+        member_block(self.BLOCK)
+        (got,) = self._columns(specs, prog, self.N, steps)
+        values = collect_values(*specs[0], prog, self.N)
+        if steps == [None]:
+            assert got.dtype == np.float64 and np.array_equal(got, values)
+        else:
+            assert np.issubdtype(got.dtype, np.signedinteger)
+            assert np.array_equal(got, np.rint(values / steps[0]).astype(np.int64))
+
+    def test_lattice_specs_among_the_exact_specs(self):
+        prog = Progression(4, 1)
+        specs = {name: TestSweepExactness._spec(name, prog) for name in EXACT_SPECS}
+        on = [name for name, spec in specs.items()
+              if lattice_steps([spec], increment_table([spec], prog, self.N), self.N)[0]]
+        assert on == ["omega", "bigomega", "half_omega", "const-0.7", "tab"]
+
+    @pytest.mark.parametrize("text,step", [("const:-0.7", 0.7), ("scaled:-1:one", 1.0)])
+    def test_negative_steps_give_negative_indices(self, text, step, member_block):
+        specs = [(parse_fn(text), STRONG)]
+        prog = Progression(4, 1)
+        steps = lattice_steps(specs, increment_table(specs, prog, self.N), self.N)
+        assert steps == [step]
+        member_block(self.BLOCK)
+        (k,) = self._columns(specs, prog, self.N, steps)
+        values = collect_values(*specs[0], prog, self.N)
+        assert k.max() == 0 and k.min() < -3
+        assert np.array_equal(k, np.rint(values / step).astype(np.int64))
+        assert np.allclose(k * step, values, rtol=1e-14, atol=0)
+
+    def test_int16_column_for_a_large_table_entry(self):
+        # 125 at p = 5: 16 rows * 125 + 1 > 127, and values up to 129
+        specs = [(parse_fn("tab:5=125,default=1"), STRONG)]
+        prog = Progression(4, 1)
+        steps = lattice_steps(specs, increment_table(specs, prog, self.N), self.N)
+        assert steps == [1.0]
+        (k,) = self._columns(specs, prog, self.N, steps)
+        assert k.dtype == np.int16 and k.max() > 127
+        assert np.array_equal(k, collect_values(*specs[0], prog, self.N).astype(np.int64))
+
+    @pytest.mark.parametrize("text", ["tab:5=1e20,default=1", "tab:5=1e300,default=1e-300"])
+    def test_index_past_int64_is_off_the_lattice(self, text):
+        # each entry is an integer multiple of the default, but no integer
+        # type holds the index (1e300 / 1e-300 is not even finite, and
+        # rounding it raised OverflowError), so the spec takes the float path
+        specs = [(parse_fn(text), STRONG)]
+        prog = Progression(1, 0)
+        assert lattice_steps(specs, increment_table(specs, prog, 1000), 1000) == [None]
+
+    def test_index_past_int64_runs_on_the_float_path(self, tmp_path):
+        # the float fold of this spec's indices wrapped and failed in bincount
+        out = tmp_path / "report.json"
+        assert cli_main(["moments", "--fn", "tab:5=1e20,default=1", "--n", "1000",
+                         "--out", str(out)]) == 0
+
+    def test_mixed_sweep_columns_equal_single_spec_sweeps(self, member_block):
+        # a lattice column and a float column in one sweep: each is bit for
+        # bit the column of its own single-spec sweep
+        specs = [(OMEGA, OMEGA_EXT), (PrimeFunction("one_over_loglog"), STRONG)]
+        prog = Progression(4, 1)
+        steps = lattice_steps(specs, increment_table(specs, prog, self.N), self.N)
+        assert steps == [1.0, None]
+        member_block(self.BLOCK)
+        k, values = self._columns(specs, prog, self.N, steps)
+        assert k.dtype == np.int8 and values.dtype == np.float64
+        (alone,) = self._columns(specs[:1], prog, self.N, steps[:1])
+        assert np.array_equal(k, alone)
+        assert np.array_equal(values, collect_values(*specs[1], prog, self.N))

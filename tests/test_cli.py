@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from apmoments.cli import main
-from apmoments.sieve import factorize, primes_upto_monolithic
+from apmoments.sieve import factorize, primes_upto_monolithic, sieve_primes
 
 
 def run_cli(argv, capsys):
@@ -373,6 +374,21 @@ class TestEmission:
         want = "".join(f"{p}\n" for p in primes[primes % 4 == 3].tolist())
         assert out_file.read_bytes() == want.encode()
         assert list(tmp_path.iterdir()) == [out_file]
+
+    def test_sieve_text_is_made_in_small_slices(self, tmp_path, monkeypatch):
+        # formatting a cached chunk of 2^18 primes whole peaked at about 28 MB
+        # of Python ints and strs; slices of 2^16 primes peak near 9 MB
+        monkeypatch.setattr("apmoments.sieve.PRIME_CHUNK", 1 << 18)
+        primes = sieve_primes(4 * 10**6).primes  # the cache is warm before tracing
+        out_file = tmp_path / "primes.txt"
+        tracemalloc.start()
+        try:
+            assert main(["sieve", "--limit", "4e6", "--out", str(out_file)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20, peak
+        assert out_file.read_bytes() == "".join(f"{p}\n" for p in primes.tolist()).encode()
 
     def test_fifteen_significant_digits(self, capsys):
         _, out = run_cli(

@@ -14,9 +14,7 @@ from apmoments.arith_fn import (
 from apmoments.config import MODEL_BLOCK
 from apmoments.model import (
     MODES,
-    BernoulliTerm,
     _cumulants_to_central,
-    brute_force_central_moments,
     compare_pair,
     exact_moments,
     lindeberg_check,
@@ -26,7 +24,7 @@ from apmoments.model import (
 )
 from apmoments.prime_sums import prime_power_sum
 from apmoments.sieve import Progression, primes_in_progression, sieve_primes
-from oracles import central_moment_first_order
+from oracles import BernoulliTerm, brute_force_central_moments, central_moment_first_order
 
 ONE = PrimeFunction("constant", c=1.0)
 FULL = Progression(1, 0)

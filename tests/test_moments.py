@@ -26,6 +26,7 @@ from apmoments.moments import (
     lln_check,
     mean_via_counts,
     moment_summary,
+    spill_dataset,
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
@@ -152,6 +153,33 @@ class TestEmpiricalMoments:
         assert spilled == swept
         assert np.array_equal(read_whole(path),
                               collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), 10**5))
+
+    def test_non_lattice_spill_is_read_once(self, tmp_path, monkeypatch, capsys, member_block):
+        # the moments come from the sweep's blocks as they are written; only
+        # the Chebyshev coverage reads the file, in one pass
+        member_block(4099)
+        path = tmp_path / "values.f64"
+        argv = ["moments", "--fn", "sqrtloglog", "--mod", "3", "--res", "2", "--n", "1e5"]
+        reads = []
+        read = SpillFile.__getitem__
+
+        def counted(self, part):
+            reads.append(part.indices(self.size))
+            return read(self, part)
+
+        monkeypatch.setattr(SpillFile, "__getitem__", counted)
+        assert cli.main([*argv, "--spill", str(path)]) == 0
+        spilled = capsys.readouterr().out
+        prog, n = Progression(3, 2), 10**5
+        blocks = -(-prog.count(n) // 4099)
+        assert len(reads) == blocks and len(set(reads)) == blocks
+        # the moments as the file read back gives them, bit for bit
+        want = moment_summary(SpillFile(path, prog.count(n)), prog, n, 6)
+        assert empirical_moments(SQRTLOGLOG, STRONG, prog, n, spill=path) == want
+        # and the same report bytes as without the spill, but for its name
+        assert cli.main(argv) == 0
+        swept = capsys.readouterr().out
+        assert spilled.replace(f'"spill": "{path}"', '"spill": null') == swept
 
     def test_translation_invariance(self):
         # adding a constant to every value must leave central moments alone
@@ -368,6 +396,8 @@ LATTICE_SPECS = [
     ("tab:5=1,7=2,default=0.5", None, 0.5),
     ("tab:5=-1,7=2,default=0.5", None, 0.5),
     ("scaled:-1.5:one", None, 1.5),
+    ("scaled:-1:one", None, 1.0),
+    ("tab:5=100,default=1", None, 1.0),  # needs an int16 column
 ]
 
 
@@ -424,11 +454,56 @@ class TestLatticeTable:
 
     def test_block_merge_spans_negative_and_positive_indices(self):
         table = arith_fn.LatticeCounts(0.5)
-        for block in ([1.0, 1.5], [-2.0, -2.0], [0.0], [3.0, -2.0]):
-            table.add_batch(np.array(block))
+        for block in ([2, 3], [-4, -4], [0], [6, -4]):
+            table.add_batch(np.array(block, dtype=np.int8))
         x, counts = table.table()
         assert x.tolist() == [-2.0, 0.0, 1.0, 1.5, 3.0]
         assert counts.tolist() == [3, 1, 1, 1, 1]
+
+    def test_negative_fractional_step(self, member_block):
+        # -0.7 summed in float64 need not be k * 0.7 exactly; the table holds
+        # k * 0.7 for the indices the float sums round to
+        fn, ext = _spec("const:-0.7")
+        prog, n = Progression(4, 1), 10**5
+        assert _step(fn, ext, prog, n) == 0.7
+        member_block(4099)
+        x, counts = collect_dataset(fn, ext, prog, n)
+        member_block()
+        k, want_counts = np.unique(np.rint(collect_values(fn, ext, prog, n) / 0.7),
+                                   return_counts=True)
+        assert k.max() == 0
+        assert np.array_equal(x, k * 0.7) and np.array_equal(counts, want_counts)
+
+    def test_int8_block_fold_does_not_wrap(self):
+        # -100 and 100 are 200 apart, past int8
+        table = arith_fn.LatticeCounts(1.0)
+        table.add_batch(np.array([100, -100, 100], dtype=np.int8))
+        x, counts = table.table()
+        assert x.tolist() == [-100.0, 100.0] and counts.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("fold", ["sweep", "spill"])
+    def test_int16_table_equals_unique_of_values(self, fold, tmp_path):
+        fn, ext = _spec("tab:5=125,default=1")  # values past int8
+        prog, n = Progression(4, 1), 10**5
+        path = tmp_path / "values.f64"
+        x, counts = collect_dataset(fn, ext, prog, n, spill=path)
+        if fold == "spill":
+            x, counts = spill_dataset(path, prog.count(n), 1.0)
+        values = collect_values(fn, ext, prog, n)
+        assert np.array_equal(read_whole(path), values)
+        want_x, want_counts = np.unique(values, return_counts=True)
+        assert want_x.max() > 127
+        assert np.array_equal(x, want_x) and np.array_equal(counts, want_counts)
+
+    def test_mixed_pair_sides_equal_their_own_datasets(self, member_block):
+        # omega (an integer column) against invloglog (a float64 column) in
+        # one sweep: each side's summary is its own dataset's, bit for bit
+        prog, n = Progression(4, 1), 10**5
+        omega, invloglog = (OMEGA, OMEGA_EXT), arith_fn.resolve_spec("invloglog")
+        member_block(4099)
+        cmp = model.compare_pair(arith_fn.FunctionPair(omega, invloglog, "V"), prog, n, 6)
+        assert cmp.summary_star == empirical_moments(*omega, prog, n, 6)
+        assert cmp.summary == empirical_moments(*invloglog, prog, n, 6)
 
     @pytest.mark.parametrize(
         "text", ["sqrtloglog", "invloglog", "omega1", "const:0", "tab:5=0.7,default=0.5",
