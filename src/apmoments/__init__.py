@@ -50,14 +50,7 @@ from .prime_sums import (
     integral_asymptotic,
     prime_power_sum,
 )
-from .sieve import (
-    PrimeRange,
-    Progression,
-    euler_phi,
-    factorize,
-    primes_in_progression,
-    sieve_primes,
-)
+from .sieve import Progression, euler_phi, factorize, sieve_primes
 from .stats import NormalityReport, erdos_kac_report, ks_distance, phi
 
 __all__ = [name for name in dir() if not name.startswith("_")]

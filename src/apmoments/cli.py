@@ -150,15 +150,19 @@ def _positive_integer(text: str) -> int:
     return value
 
 
-def _modulus(text: str) -> int:
-    """Parser type for --mod: an integer k >= 1."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"modulus must be >= 1, got {k}")
-    return k
+def _int_at_least(low: int):
+    """Parser type for --mod, --u and --seed: a plain integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _sieve_limit(flag: str, limit: int) -> int:
@@ -203,9 +207,7 @@ def _checkpoints(args, start_prime: int | None = None) -> tuple[int, ...]:
 def cmd_sieve(args) -> None:
     prog = _progression(args)
     blocks = iter_prime_blocks(_sieve_limit("limit", args.limit), None if prog.is_full else prog)
-    # text in slices of 2^16 primes: a whole cached chunk of 2^19 took ~55 MB
-    texts = ("\n".join(map(str, block[i : i + (1 << 16)].tolist())) + "\n"
-             for block in blocks for i in range(0, block.size, 1 << 16))
+    texts = ("\n".join(map(str, block.tolist())) + "\n" for block in blocks)
     if args.out:
         with moments.atomic_file(args.out) as fh:
             for text in texts:
@@ -217,8 +219,6 @@ def cmd_sieve(args) -> None:
 
 def cmd_sum(args) -> None:
     fn, _ = _resolve_fn(args)
-    if args.u < 1:
-        raise _UsageError(f"argument --u: sum needs an order >= 1, got {args.u}")
     res = prime_sums.prime_power_sum(fn, args.u, _sieve_limit("x", args.x), _progression(args))
     payload = {
         "x": res.x,
@@ -438,7 +438,7 @@ def cmd_ektest(args) -> None:
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "mod" in names:
-        p.add_argument("--mod", type=_modulus, default=1, help="progression modulus k")
+        p.add_argument("--mod", type=_int_at_least(1), default=1, help="progression modulus k")
         p.add_argument("--res", type=int, default=0, help="progression residue l")
     if "n" in names:
         p.add_argument("--n", type=_integer, required=True, help="member limit")
@@ -450,7 +450,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
                        help="prime-power rule (default: the built-in's, else strong)")
         p.add_argument("--p0", type=int, default=None, help="override start prime")
     if "u" in names:
-        p.add_argument("--u", type=int, default=1, help="power applied to f(p)")
+        p.add_argument("--u", type=_int_at_least(1), default=1, help="power applied to f(p)")
     if "umax" in names:
         p.add_argument("--umax", type=int, default=U_MAX_DEFAULT, metavar="U",
                        choices=range(2, U_MAX_CAP + 1), help="highest central moment")
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = msub.add_parser("sample", help="seeded Monte Carlo realizations")
     _add_common(p, "mod", "n", "fn", "mode", "spill")
     p.add_argument("--trials", type=_positive_integer, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_model_sample)
 
     p = msub.add_parser("lindeberg", help="tail-variance ratio diagnostic")

@@ -1,10 +1,10 @@
 """Tunable constants shared across the package.
 
-Segment and member block sizes, the prime cache budget, quadrature
-tolerances, the CDF grid and the probe verdict thresholds are plain
-module constants, not per-call options or config classes (only the bare
-quadrature routine, adaptive_simpson, takes a tolerance and depth).  The
-block sizes and the cache budget are read at call time from the module
+Segment, prime-block and member block sizes, the prime cache budget,
+quadrature tolerances, the CDF grid and the probe verdict thresholds are
+plain module constants, not per-call options or config classes (only the
+bare quadrature routine, adaptive_simpson, takes a tolerance and depth).
+The block sizes and the cache budget are read at call time from the module
 that uses them, so another geometry is set there, e.g.
 ``apmoments.sieve.SIEVE_BLOCK`` or ``apmoments.arith_fn.MEMBER_BLOCK``.
 The u_max defaults are per-call arguments.
@@ -24,12 +24,11 @@ SIEVE_CEILING = 1 << 34
 # primes at 10^8 is ~23 MB; the limit must stay below 2^32).  Beyond it
 # callers iterate blocks.
 PRIME_CACHE_MAX = 200_000_000
-# Chunk length used when replaying cached primes to block consumers.
-PRIME_CHUNK = 1 << 19
-
-# Primes per row block of the model's per-prime moment recursion: its two
-# (u_max + 1) x MODEL_BLOCK float64 matrices stay a few MB at u_max = 10.
-MODEL_BLOCK = 1 << 16
+# Most primes in one block, cached or streamed.  Every consumer takes the
+# blocks as they come: the model's two (u_max + 1) x PRIME_CHUNK float64
+# matrices stay a few MB at u_max = 10, and `sieve` formats one block of
+# text at a time (a cached chunk of 2^19 primes took ~55 MB).
+PRIME_CHUNK = 1 << 16
 
 # Progression-member evaluation block (number of members per batch).
 MEMBER_BLOCK = 1 << 19

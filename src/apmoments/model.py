@@ -10,11 +10,12 @@ first-order approximation sum f(p)^u / p and its gap budget
 sum |f(p)|^u / p^2.
 
 The per-prime recursion is streamed block by block: the prime set comes
-from the sieve's block iterator, each block's rows are reduced to one
-partial per order, and the partials are combined exactly with math.fsum
-(as in prime_sums).  Memory is bounded by one block, so the exact
-moments, the Lindeberg ratio and the mean predictions also run past the
-prime cache.  Only `sample` holds the whole prime set.
+from the sieve's block iterator, in its blocks of at most PRIME_CHUNK
+primes, each block's rows are reduced to one partial per order, and the
+partials are combined exactly with math.fsum (as in prime_sums).  Memory
+is bounded by one block, so the exact moments, the Lindeberg ratio and
+the mean predictions also run past the prime cache.  Only `sample`
+holds the whole prime set.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .arith_fn import (
     iter_progression_values,
     lattice_steps,
 )
-from .config import MODEL_BLOCK, U_MAX_CAP, U_MAX_DEFAULT
+from .config import U_MAX_CAP, U_MAX_DEFAULT
 from .moments import CoMoments, MomentSummary, moment_summary, summarize
 from .sieve import Progression, iter_prime_blocks
 
@@ -81,12 +82,12 @@ class PairComparison:
 
 
 def _mode_blocks(progression: Progression, n: int, mode: str) -> Iterator[np.ndarray]:
-    """Prime set behind a model, in ascending blocks of at most MODEL_BLOCK
-    primes: the residue class itself, or all p not dividing the modulus (the
-    uniform-density reading)."""
+    """Prime set behind a model, in the sieve's ascending blocks: the residue
+    class itself, or all p not dividing the modulus (the uniform-density
+    reading)."""
     if mode == "restricted":
-        blocks = iter_prime_blocks(n, progression)
-    elif mode == "density":
+        return iter_prime_blocks(n, progression)
+    if mode == "density":
         k = progression.modulus
 
         def coprime(b: np.ndarray) -> np.ndarray:
@@ -95,10 +96,8 @@ def _mode_blocks(progression: Progression, n: int, mode: str) -> Iterator[np.nda
             return np.compress(residues != 0, b)
 
         # a prime dividing k is at most k, so only blocks starting there are cut
-        blocks = (b if b[0] > k else coprime(b) for b in iter_prime_blocks(n))
-    else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return (b[i : i + MODEL_BLOCK] for b in blocks for i in range(0, b.size, MODEL_BLOCK))
+        return (b if b[0] > k else coprime(b) for b in iter_prime_blocks(n))
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _active_blocks(
@@ -110,12 +109,6 @@ def _active_blocks(
         active = fv != 0.0
         if np.any(active):
             yield block[active].astype(np.float64), fv[active]
-
-
-def mode_primes(progression: Progression, n: int, mode: str) -> np.ndarray:
-    """The whole prime set of a model as one array (only `sample` needs it)."""
-    blocks = list(_mode_blocks(progression, n, mode))
-    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
 def _raw_to_cumulants(raw: np.ndarray) -> np.ndarray:
@@ -210,7 +203,7 @@ def sample(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    primes = mode_primes(progression, n, mode)
+    primes = np.concatenate([np.empty(0, dtype=np.int64), *_mode_blocks(progression, n, mode)])
     fv = fn.values_at(primes)
     active = fv != 0.0
     successes = rng.binomial(trials, 1.0 / primes[active])

@@ -327,20 +327,17 @@ def mean_via_counts(
             f"no progression members <= {n} (first member is {progression.first_member})"
         )
     k, l = progression.modulus, progression.residue
-    primes = sieve.sieve_primes(n).primes
-    primes = primes[k % primes != 0]
-    if primes.size == 0:
-        return 0.0
-
-    inv = np.array(
-        [pow(r, -1, k) if math.gcd(r, k) == 1 else 0 for r in range(k)],
-        dtype=np.int64,
-    )
-    t0 = (l * inv[primes % k]) % k
-    t0[t0 == 0] = k
-    m0 = primes * t0
-    counts = (n - m0) // (primes * k) + 1
-    counts[m0 > n] = 0
+    primes = sieve.sieve_primes(n)
+    # p divides the members p*t with t = l/p mod k (k in place of 0), t + k,
+    # ... up to n // p.  Only the residues the primes take are inverted,
+    # with Python ints, so k may pass int64.  A first t past n counts
+    # nothing, so it is capped at n + 1, also for a p dividing k (no t at
+    # all); a k past n leaves at most one t, so n + 1 steps in for it.
+    residues, where = np.unique(primes % k if k <= n else primes, return_inverse=True)
+    first = [min(l * pow(r, -1, k) % k or k, n + 1) if math.gcd(r, k) == 1 else n + 1
+             for r in residues.tolist()]
+    top = n // primes
+    counts = np.maximum((top - np.array(first, dtype=np.int64)[where]) // min(k, n + 1) + 1, 0)
 
     fvals = fn.values_at(primes)
     return float(np.dot(fvals, counts.astype(np.float64))) / count

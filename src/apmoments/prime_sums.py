@@ -220,8 +220,10 @@ def classify_decay(fn: PrimeFunction, u: int = 1) -> Classification:
     Case4: the sum over f^u(p)/p converges.  Orders u >= 2 of the
     lnln-reciprocal kind fall to Case4 because the resulting series
     converges, even though the decay is slower than 1/ln(p).  A zero
-    function has no case.
+    function has no case.  Orders below 1 are rejected.
     """
+    if u < 1:
+        raise ValueError(f"order u must be >= 1, got {u}")
     s, g = fn.unscaled()
     if g.formula is None:
         return Classification(None, 1, f"{g.kind} kind has no symbolic form")

@@ -15,7 +15,9 @@ most 15015 flags).  Only the base primes from 17 up strike, one stride
 each, at offsets computed as one vector per segment, so the streamed
 path never reduces a prime mod k.  The cache holds every prime up to
 its limit and cuts a class out of it with np.compress, one chunk at a
-time, widening only the cut to int64.
+time, widening only the cut to int64.  Either way a block holds at most
+PRIME_CHUNK primes, the one block length every consumer takes as it
+comes.
 """
 
 from __future__ import annotations
@@ -70,18 +72,6 @@ class Progression:
     def members(self, n: int) -> np.ndarray:
         """All members up to n as an int64 array (desk-scale use only)."""
         return np.arange(self.first_member, n + 1, self.modulus, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class PrimeRange:
-    """Ascending primes up to `limit`, optionally filtered to a progression."""
-
-    limit: int
-    primes: np.ndarray
-    progression: Progression | None = None
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
 
 
 def primes_upto_monolithic(limit: int) -> np.ndarray:
@@ -215,37 +205,29 @@ class _PrimeCache:
 _cache = _PrimeCache()
 
 
-def sieve_primes(limit: int) -> PrimeRange:
-    """All primes <= limit as one ascending int64 array.
+def sieve_primes(limit: int, progression: Progression | None = None) -> np.ndarray:
+    """All primes <= limit in the progression as one ascending int64 array.
 
     Materializes the full list; for limits past the cache budget prefer
     :func:`iter_prime_blocks`.
     """
-    return PrimeRange(limit, _concatenate(iter_prime_blocks(limit)))
-
-
-def primes_in_progression(limit: int, progression: Progression) -> PrimeRange:
-    """Primes p <= limit with p in the progression's residue class."""
-    return PrimeRange(limit, _concatenate(iter_prime_blocks(limit, progression)), progression)
-
-
-def _concatenate(blocks: Iterator[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+    return np.concatenate([np.empty(0, dtype=np.int64), *iter_prime_blocks(limit, progression)])
 
 
 def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Iterator[np.ndarray]:
-    """Stream the primes <= limit in the progression as ascending, non-empty
-    int64 blocks (all primes when the progression is None or full).
+    """Stream the primes <= limit in the progression as ascending int64
+    blocks of 1 to PRIME_CHUNK primes (all primes when the progression is
+    None or full).
 
     The limit picks one of two layouts, with the same primes in the same
     order:
 
     - cached (limit <= PRIME_CACHE_MAX): the cache's uint32 array in
       chunks of PRIME_CHUNK primes, each cut to the class with one
-      np.compress and then widened to int64, so a block holds at most
-      PRIME_CHUNK primes;
-    - streamed (past it): one block per segment of the class sieve; memory
-      stays one segment, and no prime is reduced mod k.
+      np.compress and then widened to int64;
+    - streamed (past it): each segment of the class sieve, cut into
+      pieces of PRIME_CHUNK primes; memory stays one segment, and no
+      prime is reduced mod k.
 
     A modulus past the limit leaves one member, the residue, so the class
     is that residue when it is prime.
@@ -256,17 +238,14 @@ def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Ite
         if r <= limit and _is_prime(r):
             yield np.array([r], dtype=np.int64)
         return
-    if limit <= PRIME_CACHE_MAX:
-        arr = _cache.primes_upto(limit)
-        chunks = (arr[i : i + PRIME_CHUNK] for i in range(0, arr.size, PRIME_CHUNK))
-        if k > 1:
-            chunks = (np.compress(c % k == r, c) for c in chunks)
-        blocks = (c.astype(np.int64) for c in chunks)
-    else:
-        blocks = _class_segments(limit, k, r)
-    for blk in blocks:
-        if blk.size:
-            yield blk
+    cached = limit <= PRIME_CACHE_MAX
+    for arr in [_cache.primes_upto(limit)] if cached else _class_segments(limit, k, r):
+        for i in range(0, arr.size, PRIME_CHUNK):
+            blk = arr[i : i + PRIME_CHUNK]
+            if cached:
+                blk = (np.compress(blk % k == r, blk) if k > 1 else blk).astype(np.int64)
+            if blk.size:
+                yield blk
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Fixtures that set the package's block geometry for one test.
 
-The sieve's segment length and cache budget and the member sweep's block
-length are module constants, read at call time; these fixtures set them
-with monkeypatch, so the defaults come back when the test ends.
+The sieve's segment length, cache budget and prime-block length and the
+member sweep's block length are module constants, read at call time;
+these fixtures set them with monkeypatch, so the defaults come back when
+the test ends.
 """
 
 import pytest
@@ -12,13 +13,16 @@ from apmoments import config
 
 @pytest.fixture
 def sieve_geometry(monkeypatch):
-    """set(segment, cache_max): sieve segments of `segment` member flags, and
-    the cached layout only for limits up to `cache_max` (0 streams every limit).
-    Called with no arguments it restores the defaults."""
+    """set(segment, cache_max, chunk): sieve segments of `segment` member
+    flags, the cached layout only for limits up to `cache_max` (0 streams
+    every limit), and prime blocks of at most `chunk` primes.  Called with
+    no arguments it restores the defaults."""
 
-    def set_geometry(segment=config.SIEVE_BLOCK, cache_max=config.PRIME_CACHE_MAX):
+    def set_geometry(segment=config.SIEVE_BLOCK, cache_max=config.PRIME_CACHE_MAX,
+                     chunk=config.PRIME_CHUNK):
         monkeypatch.setattr("apmoments.sieve.SIEVE_BLOCK", segment)
         monkeypatch.setattr("apmoments.sieve.PRIME_CACHE_MAX", cache_max)
+        monkeypatch.setattr("apmoments.sieve.PRIME_CHUNK", chunk)
 
     return set_geometry
 

@@ -210,7 +210,7 @@ def test_criterion_5_exact_mean_identity(random_config_datasets):
 def test_criterion_6_model_oracle_equivalence():
     from apmoments.sieve import sieve_primes
 
-    primes10 = sieve_primes(29).primes  # first 10 primes
+    primes10 = sieve_primes(29)  # first 10 primes
     worst = 0.0
     for fn in (ONE, PrimeFunction("constant", c=0.7)):
         terms = [BernoulliTerm(int(p), float(fn.values_at([int(p)])[0])) for p in primes10]
@@ -224,7 +224,7 @@ def test_criterion_6_model_oracle_equivalence():
     prog = Progression(4, 1)
     mm = exact_moments(ONE, prog, 10**6, u_max=2)
     p = np.array(
-        [q for q in sieve_primes(10**6).primes.tolist() if q % 4 == 1], dtype=np.float64
+        [q for q in sieve_primes(10**6).tolist() if q % 4 == 1], dtype=np.float64
     )
     closed = float(np.sum(1.0 / p - 1.0 / p**2))
     assert mm.mu[2] == pytest.approx(closed, rel=1e-12)

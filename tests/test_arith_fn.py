@@ -81,7 +81,7 @@ class TestEvalAtPrime:
 class TestBoundedness:
     def test_invloglog_bound_audit(self):
         fn = PrimeFunction("one_over_loglog")  # p0 = 11
-        primes = sieve_primes(10**6).primes
+        primes = sieve_primes(10**6)
         vals = fn.values_at(primes)
         past_start = primes >= 11
         bound = 1.0 / math.log(math.log(11))
@@ -333,7 +333,7 @@ class TestSweepExactness:
         n = 10**5
         collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), n)
         assert sizes  # the increment table still asks for f at its primes
-        assert max(sizes) <= sieve_primes(math.isqrt(n)).primes.size
+        assert max(sizes) <= sieve_primes(math.isqrt(n)).size
 
 
 class TestConstantAbove:
@@ -385,7 +385,7 @@ class TestConstantAbove:
     )
     def test_agrees_with_values_at(self, fn):
         c = fn.constant_above(self.X)
-        primes = sieve_primes(10**4).primes
+        primes = sieve_primes(10**4)
         big = primes[primes > self.X]
         assert np.array_equal(fn.values_at(big), np.full(big.size, c))
 

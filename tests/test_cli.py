@@ -136,6 +136,10 @@ class TestExitCodes:
             ["probe", "--fn", "invloglog", "--checkpoints", "1e40"],
             ["ektest", "--fn", "omega", "--n", "1"],
             ["ektest", "--fn", "omega", "--mod", "4", "--res", "1", "--n", "1e20"],
+            ["classify", "--fn", "invloglog", "--u", "0"],
+            ["asymptotic", "--fn", "invloglog", "--x", "1e6", "--u", "-1"],
+            ["probe", "--fn", "invloglog", "--u", "0"],
+            ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "10", "--seed", "-1"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
@@ -147,7 +151,9 @@ class TestExitCodes:
              "tab_nan", "p0_below_two", "omega1_without_class",
              "asymptotic_x_at_start_prime", "moments_limit_one", "compare_limit_one",
              "sum_above_ceiling", "sieve_above_ceiling", "model_exact_above_ceiling",
-             "checkpoint_above_ceiling", "ektest_limit_one", "ektest_above_ceiling"],
+             "checkpoint_above_ceiling", "ektest_limit_one", "ektest_above_ceiling",
+             "classify_order_zero", "asymptotic_order_negative", "probe_order_zero",
+             "seed_negative"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -365,8 +371,8 @@ class TestEmission:
         assert spill.read_bytes() == before
         assert list(tmp_path.iterdir()) == [spill]
 
-    def test_sieve_file_matches_monolithic_sieve(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("apmoments.sieve.PRIME_CHUNK", 1000)  # about ten blocks
+    def test_sieve_file_matches_monolithic_sieve(self, tmp_path, sieve_geometry, capsys):
+        sieve_geometry(chunk=1000)  # about ten blocks
         out_file = tmp_path / "primes.txt"
         argv = ["sieve", "--limit", "1e5", "--mod", "4", "--res", "3", "--out", str(out_file)]
         assert main(argv) == 0
@@ -375,11 +381,10 @@ class TestEmission:
         assert out_file.read_bytes() == want.encode()
         assert list(tmp_path.iterdir()) == [out_file]
 
-    def test_sieve_text_is_made_in_small_slices(self, tmp_path, monkeypatch):
+    def test_sieve_text_is_made_in_small_slices(self, tmp_path):
         # formatting a cached chunk of 2^18 primes whole peaked at about 28 MB
-        # of Python ints and strs; slices of 2^16 primes peak near 9 MB
-        monkeypatch.setattr("apmoments.sieve.PRIME_CHUNK", 1 << 18)
-        primes = sieve_primes(4 * 10**6).primes  # the cache is warm before tracing
+        # of Python ints and strs; blocks of 2^16 primes peak near 8 MB
+        primes = sieve_primes(4 * 10**6)  # the cache is warm before tracing
         out_file = tmp_path / "primes.txt"
         tracemalloc.start()
         try:

@@ -30,7 +30,7 @@ from apmoments.prime_sums import (
 )
 from apmoments.sieve import Progression, sieve_primes
 
-PRIMES = sieve_primes(10**5).primes
+PRIMES = sieve_primes(10**5)
 FACTS = json.loads((Path(__file__).parent / "data" / "formula_kinds.json").read_text())
 
 _CHAIN_START = {"one_over_loglog": 11, "one_over_log": 3, "sqrt_loglog": 3,

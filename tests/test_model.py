@@ -11,7 +11,7 @@ from apmoments.arith_fn import (
     PrimeFunction,
     builtin,
 )
-from apmoments.config import MODEL_BLOCK
+from apmoments.config import PRIME_CHUNK
 from apmoments.model import (
     MODES,
     _cumulants_to_central,
@@ -19,11 +19,10 @@ from apmoments.model import (
     exact_moments,
     lindeberg_check,
     mean_predictions,
-    mode_primes,
     sample,
 )
 from apmoments.prime_sums import prime_power_sum
-from apmoments.sieve import Progression, primes_in_progression, sieve_primes
+from apmoments.sieve import Progression, sieve_primes
 from oracles import BernoulliTerm, brute_force_central_moments, central_moment_first_order
 
 ONE = PrimeFunction("constant", c=1.0)
@@ -55,7 +54,7 @@ class TestExactMoments:
         [ONE, PrimeFunction("constant", c=0.7), PrimeFunction("one_over_log")],
     )
     def test_cumulant_path_matches_brute_force(self, fn):
-        primes = sieve_primes(29).primes  # first 10 primes
+        primes = sieve_primes(29)  # first 10 primes
         terms = [BernoulliTerm(int(p), float(fn.values_at([int(p)])[0])) for p in primes]
         oracle = brute_force_central_moments(terms, 6)
         mm = exact_moments(fn, FULL, 29, u_max=6)
@@ -65,7 +64,7 @@ class TestExactMoments:
     def test_exact_variance_identity(self):
         prog = Progression(4, 1)
         mm = exact_moments(ONE, prog, 10**5, u_max=2)
-        p = mode_primes(prog, 10**5, "restricted").astype(np.float64)
+        p = sieve_primes(10**5, prog).astype(np.float64)
         closed = float(np.sum(1.0 / p - 1.0 / p**2))
         assert mm.mu[2] == pytest.approx(closed, rel=1e-12)
 
@@ -111,9 +110,9 @@ def _whole_array_moments(fn, progression, n, u_max, mode):
     """The former computation: one (u_max + 1) x P matrix of per-prime raw
     moments over the whole prime set, then one of per-prime cumulants."""
     if mode == "restricted":
-        primes = primes_in_progression(n, progression).primes
+        primes = sieve_primes(n, progression)
     else:
-        primes = sieve_primes(n).primes
+        primes = sieve_primes(n)
         primes = primes[progression.modulus % primes != 0]
     fv = fn.values_at(primes)
     active = fv != 0.0
@@ -152,7 +151,7 @@ class TestStreamedModel:
         # correctly rounded once; math.fsum adds the rounded terms exactly
         u_max, n = 10, 10**4
         polys = _bernoulli_cumulant_polys(u_max)
-        primes = sieve_primes(n).primes.tolist()
+        primes = sieve_primes(n).tolist()
         f_exact = [Fraction(float(v)) for v in fn.values_at(primes)]
         mm = exact_moments(fn, FULL, n, u_max=u_max)
         for j in range(1, u_max + 1):
@@ -190,7 +189,7 @@ class TestStreamedModel:
 
         monkeypatch.setattr(model, "_raw_to_cumulants", recording)
         mm = exact_moments(ONE, Progression(4, 1), 10**6, u_max=6, mode="density")
-        assert max(widths) <= MODEL_BLOCK
+        assert max(widths) <= PRIME_CHUNK
         assert len(widths) == 2 and sum(widths) == mm.term_count
 
     def test_runs_without_a_materialized_prime_set(self, monkeypatch, sieve_geometry):
@@ -202,9 +201,8 @@ class TestStreamedModel:
         def refuse(*args, **kwargs):
             raise AssertionError("the model materialized its whole prime set")
 
-        for name in ("sieve_primes", "primes_in_progression"):
-            monkeypatch.setattr(model, name, refuse, raising=False)
-            monkeypatch.setattr(sieve, name, refuse)
+        monkeypatch.setattr(model, "sieve_primes", refuse, raising=False)
+        monkeypatch.setattr(sieve, "sieve_primes", refuse)
         sieve_geometry(1 << 12, cache_max=0)  # small sieve segments, never the prime cache
         blocks = []
 
@@ -242,7 +240,7 @@ class TestCentralMomentFirstOrder:
         prog = Progression(4, 1)
         fn = PrimeFunction("sqrt_loglog")
         got = central_moment_first_order(fn, prog, 10**5, 2)
-        p = mode_primes(prog, 10**5, "restricted")
+        p = sieve_primes(10**5, prog)
         keep = p >= 3
         want = float(np.sum(np.log(np.log(p[keep].astype(float))) / p[keep]))
         assert got == pytest.approx(want, rel=1e-12)

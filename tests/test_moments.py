@@ -216,6 +216,18 @@ class TestMeanViaCounts:
                 OMEGA, Extension("strong", overrides=(((2, 1), 0.5),)), Progression(1, 0), 100
             )
 
+    @pytest.mark.parametrize("k", [1_000_003, 5_000_000_000, 9 * 10**19 + 1])
+    def test_moduli_past_an_inverse_table(self, k):
+        # an inverse table over all of range(k) took 1.4 s at k = 1,000,003,
+        # and a k past int64 overflowed it; 1,000,003 keeps two members
+        n = 1_100_000
+        for l in (1, 4999, 51051):
+            if math.gcd(k, l) != 1:
+                continue
+            prog = Progression(k, l)
+            want = collect_values(OMEGA, OMEGA_EXT, prog, n).mean()
+            assert mean_via_counts(OMEGA, OMEGA_EXT, prog, n) == want, (k, l)
+
     def test_identity_brute_force_small(self):
         for k, l, n in [(1, 0, 400), (4, 3, 777), (12, 5, 1000), (9, 2, 300)]:
             prog = Progression(k, l)

@@ -57,7 +57,7 @@ class TestPrimePowerSum:
 
     def test_compensated_matches_fsum_oracle(self):
         prog = Progression(4, 3)
-        primes = [int(p) for p in sieve_primes(10**6).primes if p % 4 == 3]
+        primes = [int(p) for p in sieve_primes(10**6) if p % 4 == 3]
         oracle = math.fsum(1.0 / (p * math.log(p) ** 2) for p in primes if p >= 3)
         fn = PrimeFunction("one_over_log")
         got = prime_power_sum(fn, 2, 10**6, prog).value
@@ -186,6 +186,12 @@ class TestClassifier:
         zero = PrimeFunction("scaled", c=0.0, inner=PrimeFunction("one_over_log"))
         with pytest.raises(ValueError, match="zero function"):
             classify_decay(zero, 1)
+
+    @pytest.mark.parametrize("u", [0, -1])
+    def test_order_below_one_rejected(self, u):
+        # order 0 read as Case4, "series converges", though the sum of 1/p diverges
+        with pytest.raises(ValueError, match="order u"):
+            classify_decay(INVLOGLOG, u)
 
     def test_case1_for_any_nonzero_constant(self):
         assert classify_decay(PrimeFunction("constant", c=2.0), 1).case is DecayCase.CASE1

@@ -14,7 +14,6 @@ from apmoments.sieve import (
     euler_phi,
     factorize,
     iter_prime_blocks,
-    primes_in_progression,
     primes_upto_monolithic,
     sieve_primes,
 )
@@ -60,19 +59,19 @@ class TestProgression:
 
 class TestSievePrimes:
     def test_small(self):
-        assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
+        assert sieve_primes(10).tolist() == [2, 3, 5, 7]
 
     def test_thirty(self):
         pr = sieve_primes(30)
         assert len(pr) == 10
-        assert pr.primes[-1] == 29
+        assert pr[-1] == 29
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
 
     def test_agrees_with_trial_division(self):
-        assert sieve_primes(10**5).primes.tolist() == trial_division_primes(10**5)
+        assert sieve_primes(10**5).tolist() == trial_division_primes(10**5)
 
     def test_segmented_matches_monolithic(self, sieve_geometry):
         # identical sequences for several block sizes, including odd ones
@@ -88,25 +87,25 @@ class TestSievePrimes:
 
 class TestProgressionFilter:
     def test_examples(self):
-        assert primes_in_progression(30, Progression(4, 1)).primes.tolist() == [5, 13, 17, 29]
-        assert primes_in_progression(10, Progression(4, 3)).primes.tolist() == [3, 7]
-        assert len(primes_in_progression(30, Progression(1, 0))) == 10
+        assert sieve_primes(30, Progression(4, 1)).tolist() == [5, 13, 17, 29]
+        assert sieve_primes(10, Progression(4, 3)).tolist() == [3, 7]
+        assert len(sieve_primes(30, Progression(1, 0))) == 10
 
     @pytest.mark.parametrize("k", [3, 4, 5, 12])
     def test_partition_property(self, k):
         # coprime classes plus the primes dividing k tile the full prime set
         x = 10**4
-        full = sieve_primes(x).primes.tolist()
+        full = sieve_primes(x).tolist()
         parts = [p for p in full if k % p == 0]
         for l in range(k):
             if math.gcd(k, l) == 1:
-                parts.extend(primes_in_progression(x, Progression(k, l)).primes.tolist())
+                parts.extend(sieve_primes(x, Progression(k, l)).tolist())
         assert sorted(parts) == full
 
     def test_modulus_primes_never_listed(self):
         for l in (1, 3):
-            pr = primes_in_progression(10**4, Progression(4, l))
-            assert 2 not in pr.primes
+            pr = sieve_primes(10**4, Progression(4, l))
+            assert 2 not in pr
 
 
 class TestFactorize:
@@ -181,10 +180,11 @@ def coprime_classes(k, below):
 
 
 def layout_primes(x, prog, sieve_geometry, block_size):
-    """The class's primes <= x from one layout; every block non-empty int64."""
+    """The class's primes <= x from one layout; every block int64 with 1 to
+    PRIME_CHUNK primes."""
     use_layout(sieve_geometry, block_size)
     blocks = list(iter_prime_blocks(x, prog))
-    assert all(b.size and b.dtype == np.int64 for b in blocks)
+    assert all(0 < b.size <= sieve.PRIME_CHUNK and b.dtype == np.int64 for b in blocks)
     return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
@@ -240,14 +240,14 @@ class TestPrimeCache:
         for prog in (None, Progression(4, 1), Progression(15015, 2)):
             assert all(b.dtype == np.int64 for b in iter_prime_blocks(10**5, prog))
         assert sieve._cache._primes.dtype == np.uint32
-        assert sieve_primes(10**5).primes.dtype == np.int64
+        assert sieve_primes(10**5).dtype == np.int64
 
-    def test_warm_class_pass_stays_within_two_chunks(self, monkeypatch):
+    def test_warm_class_pass_stays_within_two_chunks(self, monkeypatch, sieve_geometry):
         # a Python int in the cache's searchsorted converts the whole cache
         # (78498 primes at 1e6, 628 kB as int64) to int64 on every call
         chunk = 1 << 14
         monkeypatch.setattr(sieve, "_cache", sieve._PrimeCache())
-        monkeypatch.setattr(sieve, "PRIME_CHUNK", chunk)
+        sieve_geometry(chunk=chunk)
         prog = Progression(4, 1)
         for _ in iter_prime_blocks(10**6, prog):
             pass
