@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -135,12 +136,30 @@ def _resolve_fn(args, flag: str = "fn") -> tuple[PrimeFunction, Extension]:
     return fn, ext
 
 
+_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+
+
 def _integer(text: str) -> int:
-    """Parser type for sizes (--n, --x, --limit, --trials): an integer, 1e6 allowed."""
+    """Parser type for sizes (--n, --x, --limit, --trials): a whole number,
+    1e6 and 2.5e3 allowed; 12.9, and a size past the float range, are not.
+
+    float() checks the syntax and the range; the digits are then read
+    exactly as digits * 10^scale, with trailing zeros moved to the scale.
+    """
     try:
-        return int(float(text))
-    except (ValueError, OverflowError):
-        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+        finite = math.isfinite(float(text))
+    except ValueError:
+        finite = False
+    m = _DECIMAL.fullmatch(text.strip().replace("_", "")) if finite else None
+    if m:
+        frac = m[3] or ""
+        digits = (m[2] + frac).rstrip("0")
+        scale = int(m[4] or 0) - len(frac) + len(m[2] + frac) - len(digits)
+        if not digits:
+            return 0
+        if scale >= 0:
+            return int(m[1] + digits) * 10**scale
+    raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
 
 
 def _positive_integer(text: str) -> int:

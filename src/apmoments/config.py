@@ -24,10 +24,11 @@ SIEVE_CEILING = 1 << 34
 # primes at 10^8 is ~23 MB; the limit must stay below 2^32).  Beyond it
 # callers iterate blocks.
 PRIME_CACHE_MAX = 200_000_000
-# Most primes in one block, cached or streamed.  Every consumer takes the
-# blocks as they come: the model's two (u_max + 1) x PRIME_CHUNK float64
-# matrices stay a few MB at u_max = 10, and `sieve` formats one block of
-# text at a time (a cached chunk of 2^19 primes took ~55 MB).
+# Most primes in one block, cached or streamed, and most Monte Carlo
+# successes in one piece.  Every consumer takes the blocks as they come:
+# the model's u_max per-prime cumulant rows of PRIME_CHUNK float64 stay a
+# few MB at u_max = 10, and `sieve` formats one block of text at a time
+# (a cached chunk of 2^19 primes took ~55 MB).
 PRIME_CHUNK = 1 << 16
 
 # Progression-member evaluation block (number of members per batch).

@@ -3,19 +3,22 @@
 Each prime contributes a two-valued variable X_p that equals f(p) with
 probability 1/p and 0 otherwise; the model sum is S = sum of independent
 X_p over the chosen prime set.  Cumulants add across independent terms,
-so exact central moments of S come from a per-prime moment-to-cumulant
-recursion followed by the cumulant-to-central-moment recursion, both
-generic up to order 10.  Alongside the exact values we carry the
+so exact central moments of S come from per-prime cumulants followed by
+the cumulant-to-central-moment recursion, both generic up to order 10.
+X_p is f(p) times a Bernoulli(1/p) variable, so its j-th cumulant is
+f(p)^j c_j(1/p), and the moment-to-cumulant recursion runs once per block
+on the Bernoulli cumulants c_j.  Alongside the exact values we carry the
 first-order approximation sum f(p)^u / p and its gap budget
 sum |f(p)|^u / p^2.
 
-The per-prime recursion is streamed block by block: the prime set comes
-from the sieve's block iterator, in its blocks of at most PRIME_CHUNK
-primes, each block's rows are reduced to one partial per order, and the
-partials are combined exactly with math.fsum (as in prime_sums).  Memory
-is bounded by one block, so the exact moments, the Lindeberg ratio and
-the mean predictions also run past the prime cache.  Only `sample`
-holds the whole prime set.
+Every function here takes the prime set block by block from the sieve's
+block iterator, in its blocks of at most PRIME_CHUNK primes.  The exact
+moments reduce each block to one partial per order and combine the
+partials exactly with math.fsum (as in prime_sums); the Monte Carlo
+sampler draws each block's successes in pieces of at most PRIME_CHUNK.
+Memory is bounded by one block, so the exact moments, the Lindeberg
+ratio, the mean predictions and the sampler also run past the prime
+cache.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .arith_fn import (
     iter_progression_values,
     lattice_steps,
 )
-from .config import U_MAX_CAP, U_MAX_DEFAULT
+from .config import PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import CoMoments, MomentSummary, moment_summary, summarize
 from .sieve import Progression, iter_prime_blocks
 
@@ -111,20 +114,23 @@ def _active_blocks(
             yield block[active].astype(np.float64), fv[active]
 
 
-def _raw_to_cumulants(raw: np.ndarray) -> np.ndarray:
-    """Per-term cumulants from raw moments, vectorized across terms.
+def _bernoulli_cumulants(q: np.ndarray, u_max: int) -> list[np.ndarray]:
+    """Cumulants c_1..c_{u_max} of Bernoulli(q), per entry of q.
 
-    raw[j] is the array of j-th raw moments (raw[0] = 1); the standard
-    recursion kappa_n = m_n - sum C(n-1, j-1) kappa_j m_{n-j} applies.
+    Every raw moment of Bernoulli(q) is q, so the moment-to-cumulant
+    recursion kappa_n = m_n - sum C(n-1, j-1) kappa_j m_{n-j} reads
+    c_n = q (1 - sum_{j<n} C(n-1, j-1) c_j).  A term f(p) X has cumulants
+    f(p)^j c_j(1/p).
     """
-    u_max = raw.shape[0] - 1
-    kappa = np.zeros_like(raw)
-    for order in range(1, u_max + 1):
-        acc = raw[order].copy()
-        for j in range(1, order):
-            acc -= math.comb(order - 1, j - 1) * kappa[j] * raw[order - j]
-        kappa[order] = acc
-    return kappa
+    c = [q]
+    term = np.empty_like(q)
+    for order in range(2, u_max + 1):
+        acc = np.subtract(1.0, q)  # the j = 1 term, C(n-1, 0) c_1 = q
+        for j in range(2, order):
+            acc -= np.multiply(math.comb(order - 1, j - 1), c[j - 1], out=term)
+        acc *= q
+        c.append(acc)
+    return c
 
 
 def _cumulants_to_central(kappa: Sequence[float]) -> list[float]:
@@ -150,9 +156,10 @@ def exact_moments(
 ) -> ModelMoments:
     """Exact cumulants and central moments of the model sum up to u_max.
 
-    One pass over the prime blocks: each block's per-prime raw moments go
-    through the moment-to-cumulant recursion, and every order keeps one
-    partial per block for kappa, first_order and gap_bound.
+    One pass over the prime blocks: the Bernoulli cumulants c_j(1/p) come
+    from one recursion per block, each prime's cumulants are f(p)^j c_j,
+    and every order keeps one partial per block for kappa, first_order
+    and gap_bound.
     """
     if not 1 <= u_max <= U_MAX_CAP:
         raise ValueError(f"u_max must be in [1, {U_MAX_CAP}]")
@@ -163,18 +170,18 @@ def exact_moments(
     count = 0
     for p, f in _active_blocks(fn, progression, n, mode):
         count += p.size
-        raw = np.empty((u_max + 1, p.size))
-        raw[0] = 1.0
         inv_p = 1.0 / p
+        c = _bernoulli_cumulants(inv_p, u_max)
         power = np.ones_like(f)
+        term = np.empty_like(f)
         for j in orders:
-            power = power * f
-            raw[j] = power * inv_p
-            first_parts[j].append(float(np.sum(raw[j])))
-            gap_parts[j].append(float(np.sum(np.abs(power) * inv_p * inv_p)))
-        kappa_terms = _raw_to_cumulants(raw)
-        for j in orders:
-            kappa_parts[j].append(float(np.sum(kappa_terms[j])))
+            power *= f
+            first_parts[j].append(float(np.sum(np.multiply(power, inv_p, out=term))))
+            np.abs(power, out=term)
+            term *= inv_p
+            term *= inv_p
+            gap_parts[j].append(float(np.sum(term)))
+            kappa_parts[j].append(float(np.sum(np.multiply(power, c[j - 1], out=term))))
 
     kappa = {j: math.fsum(kappa_parts[j]) for j in orders}
     first = {j: math.fsum(first_parts[j]) for j in orders}
@@ -182,6 +189,25 @@ def exact_moments(
     central = _cumulants_to_central([0.0] + [kappa[j] for j in orders])
     mu = {j: central[j] for j in orders}
     return ModelMoments(n, progression, mode, kappa, mu, first, gap, count)
+
+
+def _distinct_slots(owner: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniform trial slot per entry of the ascending `owner`, redrawn
+    until no owner holds a slot twice.
+
+    The keys owner * trials + slot are sorted, so every owner keeps its
+    positions, and each repeat after the first copy is redrawn.  The rule
+    looks only at which slots are equal, never at their values, so each
+    owner ends with a uniform set of distinct slots.
+    """
+    base = owner * trials
+    key = base + rng.integers(trials, size=owner.size)
+    while True:
+        key.sort()
+        repeat = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if not repeat.size:
+            return key - base
+        key[repeat] = base[repeat] + rng.integers(trials, size=repeat.size)
 
 
 def sample(
@@ -194,23 +220,33 @@ def sample(
 ) -> SampleSet:
     """Monte Carlo realizations of the model sum.
 
-    Work is scattered per prime: the number of successful trials is drawn
-    from Binomial(trials, 1/p) and f(p) is added to that many distinct
-    trial slots, giving expected work O(trials * lnln n) instead of
-    O(trials * pi(n)).  All draws come in a fixed order from one stream
-    seeded by `seed`, so a seed reproduces its sample exactly.
+    Work is scattered per prime: the number c of successful trials is
+    drawn from Binomial(trials, 1/p) and f(p) is added to c distinct trial
+    slots, giving expected work O(trials * lnln n) instead of
+    O(trials * pi(n)).  The primes come in the sieve's blocks, as for
+    exact_moments.  Per block one binomial call draws every prime's c;
+    the successes are cut into pieces of at most PRIME_CHUNK (a prime
+    with more is a piece of its own), and per piece one integers call
+    draws the slots, of which those a prime holds twice are redrawn
+    (_distinct_slots).  All draws come in this fixed order from one
+    stream seeded by `seed`, so a seed reproduces its sample exactly.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    primes = np.concatenate([np.empty(0, dtype=np.int64), *_mode_blocks(progression, n, mode)])
-    fv = fn.values_at(primes)
-    active = fv != 0.0
-    successes = rng.binomial(trials, 1.0 / primes[active])
     values = np.zeros(trials)
-    for f, c in zip(fv[active], successes.tolist()):
-        if c:
-            values[rng.choice(trials, c, replace=False)] += f
+    for p, f in _active_blocks(fn, progression, n, mode):
+        counts = rng.binomial(trials, 1.0 / p)
+        hit = counts > 0
+        f, counts = f[hit], counts[hit]
+        ends = np.cumsum(counts)
+        start = 0
+        while start < counts.size:
+            piece_end = ends[start] - counts[start] + PRIME_CHUNK
+            stop = max(int(np.searchsorted(ends, piece_end, side="right")), start + 1)
+            owner = np.repeat(np.arange(stop - start), counts[start:stop])
+            np.add.at(values, _distinct_slots(owner, trials, rng), f[start:stop][owner])
+            start = stop
     return SampleSet(seed, trials, values)
 
 

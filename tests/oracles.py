@@ -6,7 +6,9 @@ the slow, direct forms the sweep and the streaming moments are checked
 against.  central_moment_first_order is the model's first-order stand-in
 for a central moment, one exact prime sum.  brute_force_central_moments
 enumerates every outcome of a small model sum of BernoulliTerms, against
-which the model's cumulant recursion is checked.
+which the model's cumulant recursion is checked, and poisson_binomial_pmf
+is the exact law of a count of independent successes, against which the
+Monte Carlo sampler's histogram is checked.
 """
 
 from __future__ import annotations
@@ -71,3 +73,12 @@ def brute_force_central_moments(
     for u in range(2, u_max + 1):
         out[u] = float(np.dot(probs, d**u))
     return out
+
+
+def poisson_binomial_pmf(probs: Iterable[float]) -> np.ndarray:
+    """Exact PMF of the number of successes of independent Bernoulli(q)
+    terms, one convolution with [1 - q, q] per term."""
+    pmf = np.ones(1)
+    for q in probs:
+        pmf = np.convolve(pmf, [1.0 - q, q])
+    return pmf

@@ -1,10 +1,11 @@
+import argparse
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from apmoments.cli import main
+from apmoments.cli import _integer, main
 from apmoments.sieve import factorize, primes_upto_monolithic, sieve_primes
 
 
@@ -140,6 +141,10 @@ class TestExitCodes:
             ["asymptotic", "--fn", "invloglog", "--x", "1e6", "--u", "-1"],
             ["probe", "--fn", "invloglog", "--u", "0"],
             ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "10", "--seed", "-1"],
+            ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "2.9"],
+            ["moments", "--n", "1e4.5", "--fn", "omega"],
+            ["moments", "--n", "100.5", "--fn", "omega"],
+            ["sieve", "--limit", "12.9"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
@@ -153,7 +158,8 @@ class TestExitCodes:
              "sum_above_ceiling", "sieve_above_ceiling", "model_exact_above_ceiling",
              "checkpoint_above_ceiling", "ektest_limit_one", "ektest_above_ceiling",
              "classify_order_zero", "asymptotic_order_negative", "probe_order_zero",
-             "seed_negative"],
+             "seed_negative", "trials_fractional", "n_malformed_exponent",
+             "n_fractional", "sieve_limit_fractional"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -205,6 +211,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "invalid integer value: 'abc'" in err
         assert "<lambda>" not in err and "invalid _" not in err
+
+    def test_sizes_take_whole_exponent_forms(self, capsys):
+        code, out = run_cli(["sieve", "--limit", "2.5e1"], capsys)
+        assert code == 0 and out.split() == ["2", "3", "5", "7", "11", "13", "17", "19", "23"]
+        code, out = run_cli(["model", "sample", "--n", "1e2", "--fn", "const:1",
+                             "--trials", "2.5e1"], capsys)
+        assert code == 0 and json.loads(out)["trials"] == 25
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("1e6", 10**6), ("2.5e3", 2500), ("100e-2", 1), ("5.", 5), ("1e40", 10**40),
+         ("12.9", None), ("150e-2", None), ("12345678901234567.5", None),
+         ("12.9999999999999999999", None), ("1e-999999999", None), ("1e400", None), ("", None)],
+    )
+    def test_size_digits_are_read_exactly(self, text, value):
+        # a fraction past float precision, or 10^-1e9, is still not whole
+        if value is None:
+            with pytest.raises(argparse.ArgumentTypeError):
+                _integer(text)
+        else:
+            assert _integer(text) == value
 
     def test_model_exact_accepts_umax_one(self, capsys):
         code, out = run_cli(["model", "exact", "--n", "100", "--fn", "const:1", "--umax", "1"],

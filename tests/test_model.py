@@ -23,7 +23,12 @@ from apmoments.model import (
 )
 from apmoments.prime_sums import prime_power_sum
 from apmoments.sieve import Progression, sieve_primes
-from oracles import BernoulliTerm, brute_force_central_moments, central_moment_first_order
+from oracles import (
+    BernoulliTerm,
+    brute_force_central_moments,
+    central_moment_first_order,
+    poisson_binomial_pmf,
+)
 
 ONE = PrimeFunction("constant", c=1.0)
 FULL = Progression(1, 0)
@@ -178,16 +183,30 @@ class TestStreamedModel:
             assert mm.first_order[u] == pytest.approx(first[u], rel=1e-12)
             assert mm.gap_bound[u] == pytest.approx(gap[u], rel=1e-12)
 
+    def test_per_prime_recursion_matches_exact_cumulants(self):
+        # c_j(q) of Bernoulli(q) at q = 1/p, against its integer polynomial
+        # evaluated exactly in Fraction, for small and large primes
+        u_max = 10
+        polys = _bernoulli_cumulant_polys(u_max)
+        primes = [2, 3, 5, 7, 97, 1009, 10007]
+        q = 1.0 / np.array(primes, dtype=np.float64)
+        c = model._bernoulli_cumulants(q, u_max)
+        assert len(c) == u_max
+        for i, p in enumerate(primes):
+            for j in range(1, u_max + 1):
+                exact = sum(coef * Fraction(1, p) ** k for k, coef in enumerate(polys[j]))
+                assert abs(c[j - 1][i] - float(exact)) <= 1e-14 * q[i]
+
     def test_recursion_sees_only_blocks(self, monkeypatch):
         # density mode on 1 mod 4 up to 10^6 has 78497 active primes: two row blocks
         widths = []
-        recursion = model._raw_to_cumulants
+        recursion = model._bernoulli_cumulants
 
-        def recording(raw):
-            widths.append(raw.shape[1])
-            return recursion(raw)
+        def recording(q, u_max):
+            widths.append(q.size)
+            return recursion(q, u_max)
 
-        monkeypatch.setattr(model, "_raw_to_cumulants", recording)
+        monkeypatch.setattr(model, "_bernoulli_cumulants", recording)
         mm = exact_moments(ONE, Progression(4, 1), 10**6, u_max=6, mode="density")
         assert max(widths) <= PRIME_CHUNK
         assert len(widths) == 2 and sum(widths) == mm.term_count
@@ -277,6 +296,69 @@ class TestSample:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             sample(ONE, FULL, 10, trials=0, seed=0)
+
+    def test_histogram_matches_poisson_binomial_law(self):
+        # const:1 counts the primes a trial hits: its exact law is the
+        # Poisson-binomial PMF of the 11 primes 1 mod 4 below 100
+        prog, trials = Progression(4, 1), 10**5
+        pmf = poisson_binomial_pmf(1.0 / sieve_primes(100, prog))
+        ss = sample(ONE, prog, 100, trials, seed=1)
+        hist = np.bincount(ss.values.astype(np.int64), minlength=pmf.size) / trials
+        assert hist.size == pmf.size
+        # E|hist_k - pmf_k| <= sqrt(pmf_k (1 - pmf_k) / trials); slots drawn
+        # without the redraw of repeats give about 0.03
+        expected = 0.5 * float(np.sum(np.sqrt(pmf * (1.0 - pmf) / trials)))
+        assert 0.5 * float(np.sum(np.abs(hist - pmf))) <= 2.0 * expected < 0.01
+
+    def test_no_prime_twice_in_a_trial(self):
+        # f(p_i) = 4^i: a trial's value has base-4 digit i equal to the
+        # number of times p_i hit it.  2e5 trials put about 3.9e5 successes
+        # into several pieces, and p = 2 alone (about 1e5) into a piece
+        # larger than PRIME_CHUNK.
+        primes = sieve_primes(37).tolist()
+        tab = PrimeFunction("tabulated", table=tuple((p, 4.0**i) for i, p in enumerate(primes)))
+        trials = 2 * 10**5
+        values = sample(tab, FULL, 37, trials, seed=3).values.astype(np.int64)
+        for i, p in enumerate(primes):
+            digit = (values >> (2 * i)) & 3
+            assert digit.max() <= 1
+            q = 1.0 / p
+            assert abs(digit.mean() - q) <= 5.0 * math.sqrt(q * (1.0 - q) / trials)
+        assert np.all(values >> (2 * len(primes)) == 0)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    def test_density_mode_with_two_terminates(self, trials):
+        # p = 2 can take every slot; the redraw must still end
+        for seed in range(20):
+            ss = sample(ONE, Progression(3, 1), 30, trials, seed=seed, mode="density")
+            assert ss.values.shape == (trials,)
+            assert np.all((ss.values >= 0) & (ss.values <= 9))
+
+    def test_streams_prime_blocks(self, monkeypatch, sieve_geometry):
+        # the streamed sieve hands the full set below 2e6 (148933 primes)
+        # to the sampler in blocks, never as one array
+        n, trials = 2 * 10**6, 10**4
+        mm = exact_moments(ONE, FULL, n, u_max=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample materialized its whole prime set")
+
+        monkeypatch.setattr(model, "sieve_primes", refuse, raising=False)
+        monkeypatch.setattr(sieve, "sieve_primes", refuse)
+        sieve_geometry(cache_max=0)
+        seen = []
+        blocks = model._active_blocks
+
+        def recording(*args):
+            for p, f in blocks(*args):
+                seen.append(p.size)
+                yield p, f
+
+        monkeypatch.setattr(model, "_active_blocks", recording)
+        values = sample(ONE, FULL, n, trials, seed=11).values
+        assert len(seen) >= 3 and max(seen) <= PRIME_CHUNK and sum(seen) == mm.term_count
+        z = (values.mean() - mm.kappa[1]) / math.sqrt(mm.kappa[2] / trials)
+        assert abs(z) < 4.0
 
 
 class TestLindeberg:
