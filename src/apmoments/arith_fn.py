@@ -19,12 +19,14 @@ member divisible by p^a gains the increment of that row, so the members
 divisible exactly by p^a end up with f(p^a) whatever the rule behind it.
 The rows also multiply up the part of each member they cover (the found
 part, uint32 when n < 2^32); a member that part falls short of has one
-prime factor q above sqrt(n) left, worth f(q).  When f is one constant c
-on every prime above sqrt(n) (:meth:`PrimeFunction.constant_above`), that
-value needs no q at all.  When every increment is also an integer
-multiple of c (a lattice spec), the sweep can add integer lattice indices
-instead of floats: int8, or int16 (wider only for huge table entries) when
-floor(log2 n) rows times the largest row index, plus one, passes 127.
+prime factor q above sqrt(n) left, worth f(q), which is priced on the
+whole block as f(member // found): that is 1 or q, and f(1) = 0.  When f
+is one constant c on every prime above sqrt(n)
+(:meth:`PrimeFunction.constant_above`), that value needs no q at all.
+When every increment is also an integer multiple of c (a lattice spec),
+the sweep can add integer lattice indices instead of floats: int8, or
+int16 (wider only for huge table entries) when floor(log2 n) rows times
+the largest row index, plus one, passes 127.
 """
 
 from __future__ import annotations
@@ -58,12 +60,13 @@ class Formula:
 
     c is the constant kind's value; the other kinds ignore it.  value and
     derivative are numpy expressions in t: values_at applies them to
-    arrays of primes, the quadrature to floats.  bound and antiderivative
-    are evaluated at single points.  Every formula keeps, on all
-    p >= minimum, the sign of its value at minimum.
+    arrays of primes (value in place, into `out`), the quadrature to floats
+    and ints.  bound and antiderivative are evaluated at single points.
+    Every formula keeps, on all p >= minimum, the sign of its value at
+    minimum.
     """
 
-    value: Callable[[Any, float], Any]  # f(t)
+    value: Callable[..., Any]  # f(t, c, out=None)
     derivative: Callable[[Any, float], Any]  # f'(t)
     bound: Callable[[int, float], float | None]  # sup |f(p)| over p >= p0, None if unbounded
     case: Callable[[int], tuple[DecayCase | None, str]]  # decay case of f^u and a note
@@ -85,7 +88,8 @@ def _lnln(t: float) -> float:
 
 FORMULAS: dict[str, Formula] = {
     "constant": Formula(
-        value=lambda t, c: c,
+        # t / t is 1.0 on t > 0, so the constant kinds also fill `out`
+        value=lambda t, c, out=None: np.multiply(np.divide(t, t, out=out), c, out=out),
         derivative=lambda t, c: 0.0,
         bound=lambda p0, c: abs(c),
         case=lambda u: (DecayCase.CASE1, ""),
@@ -94,7 +98,7 @@ FORMULAS: dict[str, Formula] = {
         names=("const:", "constant:"),
     ),
     "indicator_one": Formula(
-        value=lambda t, c: 1.0,
+        value=lambda t, c, out=None: np.divide(t, t, out=out),
         derivative=lambda t, c: 0.0,
         bound=lambda p0, c: 1.0,
         case=lambda u: (DecayCase.CASE1, ""),
@@ -103,7 +107,7 @@ FORMULAS: dict[str, Formula] = {
         names=("one", "indicator_one", "omega"),
     ),
     "one_over_loglog": Formula(
-        value=lambda t, c: 1.0 / np.log(np.log(t)),
+        value=lambda t, c, out=None: np.divide(1.0, np.log(np.log(t, out=out), out=out), out=out),
         derivative=lambda t, c: -1.0 / (t * np.log(t) * np.log(np.log(t)) ** 2),
         bound=lambda p0, c: 1.0 / _lnln(p0),
         case=lambda u: (DecayCase.CASE3, "") if u == 1 else (
@@ -115,7 +119,7 @@ FORMULAS: dict[str, Formula] = {
         minimum=11,
     ),
     "one_over_log": Formula(
-        value=lambda t, c: 1.0 / np.log(t),
+        value=lambda t, c, out=None: np.divide(1.0, np.log(t, out=out), out=out),
         derivative=lambda t, c: -1.0 / (t * np.log(t) ** 2),
         bound=lambda p0, c: 1.0 / math.log(p0),
         case=lambda u: (DecayCase.CASE4, ""),
@@ -124,7 +128,7 @@ FORMULAS: dict[str, Formula] = {
         minimum=3,
     ),
     "sqrt_loglog": Formula(
-        value=lambda t, c: np.sqrt(np.log(np.log(t))),
+        value=lambda t, c, out=None: np.sqrt(np.log(np.log(t, out=out), out=out), out=out),
         derivative=lambda t, c: 1.0 / (2.0 * t * np.log(t) * np.sqrt(np.log(np.log(t)))),
         bound=lambda p0, c: None,
         case=lambda u: (None, "unbounded kind; outside the catalogue"),
@@ -135,14 +139,15 @@ FORMULAS: dict[str, Formula] = {
         minimum=3,
     ),
     "one_minus_one_over_p": Formula(
-        value=lambda t, c: 1.0 - 1.0 / t,
+        value=lambda t, c, out=None: np.subtract(1.0, np.divide(1.0, t, out=out), out=out),
         derivative=lambda t, c: 1.0 / (t * t),
         bound=lambda p0, c: 1.0,
         case=lambda u: (DecayCase.CASE2, ""),
         names=("one_minus_inv_p", "oneminusinvp"),
     ),
     "one_minus_one_over_log": Formula(
-        value=lambda t, c: 1.0 - 1.0 / np.log(t),
+        value=lambda t, c, out=None: np.subtract(
+            1.0, np.divide(1.0, np.log(t, out=out), out=out), out=out),
         derivative=lambda t, c: 1.0 / (t * np.log(t) ** 2),
         bound=lambda p0, c: max(abs(1.0 - 1.0 / math.log(p0)), 1.0),
         case=lambda u: (DecayCase.CASE2, ""),
@@ -280,35 +285,36 @@ class PrimeFunction:
                 return self.default
             return None
         if self.formula.case(1)[0] is DecayCase.CASE1:
-            return self.formula.value(x, self.c)
+            return float(self.formula.value(x, self.c))
         return None
 
     def values_at(self, primes: np.ndarray | Sequence[int]) -> np.ndarray:
-        """Vectorized f(p) for an array of primes (0 below start / off-class)."""
-        p_int = np.asarray(primes, dtype=np.int64)
+        """Vectorized f(p) for primes of any integer type, as one new float64
+        array (0 below start / off-class, so f(1) = 0); primes is never written."""
+        primes = np.asarray(primes)
         if self.kind == "scaled":
-            vals = self.c * self.inner.values_at(p_int)
+            vals = self.inner.values_at(primes)
+            vals *= self.c
         elif self.kind == "tabulated":
             lookup = dict(self.table)
             keys = np.array(sorted(lookup), dtype=np.int64)
-            pos = np.minimum(np.searchsorted(keys, p_int), keys.size - 1)
-            hit = keys[pos] == p_int
-            missing = ~hit & (p_int >= self.start_prime)
+            pos = np.minimum(np.searchsorted(keys, primes), keys.size - 1)
+            hit = keys[pos] == primes
+            missing = ~hit & (primes >= self.start_prime)
             if self.default is None and np.any(missing):
                 raise TabulatedLookupError(
-                    f"no table entry (and no default) for prime {int(p_int[missing][0])}"
+                    f"no table entry (and no default) for prime {int(primes[missing][0])}"
                 )
             table_vals = np.array([lookup[q] for q in keys.tolist()])
             vals = np.where(hit, table_vals[pos], self.default or 0.0)
         else:
-            # entries below the start prime are masked to 0 at the end; clip the
-            # formula input so they never produce NaN on the way there
-            pc = np.maximum(p_int.astype(np.float64), float(self.start_prime))
-            vals = self.formula.value(pc, self.c)
-        vals = np.where(p_int < self.start_prime, 0.0, vals)
+            # clip entries below the start prime, zeroed next, so they make no NaN
+            vals = np.maximum(primes, float(self.start_prime))
+            self.formula.value(vals, self.c, out=vals)
+        np.copyto(vals, 0.0, where=primes < self.start_prime)
         if self.residue_filter is not None and not self.residue_filter.is_full:
             k, l = self.residue_filter.modulus, self.residue_filter.residue
-            vals = np.where(p_int % k == l, vals, 0.0)
+            np.copyto(vals, 0.0, where=np.remainder(primes, k, dtype=np.int64) != l)
         return vals
 
 
@@ -533,11 +539,13 @@ def iter_progression_values(
     member's found part there (:func:`found_dtype`).  A member whose found
     part falls short of it has exactly one prime factor q above sqrt(n)
     left.  A spec that is one constant c on those primes adds c there; any
-    other spec gets f(q), with q = member // found computed once, on the
-    leftovers only.  A spec with a step in `steps` (see :func:`lattice_steps`)
-    gets integer lattice indices k for its values k * step
-    (:func:`lattice_dtype`): each row adds round(increment / step), a prime
-    above sqrt(n) the sign of c.  Other specs get float64 sums.
+    other spec adds f(rest) on the whole block, rest = member // found
+    written into the found buffer: rest is 1 or q, and f(1) = 0 for every
+    spec, as 1 is below every start prime.  Every block reuses one member
+    and one found buffer.  A spec with a step in `steps` (see
+    :func:`lattice_steps`) gets integer lattice indices k for its values
+    k * step (:func:`lattice_dtype`): each row adds round(increment /
+    step), a prime above sqrt(n) the sign of c.  Other specs get float64 sums.
     """
     total = progression.count(n)
     if total == 0:
@@ -555,34 +563,34 @@ def iter_progression_values(
             dtypes[j] = lattice_dtype(n, max(map(abs, columns[j]), default=0))
             constants[j] = dtypes[j](math.copysign(1, constants[j]))
     increments = list(zip(*columns))
+    counted = any(c is not None and c != 0 for c in constants)
     fdt = found_dtype(n)
+    size = min(MEMBER_BLOCK, total)
+    ramp = np.arange(0, k * size, k, dtype=fdt)
+    members, found = np.empty(size, dtype=fdt), np.empty(size, dtype=fdt)
 
     for t_lo in range(0, total, MEMBER_BLOCK):
         size = min(MEMBER_BLOCK, total - t_lo)
-        members = np.arange(start + k * t_lo, start + k * (t_lo + size), k, dtype=fdt)
-        found = np.ones(size, dtype=fdt)
+        m, f = np.add(ramp[:size], start + k * t_lo, out=members[:size]), found[:size]
+        f.fill(1)
         vals = [np.zeros(size, dtype=t) for t in dtypes]
 
         for (p, pa, t0, _), deltas in zip(rows, increments):
             off = (t0 - t_lo) % pa
             if off >= size:
                 continue
-            found[off::pa] *= p
+            f[off::pa] *= p
             for v, d in zip(vals, deltas):
                 if d != 0:
                     v[off::pa] += d
 
-        big = found < members
-        if np.any(big):
-            if None in constants:
-                leftovers = members[big] // found[big]
-            for v, (fn, _), c in zip(vals, specs, constants):
-                if c is None:
-                    fv = fn.values_at(leftovers)
-                    if np.any(fv):
-                        v[big] += fv
-                elif c != 0:
-                    v += c * big
+        big = f < m if counted else None
+        rest = np.floor_divide(m, f, out=f) if None in constants else None
+        for v, (fn, _), c in zip(vals, specs, constants):
+            if c is None:
+                v += fn.values_at(rest)
+            elif c != 0:
+                v += c * big
 
         yield vals
 

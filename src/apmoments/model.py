@@ -195,19 +195,21 @@ def _distinct_slots(owner: np.ndarray, trials: int, rng: np.random.Generator) ->
     """One uniform trial slot per entry of the ascending `owner`, redrawn
     until no owner holds a slot twice.
 
-    The keys owner * trials + slot are sorted, so every owner keeps its
-    positions, and each repeat after the first copy is redrawn.  The rule
-    looks only at which slots are equal, never at their values, so each
-    owner ends with a uniform set of distinct slots.
+    The keys owner * trials + slot stay sorted, so every owner keeps its
+    positions; each repeat after the first copy is redrawn, sorted and
+    merged back.  The rule looks only at which slots are equal, never at
+    their values, so each owner ends with a uniform set of distinct slots.
     """
-    base = owner * trials
-    key = base + rng.integers(trials, size=owner.size)
+    key = rng.integers(trials, size=owner.size)
+    key += owner * trials
+    key.sort()
     while True:
-        key.sort()
         repeat = np.flatnonzero(key[1:] == key[:-1]) + 1
         if not repeat.size:
-            return key - base
-        key[repeat] = base[repeat] + rng.integers(trials, size=repeat.size)
+            return np.subtract(key, owner * trials, out=key)
+        redrawn = np.sort(owner[repeat] * trials + rng.integers(trials, size=repeat.size))
+        key = np.delete(key, repeat)
+        key = np.insert(key, np.searchsorted(key, redrawn), redrawn)
 
 
 def sample(

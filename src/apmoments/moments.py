@@ -65,7 +65,7 @@ class CoMoments:
         power = d * d
         for j in range(2, self.u_max + 1):
             bm[j] = float(power.sum() if w is None else (w * power).sum())
-            power = power * d
+            np.multiply(power, d, out=power)
         self._merge_raw(bn, bmean, bm)
 
     def _merge_raw(self, bn: int, bmean: float, bm: np.ndarray) -> None:

@@ -1,14 +1,18 @@
 """Reference evaluations that only the tests use.
 
 eval_additive evaluates one member from its factorization, and
-two_pass_central_moments takes moments in two plain passes; both are
-the slow, direct forms the sweep and the streaming moments are checked
-against.  central_moment_first_order is the model's first-order stand-in
-for a central moment, one exact prime sum.  brute_force_central_moments
+eval_by_increments does the same by adding the prime-power increments one
+at a time, primes ascending, as the member sweep adds them, so that the
+sweep's floats can be held to it bit for bit.  two_pass_central_moments
+takes moments in two plain passes; these are the slow, direct forms the
+sweep and the streaming moments are checked against.
+central_moment_first_order is the model's first-order stand-in for a
+central moment, one exact prime sum.  brute_force_central_moments
 enumerates every outcome of a small model sum of BernoulliTerms, against
 which the model's cumulant recursion is checked, and poisson_binomial_pmf
 is the exact law of a count of independent successes, against which the
-Monte Carlo sampler's histogram is checked.
+Monte Carlo sampler's histogram is checked.  distinct_slots_full_sort is
+the sampler's slot redraw with a full sort on every round.
 """
 
 from __future__ import annotations
@@ -28,6 +32,19 @@ def eval_additive(
 ) -> float:
     """Sum of prime-power values over a factorization (0 for the empty one)."""
     return sum(ext.power_value(p, a, eval_at_prime(fn, p)) for p, a in factorization)
+
+
+def eval_by_increments(
+    fn: PrimeFunction, ext: Extension, factorization: Iterable[tuple[int, int]]
+) -> float:
+    """Sum from 0.0 of f(p^a) - f(p^(a-1)) for a = 1..e over the factorization
+    (primes ascending), one float addition per increment."""
+    value = 0.0
+    for p, e in factorization:
+        fp = eval_at_prime(fn, p)
+        for a in range(1, e + 1):
+            value += ext.increment(p, a, fp)
+    return value
 
 
 def two_pass_central_moments(values: np.ndarray, u_max: int) -> dict[int, float]:
@@ -82,3 +99,18 @@ def poisson_binomial_pmf(probs: Iterable[float]) -> np.ndarray:
     for q in probs:
         pmf = np.convolve(pmf, [1.0 - q, q])
     return pmf
+
+
+def distinct_slots_full_sort(
+    owner: np.ndarray, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The sampler's distinct slots (see ``model._distinct_slots``), with the
+    whole key array sorted again after every redraw round."""
+    base = owner * trials
+    key = base + rng.integers(trials, size=owner.size)
+    while True:
+        key.sort()
+        repeat = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if not repeat.size:
+            return key - base
+        key[repeat] = base[repeat] + rng.integers(trials, size=repeat.size)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from apmoments.arith_fn import (
     COMPLETE,
+    FORMULAS,
     STRONG,
     Extension,
     PrimeFunction,
@@ -23,7 +24,7 @@ from apmoments.arith_fn import (
 )
 from apmoments.cli import main as cli_main
 from apmoments.sieve import Progression, factorize, sieve_primes
-from oracles import eval_additive
+from oracles import eval_additive, eval_by_increments
 
 OMEGA, OMEGA_EXT = builtin("omega")
 BIG_OMEGA, BIG_OMEGA_EXT = builtin("big_omega")
@@ -320,6 +321,30 @@ class TestSweepExactness:
         want = _division_sweep(specs, prog, self.N, self.BLOCK)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "ext", [STRONG, COMPLETE, Extension("strong", overrides=(((3, 2), -0.4),))],
+        ids=["strong", "complete", "override"],
+    )
+    @pytest.mark.parametrize(
+        "fn",
+        [PrimeFunction(kind, c=-1.3) for kind in FORMULAS]
+        + [PrimeFunction("constant", c=-1.3, p0=101)],  # priced, as its start is above sqrt(n)
+        ids=[*FORMULAS, "constant-p0"],
+    )
+    @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(4, 3)])
+    def test_float_columns_bit_identical_to_member_oracle(self, fn, ext, prog, member_block):
+        # blocks of 997: 6 full blocks and a short last one of 18 members,
+        # with rest = 1 (worth f(1) = 0) on every member without a prime
+        # above sqrt(n)
+        n = 6000 * prog.modulus
+        member_block(997)
+        blocks = [block for (block,) in iter_progression_values([(fn, ext)], prog, n)]
+        assert [b.size for b in blocks] == [997] * 6 + [18]
+        got = np.concatenate(blocks)
+        want = np.array([eval_by_increments(fn, ext, factorize(int(m))) for m in prog.members(n)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_lattice_sweep_skips_leftover_evaluation(self, monkeypatch):
         sizes = []

@@ -8,6 +8,7 @@ scaled by -2 and started at 13, for orders 1..4 at x = 1e6, k = 4).
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,21 @@ def _values_at_cases():
     return cases
 
 
+def _zero_at_one_cases():
+    return [*_values_at_cases(), ("omega1", builtin("omega1", Progression(4, 3))[0])]
+
+
+_MATH_VALUE = {
+    "constant": lambda t, c: c,
+    "indicator_one": lambda t, c: 1.0,
+    "one_over_loglog": lambda t, c: 1.0 / math.log(math.log(t)),
+    "one_over_log": lambda t, c: 1.0 / math.log(t),
+    "sqrt_loglog": lambda t, c: math.sqrt(math.log(math.log(t))),
+    "one_minus_one_over_p": lambda t, c: 1.0 - 1.0 / t,
+    "one_minus_one_over_log": lambda t, c: 1.0 - 1.0 / math.log(t),
+}
+
+
 class TestValuesAt:
     @pytest.mark.parametrize("fn", [fn for _, fn in _values_at_cases()],
                              ids=[name for name, _ in _values_at_cases()])
@@ -123,6 +139,40 @@ class TestValuesAt:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+    @pytest.mark.parametrize("fn", [fn for _, fn in _zero_at_one_cases()],
+                             ids=[name for name, _ in _zero_at_one_cases()])
+    def test_zero_at_one_and_below_start(self, fn):
+        # the member sweep prices rest = 1 on every member without a prime
+        # above sqrt(n), so f must add nothing there
+        vals = fn.values_at(np.arange(1, fn.start_prime))
+        assert vals.dtype == np.float64 and np.all(vals == 0.0)
+        assert fn.values_at([1]).tolist() == [0.0]  # a table without default too
+
+    @pytest.mark.parametrize("fn", [fn for _, fn in _zero_at_one_cases()],
+                             ids=[name for name, _ in _zero_at_one_cases()])
+    def test_integer_widths_give_same_bits(self, fn):
+        full = fn.kind != "tabulated" or fn.default is not None
+        primes = np.concatenate([[1], PRIMES]) if full else np.array([1, 2, 3])
+        wide, narrow = primes.astype(np.int64), primes.astype(np.uint32)
+        wide.flags.writeable = narrow.flags.writeable = False  # a write would raise
+        want = fn.values_at(wide)
+        for arg in (narrow, primes.tolist()):
+            got = fn.values_at(arg)
+            assert got.dtype == np.float64 and not np.shares_memory(got, narrow)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(wide, primes) and np.array_equal(narrow, primes)
+
+    @pytest.mark.parametrize("kind", list(FORMULAS))
+    @pytest.mark.parametrize("t", [11, 104729])
+    def test_formula_value_on_python_scalars(self, kind, t):
+        # the quadrature and the sign check pass Python ints and floats;
+        # an int must never be integer-divided (np.reciprocal(11) is 0)
+        value = FORMULAS[kind].value
+        assert float(value(t, -1.3)) == float(value(float(t), -1.3))
+        assert float(value(t, -1.3)) == pytest.approx(_MATH_VALUE[kind](t, -1.3), rel=1e-14)
 
 
 class TestFacts:

@@ -27,6 +27,7 @@ from oracles import (
     BernoulliTerm,
     brute_force_central_moments,
     central_moment_first_order,
+    distinct_slots_full_sort,
     poisson_binomial_pmf,
 )
 
@@ -269,6 +270,17 @@ class TestCentralMomentFirstOrder:
             central_moment_first_order(ONE, FULL, 100, 1)
 
 
+class _CountingRng:
+    """A seeded generator that counts its integers calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 class TestSample:
     def test_trials_one_support(self):
         ss = sample(ONE, FULL, 10, trials=1, seed=7)
@@ -325,6 +337,28 @@ class TestSample:
             q = 1.0 / p
             assert abs(digit.mean() - q) <= 5.0 * math.sqrt(q * (1.0 - q) / trials)
         assert np.all(values >> (2 * len(primes)) == 0)
+
+    def test_slot_merge_matches_full_sort(self):
+        # owners taking a half, a third and a fifth of the slots need many
+        # redraw rounds; merging only the redrawn keys back must give the
+        # same slots from the same draws as sorting every key each round
+        trials = 10**4
+        owner = np.repeat(np.arange(3), [trials // 2, trials // 3, trials // 5])
+        merged, full = _CountingRng(5), _CountingRng(5)
+        got = model._distinct_slots(owner, trials, merged)
+        want = distinct_slots_full_sort(owner, trials, full)
+        assert full.calls >= 10
+        assert np.array_equal(got, want) and merged.calls == full.calls
+        assert merged.rng.bit_generator.state == full.rng.bit_generator.state
+        for o in range(3):
+            assert np.unique(got[owner == o]).size == np.count_nonzero(owner == o)
+
+    def test_sample_bit_identical_with_full_sort(self, monkeypatch):
+        # p = 2 takes about 1e5 of 2e5 trials: a piece above PRIME_CHUNK
+        a = sample(ONE, FULL, 1000, 2 * 10**5, seed=4).values
+        monkeypatch.setattr(model, "_distinct_slots", distinct_slots_full_sort)
+        b = sample(ONE, FULL, 1000, 2 * 10**5, seed=4).values
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("trials", [1, 2, 3])
     def test_density_mode_with_two_terminates(self, trials):
