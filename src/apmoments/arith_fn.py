@@ -17,12 +17,14 @@ Bulk evaluation over progression members reads an additive function as one
 table of increments f(p^a) - f(p^(a-1)), one row per prime power: every
 member divisible by p^a gains the increment of that row, so the members
 divisible exactly by p^a end up with f(p^a) whatever the rule behind it.
-The rows also multiply up the part of each member they cover (the found
-part, uint32 when n < 2^32); a member that part falls short of has one
-prime factor q above sqrt(n) left, worth f(q), which is priced on the
-whole block as f(member // found): that is 1 or q, and f(1) = 0.  When f
-is one constant c on every prime above sqrt(n)
-(:meth:`PrimeFunction.constant_above`), that value needs no q at all.
+A row of a prime up to the square root of the block length is a strided
+update; the rows past it hit few members per block and run together as
+one index pass per block.  The rows also multiply up the part of each
+member they cover (the found part, uint32 when n < 2^32); a member that
+part falls short of has one prime factor q above sqrt(n) left, worth
+f(q), which is priced on the whole block as f(member // found): that is
+1 or q, and f(1) = 0.  When f is one constant c on every prime above
+sqrt(n) (:meth:`PrimeFunction.constant_above`), that value needs no q.
 When every increment is also an integer multiple of c (a lattice spec),
 the sweep can add integer lattice indices instead of floats: int8, or
 int16 (wider only for huge table entries) when floor(log2 n) rows times
@@ -31,6 +33,7 @@ the largest row index, plus one, passes 127.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -536,22 +539,25 @@ def iter_progression_values(
     The members form an arithmetic sequence with step coprime to p, so the
     multiples of p^a among them sit on one stride of the member index: each
     row adds its increments on that stride and multiplies p into the
-    member's found part there (:func:`found_dtype`).  A member whose found
-    part falls short of it has exactly one prime factor q above sqrt(n)
-    left.  A spec that is one constant c on those primes adds c there; any
-    other spec adds f(rest) on the whole block, rest = member // found
-    written into the found buffer: rest is 1 or q, and f(1) = 0 for every
-    spec, as 1 is below every start prime.  Every block reuses one member
-    and one found buffer.  A spec with a step in `steps` (see
-    :func:`lattice_steps`) gets integer lattice indices k for its values
-    k * step (:func:`lattice_dtype`): each row adds round(increment /
-    step), a prime above sqrt(n) the sign of c.  Other specs get float64 sums.
+    member's found part there (:func:`found_dtype`).  Rows of primes up to
+    isqrt of the first block's length do so one by one; the rest, a suffix
+    of the table, are one pass per block over their hits' indices (from a
+    template built once per sweep, np.multiply.at and np.add.at), so each
+    member still gets its increments in table order.  A member whose found
+    part falls short of it has one prime factor q above sqrt(n) left.  A
+    spec that is one constant c on those primes adds c there; any other
+    spec adds f(rest) on the whole block, rest = member // found written
+    into the found buffer: rest is 1 or q, and f(1) = 0 for every spec, as
+    1 is below every start prime.  Every block reuses one member and one
+    found buffer.  A spec with a step in `steps` (see :func:`lattice_steps`)
+    gets integer lattice indices k for its values k * step
+    (:func:`lattice_dtype`): each row adds round(increment / step), a prime
+    above sqrt(n) the sign of c.  Other specs get float64 sums.
     """
     total = progression.count(n)
     if total == 0:
         return
-    start = progression.first_member
-    k = progression.modulus
+    start, k = progression.first_member, progression.modulus
     if rows is None:
         rows = increment_table(specs, progression, n)
     constants = [fn.constant_above(math.isqrt(n)) for fn, _ in specs]
@@ -562,20 +568,29 @@ def iter_progression_values(
             columns[j] = [round(d / step) for d in columns[j]]
             dtypes[j] = lattice_dtype(n, max(map(abs, columns[j]), default=0))
             constants[j] = dtypes[j](math.copysign(1, constants[j]))
-    increments = list(zip(*columns))
     counted = any(c is not None and c != 0 for c in constants)
     fdt = found_dtype(n)
     size = min(MEMBER_BLOCK, total)
-    ramp = np.arange(0, k * size, k, dtype=fdt)
-    members, found = np.empty(size, dtype=fdt), np.empty(size, dtype=fdt)
+    cut = bisect.bisect_right(rows, math.isqrt(size), key=lambda row: row[0])
+    dense = list(zip(rows[:cut], zip(*columns)))
+    ps, pas, t0s = np.array([row[:3] for row in rows[cut:]], dtype=np.int64).reshape(-1, 3).T
+    hits, ps = -(-size // pas), ps.astype(fdt)
+    first = np.concatenate(([0], np.cumsum(hits))).tolist()  # each row's first hit, then the total
+    step = np.concatenate([np.zeros(0, np.int32)] + [
+        np.arange(0, size, min(pa, size), dtype=np.int32) for pa in pas.tolist()])
+    starts = np.flatnonzero(np.diff(np.array(first[:-1]) // -(-size // 8), prepend=-1)).tolist()
+    pieces = list(zip(starts, starts[1:] + [ps.size]))  # of about size / 8 hits
+    sparse = [np.array(col[cut:], dtype=t) for col, t in zip(columns, dtypes)]
+    members, found = np.arange(start, start + k * size, k, dtype=fdt), np.empty(size + 1, dtype=fdt)
 
     for t_lo in range(0, total, MEMBER_BLOCK):
         size = min(MEMBER_BLOCK, total - t_lo)
-        m, f = np.add(ramp[:size], start + k * t_lo, out=members[:size]), found[:size]
+        m, f = members[:size], found[: size + 1]
+        m += k * MEMBER_BLOCK if t_lo else 0  # advance the last block's members
         f.fill(1)
-        vals = [np.zeros(size, dtype=t) for t in dtypes]
+        vals = [np.zeros(size + 1, dtype=t) for t in dtypes]  # [size]: hits past the block
 
-        for (p, pa, t0, _), deltas in zip(rows, increments):
+        for (p, pa, t0, _), deltas in dense:
             off = (t0 - t_lo) % pa
             if off >= size:
                 continue
@@ -583,7 +598,15 @@ def iter_progression_values(
             for v, d in zip(vals, deltas):
                 if d != 0:
                     v[off::pa] += d
+        offs = (t0s - t_lo) % pas
+        for a, b in pieces:
+            idx = np.repeat(offs[a:b], hits[a:b])
+            np.minimum(np.add(idx, step[first[a] : first[b]], out=idx), size, out=idx)
+            np.multiply.at(f, idx, np.repeat(ps[a:b], hits[a:b]))
+            for v, d in zip(vals, sparse):
+                np.add.at(v, idx, np.repeat(d[a:b], hits[a:b]))
 
+        f, vals, idx = f[:size], [v[:size] for v in vals], None  # idx not held to the yield
         big = f < m if counted else None
         rest = np.floor_divide(m, f, out=f) if None in constants else None
         for v, (fn, _), c in zip(vals, specs, constants):
@@ -640,8 +663,9 @@ class LatticeCounts:
     """Integer histogram of values k * step, filled block by block.
 
     Each block, lattice indices k of any integer type, is binned by k
-    relative to its own minimum; blocks merge by adding counts, so memory
-    follows the number of lattice points spanned, not the number of values.
+    relative to its own minimum, in pieces of MEMBER_BLOCK // 8 through one
+    small intp buffer; blocks merge by adding counts, so memory follows the
+    number of lattice points spanned, not the number of values.
     """
 
     def __init__(self, step: float):
@@ -650,8 +674,11 @@ class LatticeCounts:
         self.counts = np.zeros(0, dtype=np.int64)
 
     def add_batch(self, k: np.ndarray) -> None:
-        lo = int(k.min())
-        hist = np.bincount(np.subtract(k, lo, dtype=np.intp))  # in intp: int8 would wrap
+        lo, piece = int(k.min()), -(-MEMBER_BLOCK // 8)
+        buf, hist = np.empty(min(piece, k.size), np.intp), np.zeros(int(k.max()) - lo + 1, np.int64)
+        for part in np.split(k, range(piece, k.size, piece)):
+            d = np.subtract(part, lo, out=buf[: part.size], dtype=np.intp)  # int8 would wrap
+            hist += np.bincount(d, minlength=hist.size)
         if not self.counts.size:
             self.lo, self.counts = lo, hist
             return

@@ -62,10 +62,9 @@ class CoMoments:
         bmean = float(values.mean()) if w is None else float((w * values).sum()) / bn
         d = values - bmean
         bm = np.zeros(self.u_max + 1)
-        power = d * d
-        for j in range(2, self.u_max + 1):
+        for j in range(2, self.u_max + 1):  # no power past the last order
+            power = d * d if j == 2 else np.multiply(power, d, out=power)
             bm[j] = float(power.sum() if w is None else (w * power).sum())
-            np.multiply(power, d, out=power)
         self._merge_raw(bn, bmean, bm)
 
     def _merge_raw(self, bn: int, bmean: float, bm: np.ndarray) -> None:
@@ -351,13 +350,16 @@ def _count_within(
 ) -> list[int]:
     """Per radius r, how many members satisfy |value - center| <= r: a table
     weighs each value by its count, per-member values count once each and
-    are read in blocks (block-sized temporaries)."""
+    are read in blocks, whose deviations are taken in pieces of
+    ``arith_fn.MEMBER_BLOCK // 8`` values."""
     inside = [0] * len(radii)
+    piece = -(-arith_fn.MEMBER_BLOCK // 8)
     for block, weights in iter_blocks(values, counts):
-        dev = np.abs(block - center)
-        for i, r in enumerate(radii):
-            within = dev <= r
-            inside[i] += int(np.count_nonzero(within) if weights is None else weights[within].sum())
+        for lo in range(0, block.size, piece):
+            dev = np.abs(block[lo : lo + piece] - center)
+            w = None if weights is None else weights[lo : lo + piece]
+            for i, r in enumerate(radii):
+                inside[i] += int(np.count_nonzero(dev <= r) if w is None else w[dev <= r].sum())
     return inside
 
 

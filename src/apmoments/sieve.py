@@ -224,7 +224,8 @@ def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Ite
 
     - cached (limit <= PRIME_CACHE_MAX): the cache's uint32 array in
       chunks of PRIME_CHUNK primes, each cut to the class with one
-      np.compress and then widened to int64;
+      np.compress (p - p // k * k == r: // by a scalar is a multiply and
+      shift, % a divide per prime) and then widened to int64;
     - streamed (past it): each segment of the class sieve, cut into
       pieces of PRIME_CHUNK primes; memory stays one segment, and no
       prime is reduced mod k.
@@ -243,7 +244,7 @@ def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Ite
         for i in range(0, arr.size, PRIME_CHUNK):
             blk = arr[i : i + PRIME_CHUNK]
             if cached:
-                blk = (np.compress(blk % k == r, blk) if k > 1 else blk).astype(np.int64)
+                blk = (np.compress(blk - blk // k * k == r, blk) if k > 1 else blk).astype(np.int64)
             if blk.size:
                 yield blk
 

@@ -21,6 +21,7 @@ from apmoments.arith_fn import (
     lattice_dtype,
     lattice_steps,
     parse_fn,
+    resolve_spec,
 )
 from apmoments.cli import main as cli_main
 from apmoments.sieve import Progression, factorize, sieve_primes
@@ -346,6 +347,79 @@ class TestSweepExactness:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    # The rows of primes above isqrt(block) run as one index pass per
+    # block (np.multiply.at / np.add.at); each case below has such rows.
+
+    @staticmethod
+    def _oracle(fn, ext, prog, n):
+        return np.array([eval_by_increments(fn, ext, factorize(int(m))) for m in prog.members(n)])
+
+    @pytest.mark.parametrize("ext", [STRONG, COMPLETE], ids=["strong", "complete"])
+    @pytest.mark.parametrize(
+        "fn", [PrimeFunction(kind, c=-1.3) for kind in FORMULAS], ids=list(FORMULAS))
+    @pytest.mark.parametrize("block,n", [(1, 500), (2, 501)])
+    def test_batched_rows_bit_identical_to_member_oracle(self, block, n, fn, ext, member_block):
+        # blocks of 1 and 2 members batch every row (isqrt is 1); blocks of
+        # 997 are test_float_columns_bit_identical_to_member_oracle
+        member_block(block)
+        got = collect_values(fn, ext, Progression(1, 0), n)
+        want = self._oracle(fn, ext, Progression(1, 0), n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("ext", [STRONG, COMPLETE], ids=["strong", "complete"])
+    def test_member_on_two_batched_rows_of_one_block(self, ext, member_block):
+        # 1369 = 37^2 (rows 37 and 1369), 1517 = 37 * 41 and 4551 = 3 * 37 * 41
+        # all lie in a block of 997 on two rows of primes above 31
+        fn, prog, n = PrimeFunction("sqrt_loglog"), Progression(1, 0), 6000
+        rows = [row[:2] for row in increment_table([(fn, ext)], prog, n)]
+        assert {(37, 37), (37, 1369), (41, 41)} <= set(rows)
+        member_block(997)
+        got = collect_values(fn, ext, prog, n)
+        want = self._oracle(fn, ext, prog, n)
+        assert got[1517 - 1] == eval_at_prime(fn, 37) + eval_at_prime(fn, 41)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["omega", "bigomega"])
+    def test_short_last_block_keeps_spare_slot_hits_out(self, name, member_block):
+        # int8 lattice columns (float ones: test_float_columns_bit_identical_
+        # to_member_oracle): the last block holds 18 members, so most of the
+        # batched rows' hits fall past it, into the spare slot, which no
+        # yielded column shows
+        prog = Progression(4, 3)
+        n = 4 * (6 * 997 + 18) - 1
+        specs = [builtin(name)]
+        steps = lattice_steps(specs, increment_table(specs, prog, n), n)
+        member_block(997)
+        blocks = [block for (block,) in iter_progression_values(specs, prog, n, steps=steps)]
+        assert steps == [1.0] and [b.size for b in blocks] == [997] * 6 + [18]
+        assert np.array_equal(np.concatenate(blocks), self._oracle(*specs[0], prog, n))
+
+    @pytest.mark.parametrize("block", [1, 2, 997])
+    def test_int16_lattice_column_with_batched_rows(self, block, member_block):
+        # 125 at p = 5 makes the column int16; the default, 1, sits on the
+        # batched rows of every prime above isqrt(block)
+        specs, prog, n = [(parse_fn("tab:5=125,default=1"), COMPLETE)], Progression(4, 1), 1001
+        steps = lattice_steps(specs, increment_table(specs, prog, n), n)
+        member_block(block)
+        (k,) = TestIntegerColumns._columns(specs, prog, n, steps)
+        assert steps == [1.0] and k.dtype == np.int16 and k.max() > 127
+        assert np.array_equal(k, self._oracle(*specs[0], prog, n).astype(np.int64))
+
+    @pytest.mark.parametrize("mode", ["strong", "complete"])
+    @pytest.mark.parametrize("block,n", [(1, 600), (2, 601), (997, 3000)])
+    def test_overrides_above_sqrt_n_on_batched_rows(self, mode, block, n, member_block):
+        # 101 is above sqrt(n), so its row exists only for its override, and
+        # every block length here batches it
+        ext = Extension(mode, overrides=(((31, 1), 4.0), ((101, 1), -2.5), ((7, 2), 0.3)))
+        fn, prog = PrimeFunction("one_over_log"), Progression(1, 0)
+        assert 101 in {row[0] for row in increment_table([(fn, ext)], prog, n)}
+        member_block(block)
+        got = collect_values(fn, ext, prog, n)
+        want = self._oracle(fn, ext, prog, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_lattice_sweep_skips_leftover_evaluation(self, monkeypatch):
         sizes = []
         values_at = PrimeFunction.values_at
@@ -359,6 +433,38 @@ class TestSweepExactness:
         collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), n)
         assert sizes  # the increment table still asks for f at its primes
         assert max(sizes) <= sieve_primes(math.isqrt(n)).size
+
+
+class TestCofactorCount:
+    """const:1 from p0 = isqrt(n) + 1 counts a member's prime factors above
+    sqrt(n), of which there is at most one.  The members worth 1 are the
+    s * q with s < sqrt(n) and q a prime in (sqrt(n), n / s], and s * q = r
+    (mod k) puts q in the class r / s (a Buchstab-type count)."""
+
+    N = 10**6
+
+    @pytest.mark.parametrize("block", [None, 997])
+    @pytest.mark.parametrize(
+        "prog", [Progression(4, 1), Progression(4, 3), Progression(1, 0), Progression(9, 2)])
+    def test_members_with_a_prime_above_sqrt_n(self, prog, block, member_block):
+        n, root, k = self.N, math.isqrt(self.N), prog.modulus
+        specs = [resolve_spec("const:1", prog, p0=root + 1)]
+        steps = lattice_steps(specs, increment_table(specs, prog, n), n)
+        assert steps == [1.0]
+        if block:
+            member_block(block)
+        lattice = sum(int(np.count_nonzero(b == 1))
+                      for (b,) in iter_progression_values(specs, prog, n, steps=steps))
+        floats = int(np.count_nonzero(collect_values(*specs[0], prog, n) == 1.0))
+
+        q = sieve_primes(n)
+        q = q[q > root]
+        by_class = {c: q[q % k == c] for c in range(k)}
+        want = sum(
+            int(np.searchsorted(by_class[prog.residue * pow(s, -1, k) % k], n // s, side="right"))
+            for s in range(1, math.isqrt(n - 1) + 1) if math.gcd(s, k) == 1
+        )
+        assert want > 0 and lattice == floats == want
 
 
 class TestConstantAbove:
