@@ -524,6 +524,13 @@ def lattice_dtype(n: int, k_max: int) -> type:
     return next((t for t in types if bound <= np.iinfo(t).max), None)
 
 
+def piece_length() -> int:
+    """Values in one piece of a per-member pass: MEMBER_BLOCK / 8, rounded
+    up, read at call time (512 KiB of float64 at the default block, so a
+    piece and its temporaries stay in a 2 MiB L2)."""
+    return -(-MEMBER_BLOCK // 8)
+
+
 def iter_progression_values(
     specs: Sequence[tuple[PrimeFunction, Extension]],
     progression: Progression,
@@ -546,13 +553,14 @@ def iter_progression_values(
     member still gets its increments in table order.  A member whose found
     part falls short of it has one prime factor q above sqrt(n) left.  A
     spec that is one constant c on those primes adds c there; any other
-    spec adds f(rest) on the whole block, rest = member // found written
-    into the found buffer: rest is 1 or q, and f(1) = 0 for every spec, as
-    1 is below every start prime.  Every block reuses one member and one
-    found buffer.  A spec with a step in `steps` (see :func:`lattice_steps`)
-    gets integer lattice indices k for its values k * step
-    (:func:`lattice_dtype`): each row adds round(increment / step), a prime
-    above sqrt(n) the sign of c.  Other specs get float64 sums.
+    spec adds f(rest) on the whole block, in pieces of :func:`piece_length`
+    members, rest = member // found written into the found buffer: rest is
+    1 or q, and f(1) = 0 for every spec, as 1 is below every start prime.
+    Every block reuses one member and one found buffer.  A spec with a step
+    in `steps` (see :func:`lattice_steps`) gets integer lattice indices k
+    for its values k * step (:func:`lattice_dtype`): each row adds
+    round(increment / step), a prime above sqrt(n) the sign of c.  Other
+    specs get float64 sums.
     """
     total = progression.count(n)
     if total == 0:
@@ -570,7 +578,7 @@ def iter_progression_values(
             constants[j] = dtypes[j](math.copysign(1, constants[j]))
     counted = any(c is not None and c != 0 for c in constants)
     fdt = found_dtype(n)
-    size = min(MEMBER_BLOCK, total)
+    size, piece = min(MEMBER_BLOCK, total), piece_length()
     cut = bisect.bisect_right(rows, math.isqrt(size), key=lambda row: row[0])
     dense = list(zip(rows[:cut], zip(*columns)))
     ps, pas, t0s = np.array([row[:3] for row in rows[cut:]], dtype=np.int64).reshape(-1, 3).T
@@ -611,7 +619,8 @@ def iter_progression_values(
         rest = np.floor_divide(m, f, out=f) if None in constants else None
         for v, (fn, _), c in zip(vals, specs, constants):
             if c is None:
-                v += fn.values_at(rest)
+                for at in range(0, size, piece):
+                    v[at : at + piece] += fn.values_at(rest[at : at + piece])
             elif c != 0:
                 v += c * big
 
@@ -663,9 +672,9 @@ class LatticeCounts:
     """Integer histogram of values k * step, filled block by block.
 
     Each block, lattice indices k of any integer type, is binned by k
-    relative to its own minimum, in pieces of MEMBER_BLOCK // 8 through one
-    small intp buffer; blocks merge by adding counts, so memory follows the
-    number of lattice points spanned, not the number of values.
+    relative to its own minimum, in pieces of :func:`piece_length` through
+    one small intp buffer; blocks merge by adding counts, so memory follows
+    the number of lattice points spanned, not the number of values.
     """
 
     def __init__(self, step: float):
@@ -674,7 +683,7 @@ class LatticeCounts:
         self.counts = np.zeros(0, dtype=np.int64)
 
     def add_batch(self, k: np.ndarray) -> None:
-        lo, piece = int(k.min()), -(-MEMBER_BLOCK // 8)
+        lo, piece = int(k.min()), piece_length()
         buf, hist = np.empty(min(piece, k.size), np.intp), np.zeros(int(k.max()) - lo + 1, np.int64)
         for part in np.split(k, range(piece, k.size, piece)):
             d = np.subtract(part, lo, out=buf[: part.size], dtype=np.intp)  # int8 would wrap

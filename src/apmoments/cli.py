@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -482,7 +483,10 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     p.add_argument("--config", default=None, help="flat key=value defaults file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (about 140 arguments);
+    parsing leaves it unchanged, so every call to :func:`main` shares it."""
     parser = _Parser(
         prog="apmoments",
         description="Prime sums, moments, and normal-limit diagnostics on arithmetic progressions",

@@ -31,7 +31,12 @@ PRIME_CACHE_MAX = 200_000_000
 # (a cached chunk of 2^19 primes took ~55 MB).
 PRIME_CHUNK = 1 << 16
 
-# Progression-member evaluation block (number of members per batch).
+# Progression-member evaluation block (number of members per batch).  Every
+# per-member pass (the sweep's f(rest) tail, moments, coverage, the lattice
+# fold and the bounded KS) runs on a block in pieces of MEMBER_BLOCK / 8
+# values (arith_fn.piece_length): 512 KiB of float64, so a piece and its
+# temporaries stay in the 2 MiB L2, while the block stays long enough for
+# the sweep's strided rows (2^17 and 2^16 made the lattice sweep slower).
 MEMBER_BLOCK = 1 << 19
 
 # Adaptive Simpson quadrature.

@@ -43,6 +43,11 @@ class CoMoments:
     statistics and merging, which keeps the update one-pass over the data
     while staying associative.  A batch with counts weighs each value by
     its count (a distinct-value table); without, every value counts once.
+    A batch's deviations and their powers are taken in pieces of
+    :func:`arith_fn.piece_length` values, and each order's piece sums are
+    added with ``np.sum``: for a whole default block (eight pieces of 2^16)
+    that is the tree numpy's pairwise sum takes over the block, so the sums
+    are those of one pass.
     """
 
     def __init__(self, u_max: int = U_MAX_DEFAULT):
@@ -60,11 +65,14 @@ class CoMoments:
         w = None if counts is None else np.asarray(counts, dtype=np.float64)
         bn = values.size if w is None else int(np.sum(counts))
         bmean = float(values.mean()) if w is None else float((w * values).sum()) / bn
-        d = values - bmean
-        bm = np.zeros(self.u_max + 1)
-        for j in range(2, self.u_max + 1):  # no power past the last order
-            power = d * d if j == 2 else np.multiply(power, d, out=power)
-            bm[j] = float(power.sum() if w is None else (w * power).sum())
+        piece = arith_fn.piece_length()
+        parts = np.zeros((self.u_max + 1, -(-values.size // piece)))
+        for i, at in enumerate(range(0, values.size, piece)):
+            d = values[at : at + piece] - bmean
+            for j in range(2, self.u_max + 1):  # no power past the last order
+                power = d * d if j == 2 else np.multiply(power, d, out=power)
+                parts[j, i] = power.sum() if w is None else (w[at : at + piece] * power).sum()
+        bm = np.array([np.sum(row) for row in parts])
         self._merge_raw(bn, bmean, bm)
 
     def _merge_raw(self, bn: int, bmean: float, bm: np.ndarray) -> None:
@@ -351,9 +359,9 @@ def _count_within(
     """Per radius r, how many members satisfy |value - center| <= r: a table
     weighs each value by its count, per-member values count once each and
     are read in blocks, whose deviations are taken in pieces of
-    ``arith_fn.MEMBER_BLOCK // 8`` values."""
+    :func:`arith_fn.piece_length` values."""
     inside = [0] * len(radii)
-    piece = -(-arith_fn.MEMBER_BLOCK // 8)
+    piece = arith_fn.piece_length()
     for block, weights in iter_blocks(values, counts):
         for lo in range(0, block.size, piece):
             dev = np.abs(block[lo : lo + piece] - center)

@@ -17,12 +17,14 @@ point x + c/2.
 The CDF grid sits at evenly spaced normal quantiles, taken from
 ``statistics.NormalDist``.  Either kind of dataset is read through
 ``moments.iter_blocks``: a table whole, per-member values in the sweep's
-blocks.
+blocks, and each block in pieces of ``arith_fn.piece_length`` values, so
+that a pass's temporaries stay in L2.
 
 Per-member values are never sorted.  The center and scale come from one
 pass over the sweep's blocks (so the center is the ``moments`` mean bit
 for bit), and one more pass counts the values into equal-width range bins
-and into hash buckets.  The empirical CDF and Phi are both monotone, so
+and into at most 2^16 hash buckets, whose counts (512 KiB) stay in L2
+beside a piece.  The empirical CDF and Phi are both monotone, so
 the counts before and after a bin and Phi at its edges bound every gap
 inside it; only the bins whose bound can reach the largest gap, and the
 bins around the CDF grid points, are read again and tabled exactly, and
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith_fn import Extension, PrimeFunction, increment_table, lattice_steps
+from .arith_fn import Extension, PrimeFunction, increment_table, lattice_steps, piece_length
 from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS
 from .moments import CoMoments, SpillFile, collect_dataset, iter_blocks, spill_dataset
 from .sieve import Progression
@@ -130,9 +132,11 @@ def _cdf_grid(
 
 # Range bins and tie buckets of the bounded KS: caps, a dataset of m values
 # takes at most the power of two >= m of each.  The bucket count must be a
-# power of two (a bucket is the top bits of a 64-bit hash).
+# power of two (a bucket is the top bits of a 64-bit hash).  2^16 buckets
+# count into 512 KiB, which stays in L2 beside a piece of values; with 2^20
+# (8 MiB) the piecewise counting was slower than whole blocks.
 _KS_BINS = 1 << 14
-_TIE_BUCKETS = 1 << 20
+_TIE_BUCKETS = 1 << 16
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, so the multiply permutes 64-bit words
 # A bin bound and a per-value gap are each a few roundings of numbers in
 # [0, 1] (and Phi is rounded at the edges and at the values alike); a bin
@@ -153,7 +157,7 @@ def _bounded_ks(
     Between the edges F_emp runs from before[i]/m to before[i+1]/m and Phi
     from Phi(left) to Phi(right), which bounds each gap inside the bin.
     """
-    m = values.size
+    m, piece = values.size, piece_length()
     size = 1 << (m - 1).bit_length()  # power of two >= m
     nbins, nbuckets = min(_KS_BINS, size), min(_TIE_BUCKETS, size)
     span = hi - lo
@@ -180,11 +184,16 @@ def _bounded_ks(
         h >>= shift
         return h.view(np.int64)  # below the bucket count now; bincount takes it as is
 
+    def pieces():
+        # every pass reads the values in pieces, so its temporaries stay in L2
+        for block, _ in iter_blocks(values):
+            yield from np.split(block, range(piece, block.size, piece))
+
     in_bin = np.zeros(nbins, dtype=np.int64)
     in_bucket = np.zeros(nbuckets, dtype=np.int64)
-    for block, _ in iter_blocks(values):
-        in_bin += np.bincount(bin_of(block), minlength=nbins)
-        in_bucket += np.bincount(bucket_of(block), minlength=nbuckets)
+    for part in pieces():
+        in_bin += np.bincount(bin_of(part), minlength=nbins)
+        in_bucket += np.bincount(bucket_of(part), minlength=nbuckets)
     before = np.concatenate(([0], np.cumsum(in_bin)))
     bound = np.maximum(before[1:] / m - _phi_at(z_left), _phi_at(z_right) - before[:-1] / m)
     bound[in_bin == 0] = -math.inf
@@ -193,9 +202,9 @@ def _bounded_ks(
         """The distinct values and counts of the chosen bins, and the
         largest tie in the chosen buckets, from one more pass."""
         in_bins, in_buckets = [], []
-        for block, _ in iter_blocks(values):
-            in_bins.append(block[bins[bin_of(block)]])
-            in_buckets.append(block[buckets[bucket_of(block)]])
+        for part in pieces():
+            in_bins.append(part[bins[bin_of(part)]])
+            in_buckets.append(part[buckets[bucket_of(part)]])
         x, counts = np.unique(np.concatenate(in_bins), return_counts=True)
         ties = np.unique(np.concatenate(in_buckets), return_counts=True)[1]
         return x, counts, int(ties.max(initial=0))
@@ -272,11 +281,12 @@ def erdos_kac_report(
         x, counts = collect_dataset(fn, ext, progression, n, rows=rows)
     if count < 2:
         raise ValueError("degenerate progression: need at least 2 members")
-    acc = CoMoments(2)
+    acc, piece = CoMoments(2), piece_length()
     lo, hi = math.inf, -math.inf
     for block, weights in iter_blocks(x, counts):
         acc.add_batch(block, weights)
-        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+        for part in np.split(block, range(piece, block.size, piece)):
+            lo, hi = min(lo, float(part.min())), max(hi, float(part.max()))
     center = acc.mean
     if normalization == "sigma":
         scale = acc.sigma

@@ -58,6 +58,35 @@ class TestCoMoments:
                 oracle[u], rel=1e-7, abs=1e-9 * scale
             )
 
+    @pytest.mark.parametrize("block", [997, 1])
+    def test_ragged_pieces_match_single_pass(self, member_block, block):
+        # pieces of 125 and of 1 value, the last one short, with and without counts
+        member_block(block)
+        rng = np.random.default_rng(7)
+        values, weights = rng.standard_normal(2000) * 3 + 1, rng.integers(1, 5, 2000)
+        for counts in (None, weights):
+            acc = CoMoments(6)
+            acc.add_batch(values, counts)
+            w = np.ones_like(values) if counts is None else weights.astype(np.float64)
+            d = values - float((w * values).sum()) / w.sum()
+            assert acc.n == w.sum()
+            for j in range(2, 7):
+                assert acc.m[j] == pytest.approx(float((w * d**j).sum()), rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("block", [1024, MEMBER_BLOCK])
+    def test_full_block_of_eight_pieces_is_one_pass_bit_for_bit(self, member_block, block):
+        # eight pieces of a multiple of 8 values past 64 split where numpy's
+        # pairwise sum over the whole block splits
+        member_block(block)
+        values = np.random.default_rng(block).standard_normal(block) ** 3
+        acc = CoMoments(6)
+        acc.add_batch(values)
+        d = values - values.mean()
+        power = d * d
+        for j in range(2, 7):
+            assert acc.m[j] == float(power.sum())
+            power *= d
+
     def test_rejects_silly_order(self):
         with pytest.raises(ValueError):
             CoMoments(1)

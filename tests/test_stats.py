@@ -374,6 +374,71 @@ class TestBoundedKs:
             assert bounded(values, center, scale) == unique_oracle(values, center, scale)
 
 
+class TestBoundedKsInPieces:
+    """Blocks and pieces of any length, the last of each short, count and
+    table what one pass over the values would."""
+
+    @pytest.mark.parametrize("block", [997, 1])
+    def test_multi_block_spill_file(self, tmp_path, member_block, block):
+        from apmoments.moments import SpillFile, write_spill
+
+        member_block(block)
+        rng = np.random.default_rng(block)
+        values = np.concatenate([np.round(rng.standard_normal(2500), 2), rng.standard_normal(700)])
+        path = tmp_path / "values.f64"
+        write_spill(path, values)
+        spill = SpillFile(path, values.size)
+        center, scale = float(values.mean()), float(values.std())
+        lo, hi = float(values.min()), float(values.max())
+        assert stats._bounded_ks(spill, lo, hi, center, scale) == unique_oracle(
+            values, center, scale)
+
+    def test_extremes_in_a_later_piece(self, tmp_path, member_block):
+        # the least and largest values sit in neither the first piece nor the
+        # first block, so the range pass must read every piece of every block
+        from apmoments.moments import write_spill
+
+        member_block(997)
+        fn, ext = resolve_spec("sqrtloglog")
+        prog = Progression(3, 1)
+        values = collect_values(fn, ext, prog, 10**4)
+        values[997 + 300] = float(values.min()) - 1.0
+        values[2 * 997 + 500] = float(values.max()) + 1.0
+        path = tmp_path / "values.f64"
+        write_spill(path, values)
+        rep = erdos_kac_report(fn, ext, prog, 10**4, "sigma", spill=path)
+        x, counts = table(values)
+        assert rep.ks == ks_distance(x, counts, rep.center, rep.scale)
+        assert rep.ks_floor == counts.max() / rep.count / 2
+        assert rep.grid == stats._cdf_grid(x, counts, rep.center, rep.scale)
+
+    @pytest.mark.parametrize("block", [997, config.MEMBER_BLOCK])
+    def test_tie_round_tables_one_bucket(self, monkeypatch, member_block, block):
+        # more values than the bucket cap, one heavy tie among distinct values:
+        # only the heavy tie's bucket is tabled, in either round
+        member_block(block)
+        rng = np.random.default_rng(5)
+        values = rng.permutation(np.concatenate([np.full(40_000, 0.5), rng.standard_normal(40_000)]))
+        assert values.size > stats._TIE_BUCKETS
+        shift = np.uint64(64 - (stats._TIE_BUCKETS.bit_length() - 1))
+        buckets = ((values + 0.0).view(np.uint64) * stats._HASH_MUL) >> shift
+        heavy = int(np.count_nonzero(buckets == buckets[values == 0.5][0]))
+        sizes, unique = [], np.unique
+
+        def spy(values, *args, **kwargs):
+            sizes.append(np.asarray(values).size)
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        center, scale = float(values.mean()), float(values.std())
+        ks, tie, _ = stats._bounded_ks(values, float(values.min()), float(values.max()),
+                                       center, scale)
+        monkeypatch.setattr(np, "unique", unique)
+        assert tie == 40_000
+        assert len(sizes) in (2, 4) and sum(sizes[1::2]) == heavy  # bins, then buckets, per round
+        assert (ks, tie) == unique_oracle(values, center, scale)[:2]
+
+
 class TestReportWithoutSort:
     @pytest.mark.parametrize("spec,k,l,n", [("sqrtloglog", 1, 0, 10**5),
                                             ("invloglog", 3, 2, 10**5),
