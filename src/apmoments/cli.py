@@ -1,11 +1,11 @@
 """Command-line entry point wiring every module.
 
-Reports are JSON on stdout by default (CSV by flag where a schema is
-defined), with the resolved configuration embedded in every report and
-floats rendered at 15 significant digits.  Output files are written to a
-temporary sibling and renamed, so no partial files survive an error.
-Wall-clock duration goes to stderr to keep report bytes identical across
-reruns with the same configuration.
+Reports are JSON on stdout by default (CSV by `--format` on the
+subcommands that define a schema), with the resolved configuration
+embedded in every report and floats rendered at 15 significant digits.
+Output files are written to a temporary sibling and renamed, so no
+partial files survive an error.  Wall-clock duration goes to stderr to
+keep report bytes identical across reruns with the same configuration.
 
 Exit codes: 0 success, 2 usage error, 1 computation error.
 """
@@ -69,12 +69,9 @@ def _quantize(obj: Any) -> Any:
 
 
 def _emit(report: dict, args: argparse.Namespace, csv_rows: list[list] | None = None) -> None:
-    cfg = report["config"]
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ValueError(f"csv output is not defined for subcommand {cfg['subcommand']!r}")
+    if getattr(args, "format", "json") == "csv":
         lines = [
-            "# config: " + json.dumps(_quantize(cfg)),
+            "# config: " + json.dumps(_quantize(report["config"])),
             f"# version: {__version__}",
             ",".join(_CSV_HEADER if "ks" not in report else ["x", "F_emp", "Phi", "abs_diff"]),
         ]
@@ -141,8 +138,9 @@ _DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
 
 
 def _integer(text: str) -> int:
-    """Parser type for sizes (--n, --x, --limit, --trials): a whole number,
-    1e6 and 2.5e3 allowed; 12.9, and a size past the float range, are not.
+    """Parser type for sizes (--n, --x, --limit, --trials, each --checkpoints
+    value): a whole number, 1e6 and 2.5e3 allowed; 12.9, and a size past the
+    float range, are not.
 
     float() checks the syntax and the range; the digits are then read
     exactly as digits * 10^scale, with trailing zeros moved to the scale.
@@ -202,10 +200,10 @@ def _checkpoints(args, start_prime: int | None = None) -> tuple[int, ...]:
     cps = PROBE_CHECKPOINTS
     if args.checkpoints:
         try:
-            cps = tuple(int(float(tok)) for tok in args.checkpoints.split(","))
-        except (ValueError, OverflowError):
-            cps = ()
-        if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
+            cps = tuple(_integer(tok) for tok in args.checkpoints.split(","))
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"argument --checkpoints: {exc}") from None
+        if any(b <= a for a, b in zip(cps, cps[1:])):
             raise _UsageError(
                 f"argument --checkpoints: expected increasing limits, got {args.checkpoints!r}"
             )
@@ -402,7 +400,7 @@ def cmd_model_lindeberg(args) -> None:
     _emit(_report(args, payload), args)
 
 
-def cmd_model_compare(args) -> None:
+def cmd_compare(args) -> None:
     prog = _progression(args)
     star = _resolve_fn(args, "fn_star")  # before --fn, which records its rule in args.ext
     pair = FunctionPair(star, _resolve_fn(args), args.pair_class)
@@ -478,14 +476,15 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--mode", choices=["restricted", "density"], default="restricted")
     if "spill" in names:
         p.add_argument("--spill", default=None, help="raw float64 value file")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    if "format" in names:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="write report to file (atomic)")
     p.add_argument("--config", default=None, help="flat key=value defaults file")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process (about 140 arguments);
+    """The CLI's parser, built once per process (about 120 arguments);
     parsing leaves it unchanged, so every call to :func:`main` shares it."""
     parser = _Parser(
         prog="apmoments",
@@ -499,20 +498,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("sum", help="exact sum of f(p)^u/p over a progression")
-    _add_common(p, "mod", "x", "fn", "u")
+    _add_common(p, "mod", "x", "fn", "u", "format")
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("asymptotic", help="main-term estimate with error magnitudes")
-    _add_common(p, "mod", "x", "fn", "u")
+    _add_common(p, "mod", "x", "fn", "u", "format")
     p.add_argument("--method", choices=["auto", "closed", "integral"], default="auto")
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("classify", help="catalogued decay case of f(p)^u")
-    _add_common(p, "fn", "u")
+    _add_common(p, "fn", "u", "format")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("probe", help="convergence/divergence probes at checkpoints")
-    _add_common(p, "mod", "fn", "u")
+    _add_common(p, "mod", "fn", "u", "format")
     p.add_argument("--series", default="custom",
                    choices=["inv_p_squared", "inv_p_log2p", "inv_p_logp", "custom"])
     p.add_argument("--integral", action="store_true",
@@ -544,19 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.set_defaults(func=cmd_model_lindeberg)
 
-    def add_compare(parent, name):
-        p = parent.add_parser(name, help="empirical comparison of a function pair")
-        _add_common(p, "mod", "n", "fn", "umax")
-        p.add_argument("--fn-star", dest="fn_star", required=True,
-                       help="strongly additive reference function")
-        p.add_argument("--class", dest="pair_class", choices=["H", "V"], default="V")
-        p.set_defaults(func=cmd_model_compare)
-
-    add_compare(msub, "compare")
-    add_compare(sub, "compare")
+    p = sub.add_parser("compare", help="empirical comparison of a function pair")
+    _add_common(p, "mod", "n", "fn", "umax")
+    p.add_argument("--fn-star", dest="fn_star", required=True,
+                   help="strongly additive reference function")
+    p.add_argument("--class", dest="pair_class", choices=["H", "V"], default="V")
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("ektest", help="normal-limit KS diagnostic")
-    _add_common(p, "mod", "n", "fn", "spill")
+    _add_common(p, "mod", "n", "fn", "spill", "format")
     p.add_argument("--norm", choices=["sigma", "sqrt_mean"], default="sqrt_mean")
     p.set_defaults(func=cmd_ektest)
 

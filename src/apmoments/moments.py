@@ -10,7 +10,7 @@ With `--spill` the sweep writes each block to the file as it comes (k*c
 for a lattice spec), and the table or the moments are taken from the
 same blocks; only `ektest --spill` reads a spill file back into a
 dataset (:func:`spill_dataset`), and gets the sweep's dataset.  Moments
-and Chebyshev/LLN coverage read both kinds through :func:`iter_blocks`:
+and Chebyshev coverage read both kinds through :func:`iter_blocks`:
 a table whole, per-member values in the sweep's blocks.  Moments feed a
 mergeable central-moment state, exact in real arithmetic, so chunked
 evaluation matches a two-pass computation up to rounding.  The mean also
@@ -26,7 +26,7 @@ import tempfile
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -117,10 +117,6 @@ class MomentSummary:
     sigma: float
     mu: dict[int, float]  # central moments for u = 2..u_max
 
-    @property
-    def u_max(self) -> int:
-        return max(self.mu)
-
 
 @dataclass(frozen=True)
 class ChebyshevReport:
@@ -128,16 +124,6 @@ class ChebyshevReport:
     coverage: tuple[float, ...]
     bounds: tuple[float, ...]
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class LlnRecord:
-    n: int
-    b: float
-    coverage_sigma: float | None  # radius b * sigma_n
-    coverage_sqrt_mean: float | None  # radius b * sqrt(mean), None if mean <= 0
-    bound: float
-    skipped: bool = False
 
 
 def moment_summary(
@@ -208,14 +194,19 @@ def spill_dataset(
     path: str | Path, count: int, step: float | None
 ) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
     """The spill file of `count` values as a dataset: folded block by block
-    into its lattice table (v at round(v / step)) when step is set, else
-    the file itself."""
+    into its lattice table (v at k = round(v / step)) when step is set, else
+    the file itself.  This spec's sweep writes exactly k * step, and a float
+    sum of its increments sits a few ulps off; a value further off than
+    1e-9 * step is from another spec, and is rejected naming the file."""
     values = SpillFile(path, count)
     if step is None:
         return values, None
     table = arith_fn.LatticeCounts(step)
     for block, _ in iter_blocks(values):
-        table.add_batch(np.rint(block / step).astype(np.int64))
+        k = np.rint(block / step)
+        if not np.allclose(k * step, block, rtol=0.0, atol=1e-9 * step):
+            raise ValueError(f"spill file {values.path} holds a value off the lattice of step {step}")
+        table.add_batch(k.astype(np.int64))
     return table.table()
 
 
@@ -273,7 +264,8 @@ def empirical_moments(
     spill: str | Path | None = None,
 ) -> MomentSummary:
     """Mean, deviation, and central moments of f over members up to n, from
-    one sweep (see :func:`collect_dataset`) that also writes `spill` if set."""
+    one sweep (see :func:`collect_dataset`) that also writes `spill` if set.
+    Kept for `scripts/model_vs_empirical.py`; the benchmark's tracer hooks it."""
     acc = CoMoments(u_max)
     collect_dataset(fn, ext, progression, n, spill, acc=acc)
     return summarize(acc, progression, n)
@@ -324,7 +316,8 @@ def mean_via_counts(
     form a single residue class mod p*k (solve m = residue mod k, m = 0
     mod p), so the number of such members has a closed form and the mean
     is sum f(p) * N_p / count.  Primes dividing the modulus divide no
-    member at all.
+    member at all.  Kept as the sweep mean's oracle (acceptance criterion 5)
+    and as the seed of computing moments by counting instead of sweeping.
     """
     if not ext.is_strongly_additive:
         raise ValueError("mean_via_counts requires a strongly additive extension")
@@ -350,27 +343,6 @@ def mean_via_counts(
     return float(np.dot(fvals, counts.astype(np.float64))) / count
 
 
-def _count_within(
-    values: np.ndarray | SpillFile,
-    center: float,
-    radii: Sequence[float],
-    counts: np.ndarray | None = None,
-) -> list[int]:
-    """Per radius r, how many members satisfy |value - center| <= r: a table
-    weighs each value by its count, per-member values count once each and
-    are read in blocks, whose deviations are taken in pieces of
-    :func:`arith_fn.piece_length` values."""
-    inside = [0] * len(radii)
-    piece = arith_fn.piece_length()
-    for block, weights in iter_blocks(values, counts):
-        for lo in range(0, block.size, piece):
-            dev = np.abs(block[lo : lo + piece] - center)
-            w = None if weights is None else weights[lo : lo + piece]
-            for i, r in enumerate(radii):
-                inside[i] += int(np.count_nonzero(dev <= r) if w is None else w[dev <= r].sum())
-    return inside
-
-
 def chebyshev_check(
     summary: MomentSummary,
     values: np.ndarray | SpillFile,
@@ -379,7 +351,8 @@ def chebyshev_check(
 ) -> ChebyshevReport:
     """Empirical coverage P(|f - mean| <= b*sigma) next to the 1 - 1/b^2 bound.
 
-    (values, counts) is the dataset `summary` was taken from.  The
+    (values, counts) is the dataset `summary` was taken from, read in
+    blocks and in pieces of :func:`arith_fn.piece_length` values.  The
     inequality holds exactly for any finite population; a zero deviation
     makes every coverage 1 and is flagged degenerate.
     """
@@ -389,44 +362,17 @@ def chebyshev_check(
     total = values.size if counts is None else int(counts.sum())
     if total != summary.count:
         raise ValueError(f"dataset has {total} values, summary counted {summary.count}")
-    inside = _count_within(values, summary.mean, [b * summary.sigma for b in bs], counts)
+    radii = [b * summary.sigma for b in bs]
+    inside = [0] * len(radii)
+    piece = arith_fn.piece_length()
+    for block, weights in iter_blocks(values, counts):
+        for lo in range(0, block.size, piece):
+            dev = np.abs(block[lo : lo + piece] - summary.mean)
+            w = None if weights is None else weights[lo : lo + piece]
+            for i, r in enumerate(radii):
+                inside[i] += int(np.count_nonzero(dev <= r) if w is None else w[dev <= r].sum())
     return ChebyshevReport(bs, tuple(float(c) / total for c in inside), _bounds(bs))
 
 
 def _bounds(bs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(max(0.0, 1.0 - 1.0 / (b * b)) for b in bs)
-
-
-# Catalogued unboundedly increasing b(n) choices for the LLN-style checks.
-LLN_B_CHOICES: dict[str, Callable[[int], float]] = {
-    "cbrt_loglog": lambda n: math.log(math.log(n)) ** (1.0 / 3.0),
-    "sqrt_loglog": lambda n: math.sqrt(math.log(math.log(n))),
-    "loglog": lambda n: math.log(math.log(n)),
-}
-
-
-def lln_check(
-    fn: PrimeFunction,
-    ext: Extension,
-    progression: Progression,
-    n_list: Sequence[int],
-    b_of_n: str | Callable[[int], float] = "cbrt_loglog",
-) -> list[LlnRecord]:
-    """Coverage trend for radii b(n)*sigma_n and b(n)*sqrt(mean_n).
-
-    Reports one record per n; the sqrt-mean radius is skipped (record
-    flagged) when the mean is not positive.
-    """
-    b_fn = LLN_B_CHOICES[b_of_n] if isinstance(b_of_n, str) else b_of_n
-    records = []
-    for n in n_list:
-        x, counts = collect_dataset(fn, ext, progression, n)
-        summary = moment_summary(x, progression, n, u_max=2, counts=counts)
-        b = float(b_fn(n))
-        bound = max(0.0, 1.0 - 1.0 / (b * b))
-        use_mean = summary.mean > 0.0
-        radii = [b * summary.sigma] + ([b * math.sqrt(summary.mean)] if use_mean else [])
-        inside = _count_within(x, summary.mean, radii, counts)
-        sqrt_mean = inside[1] / summary.count if use_mean else None
-        records.append(LlnRecord(n, b, inside[0] / summary.count, sqrt_mean, bound, not use_mean))
-    return records

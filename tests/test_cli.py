@@ -1,11 +1,13 @@
 import argparse
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apmoments.cli import _integer, main
+from apmoments.cli import _integer, build_parser, main
 from apmoments.sieve import factorize, primes_upto_monolithic, sieve_primes
 
 
@@ -13,6 +15,14 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _subparsers(parser):
+    """A parser's subcommands by name ({} for a leaf)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return dict(action.choices)
+    return {}
 
 
 class TestDispatch:
@@ -145,6 +155,14 @@ class TestExitCodes:
             ["moments", "--n", "1e4.5", "--fn", "omega"],
             ["moments", "--n", "100.5", "--fn", "omega"],
             ["sieve", "--limit", "12.9"],
+            ["probe", "--fn", "invloglog", "--checkpoints", "1000.7,1e4,1e5"],
+            ["model", "compare", "--n", "100", "--fn-star", "omega", "--fn", "bigomega"],
+            ["compare", "--n", "100", "--fn-star", "omega", "--fn", "bigomega",
+             "--format", "csv"],
+            ["model", "exact", "--n", "100", "--fn", "const:1", "--format", "csv"],
+            ["model", "sample", "--n", "100", "--fn", "const:1", "--trials", "10",
+             "--format", "csv"],
+            ["model", "lindeberg", "--n", "100", "--fn", "const:1", "--format", "csv"],
         ],
         ids=["config_without_path", "non_coprime_class", "unparsable_fn",
              "p0_below_kind_minimum", "sum_order_zero", "umax_above_cap",
@@ -159,7 +177,9 @@ class TestExitCodes:
              "checkpoint_above_ceiling", "ektest_limit_one", "ektest_above_ceiling",
              "classify_order_zero", "asymptotic_order_negative", "probe_order_zero",
              "seed_negative", "trials_fractional", "n_malformed_exponent",
-             "n_fractional", "sieve_limit_fractional"],
+             "n_fractional", "sieve_limit_fractional", "checkpoint_fractional",
+             "model_compare_removed", "compare_format", "model_exact_format",
+             "model_sample_format", "model_lindeberg_format"],
     )
     def test_bad_input_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -269,6 +289,19 @@ class TestExitCodes:
         assert err.startswith("error: spill file") and err.count("\n") == 1
         assert str(spill) in err
 
+    def test_spill_off_the_lattice_is_one_line_naming_it(self, tmp_path, capsys):
+        # sqrtloglog's values read as omega's: they were once rounded onto
+        # omega's lattice and reported (ks 0.3601 against the sweep's 0.2446)
+        spill = tmp_path / "values.f64"
+        cls = ["--mod", "4", "--res", "1", "--n", "1e5", "--spill", str(spill)]
+        assert main(["moments", "--fn", "sqrtloglog", *cls]) == 0
+        capsys.readouterr()
+        assert main(["ektest", "--fn", "omega", *cls]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: spill file") and err.count("\n") == 1
+        assert str(spill) in err
+
     def test_closed_form_signal_is_error(self, capsys):
         code = main(["asymptotic", "--mod", "1", "--x", "1e4", "--fn", "invlog",
                      "--method", "closed"])
@@ -341,9 +374,23 @@ class TestEmission:
         assert len(lines) == 4
 
     def test_csv_unsupported_subcommand(self, capsys):
-        code = main(["moments", "--mod", "4", "--res", "1", "--n", "30",
-                     "--fn", "omega", "--format", "csv"])
-        assert code == 1
+        # --format is an unknown flag where no CSV schema exists, refused
+        # at parse time before any work
+        for argv in (["moments", "--mod", "4", "--res", "1", "--n", "30", "--fn", "omega"],
+                     ["sieve", "--limit", "30"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--format", "csv"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_format_offered_only_with_a_csv_schema(self):
+        offered = set()
+        for name, p in _subparsers(build_parser()).items():
+            for sub_name, sub in _subparsers(p).items() or [(None, p)]:
+                if "--format" in sub._option_string_actions:
+                    offered.add(name if sub_name is None else f"{name} {sub_name}")
+        assert offered == {"sum", "asymptotic", "classify", "probe", "ektest"}
 
     def test_atomic_write_and_byte_identity(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
@@ -486,3 +533,27 @@ class TestConfigFile:
         code = main(["sum", "--config", "/nonexistent/path.cfg", "--x", "10",
                      "--fn", "const:1"])
         assert code == 2
+
+
+def _readme_cli_lines():
+    """The `apmoments ...` lines of README's CLI block, each optional
+    `[--flag value]` taken both without and with it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith("apmoments "):
+            bare = re.sub(r"\s*\[[^\]]*\]", "", line)
+            full = re.sub(r"\[([^\]]*)\]", r"\1", line)
+            lines += [bare] if bare == full else [bare, full]
+    return lines
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_cli_example_parses(self, line):
+        build_parser().parse_args(line.split()[1:])
+
+    def test_every_subcommand_has_an_example(self):
+        shown = {line.split()[1] for line in _readme_cli_lines()}
+        assert shown == set(_subparsers(build_parser()))

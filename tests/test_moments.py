@@ -23,7 +23,6 @@ from apmoments.moments import (
     chebyshev_check,
     collect_dataset,
     empirical_moments,
-    lln_check,
     mean_via_counts,
     moment_summary,
     spill_dataset,
@@ -355,10 +354,6 @@ class TestOneSweepPerDataset:
         assert cli.main(["moments", "--mod", "4", "--res", "1", "--n", "1e4", "--fn", "omega"]) == 0
         assert sweeps == [10**4]
 
-    def test_lln_check_sweeps_once_per_n(self, sweeps):
-        lln_check(OMEGA, OMEGA_EXT, Progression(4, 1), [10**4, 10**5])
-        assert sweeps == [10**4, 10**5]
-
 
 class TestOneTableBuildPerDataset:
     """Each dataset builds its increment table once; the lattice decision
@@ -398,26 +393,6 @@ class TestOneTableBuildPerDataset:
         pair = arith_fn.FunctionPair(_spec("omega"), _spec("sqrtloglog"), "V")
         model.compare_pair(pair, Progression(4, 1), 10**4)
         assert builds == [10**4]
-
-
-class TestLln:
-    def test_coverage_above_bound_at_scale(self):
-        records = lln_check(OMEGA, OMEGA_EXT, Progression(4, 1), [10**4, 10**6])
-        assert len(records) == 2
-        for rec in records:
-            assert rec.coverage_sqrt_mean is not None
-            assert rec.coverage_sqrt_mean > rec.bound
-            assert rec.coverage_sigma > rec.bound
-
-    def test_degenerate_single_member(self):
-        records = lln_check(OMEGA, OMEGA_EXT, Progression(10**4, 9973), [9973])
-        assert records[0].coverage_sigma == 1.0
-
-    def test_negative_mean_skips_sqrt_form(self):
-        neg = PrimeFunction("constant", c=-1.0)
-        records = lln_check(neg, STRONG, Progression(4, 1), [10**4])
-        assert records[0].skipped
-        assert records[0].coverage_sqrt_mean is None
 
 
 def _spec(text, p0=None):
