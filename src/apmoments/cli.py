@@ -22,6 +22,8 @@ import time
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__, model, moments, prime_sums, stats
 from .arith_fn import Extension, FunctionPair, PrimeFunction, resolve_spec
 from .config import (
@@ -68,7 +70,24 @@ def _quantize(obj: Any) -> Any:
     return obj
 
 
+def _non_finite(obj: Any, path: str) -> str | None:
+    """'field = value' for the first non-finite float in a report, e.g. 'kappa[1] = inf'."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else f"{path} = {obj}"
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
+
+
 def _emit(report: dict, args: argparse.Namespace, csv_rows: list[list] | None = None) -> None:
+    """Write the report; one with a non-finite value (not JSON) is refused."""
+    bad = _non_finite(report, "")
+    if bad:
+        raise ValueError(f"report field {bad} is not finite")
     if getattr(args, "format", "json") == "csv":
         lines = [
             "# config: " + json.dumps(_quantize(report["config"])),
@@ -78,7 +97,7 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows: list[list] | None = 
         lines += [",".join(_fmt(c) for c in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(_quantize(report), indent=2) + "\n"
+        text = json.dumps(_quantize(report), indent=2, allow_nan=False) + "\n"
     if args.out:
         with moments.atomic_file(args.out) as fh:
             fh.write(text.encode())
@@ -237,7 +256,10 @@ def cmd_sieve(args) -> None:
 
 def cmd_sum(args) -> None:
     fn, _ = _resolve_fn(args)
-    res = prime_sums.prime_power_sum(fn, args.u, _sieve_limit("x", args.x), _progression(args))
+    prog = _progression(args)
+    if args.x <= SIEVE_CEILING or prime_sums.counting_constant(fn, args.x, prog) is None:
+        _sieve_limit("x", args.x)  # past the sieve, only the counting route runs
+    res = prime_sums.prime_power_sum(fn, args.u, args.x, prog)
     payload = {
         "x": res.x,
         "k": res.progression.modulus,
@@ -594,7 +616,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result is refused by _emit instead
+            args.func(args)
     except _UsageError as exc:
         parser.error(str(exc))
     except (ValueError, LookupError, OSError, prime_sums.QuadratureError) as exc:

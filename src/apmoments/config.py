@@ -20,6 +20,10 @@ from __future__ import annotations
 # flags: 0.93, 0.86 and 0.87 s streaming 1 mod 4 to 4e8 with the sieve then).
 SIEVE_BLOCK = 1 << 20
 SIEVE_CEILING = 1 << 34
+# Constant-weight prime sums past the prime cache count primes by class
+# (counting.class_tables) up to this limit, where the sieve stops at
+# SIEVE_CEILING; 10^12 takes about 13 s and 250 MiB at k = 4.
+COUNTING_CEILING = 10**12
 # Full prime arrays are memoized only up to this limit, as uint32 (5.76M
 # primes at 10^8 is ~23 MB; the limit must stay below 2^32).  Beyond it
 # callers iterate blocks.

@@ -193,15 +193,31 @@ def exact_moments(
 
 def _distinct_slots(owner: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
     """One uniform trial slot per entry of the ascending `owner`, redrawn
-    until no owner holds a slot twice.
+    until no owner holds a slot twice; each owner's slots come ascending.
 
-    The keys owner * trials + slot stay sorted, so every owner keeps its
-    positions; each repeat after the first copy is redrawn, sorted and
-    merged back.  The rule looks only at which slots are equal, never at
+    Every round draws one new slot per repeat, the repeats' owners taken
+    ascending.  The rule looks only at which slots are equal, never at
     their values, so each owner ends with a uniform set of distinct slots.
+    Where the keys owner * trials + slot fill their range densely (a
+    piece of a few owners, e.g. p = 2 alone), one boolean table of taken
+    keys makes each round cost its repeats.  Elsewhere the keys stay
+    sorted, and each round's redrawn keys are sorted and merged back.
     """
     key = rng.integers(trials, size=owner.size)
     key += owner * trials
+    span = (int(owner[-1]) + 1) * trials
+    if span <= 32 * owner.size:  # the table is at most 4x the keys
+        taken = np.zeros(span, dtype=bool)
+        taken[key] = True
+        distinct = np.count_nonzero(taken.reshape(-1, trials), axis=1)
+        repeat = np.repeat(np.arange(distinct.size), np.bincount(owner) - distinct)
+        while repeat.size:
+            key = np.sort(repeat * trials + rng.integers(trials, size=repeat.size))
+            fresh = ~taken[key]
+            fresh[1:] &= key[1:] != key[:-1]
+            taken[key[fresh]] = True
+            repeat = key[~fresh] // trials
+        return np.flatnonzero(taken) - owner * trials
     key.sort()
     while True:
         repeat = np.flatnonzero(key[1:] == key[:-1]) + 1

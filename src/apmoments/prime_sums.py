@@ -2,7 +2,9 @@
 
 The central quantity is the partial sum of f(p)^u / p over primes p <= x
 in a residue class.  Exact values come from the sieve, with block
-partials combined by math.fsum; estimates come from the prime-density integral
+partials combined by math.fsum, or, for an f that is one constant c on
+every prime from its start, past the prime cache, from class-wise prime
+counting (see :func:`counting_constant`); estimates come from the prime-density integral
 (1/phi(k)) * integral of g(t)/ln(t), with the two error magnitudes
 |g(x)| sqrt(x) ln(x) and integral of |g'(t)| sqrt(t) ln(t) reported
 alongside (they are conditional magnitudes, not bounds).
@@ -16,9 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import counting, sieve
 from .arith_fn import DecayCase, PrimeFunction
 from .config import PROBE_CHECKPOINTS, PROBE_GROWTH_FACTOR, PROBE_MAX_RATIO, PROBE_TAIL_FRACTION
-from .config import QUAD_MAX_DEPTH, QUAD_REL_TOL
+from .config import COUNTING_CEILING, QUAD_MAX_DEPTH, QUAD_REL_TOL
 from .sieve import Progression, euler_phi, iter_prime_blocks
 
 
@@ -73,6 +76,24 @@ class ProbeResult:
     tail_bound: float | None = None
 
 
+def counting_constant(fn: PrimeFunction, x: int, progression: Progression) -> float | None:
+    """c when :func:`prime_power_sum` counts primes instead of sieving them.
+
+    The counting route serves an f that is one constant c on every prime
+    from its start p0 (const:c, omega and one, scaled constants, any
+    --p0), with p0 <= isqrt(x) + 1, for x past the prime cache
+    (sieve.PRIME_CACHE_MAX, read at call time) and up to
+    COUNTING_CEILING (10^12, where the sieve stops at 2^34), where
+    counting.pays(x, k), the measured cost rule.  Every other case sieves.
+    """
+    c = fn.constant_above(fn.start_prime - 1)
+    if c is None or fn.start_prime > math.isqrt(x) + 1:
+        return None
+    if not sieve.PRIME_CACHE_MAX < x <= COUNTING_CEILING:
+        return None
+    return c if counting.pays(x, progression.modulus) else None
+
+
 def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression) -> PrimeSumResult:
     """Exact sum of f(p)^u / p over primes p <= x in the progression.
 
@@ -80,12 +101,27 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     block partials are combined exactly (math.fsum), so the block partition
     moves the result only by the per-block rounding: for terms of one sign,
     a relative error of at most a few tens of ulps, not one final rounding.
+
+    On the counting route (:func:`counting_constant`) the sum is
+    c^u (W(x) - W(p0 - 1)), W(v) the sum of 1/p over the class's primes
+    <= v from counting.class_tables, and the term count
+    pi(x) - pi(p0 - 1); the two routes agree within a few ulps (tested
+    at 1e-14 relative).  On a 2 vCPU Xeon the tables mod 4 take 0.05 s
+    at 4e8 (the streamed sieve of one class: 0.34 s), 0.44 s at 10^10,
+    2.3 s at 10^11 and 13 s at 10^12 (process peaks 39, 67, 98 and
+    246 MiB).
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")
     if x < 2:
         raise ValueError(f"limit x must be >= 2, got {x}")
     p0 = fn.start_prime
+    c = counting_constant(fn, x, progression)
+    if c is not None:
+        tables = counting.class_tables(x, progression.modulus)
+        high, low = tables.at(x, progression.residue), tables.at(p0 - 1, progression.residue)
+        scale = np.float64(c) ** u  # inf past the float range, like the sieve's f**u
+        return PrimeSumResult(x, progression, u, float(scale * (high[1] - low[1])), high[0] - low[0])
     parts: list[float] = []
     count = 0
     for block in iter_prime_blocks(x, progression):

@@ -12,7 +12,8 @@ enumerates every outcome of a small model sum of BernoulliTerms, against
 which the model's cumulant recursion is checked, and poisson_binomial_pmf
 is the exact law of a count of independent successes, against which the
 Monte Carlo sampler's histogram is checked.  distinct_slots_full_sort is
-the sampler's slot redraw with a full sort on every round.
+the sampler's slot redraw with a full sort on every round, and
+distinct_slots_merge the same redraw merging only the redrawn keys back.
 """
 
 from __future__ import annotations
@@ -114,3 +115,18 @@ def distinct_slots_full_sort(
         if not repeat.size:
             return key - base
         key[repeat] = base[repeat] + rng.integers(trials, size=repeat.size)
+
+
+def distinct_slots_merge(owner: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """The sampler's distinct slots with the keys kept sorted: each round's
+    repeats are deleted and their redrawn keys, sorted, merged back."""
+    key = rng.integers(trials, size=owner.size)
+    key += owner * trials
+    key.sort()
+    while True:
+        repeat = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if not repeat.size:
+            return key - owner * trials
+        redrawn = np.sort(owner[repeat] * trials + rng.integers(trials, size=repeat.size))
+        key = np.delete(key, repeat)
+        key = np.insert(key, np.searchsorted(key, redrawn), redrawn)

@@ -2,11 +2,13 @@ import argparse
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from apmoments import counting
 from apmoments.cli import _integer, build_parser, main
 from apmoments.sieve import factorize, primes_upto_monolithic, sieve_primes
 
@@ -476,6 +478,61 @@ class TestEmission:
         )
         value = json.loads(out)["exact_sum"]
         assert value == pytest.approx(float(f"{value:.15g}"), abs=0)
+
+
+class TestNonFiniteReports:
+    """A non-finite value is not JSON: the run exits 1 with one line naming
+    the field, writes nothing and prints no warning."""
+
+    @pytest.mark.parametrize("argv, field, counted", [
+        (["sum", "--fn", "const:1e300", "--u", "2", "--x", "1e5"], "exact_sum", False),
+        (["sum", "--fn", "const:1e300", "--u", "2", "--x", "3e6"], "exact_sum", True),
+        (["sum", "--fn", "const:-1e300", "--u", "3", "--x", "3e6", "--format", "csv"],
+         "exact_sum", True),
+        (["model", "exact", "--fn", "const:1e200", "--n", "1e4"], "kappa[1]", False),
+    ], ids=["sieve_route", "counting_route", "counting_route_csv", "model_exact"])
+    def test_refused_with_one_line(self, argv, field, counted, tmp_path, sieve_geometry,
+                                   monkeypatch, capsys):
+        tables, build = [], counting.class_tables
+
+        def spy(*args):
+            tables.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(counting, "class_tables", spy)
+        sieve_geometry(cache_max=1000)
+        out_file = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--out", str(out_file)])
+        assert code == 1 and bool(tables) is counted
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report field {field} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSumPastTheSieveCeiling:
+    def test_counting_route_runs_past_the_sieve_ceiling(self, sieve_geometry, monkeypatch, capsys):
+        # a stand-in ceiling of 10^6 for 2^34; the counting route takes x to 10^12
+        monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**6)
+        sieve_geometry(cache_max=1000)
+        code, out = run_cli(["sum", "--fn", "const:1", "--x", "3e6"], capsys)
+        assert code == 0 and json.loads(out)["term_count"] == 216_816  # pi(3 10^6)
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--fn", "const:1", "--mod", "3", "--res", "1", "--x", "3e6"])
+        assert exc.value.code == 2  # outside the cost rule: the sieve, and its ceiling
+
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--fn", "const:1", "--x", "2e12"],
+        ["sum", "--fn", "invloglog", "--x", "2e10"],
+        ["sum", "--fn", "const:1", "--mod", "60", "--res", "1", "--x", "2e10"],
+    ], ids=["past_the_counting_ceiling", "not_constant", "outside_the_rule"])
+    def test_other_sums_past_two_to_the_34_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --x:") and err.count("\n") == 1
 
 
 class TestConfigFile:

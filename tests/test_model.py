@@ -28,6 +28,7 @@ from oracles import (
     brute_force_central_moments,
     central_moment_first_order,
     distinct_slots_full_sort,
+    distinct_slots_merge,
     poisson_binomial_pmf,
 )
 
@@ -352,6 +353,20 @@ class TestSample:
         assert merged.rng.bit_generator.state == full.rng.bit_generator.state
         for o in range(3):
             assert np.unique(got[owner == o]).size == np.count_nonzero(owner == o)
+
+    @pytest.mark.parametrize("counts", [
+        [5 * 10**4], [10**4], [10**4, 4 * 10**3, 3 * 10**3], [3, 1, 4, 1, 5, 9, 2, 6],
+    ], ids=["half", "tenth", "three_owners", "sparse"])
+    def test_taken_table_matches_the_merge(self, counts):
+        # a dense piece (a half or a tenth of the slots, or a few owners)
+        # tracks its taken keys in a table; the draws and slots are the merge's
+        trials = 10**5
+        owner = np.repeat(np.arange(len(counts)), counts)
+        table, merge = _CountingRng(9), _CountingRng(9)
+        got = model._distinct_slots(owner, trials, table)
+        want = distinct_slots_merge(owner, trials, merge)
+        assert np.array_equal(got, want) and table.calls == merge.calls
+        assert table.rng.bit_generator.state == merge.rng.bit_generator.state
 
     def test_sample_bit_identical_with_full_sort(self, monkeypatch):
         # p = 2 takes about 1e5 of 2e5 trials: a piece above PRIME_CHUNK

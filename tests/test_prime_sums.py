@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from apmoments import sieve
-from apmoments.arith_fn import PrimeFunction
+from apmoments import counting, prime_sums, sieve
+from apmoments.arith_fn import PrimeFunction, resolve_spec
 from apmoments.prime_sums import (
     ClosedFormUnavailable,
     DecayCase,
@@ -258,3 +258,80 @@ class TestProbes:
         assert r.verdict == "diverging"
         growth = [abs(b) - abs(a) for a, b in zip(r.values, r.values[1:])]
         assert all(g > 0 for g in growth)
+
+
+class TestCountingRoute:
+    """prime_power_sum counts primes for constant f past the prime cache."""
+
+    @pytest.fixture
+    def route(self, monkeypatch):
+        """The routes prime_power_sum took, in call order."""
+        taken = []
+        tables, blocks = counting.class_tables, prime_sums.iter_prime_blocks
+
+        def spy_tables(*args):
+            taken.append("counting")
+            return tables(*args)
+
+        def spy_blocks(*args):
+            taken.append("sieve")
+            return blocks(*args)
+
+        monkeypatch.setattr(counting, "class_tables", spy_tables)
+        monkeypatch.setattr(prime_sums, "iter_prime_blocks", spy_blocks)
+        return taken
+
+    @pytest.mark.parametrize("x", [10**6, 3 * 10**6])
+    @pytest.mark.parametrize("k", [1, 3, 4, 6, 9, 12])
+    @pytest.mark.parametrize("spec, u, p0", [
+        ("const:1", 1, None), ("const:-2.5", 3, None), ("omega", 1, None),
+        ("scaled:0.75:const:2", 2, None), ("const:1", 1, 7), ("const:1", 1, "root"),
+    ])
+    def test_matches_the_cached_sieve(self, spec, u, p0, k, x, route, sieve_geometry, monkeypatch):
+        prog = Progression(k, k - 1 if k > 1 else 0)
+        fn, _ = resolve_spec(spec, prog, p0=math.isqrt(x) + 1 if p0 == "root" else p0)
+        cached = prime_power_sum(fn, u, x, prog)
+        sieve_geometry(cache_max=1000)
+        monkeypatch.setattr(counting, "pays", lambda x, k: True)  # the rule admits k <= 2 at 1e6
+        counted = prime_power_sum(fn, u, x, prog)
+        assert route == ["sieve", "counting"]
+        assert counted.term_count == cached.term_count > 0
+        assert counted.value == pytest.approx(cached.value, rel=1e-14, abs=0)
+
+    def test_the_rule_routes_past_the_cache(self, route, sieve_geometry):
+        sieve_geometry(cache_max=1000)
+        x = 3 * 10**6  # the rule admits phi(k) lcm(2, k) <= sqrt(x) / 400 = 4.3
+        prime_power_sum(ONE, 1, x, Progression(1, 0))
+        prime_power_sum(ONE, 1, x, Progression(3, 1))
+        prime_power_sum(ONE, 1, 1000, Progression(1, 0))  # inside the cache
+        assert route == ["counting", "sieve", "sieve"]
+
+    @pytest.mark.parametrize("spec, p0", [
+        ("tab:5=1.5,7=2,default=0.25", None), ("invloglog", None), ("omega1", None),
+        ("const:1", 1002),  # starts past isqrt(x) + 1
+    ])
+    def test_other_functions_keep_the_sieve(self, spec, p0, route, sieve_geometry, monkeypatch):
+        prog = Progression(4, 1)
+        fn, _ = resolve_spec(spec, prog, p0=p0)
+        sieve_geometry(cache_max=1000)
+        monkeypatch.setattr(counting, "pays", lambda x, k: True)
+        prime_power_sum(fn, 1, 10**6, prog)
+        assert route == ["sieve"]
+
+    def test_constant_past_the_table_keys_counts(self, route, sieve_geometry, monkeypatch):
+        # with --p0 past every key a tabulated spec is its default on every prime
+        prog = Progression(4, 1)
+        fn, _ = resolve_spec("tab:5=1.5,7=2,default=0.25", prog, p0=11)
+        cached = prime_power_sum(fn, 2, 10**6, prog)
+        sieve_geometry(cache_max=1000)
+        monkeypatch.setattr(counting, "pays", lambda x, k: True)
+        counted = prime_power_sum(fn, 2, 10**6, prog)
+        assert route == ["sieve", "counting"]
+        assert counted.term_count == cached.term_count
+        assert counted.value == pytest.approx(cached.value, rel=1e-14, abs=0)
+
+    def test_past_the_sieve_ceiling(self):
+        res = prime_power_sum(ONE, 1, 2 * 10**10, Progression(1, 0))
+        assert res.term_count == 882_206_716  # pi(2 10^10)
+        with pytest.raises(ValueError, match="ceiling"):
+            prime_power_sum(INVLOGLOG, 1, 2 * 10**10, Progression(1, 0))

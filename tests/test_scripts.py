@@ -26,3 +26,23 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_mertens_scan_gap_steady_from_cached_to_counted_decade():
+    # decade 8 sums the cached sieve, decade 9 counts primes by class: the
+    # gap to the main term (the O(1) constant) must not jump between routes
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mertens_progression_scan.py"), "--max-decade", "9"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    gaps = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("class "):
+            cls = line
+        elif line.split() and line.split()[0] in ("100000000", "1000000000"):
+            gaps.setdefault(cls, []).append(float(line.split()[-1]))
+    assert len(gaps) == 4
+    for cls, (gap8, gap9) in gaps.items():
+        assert abs(gap9 - gap8) < 0.01, cls
