@@ -26,15 +26,20 @@ def main() -> None:
         k, l = tok.split(":")
         progs.append(Progression(int(k), int(l)))
 
+    # decades outside, classes inside: the classes of one modulus at one x
+    # follow each other, so past the prime cache they share one counting table
+    decades = range(3, args.max_decade + 1)
+    exact = {(d, prog): prime_power_sum(fn, 1, 10**d, prog).value
+             for d in decades for prog in progs}
+
     print(f"fn={args.fn}  (start prime {fn.start_prime})")
     for prog in progs:
         print(f"\nclass {prog.residue} mod {prog.modulus}")
         print(f"{'x':>12} {'exact':>12} {'main term':>12} {'gap':>10}")
-        for d in range(3, args.max_decade + 1):
-            x = 10**d
-            exact = prime_power_sum(fn, 1, x, prog).value
+        for d in decades:
+            x, value = 10**d, exact[d, prog]
             main = closed_form_asymptotic(fn, 1, x, prog.modulus).main_term
-            print(f"{x:>12} {exact:>12.6f} {main:>12.6f} {exact - main:>10.6f}")
+            print(f"{x:>12} {value:>12.6f} {main:>12.6f} {value - main:>10.6f}")
 
 
 if __name__ == "__main__":

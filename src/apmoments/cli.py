@@ -363,8 +363,10 @@ def cmd_moments(args) -> None:
 
 def cmd_model_exact(args) -> None:
     fn, _ = _resolve_fn(args)
-    n = _sieve_limit("n", args.n)
-    mm = model.exact_moments(fn, _progression(args), n, u_max=args.umax, mode=args.mode)
+    prog = _progression(args)
+    if args.n <= SIEVE_CEILING or model.counted_constant(fn, prog, args.n) is None:
+        _sieve_limit("n", args.n)  # past the sieve, only the counted route runs
+    mm = model.exact_moments(fn, prog, args.n, u_max=args.umax, mode=args.mode)
     payload = {
         "n": mm.n,
         "k": args.mod,
@@ -393,7 +395,9 @@ def cmd_model_sample(args) -> None:
         else 0.0
     )
     if args.spill:
-        moments.write_spill(args.spill, ss.values)
+        label = {"dataset": f"model sample ({args.mode})", "spec": repr(fn), "k": prog.modulus,
+                 "r": prog.residue, "n": n, "count": ss.trials, "seed": ss.seed}
+        moments.write_spill(args.spill, ss.values, label)
     payload = {
         "mode": args.mode,
         "seed": ss.seed,

@@ -22,7 +22,8 @@ SIEVE_BLOCK = 1 << 20
 SIEVE_CEILING = 1 << 34
 # Constant-weight prime sums past the prime cache count primes by class
 # (counting.class_tables) up to this limit, where the sieve stops at
-# SIEVE_CEILING; 10^12 takes about 13 s and 250 MiB at k = 4.
+# SIEVE_CEILING; 10^12 takes about 14 s and 140 MiB at k = 4 (30 s and
+# 200 MiB for `model exact`, which also sums p^-2 and p^-3).
 COUNTING_CEILING = 10**12
 # Full prime arrays are memoized only up to this limit, as uint32 (5.76M
 # primes at 10^8 is ~23 MB; the limit must stay below 2^32).  Beyond it

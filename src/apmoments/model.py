@@ -19,16 +19,29 @@ sampler draws each block's successes in pieces of at most PRIME_CHUNK.
 Memory is bounded by one block, so the exact moments, the Lindeberg
 ratio, the mean predictions and the sampler also run past the prime
 cache.
+
+The exact moments and the mean predictions of an f that is one constant
+c on the primes past y, the floor value of n at or just above 10^6, sieve
+only the primes up to y when counting pays (:func:`counted_constant`).
+The primes y < p <= n then enter through their count and their power
+sums P_s = sum of p^(-s), s <= 3, by class (counting.tail_sums): each
+prime's Bernoulli cumulant c_j(1/p) is a polynomial in 1/p with integer
+coefficients, so the primes past y add c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3)
+to kappa_j.  Power sums serve only where 1/p <= 10^-6, so their terms do
+not cancel; below y the per-prime recursion stays.  The Lindeberg ratio
+and the sampler always sieve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import counting
 from .arith_fn import (
     FunctionPair,
     LatticeCounts,
@@ -38,11 +51,17 @@ from .arith_fn import (
     iter_progression_values,
     lattice_steps,
 )
-from .config import PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
+from .config import COUNTING_CEILING, PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import CoMoments, MomentSummary, moment_summary, summarize
 from .sieve import Progression, iter_prime_blocks
 
 MODES = ("restricted", "density")
+# The model's passes count the primes past the floor value of n at or just
+# above this, where f allows (see counted_constant).
+COUNTED_FROM = 10**6
+# Orders of the counted power sums: the s >= 4 terms of the cumulants are
+# dropped (see exact_moments).
+COUNTED_ORDERS = 3
 
 
 @dataclass(frozen=True)
@@ -114,23 +133,87 @@ def _active_blocks(
             yield block[active].astype(np.float64), fv[active]
 
 
-def _bernoulli_cumulants(q: np.ndarray, u_max: int) -> list[np.ndarray]:
-    """Cumulants c_1..c_{u_max} of Bernoulli(q), per entry of q.
+def _bernoulli_cumulants(q, u_max: int) -> list:
+    """Cumulants c_1..c_{u_max} of Bernoulli(q), per entry of the array q.
 
     Every raw moment of Bernoulli(q) is q, so the moment-to-cumulant
     recursion kappa_n = m_n - sum C(n-1, j-1) kappa_j m_{n-j} reads
     c_n = q (1 - sum_{j<n} C(n-1, j-1) c_j).  A term f(p) X has cumulants
-    f(p)^j c_j(1/p).
+    f(p)^j c_j(1/p).  The recursion uses only ring operations, so on the
+    polynomial q (:class:`_IntegerPolynomial`) it gives each c_j's integer
+    coefficients.
     """
     c = [q]
-    term = np.empty_like(q)
     for order in range(2, u_max + 1):
-        acc = np.subtract(1.0, q)  # the j = 1 term, C(n-1, 0) c_1 = q
+        acc = 1 - q  # the j = 1 term, C(n-1, 0) c_1 = q
         for j in range(2, order):
-            acc -= np.multiply(math.comb(order - 1, j - 1), c[j - 1], out=term)
+            acc -= math.comb(order - 1, j - 1) * c[j - 1]
         acc *= q
         c.append(acc)
     return c
+
+
+class _IntegerPolynomial(tuple):
+    """A polynomial in q with integer coefficients, lowest power first, and
+    the ring operations of :func:`_bernoulli_cumulants`."""
+
+    def __sub__(self, other: tuple) -> _IntegerPolynomial:
+        return _IntegerPolynomial(a - b for a, b in itertools.zip_longest(self, other, fillvalue=0))
+
+    def __rsub__(self, other: int) -> _IntegerPolynomial:
+        return _IntegerPolynomial((other,)) - self
+
+    def __rmul__(self, other: int) -> _IntegerPolynomial:
+        return _IntegerPolynomial(other * a for a in self)
+
+    def __mul__(self, other: tuple) -> _IntegerPolynomial:
+        product = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
+                product[i + j] += a * b
+        return _IntegerPolynomial(product)
+
+
+# a_ji of c_j(q) = sum_i a_ji q^i, j = 1..U_MAX_CAP
+_COEFFICIENTS = _bernoulli_cumulants(_IntegerPolynomial((0, 1)), U_MAX_CAP)
+
+
+def counted_constant(
+    fn: PrimeFunction, progression: Progression, n: int
+) -> tuple[int, float] | None:
+    """(y, c) when the exact moments and the mean predictions count the primes
+    y < p <= n instead of sieving them, else None.
+
+    y = n // (n // COUNTED_FROM) is the floor value of n at or just above
+    10^6.  The route needs f(p) = c for every prime p > y
+    (fn.constant_above(y)), y < n <= COUNTING_CEILING and counting.pays(n, k),
+    the measured cost rule of the tables.
+    """
+    if not 2 * COUNTED_FROM <= n <= COUNTING_CEILING:  # below, y = n
+        return None
+    y = n // (n // COUNTED_FROM)
+    c = fn.constant_above(y)
+    if c is None or not counting.pays(n, progression.modulus):
+        return None
+    return y, c
+
+
+def _counted_tail(
+    fn: PrimeFunction, progression: Progression, n: int, mode: str, smax: int
+) -> tuple[int, float, int, list[float]]:
+    """(limit, c, pi, [P_1..P_smax]): the model's primes p <= limit are sieved,
+    and those past it, where f = c, enter through their count pi and power
+    sums.  Off the counted route limit is n and the sums are 0."""
+    route = counted_constant(fn, progression, n)
+    if route is None:
+        return n, 0.0, 0, [0.0] * smax
+    y, c = route
+    tails = counting.tail_sums(n, progression.modulus, y, smax)
+    # density reads every unit class, the primes not dividing k (another mode
+    # is refused by _mode_blocks)
+    rows = [tails[progression.residue]] if mode == "restricted" else list(tails.values())
+    pi = sum(row[0] for row in rows) if c != 0.0 else 0  # inactive primes are not terms
+    return y, c, pi, [math.fsum(row[s] for row in rows) for s in range(1, smax + 1)]
 
 
 def _cumulants_to_central(kappa: Sequence[float]) -> list[float]:
@@ -160,18 +243,29 @@ def exact_moments(
     from one recursion per block, each prime's cumulants are f(p)^j c_j,
     and every order keeps one partial per block for kappa, first_order
     and gap_bound.
+
+    On the counted route (:func:`counted_constant`) the pass stops at y,
+    and the primes y < p <= n add c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3) to
+    kappa_j, c^j P_1 to first_order, |c|^j P_2 to gap_bound and their
+    count to term_count; c_j(q) = sum_i a_ji q^i.  The terms with i >= 4
+    are dropped: at most |c|^j |a_j4| sum_{p > 10^6} p^(-4), which for
+    j <= 10 is |c|^j 204,630 x 2.4e-20, about |c|^j 5e-15.
     """
     if not 1 <= u_max <= U_MAX_CAP:
         raise ValueError(f"u_max must be in [1, {U_MAX_CAP}]")
     orders = range(1, u_max + 1)
-    kappa_parts: dict[int, list[float]] = {j: [] for j in orders}
-    first_parts: dict[int, list[float]] = {j: [] for j in orders}
-    gap_parts: dict[int, list[float]] = {j: [] for j in orders}
-    count = 0
-    for p, f in _active_blocks(fn, progression, n, mode):
+    limit, c, count, tail = _counted_tail(fn, progression, n, mode, COUNTED_ORDERS)
+    scale = np.float64(c) ** np.arange(u_max + 1)  # inf past the float range, like f**j
+    kappa_parts: dict[int, list[float]] = {
+        j: [float(scale[j]) * math.fsum(a * p_s for a, p_s in zip(_COEFFICIENTS[j - 1][1:], tail))]
+        for j in orders
+    }
+    first_parts: dict[int, list[float]] = {j: [float(scale[j]) * tail[0]] for j in orders}
+    gap_parts: dict[int, list[float]] = {j: [abs(float(scale[j])) * tail[1]] for j in orders}
+    for p, f in _active_blocks(fn, progression, limit, mode):
         count += p.size
         inv_p = 1.0 / p
-        c = _bernoulli_cumulants(inv_p, u_max)
+        cumulants = _bernoulli_cumulants(inv_p, u_max)
         power = np.ones_like(f)
         term = np.empty_like(f)
         for j in orders:
@@ -181,7 +275,7 @@ def exact_moments(
             term *= inv_p
             term *= inv_p
             gap_parts[j].append(float(np.sum(term)))
-            kappa_parts[j].append(float(np.sum(np.multiply(power, c[j - 1], out=term))))
+            kappa_parts[j].append(float(np.sum(np.multiply(power, cumulants[j - 1], out=term))))
 
     kappa = {j: math.fsum(kappa_parts[j]) for j in orders}
     first = {j: math.fsum(first_parts[j]) for j in orders}
@@ -305,12 +399,15 @@ def lindeberg_check(
 def mean_predictions(
     fn: PrimeFunction, progression: Progression, n: int
 ) -> dict[str, float]:
-    """First-moment prediction under both prime-set readings."""
-    return {
-        mode: math.fsum(float(np.sum(fn.values_at(block) / block))
-                        for block in _mode_blocks(progression, n, mode))
-        for mode in MODES
-    }
+    """First-moment prediction under both prime-set readings.  On the counted
+    route (:func:`counted_constant`) the primes past y add c P_1."""
+    predictions = {}
+    for mode in MODES:
+        limit, c, _, (p_1,) = _counted_tail(fn, progression, n, mode, 1)
+        parts = [float(np.sum(fn.values_at(block) / block))
+                 for block in _mode_blocks(progression, limit, mode)]
+        predictions[mode] = math.fsum([*parts, c * p_1])
+    return predictions
 
 
 def compare_pair(

@@ -9,7 +9,9 @@ spill file that file itself (:class:`SpillFile`), read back by block.
 With `--spill` the sweep writes each block to the file as it comes (k*c
 for a lattice spec), and the table or the moments are taken from the
 same blocks; only `ektest --spill` reads a spill file back into a
-dataset (:func:`spill_dataset`), and gets the sweep's dataset.  Moments
+dataset (:func:`spill_dataset`), and gets the sweep's dataset.  Beside
+each spill file a JSON sidecar (its path + ".json") names the dataset
+(:func:`spill_label`), and a file is read back only for that dataset.  Moments
 and Chebyshev coverage read both kinds through :func:`iter_blocks`:
 a table whole, per-member values in the sweep's blocks.  Moments feed a
 mergeable central-moment state, exact in real arithmetic, so chunked
@@ -20,6 +22,7 @@ from counting the multiples of each prime in the progression.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -190,15 +193,58 @@ class SpillFile:
         return block
 
 
+def spill_label(fn: PrimeFunction, ext: Extension, progression: Progression, n: int) -> dict:
+    """What a spill file of f over the members up to n holds, as its sidecar
+    records it: the spec and rule as their reprs, the class, n and the count."""
+    return {"dataset": "members", "spec": repr(fn), "ext": repr(ext),
+            "k": progression.modulus, "r": progression.residue, "n": n,
+            "count": progression.count(n)}
+
+
+def _sidecar(path: str | Path) -> str:
+    return os.fspath(path) + ".json"
+
+
+@contextmanager
+def spill_file(path: str | Path, label: dict) -> Iterator[BinaryIO]:
+    """A spill file written as :func:`atomic_file` writes it, then its sidecar
+    naming the dataset (label).  The old sidecar is removed just before the
+    new file replaces the old one, so a file never sits beside another
+    dataset's sidecar; a failed block leaves both old files as they were."""
+    with atomic_file(path, unlink_first=True) as fh:
+        yield fh
+        with suppress(FileNotFoundError):
+            os.unlink(_sidecar(path))
+    with atomic_file(_sidecar(path)) as fh:
+        fh.write(json.dumps(label).encode())
+
+
 def spill_dataset(
-    path: str | Path, count: int, step: float | None
+    path: str | Path, label: dict, step: float | None
 ) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
-    """The spill file of `count` values as a dataset: folded block by block
-    into its lattice table (v at k = round(v / step)) when step is set, else
-    the file itself.  This spec's sweep writes exactly k * step, and a float
-    sum of its increments sits a few ulps off; a value further off than
-    1e-9 * step is from another spec, and is rejected naming the file."""
-    values = SpillFile(path, count)
+    """The spill file of the dataset `label` (see :func:`spill_label`) as a
+    dataset: folded block by block into its lattice table (v at
+    k = round(v / step)) when step is set, else the file itself.
+
+    A file whose sidecar is missing or names another dataset is rejected,
+    naming the file and the first field that differs.  This spec's sweep
+    writes exactly k * step, and a float sum of its increments sits a few
+    ulps off; a value further off than 1e-9 * step is from another spec,
+    and is rejected naming the file too."""
+    try:
+        with open(_sidecar(path), "rb") as fh:
+            found = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(
+            f"spill file {path} has no sidecar {_sidecar(path)} naming its dataset") from None
+    except ValueError:
+        raise ValueError(f"spill file {path} has a sidecar that is not JSON") from None
+    if found != label:
+        found = found if isinstance(found, dict) else {}
+        key = next(key for key in {**label, **found} if found.get(key) != label.get(key))
+        raise ValueError(
+            f"spill file {path} holds {key} {found.get(key)!r}, not {label.get(key)!r}")
+    values = SpillFile(path, label["count"])
     if step is None:
         return values, None
     table = arith_fn.LatticeCounts(step)
@@ -224,7 +270,7 @@ def collect_dataset(
     A lattice spec folds each sweep block (lattice indices) into its
     value/count table; any other spec fills one float64 array (counts
     None), or with `spill` set is the spill file itself.  `spill` gets every
-    block as the sweep yields it (one :func:`atomic_file`; index k as
+    block as the sweep yields it (one :func:`spill_file`; index k as
     k * step), and `acc` absorbs the dataset as :func:`moment_summary`
     would, a spill's blocks as they are written (no read of the file).
     `rows` is the spec's increment table when the caller has built it.
@@ -238,7 +284,8 @@ def collect_dataset(
         dataset = arith_fn.collect_values(fn, ext, progression, n, rows), None
     else:
         table = None if step is None else arith_fn.LatticeCounts(step)
-        with atomic_file(spill, unlink_first=True) if spill is not None else nullcontext() as fh:
+        label = spill_label(fn, ext, progression, n)
+        with spill_file(spill, label) if spill is not None else nullcontext() as fh:
             for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows, steps):
                 if fh is not None:
                     (block if table is None else block * step).astype("<f8", copy=False).tofile(fh)
@@ -302,8 +349,9 @@ def atomic_file(path: str | Path, *, unlink_first: bool = False) -> Iterator[Bin
         raise
 
 
-def write_spill(path: str | Path, values: np.ndarray) -> None:
-    with atomic_file(path, unlink_first=True) as fh:
+def write_spill(path: str | Path, values: np.ndarray, label: dict) -> None:
+    """values as a spill file, with its sidecar naming them (label)."""
+    with spill_file(path, label) as fh:
         values.astype("<f8", copy=False).tofile(fh)
 
 

@@ -104,12 +104,13 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
 
     On the counting route (:func:`counting_constant`) the sum is
     c^u (W(x) - W(p0 - 1)), W(v) the sum of 1/p over the class's primes
-    <= v from counting.class_tables, and the term count
-    pi(x) - pi(p0 - 1); the two routes agree within a few ulps (tested
-    at 1e-14 relative).  On a 2 vCPU Xeon the tables mod 4 take 0.05 s
-    at 4e8 (the streamed sieve of one class: 0.34 s), 0.44 s at 10^10,
-    2.3 s at 10^11 and 13 s at 10^12 (process peaks 39, 67, 98 and
-    246 MiB).
+    <= v, and the term count pi(x) - pi(p0 - 1), both from
+    counting.tail_sums, which keeps every class's numbers for the next call
+    at the same (x, k, p0); the two routes agree within a few ulps (tested
+    at 1e-14 relative).  On a 2 vCPU Xeon the tables mod 4 take 0.06 s
+    at 4e8 (the streamed sieve of one class: 0.34 s), 0.55 s at 10^10,
+    2.6 s at 10^11 and 14 s at 10^12 (process peaks 41, 51, 73 and
+    138 MiB).
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")
@@ -118,10 +119,9 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     p0 = fn.start_prime
     c = counting_constant(fn, x, progression)
     if c is not None:
-        tables = counting.class_tables(x, progression.modulus)
-        high, low = tables.at(x, progression.residue), tables.at(p0 - 1, progression.residue)
+        count, reciprocals = counting.tail_sums(x, progression.modulus, p0 - 1)[progression.residue]
         scale = np.float64(c) ** u  # inf past the float range, like the sieve's f**u
-        return PrimeSumResult(x, progression, u, float(scale * (high[1] - low[1])), high[0] - low[0])
+        return PrimeSumResult(x, progression, u, float(scale * reciprocals), count)
     parts: list[float] = []
     count = 0
     for block in iter_prime_blocks(x, progression):

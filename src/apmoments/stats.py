@@ -45,7 +45,14 @@ import numpy as np
 
 from .arith_fn import Extension, PrimeFunction, increment_table, lattice_steps, piece_length
 from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS
-from .moments import CoMoments, SpillFile, collect_dataset, iter_blocks, spill_dataset
+from .moments import (
+    CoMoments,
+    SpillFile,
+    collect_dataset,
+    iter_blocks,
+    spill_dataset,
+    spill_label,
+)
 from .sieve import Progression
 
 NORMALIZATIONS = ("sigma", "sqrt_mean")
@@ -260,7 +267,8 @@ def erdos_kac_report(
     deviation; "sqrt_mean" scales by sqrt(mean) and is only offered for
     nonnegative functions bounded by 1 at primes, the regime where that
     scaling has a normal limit.  Values come from an existing spill file
-    when given, otherwise from one member sweep.  A lattice spec's values
+    of this dataset (its sidecar must name it) when given, otherwise from
+    one member sweep.  A lattice spec's values
     become one value/count table and everything is read off it; any other
     spec's are read in the sweep's blocks, for the center and scale and
     then for the bounded KS, the largest tie and the grid.
@@ -276,7 +284,7 @@ def erdos_kac_report(
     (step,) = lattice_steps(specs, rows, n)
     count = progression.count(n)
     if spill is not None:
-        x, counts = spill_dataset(spill, count, step)
+        x, counts = spill_dataset(spill, spill_label(fn, ext, progression, n), step)
     else:
         x, counts = collect_dataset(fn, ext, progression, n, rows=rows)
     if count < 2:

@@ -36,3 +36,10 @@ def member_block(monkeypatch):
         monkeypatch.setattr("apmoments.arith_fn.MEMBER_BLOCK", n)
 
     return set_block
+
+
+@pytest.fixture(autouse=True)
+def fresh_tail_memo(monkeypatch):
+    """Each test starts with no remembered counting tail sums, so a test that
+    counts table builds sees its own."""
+    monkeypatch.setattr("apmoments.counting._last_tail", None)

@@ -10,7 +10,7 @@ import pytest
 
 from apmoments import counting
 from apmoments.cli import _integer, build_parser, main
-from apmoments.sieve import factorize, primes_upto_monolithic, sieve_primes
+from apmoments.sieve import Progression, factorize, primes_upto_monolithic, sieve_primes
 
 
 def run_cli(argv, capsys):
@@ -276,8 +276,11 @@ class TestExitCodes:
                              ids=["real", "lattice"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "short", "long", "ragged"])
     def test_bad_spill_file_is_one_line_naming_it(self, bad, fn, norm, tmp_path, capsys):
-        # 1..1000 has 1000 members, so a good spill file holds 8000 bytes
+        # 1..1000 has 1000 members, so a good spill file holds 8000 bytes; the
+        # sweep writes the file and its sidecar, then the file is spoilt
         spill = tmp_path / "values.f64"
+        assert main(["moments", "--fn", fn, "--n", "1000", "--spill", str(spill)]) == 0
+        capsys.readouterr()
         values = np.ones(1000, dtype="<f8")
         if bad in ("nan", "inf", "-inf"):
             values[700] = float(bad)
@@ -303,6 +306,36 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: spill file") and err.count("\n") == 1
         assert str(spill) in err
+
+    @pytest.mark.parametrize("write, held", [
+        (["moments", "--fn", "bigomega", "--mod", "4", "--res", "1"], "ext"),
+        (["moments", "--fn", "omega", "--mod", "4", "--res", "3"], "r"),
+        (["model", "sample", "--fn", "omega", "--mod", "4", "--res", "1", "--trials", "25000"],
+         "dataset"),
+    ], ids=["bigomega_as_omega", "another_class", "model_sample"])
+    def test_spill_of_another_dataset_is_one_line_naming_it(self, write, held, tmp_path, capsys):
+        # a bigomega spill read as omega's was once reported (ks 0.2014
+        # against the sweep's 0.2446): each file's sidecar names its dataset
+        spill = tmp_path / "values.f64"
+        assert main([*write, "--n", "1e5", "--spill", str(spill)]) == 0
+        capsys.readouterr()
+        read = ["ektest", "--fn", "omega", "--mod", "4", "--res", "1", "--n", "1e5"]
+        assert main([*read, "--spill", str(spill)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: spill file {spill} holds {held} ") and err.count("\n") == 1
+
+    def test_spill_without_its_sidecar_is_one_line_naming_it(self, tmp_path, capsys):
+        spill = tmp_path / "values.f64"
+        cls = ["--mod", "4", "--res", "1", "--n", "1e4", "--spill", str(spill)]
+        assert main(["moments", "--fn", "omega", *cls]) == 0
+        assert main(["ektest", "--fn", "omega", *cls]) == 0
+        (tmp_path / "values.f64.json").unlink()
+        capsys.readouterr()
+        assert main(["ektest", "--fn", "omega", *cls]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: spill file {spill} has no sidecar")
 
     def test_closed_form_signal_is_error(self, capsys):
         code = main(["asymptotic", "--mod", "1", "--x", "1e4", "--fn", "invlog",
@@ -425,27 +458,27 @@ class TestEmission:
                 "--spill", str(spill)]
         assert main(argv) == 0
         assert spill.stat().st_size == 100 * 8
-        assert list(tmp_path.iterdir()) == [spill]
+        assert sorted(tmp_path.iterdir()) == [spill, tmp_path / "values.f64.json"]
 
     @pytest.mark.parametrize("argv", [
         ["moments", "--fn", "sqrtloglog", "--n", "1e3"],
         ["model", "sample", "--n", "1e3", "--fn", "const:1", "--trials", "100"],
     ], ids=["sweep", "sample"])
     def test_spill_rerun_gives_identical_bytes(self, argv, tmp_path, capsys):
-        spill = tmp_path / "values.f64"
+        spill, sidecar = tmp_path / "values.f64", tmp_path / "values.f64.json"
         assert main([*argv, "--spill", str(spill)]) == 0
-        first = spill.read_bytes()
+        first = spill.read_bytes(), sidecar.read_bytes()
         assert main([*argv, "--spill", str(spill)]) == 0
-        assert spill.read_bytes() == first
-        assert list(tmp_path.iterdir()) == [spill]
+        assert (spill.read_bytes(), sidecar.read_bytes()) == first
+        assert sorted(tmp_path.iterdir()) == [spill, sidecar]
 
     def test_failed_sweep_keeps_the_previous_spill(self, tmp_path, capsys):
-        spill = tmp_path / "values.f64"
+        spill, sidecar = tmp_path / "values.f64", tmp_path / "values.f64.json"
         assert main(["moments", "--fn", "sqrtloglog", "--n", "1e3", "--spill", str(spill)]) == 0
-        before = spill.read_bytes()
+        before = spill.read_bytes(), sidecar.read_bytes()
         assert main(["moments", "--n", "100", "--fn", "tab:5=1", "--spill", str(spill)]) == 1
-        assert spill.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [spill]
+        assert (spill.read_bytes(), sidecar.read_bytes()) == before
+        assert sorted(tmp_path.iterdir()) == [spill, sidecar]
 
     def test_sieve_file_matches_monolithic_sieve(self, tmp_path, sieve_geometry, capsys):
         sieve_geometry(chunk=1000)  # about ten blocks
@@ -533,6 +566,35 @@ class TestSumPastTheSieveCeiling:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: argument --x:") and err.count("\n") == 1
+
+
+class TestModelExactPastTheSieveCeiling:
+    """model exact counts the primes past y = n // (n // 10^6) for f constant
+    there; past the sieve ceiling only that route runs, up to the counting
+    ceiling.  A stand-in sieve ceiling of 10^7 keeps the tables small."""
+
+    def test_counted_route_runs_past_the_sieve_ceiling(self, monkeypatch, capsys):
+        monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**7)
+        argv = ["model", "exact", "--fn", "const:1", "--mod", "4", "--res", "1", "--n", "2e7"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["term_count"] == sieve_primes(2 * 10**7, Progression(4, 1)).size
+
+    @pytest.mark.parametrize("argv, counting_ceiling", [
+        (["--fn", "sqrtloglog", "--n", "2e7"], None),
+        (["--fn", "const:1", "--p0", "1000003", "--n", "2e7"], None),
+        (["--fn", "const:1", "--mod", "7", "--res", "1", "--n", "2e7"], None),
+        (["--fn", "const:1", "--n", "2e7"], 10**7),
+    ], ids=["not_constant", "p0_past_y", "outside_the_rule", "past_the_counting_ceiling"])
+    def test_every_other_case_is_a_usage_error(self, argv, counting_ceiling, monkeypatch, capsys):
+        monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**7)
+        if counting_ceiling is not None:
+            monkeypatch.setattr("apmoments.model.COUNTING_CEILING", counting_ceiling)
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "exact", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --n: sieve limit") and err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
-"""Class-wise prime counting against the sieve, known values of pi and of
-the digamma function, and the cost rule's measured decisions."""
+"""Class-wise prime counting against the sieve, known values of pi, of the
+digamma function and of the Hurwitz zeta function, the one-entry memo of
+tail sums, and the cost rule's measured decisions."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from apmoments import counting
 from apmoments.arith_fn import parse_fn
-from apmoments.counting import class_tables, digamma
+from apmoments.counting import class_tables, digamma, hurwitz, tail_sums
 from apmoments.prime_sums import prime_power_sum
 from apmoments.sieve import Progression, sieve_primes
 
@@ -28,6 +29,34 @@ class TestDigamma:
         # |psi| <= 21 here, so a few ulps of psi are below 1e-14
         z = np.array([0.05, 0.3, 2.5, 11.5, 11.999, 12.0, 12.5, 1e3])
         assert np.allclose(digamma(z + 1.0) - digamma(z), 1.0 / z, rtol=0, atol=1e-14)
+
+
+class TestHurwitz:
+    def test_known_values(self):
+        # zeta(2, 1) = pi^2 / 6, zeta(2, 1/2) = pi^2 / 2, zeta(3, 1) = zeta(3),
+        # zeta(s, n + 1) = zeta(s) - H_n^(s)
+        assert hurwitz(2, 1.0) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+        assert hurwitz(2, 0.5) == pytest.approx(math.pi**2 / 2, rel=1e-15)
+        assert hurwitz(3, 1.0) == pytest.approx(1.2020569031595942, rel=1e-15)
+        assert hurwitz(3, 0.5) == pytest.approx(7 * 1.2020569031595942, rel=1e-15)
+        for n in (5, 11, 12, 40):
+            head = math.fsum(1.0 / i**2 for i in range(1, n + 1))
+            assert hurwitz(2, n + 1.0) == pytest.approx(math.pi**2 / 6 - head, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_partial_sums_match_fsum(self, s):
+        # the start values are zeta(s, z) - zeta(s, z + m): the sum of
+        # (z + i)^(-s) over i < m, on both sides of the series threshold
+        for z in (0.25, 1 / 3, 0.75, 1.0, 1.5, 7 / 3, 11.5, 12.0, 12.5, 100.25, 1e4):
+            for m in (1, 5, 12, 13, 1000, 10**5):
+                want = math.fsum((z + i) ** -s for i in range(m))
+                got = float(hurwitz(s, z) - hurwitz(s, z + m))
+                assert abs(got - want) <= 1e-15 * float(hurwitz(s, z))
+
+    def test_arrays_match_scalars(self):
+        z = np.array([0.05, 0.3, 2.5, 11.999, 12.0, 1e3])
+        for s in (2, 3):
+            assert hurwitz(s, z).tolist() == [float(hurwitz(s, v)) for v in z.tolist()]
 
 
 def _every_floor_value(x):
@@ -58,6 +87,26 @@ class TestClassTables:
                 want = math.fsum((1.0 / cls[cls <= v]).tolist())
                 assert t.at(v, a) == (np.count_nonzero(cls <= v), pytest.approx(want, rel=1e-14, abs=0))
 
+    @pytest.mark.parametrize("k", [1, 3, 4, 7])
+    def test_power_sums_match_the_sieve(self, k):
+        # P_2 and P_3 at floor values from the top to the bottom of V
+        x = 10**6
+        t = class_tables(x, k, 3)
+        primes = sieve_primes(x)
+        for a in t.units:
+            cls = (primes[primes % k == a] if k > 1 else primes).astype(np.float64)
+            for v in {x, x // 2, x // 3, x // 17, x // 1000, math.isqrt(x), 333, 10, 2}:
+                below = cls[cls <= v]
+                got = t.at(v, a)
+                assert got[0] == below.size
+                for s in (2, 3):
+                    assert abs(got[s] - math.fsum((below**-s).tolist())) <= 1e-15
+
+    def test_orders_past_one_leave_the_counts_and_reciprocals(self):
+        one, three = class_tables(10**6 + 7, 9), class_tables(10**6 + 7, 9, 3)
+        assert np.array_equal(one.counts, three.counts)
+        assert np.array_equal(one.sums[0], three.sums[0])
+
     @pytest.mark.parametrize("x, k, residues", [
         (10**8, 1, (0,)), (10**8, 3, (1, 2)), (10**8, 12, (1, 5, 7, 11)), (10**9, 4, (1,)),
     ])
@@ -79,6 +128,56 @@ class TestClassTables:
             class_tables(1, 4)
         with pytest.raises(ValueError):
             class_tables(100, 0)
+        with pytest.raises(ValueError):
+            class_tables(100, 4, 0)
+
+
+class TestTailSums:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (x, k, smax) of every table build."""
+        seen, build = [], counting.class_tables
+
+        def spy(x, k, smax=1):
+            seen.append((x, k, smax))
+            return build(x, k, smax)
+
+        monkeypatch.setattr(counting, "class_tables", spy)
+        return seen
+
+    def test_differences_of_the_tables(self):
+        x, k = 3 * 10**6, 4
+        y = x // (x // 10**6)
+        t = class_tables(x, k, 3)
+        tails = tail_sums(x, k, y, 3)
+        assert sorted(tails) == [1, 3]
+        for a, (count, *sums) in tails.items():
+            high, low = t.at(x, a), t.at(y, a)
+            assert count == high[0] - low[0] > 0
+            assert sums == [h - l for h, l in zip(high[1:], low[1:])]
+
+    def test_one_entry_memo(self, builds):
+        x = 3 * 10**6
+        three = tail_sums(x, 4, 10**6, 3)
+        one = tail_sums(x, 4, 10**6, 1)  # fewer orders: read from the memo
+        assert builds == [(x, 4, 3)]
+        assert one == {a: sums[:2] for a, sums in three.items()}
+        tail_sums(x, 4, 10**6, 3)
+        tail_sums(x, 4, 1, 3)  # another y
+        tail_sums(x, 4, 1, 3)
+        tail_sums(x, 3, 1, 3)  # another k
+        tail_sums(x, 4, 1, 3)  # one entry: mod 4 is gone
+        assert builds == [(x, 4, 3), (x, 4, 3), (x, 3, 3), (x, 4, 3)]
+
+    def test_more_orders_than_the_memo_rebuild(self, builds):
+        tail_sums(10**6, 4, 1000, 1)
+        tail_sums(10**6, 4, 1000, 2)
+        assert builds == [(10**6, 4, 1), (10**6, 4, 2)]
+
+    @pytest.mark.parametrize("y", [0, 10**6 + 1, 400_000, 499_999])
+    def test_rejects_a_y_off_the_floor_values(self, y):
+        with pytest.raises(ValueError):
+            tail_sums(10**6, 4, y)
 
 
 class TestCostRule:

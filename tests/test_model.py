@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apmoments import model, sieve
+from apmoments import counting, model, sieve
 from apmoments.arith_fn import (
     Extension,
     FunctionPair,
@@ -248,6 +248,99 @@ class TestStreamedModel:
         for mode in MODES:
             assert preds[mode] == pytest.approx(want_preds[mode], rel=1e-13)
         assert len(blocks) > 20 and max(blocks) < 1 << 12
+
+
+class TestCountedRoute:
+    """The model's passes count the primes past y where f is constant there."""
+
+    @pytest.fixture
+    def streamed(self, monkeypatch):
+        """call(*args) with the counted route off: the reference recursion."""
+
+        def run(call, *args):
+            with monkeypatch.context() as m:
+                m.setattr(model, "counted_constant", lambda *a: None)
+                return call(*args)
+
+        return run
+
+    @pytest.fixture
+    def route(self, monkeypatch):
+        """The tail_sums calls and the sieve limits of the model's passes."""
+        seen = {"tails": [], "limits": []}
+        tails, blocks = counting.tail_sums, model.iter_prime_blocks
+
+        def spy_tails(*args):
+            seen["tails"].append(args)
+            return tails(*args)
+
+        def spy_blocks(limit, progression=None):
+            seen["limits"].append(limit)
+            return blocks(limit, progression)
+
+        monkeypatch.setattr(counting, "tail_sums", spy_tails)
+        monkeypatch.setattr(model, "iter_prime_blocks", spy_blocks)
+        return seen
+
+    def test_coefficients_are_the_exact_polynomials(self):
+        polys = _bernoulli_cumulant_polys(10)
+        assert [list(model._COEFFICIENTS[j - 1]) for j in range(1, 11)] == [
+            polys[j] for j in range(1, 11)]
+        assert model._COEFFICIENTS[9][4] == -204_630  # the dropped-term bound's a_10,4
+
+    @pytest.mark.parametrize("fn, n, k, r", [
+        (ONE, 2 * 10**7, 4, 1), (ONE, 2 * 10**7, 4, 3), (ONE, 4 * 10**6, 1, 0),
+        (PrimeFunction("constant", c=-1.5), 4 * 10**6, 1, 0), (TABULATED, 4 * 10**6, 1, 0),
+    ], ids=["const1-2e7-1mod4", "const1-2e7-3mod4", "const1-4e6", "const-1.5-4e6", "tab-4e6"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_streamed_recursion(self, fn, n, k, r, mode, streamed, route):
+        prog = Progression(k, r)
+        want = streamed(exact_moments, fn, prog, n, 10, mode)
+        want_preds = streamed(mean_predictions, fn, prog, n)
+        route["limits"].clear()
+        got = exact_moments(fn, prog, n, 10, mode)
+        y = n // (n // 10**6)
+        assert route["tails"] == [(n, k, y, 3)] and route["limits"] == [y]
+        assert got.term_count == want.term_count
+        c = abs(fn.constant_above(y))
+        for j in range(1, 11):
+            if j <= 6:
+                assert got.kappa[j] == pytest.approx(want.kappa[j], rel=1e-13)
+                assert got.mu[j] == pytest.approx(want.mu[j], rel=1e-13)
+            assert abs(got.kappa[j] - want.kappa[j]) <= 1e-11 * c**j
+            assert got.first_order[j] == pytest.approx(want.first_order[j], rel=1e-14)
+            assert got.gap_bound[j] == pytest.approx(want.gap_bound[j], rel=1e-14)
+        preds = mean_predictions(fn, prog, n)
+        for m in MODES:
+            assert preds[m] == pytest.approx(want_preds[m], rel=1e-14)
+
+    @pytest.mark.parametrize("fn, n, k", [
+        (PrimeFunction("sqrt_loglog"), 4 * 10**6, 1),  # not constant
+        (PrimeFunction("constant", c=1.0, p0=1_000_003), 4 * 10**6, 1),  # p0 > y = 10^6
+        (ONE, 2 * 10**7, 7),  # counting does not pay
+        (ONE, 2 * 10**6 - 1, 1),  # y = n
+    ], ids=["sqrtloglog", "p0-past-y", "mod7", "n-below-2y"])
+    def test_gate_negatives_keep_the_sieve(self, fn, n, k, streamed, route):
+        prog = Progression(k, 1 if k > 1 else 0)
+        for mode in MODES:
+            want = streamed(exact_moments, fn, prog, n, 6, mode)
+            assert exact_moments(fn, prog, n, 6, mode) == want
+        assert mean_predictions(fn, prog, n) == streamed(mean_predictions, fn, prog, n)
+        assert model.counted_constant(fn, prog, n) is None
+        assert route["tails"] == [] and set(route["limits"]) == {n}
+
+    def test_density_reads_the_restricted_memo(self, monkeypatch):
+        builds, build = [], counting.class_tables
+
+        def spy(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(counting, "class_tables", spy)
+        for mode in MODES:
+            exact_moments(ONE, Progression(4, 1), 2 * 10**7, 6, mode)
+        mean_predictions(ONE, Progression(4, 3), 2 * 10**7)
+        assert builds == [(2 * 10**7, 4, 3)]
 
 
 class TestCentralMomentFirstOrder:

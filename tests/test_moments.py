@@ -26,6 +26,7 @@ from apmoments.moments import (
     mean_via_counts,
     moment_summary,
     spill_dataset,
+    spill_label,
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
@@ -504,7 +505,7 @@ class TestLatticeTable:
         path = tmp_path / "values.f64"
         x, counts = collect_dataset(fn, ext, prog, n, spill=path)
         if fold == "spill":
-            x, counts = spill_dataset(path, prog.count(n), 1.0)
+            x, counts = spill_dataset(path, spill_label(fn, ext, prog, n), 1.0)
         values = collect_values(fn, ext, prog, n)
         assert np.array_equal(read_whole(path), values)
         want_x, want_counts = np.unique(values, return_counts=True)

@@ -306,6 +306,20 @@ class TestCountingRoute:
         prime_power_sum(ONE, 1, 1000, Progression(1, 0))  # inside the cache
         assert route == ["counting", "sieve", "sieve"]
 
+    def test_classes_of_one_modulus_build_the_tables_once(self, route, sieve_geometry,
+                                                           monkeypatch):
+        # the tail sums of every class are kept for the next call at the same
+        # (x, k, p0): a Mertens scan sums each class of a modulus in turn
+        sieve_geometry(cache_max=1000)
+        monkeypatch.setattr(counting, "pays", lambda x, k: True)  # the rule admits k <= 2 at 3e6
+        x = 3 * 10**6
+        got = [prime_power_sum(ONE, 1, x, Progression(k, r)) for k, r in ((4, 1), (4, 3))]
+        assert route == ["counting"]
+        got.append(prime_power_sum(ONE, 1, x, Progression(1, 0)))
+        assert route == ["counting", "counting"]
+        assert got[0].term_count + got[1].term_count + 1 == got[2].term_count  # and 2
+        assert got[0].value + got[1].value + 0.5 == pytest.approx(got[2].value, rel=1e-14)
+
     @pytest.mark.parametrize("spec, p0", [
         ("tab:5=1.5,7=2,default=0.25", None), ("invloglog", None), ("omega1", None),
         ("const:1", 1002),  # starts past isqrt(x) + 1

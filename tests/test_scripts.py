@@ -1,11 +1,14 @@
 """Smoke tests: each experiment script runs at a small size and prints its header."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from apmoments import counting
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +49,23 @@ def test_mertens_scan_gap_steady_from_cached_to_counted_decade():
     assert len(gaps) == 4
     for cls, (gap8, gap9) in gaps.items():
         assert abs(gap9 - gap8) < 0.01, cls
+
+
+def test_mertens_scan_builds_each_table_once_per_decade(monkeypatch, sieve_geometry, capsys):
+    # with a stand-in prime cache of 1000, 10^8 is counted for both moduli
+    # (10^7 is outside the cost rule): one mod 4 and one mod 3 table
+    builds, build = [], counting.class_tables
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(counting, "class_tables", spy)
+    sieve_geometry(cache_max=1000)
+    monkeypatch.setattr(sys, "argv", ["mertens_progression_scan.py", "--max-decade", "8"])
+    runpy.run_path(str(ROOT / "scripts" / "mertens_progression_scan.py"), run_name="__main__")
+    assert builds == [(10**8, 4, 1), (10**8, 3, 1)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("class ")] == [
+        "class 1 mod 4", "class 3 mod 4", "class 1 mod 3", "class 2 mod 3"]
+    assert sum(line.split()[:1] == ["100000000"] for line in lines) == 4

@@ -252,7 +252,7 @@ class TestErdosKacReport:
 
     def test_spill_is_read_onto_the_lattice(self, tmp_path):
         # a spilled value an ulp off its lattice point still counts there
-        from apmoments.moments import write_spill
+        from apmoments.moments import spill_label, write_spill
 
         om, ste = builtin("omega")
         prog = Progression(4, 3)
@@ -260,7 +260,7 @@ class TestErdosKacReport:
         modal = np.flatnonzero(values == np.bincount(values.astype(np.int64)).argmax())[0]
         values[modal] = np.nextafter(values[modal], np.inf)
         path = tmp_path / "spill.f64"
-        write_spill(path, values)
+        write_spill(path, values, spill_label(om, ste, prog, 10**4))
         spilled = erdos_kac_report(om, ste, prog, 10**4, "sigma", spill=path)
         assert spilled == erdos_kac_report(om, ste, prog, 10**4, "sigma")
 
@@ -386,7 +386,7 @@ class TestBoundedKsInPieces:
         rng = np.random.default_rng(block)
         values = np.concatenate([np.round(rng.standard_normal(2500), 2), rng.standard_normal(700)])
         path = tmp_path / "values.f64"
-        write_spill(path, values)
+        write_spill(path, values, {"dataset": "test values", "count": values.size})
         spill = SpillFile(path, values.size)
         center, scale = float(values.mean()), float(values.std())
         lo, hi = float(values.min()), float(values.max())
@@ -396,7 +396,7 @@ class TestBoundedKsInPieces:
     def test_extremes_in_a_later_piece(self, tmp_path, member_block):
         # the least and largest values sit in neither the first piece nor the
         # first block, so the range pass must read every piece of every block
-        from apmoments.moments import write_spill
+        from apmoments.moments import spill_label, write_spill
 
         member_block(997)
         fn, ext = resolve_spec("sqrtloglog")
@@ -405,7 +405,7 @@ class TestBoundedKsInPieces:
         values[997 + 300] = float(values.min()) - 1.0
         values[2 * 997 + 500] = float(values.max()) + 1.0
         path = tmp_path / "values.f64"
-        write_spill(path, values)
+        write_spill(path, values, spill_label(fn, ext, prog, 10**4))
         rep = erdos_kac_report(fn, ext, prog, 10**4, "sigma", spill=path)
         x, counts = table(values)
         assert rep.ks == ks_distance(x, counts, rep.center, rep.scale)
