@@ -213,6 +213,14 @@ def _sieve_limit(flag: str, limit: int) -> int:
     return limit
 
 
+def _model_limit(fn: PrimeFunction, prog: Progression, n: int) -> int:
+    """--n of a model pass: a sieve limit, or past the sieve ceiling a size
+    the model counts the primes of (model.counted_constant)."""
+    if n <= SIEVE_CEILING or model.counted_constant(fn, prog, n) is None:
+        _sieve_limit("n", n)
+    return n
+
+
 def _checkpoints(args, start_prime: int | None = None) -> tuple[int, ...]:
     """--checkpoints (or the defaults): increasing sieve limits, or, for the
     rate integral, increasing upper ends above its start prime."""
@@ -364,9 +372,8 @@ def cmd_moments(args) -> None:
 def cmd_model_exact(args) -> None:
     fn, _ = _resolve_fn(args)
     prog = _progression(args)
-    if args.n <= SIEVE_CEILING or model.counted_constant(fn, prog, args.n) is None:
-        _sieve_limit("n", args.n)  # past the sieve, only the counted route runs
-    mm = model.exact_moments(fn, prog, args.n, u_max=args.umax, mode=args.mode)
+    mm = model.exact_moments(fn, prog, _model_limit(fn, prog, args.n), u_max=args.umax,
+                             mode=args.mode)
     payload = {
         "n": mm.n,
         "k": args.mod,
@@ -414,8 +421,9 @@ def cmd_model_lindeberg(args) -> None:
     fn, _ = _resolve_fn(args)
     if not args.epsilon > 0.0:
         raise _UsageError(f"argument --epsilon: epsilon must be positive, got {args.epsilon}")
-    n = _sieve_limit("n", args.n)
-    rep = model.lindeberg_check(fn, _progression(args), n, args.epsilon, mode=args.mode)
+    prog = _progression(args)
+    rep = model.lindeberg_check(fn, prog, _model_limit(fn, prog, args.n), args.epsilon,
+                                mode=args.mode)
     payload = {
         "n": rep.n,
         "epsilon": rep.epsilon,

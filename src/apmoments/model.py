@@ -20,16 +20,17 @@ Memory is bounded by one block, so the exact moments, the Lindeberg
 ratio, the mean predictions and the sampler also run past the prime
 cache.
 
-The exact moments and the mean predictions of an f that is one constant
-c on the primes past y, the floor value of n at or just above 10^6, sieve
-only the primes up to y when counting pays (:func:`counted_constant`).
-The primes y < p <= n then enter through their count and their power
-sums P_s = sum of p^(-s), s <= 3, by class (counting.tail_sums): each
-prime's Bernoulli cumulant c_j(1/p) is a polynomial in 1/p with integer
-coefficients, so the primes past y add c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3)
-to kappa_j.  Power sums serve only where 1/p <= 10^-6, so their terms do
-not cancel; below y the per-prime recursion stays.  The Lindeberg ratio
-and the sampler always sieve.
+The exact moments, the Lindeberg ratio and the mean predictions of an f
+that is one constant c on the primes past y, the floor value of n at or
+just above 10^6, sieve only the primes up to y when counting pays
+(:func:`counted_constant`).  The primes y < p <= n then enter through
+their count and their power sums P_s = sum of p^(-s), s <= 3, by class
+(counting.tail_sums): each prime's Bernoulli cumulant c_j(1/p) is a
+polynomial in 1/p with integer coefficients, so the primes past y add
+c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3) to kappa_j.  Power sums serve only
+where 1/p <= 10^-6, so their terms do not cancel; below y the per-prime
+recursion stays.  The Lindeberg ratio counts the same primes through
+c^2 P_1; the sampler always sieves.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ _COEFFICIENTS = _bernoulli_cumulants(_IntegerPolynomial((0, 1)), U_MAX_CAP)
 def counted_constant(
     fn: PrimeFunction, progression: Progression, n: int
 ) -> tuple[int, float] | None:
-    """(y, c) when the exact moments and the mean predictions count the primes
-    y < p <= n instead of sieving them, else None.
+    """(y, c) when the exact moments, the Lindeberg ratio and the mean
+    predictions count the primes y < p <= n instead of sieving them, else None.
 
     y = n // (n // COUNTED_FROM) is the floor value of n at or just above
     10^6.  The route needs f(p) = c for every prime p > y
@@ -374,22 +375,26 @@ def lindeberg_check(
     Returns (1/D) * sum of f(p)^2/p over primes with |f(p)| > eps*sqrt(D),
     where D = sum f(p)^2/p, plus the coarser diagnostic max|f|/sqrt(D).
     Two passes over the prime blocks: D and max|f| first, then the tail.
+    On the counted route (:func:`counted_constant`) the passes stop at y,
+    and the primes past it, where f = c, add c^2 P_1 to D, add it to the
+    tail when |c| exceeds the threshold, and count |c| in max|f|.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    parts: list[float] = []
-    f_max = 0.0
-    for p, f in _active_blocks(fn, progression, n, mode):
+    limit, c, count, (p_1,) = _counted_tail(fn, progression, n, mode, 1)
+    parts = [c * c * p_1]
+    f_max = abs(c) if count else 0.0
+    for p, f in _active_blocks(fn, progression, limit, mode):
         parts.append(float(np.sum(f * f / p)))
         f_max = max(f_max, float(np.max(np.abs(f))))
-    if not parts:
+    if f_max == 0.0:
         raise ValueError("degenerate: no primes contribute (variance is 0)")
     variance = math.fsum(parts)
     if variance <= 0.0:
         raise ValueError("degenerate: variance is 0")
     threshold = epsilon * math.sqrt(variance)
-    tail = []
-    for p, f in _active_blocks(fn, progression, n, mode):
+    tail = [parts[0] if abs(c) > threshold else 0.0]
+    for p, f in _active_blocks(fn, progression, limit, mode):
         big = np.abs(f) > threshold
         tail.append(float(np.sum(f[big] * f[big] / p[big])))
     ratio = math.fsum(tail) / variance

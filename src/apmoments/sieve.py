@@ -104,12 +104,13 @@ _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
 _PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 
 
-def _fill_pattern(flags: np.ndarray, pattern: np.ndarray, phase: int) -> None:
-    """Set flags to the periodic pattern, flag 0 taking pattern[phase]."""
-    head = min(pattern.size - phase, flags.size)
-    flags[:head] = pattern[phase : phase + head]
-    for at in range(head, flags.size, pattern.size):
-        flags[at : at + pattern.size] = pattern[: flags.size - at]
+def _fill_pattern(out: np.ndarray, pattern: np.ndarray, phase: int) -> None:
+    """Set out to the periodic pattern, out[0] taking pattern[phase] (a
+    segment's flags here, a member sweep block's buffers in arith_fn)."""
+    head = min(pattern.size - phase, out.size)
+    out[:head] = pattern[phase : phase + head]
+    for at in range(head, out.size, pattern.size):
+        out[at : at + pattern.size] = pattern[: out.size - at]
 
 
 def _class_segments(limit: int, k: int, r: int) -> Iterator[np.ndarray]:

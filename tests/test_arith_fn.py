@@ -10,6 +10,7 @@ from apmoments.arith_fn import (
     FORMULAS,
     STRONG,
     Extension,
+    LatticeCounts,
     PrimeFunction,
     TabulatedLookupError,
     increment_table,
@@ -21,8 +22,10 @@ from apmoments.arith_fn import (
     lattice_dtype,
     lattice_steps,
     parse_fn,
+    pattern_rows,
     resolve_spec,
 )
+from apmoments import config
 from apmoments.cli import main as cli_main
 from apmoments.sieve import Progression, factorize, sieve_primes
 from oracles import eval_additive, eval_by_increments
@@ -433,6 +436,166 @@ class TestSweepExactness:
         collect_values(OMEGA, OMEGA_EXT, Progression(4, 1), n)
         assert sizes  # the increment table still asks for f at its primes
         assert max(sizes) <= sieve_primes(math.isqrt(n)).size
+
+
+class TestPresievePattern:
+    """Each sweep block starts as the pre-sieve pattern of the smallest
+    strided rows (pattern_rows), tiled from the block's phase; the sweeps
+    below are held to the member oracle bit for bit."""
+
+    @staticmethod
+    def _strided(specs, prog, n, block):
+        # the rows a sweep in blocks of `block` members strides: p <= isqrt(block)
+        return [row for row in increment_table(specs, prog, n) if row[0] <= math.isqrt(block)]
+
+    @staticmethod
+    def _columns(specs, prog, n):
+        steps = lattice_steps(specs, increment_table(specs, prog, n), n)
+        return TestIntegerColumns._columns(specs, prog, n, steps)
+
+    @staticmethod
+    def _assert_oracle(specs, prog, n, got):
+        for (fn, ext), col in zip(specs, got):
+            want = TestSweepExactness._oracle(fn, ext, prog, n)
+            if col.dtype != np.float64:  # a lattice column of step 1
+                col = col.astype(np.float64)
+            assert np.array_equal(col, want)
+            assert np.array_equal(np.signbit(col), np.signbit(want))
+
+    @pytest.mark.parametrize("prog, period, covered", [
+        (Progression(4, 1), 45045, [3, 9, 5, 7, 11, 13]),
+        (Progression(3, 2), 40040, [2, 4, 8, 5, 7, 11, 13]),
+        (Progression(1, 0), 55440, [2, 4, 8, 16, 3, 9, 5, 7, 11]),
+    ], ids=["mod4", "mod3", "k1"])
+    @pytest.mark.parametrize("floats", [[False], [True]], ids=["lattice", "float"])
+    def test_period_and_covered_rows_at_the_default_block(self, prog, period, covered, floats):
+        # omega's rows past a = 1 add 0, so the order rule keeps nothing out
+        rows = self._strided([builtin("omega")], prog, 3 * 10**7, config.MEMBER_BLOCK)
+        got_period, got = pattern_rows(rows, floats)
+        assert got_period == period and [rows[i][1] for i in got] == covered
+
+    @pytest.mark.parametrize("prog, floats, period, covered", [
+        (Progression(4, 1), [False], 45045, [3, 9, 5, 7, 11, 13]),
+        (Progression(4, 1), [True], 9, [3, 9]),  # 27 is not covered, so 5 waits
+        (Progression(1, 0), [True], 16, [2, 4, 8, 16]),
+        (Progression(1, 0), [False, True], 16, [2, 4, 8, 16]),  # one float column decides
+    ], ids=["mod4-lattice", "mod4-float", "k1-float", "k1-mixed"])
+    def test_order_rule_for_complete_columns(self, prog, floats, period, covered):
+        rows = self._strided([builtin("bigomega")] * len(floats), prog, 3 * 10**7,
+                             config.MEMBER_BLOCK)
+        got_period, got = pattern_rows(rows, floats)
+        assert got_period == period and [rows[i][1] for i in got] == covered
+
+    @pytest.mark.parametrize("n, block", [(4000, 1 << 15), (4 * (6 * 997 + 18), 997)],
+                             ids=["one-block", "short-last-block"])
+    def test_block_shorter_than_the_period(self, n, block, member_block):
+        # 1000 members against W = 3465 at blocks of 2^15 (pieces of 4096);
+        # a last block of 16 members against W = 105 at blocks of 997
+        prog = Progression(4, 1)
+        specs = [builtin("omega"), (PrimeFunction("sqrt_loglog"), STRONG)]
+        member_block(block)
+        period, _ = pattern_rows(self._strided(specs, prog, n, min(block, prog.count(n))),
+                                 [False, True])
+        assert prog.count(n) % block < period
+        self._assert_oracle(specs, prog, n, self._columns(specs, prog, n))
+
+    @pytest.mark.parametrize("name, covered", [("omega", [2, 4, 8, 3, 5]),
+                                               ("bigomega", [2, 4, 8])])
+    def test_two_power_rows_at_k1(self, name, covered, member_block):
+        # blocks of 997 (pieces of 125), a lattice and a float column in one
+        # sweep: omega's float column adds 0 past a = 1 and covers W = 120,
+        # bigomega's adds f(2) at 16, which 120 does not hold
+        prog, n = Progression(1, 0), 6000
+        specs = [builtin(name)] * 2
+        member_block(997)
+        rows = self._strided(specs, prog, n, 997)
+        _, got = pattern_rows(rows, [False, True])
+        assert [rows[i][1] for i in got] == covered
+        cols = TestIntegerColumns._columns(specs, prog, n, [1.0, None])
+        assert cols[0].dtype == np.int8 and cols[1].dtype == np.float64
+        self._assert_oracle(specs, prog, n, cols)
+
+    def test_complete_float_spec_from_2_keeps_rows_out(self, member_block):
+        # every row of one_minus_inv_p under the complete rule adds a nonzero
+        # float; 16 is not covered at pieces of 125, so 3 and 5 stay strided
+        fn, prog, n = PrimeFunction("one_minus_one_over_p", c=-1.3), Progression(1, 0), 6000
+        specs = [(fn, COMPLETE)]
+        member_block(997)
+        rows = self._strided(specs, prog, n, 997)
+        period, covered = pattern_rows(rows, [False])  # without the rule
+        assert period == 120 and [rows[i][1] for i in covered] == [2, 4, 8, 3, 5]
+        period, covered = pattern_rows(rows, [True])
+        assert period == 8 and [rows[i][1] for i in covered] == [2, 4, 8]
+        self._assert_oracle(specs, prog, n, [collect_values(fn, COMPLETE, prog, n)])
+
+    @pytest.mark.parametrize("fn, ext", [
+        (PrimeFunction("one_over_log"), Extension("strong", overrides=(((5, 1), 2.0),))),
+        (PrimeFunction("one_over_log"), Extension("complete", overrides=(((3, 2), -0.4),))),
+        (OMEGA, Extension("strong", overrides=(((3, 2), 3.0), ((7, 1), -1.0)))),
+    ], ids=["float-strong-5", "float-complete-9", "lattice-9-and-7"])
+    def test_override_on_a_pattern_row(self, fn, ext, member_block):
+        prog, n = Progression(4, 3), 4 * 6000
+        member_block(4099)  # pieces of 513: W = 315 covers 3, 9, 5 and 7
+        specs = [(fn, ext)]
+        rows = self._strided(specs, prog, n, 4099)
+        _, covered = pattern_rows(rows, [fn is not OMEGA])
+        overridden = {p ** a for (p, a), _ in ext.overrides}
+        assert overridden <= {rows[i][1] for i in covered}
+        self._assert_oracle(specs, prog, n, self._columns(specs, prog, n))
+
+    @pytest.mark.parametrize("block", [997, 4099])
+    def test_int16_lattice_tab_spec(self, block, member_block):
+        # 125 at p = 5, a covered row, makes the column int16
+        specs, prog, n = [(parse_fn("tab:5=125,default=1"), COMPLETE)], Progression(4, 1), 4 * 6000
+        member_block(block)
+        rows = self._strided(specs, prog, n, block)
+        _, covered = pattern_rows(rows, [False])
+        assert 5 in {rows[i][1] for i in covered}
+        (k,) = self._columns(specs, prog, n)
+        assert k.dtype == np.int16 and k.max() > 127
+        self._assert_oracle(specs, prog, n, [k])
+
+
+class TestLatticeFold:
+    """LatticeCounts counts a block spanning few lattice points value by value
+    and bins a wider one; either way its table is np.unique's."""
+
+    @staticmethod
+    def _fold(blocks, step=1.0):
+        table = LatticeCounts(step)
+        for block in blocks:
+            table.add_batch(block)
+        return table.table()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    @pytest.mark.parametrize("span", [1, 9, LatticeCounts.SPAN_COUNTED,
+                                      LatticeCounts.SPAN_COUNTED + 1, 100])
+    @pytest.mark.parametrize("lo", [-50, -3, 0, 7])
+    def test_equals_unique(self, dtype, span, lo):
+        rng = np.random.default_rng(span * 1000 + lo + 500)
+        blocks = [rng.integers(lo, lo + span, size, endpoint=False).astype(dtype)
+                  for size in (1, 4099, 1 << 15, 17)]
+        for block in blocks[1:3]:  # the span is attained
+            block[:2] = lo, lo + span - 1
+        x, counts = self._fold(blocks, 0.5)
+        want_k, want_counts = np.unique(np.concatenate(blocks), return_counts=True)
+        assert np.array_equal(x, want_k * 0.5) and np.array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize("text", ["const:-1", "bigomega"])
+    def test_sweep_blocks_fold_to_unique(self, text, member_block):
+        # const:-1 gives indices 0 down to -omega(m); bigomega spans more
+        specs = [resolve_spec(text)]
+        prog, n = Progression(4, 1), 10**5
+        steps = lattice_steps(specs, increment_table(specs, prog, n), n)
+        member_block(4099)
+        blocks = [block for (block,) in iter_progression_values(specs, prog, n, steps=steps)]
+        assert blocks[0].dtype == np.int8
+        spans = {int(b.max()) - int(b.min()) + 1 for b in blocks}
+        assert max(spans) <= LatticeCounts.SPAN_COUNTED
+        x, counts = self._fold(blocks, steps[0])
+        want_k, want_counts = np.unique(np.concatenate(blocks), return_counts=True)
+        assert bool(want_k.min() < 0) == (text == "const:-1")
+        assert np.array_equal(x, want_k * steps[0]) and np.array_equal(counts, want_counts)
 
 
 class TestCofactorCount:

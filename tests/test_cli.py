@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -592,6 +593,33 @@ class TestModelExactPastTheSieveCeiling:
             monkeypatch.setattr("apmoments.model.COUNTING_CEILING", counting_ceiling)
         with pytest.raises(SystemExit) as exc:
             main(["model", "exact", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --n: sieve limit") and err.count("\n") == 1
+
+
+class TestModelLindebergPastTheSieveCeiling:
+    """model lindeberg is gated as model exact is: past the sieve ceiling (a
+    stand-in of 10^7) only the counted route runs."""
+
+    def test_counted_route_runs_past_the_sieve_ceiling(self, monkeypatch, capsys):
+        monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**7)
+        argv = ["model", "lindeberg", "--fn", "const:1", "--mod", "4", "--res", "1",
+                "--n", "2e7", "--epsilon", "0.5"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        want = math.fsum(1.0 / sieve_primes(2 * 10**7, Progression(4, 1)))
+        report = json.loads(out)
+        assert report["variance"] == pytest.approx(want, rel=1e-14) and report["ratio"] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--fn", "sqrtloglog", "--n", "2e7"],
+        ["--fn", "const:1", "--mod", "7", "--res", "1", "--n", "2e7"],
+    ], ids=["not_constant", "outside_the_rule"])
+    def test_every_other_case_is_a_usage_error(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**7)
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "lindeberg", *argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: argument --n: sieve limit") and err.count("\n") == 1

@@ -329,6 +329,25 @@ class TestCountedRoute:
         assert model.counted_constant(fn, prog, n) is None
         assert route["tails"] == [] and set(route["limits"]) == {n}
 
+    @pytest.mark.parametrize("fn, n, k, r", [
+        (ONE, 2 * 10**7, 4, 1), (ONE, 4 * 10**6, 1, 0),
+        (PrimeFunction("constant", c=-1.5), 4 * 10**6, 1, 0), (TABULATED, 4 * 10**6, 1, 0),
+    ], ids=["const1-2e7-1mod4", "const1-4e6", "const-1.5-4e6", "tab-4e6"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lindeberg_matches_the_sieved_route(self, fn, n, k, r, mode, streamed, route):
+        # at epsilon 0.1 every prime is in the tail, at 1.0 none of the
+        # constant's; at 0.5 the table's 2 and 7 are and its default is not
+        prog, y = Progression(k, r), n // (n // 10**6)
+        for epsilon in (0.1, 0.5, 1.0):
+            want = streamed(lindeberg_check, fn, prog, n, epsilon, mode)
+            route["tails"].clear()
+            route["limits"].clear()
+            got = lindeberg_check(fn, prog, n, epsilon, mode)
+            assert route["tails"] == [(n, k, y, 1)] and route["limits"] == [y, y]
+            assert got.variance == pytest.approx(want.variance, rel=1e-14)
+            assert got.ratio == pytest.approx(want.ratio, rel=1e-14)
+            assert got.max_over_sqrt_d == pytest.approx(want.max_over_sqrt_d, rel=1e-14)
+
     def test_density_reads_the_restricted_memo(self, monkeypatch):
         builds, build = [], counting.class_tables
 
