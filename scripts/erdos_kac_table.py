@@ -18,7 +18,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--mod", type=int, default=4)
     ap.add_argument("--res", type=int, default=1)
-    ap.add_argument("--decades", default="4,5,6,7")
+    ap.add_argument("--decades", default="4,5,6,7,8,9")
     ap.add_argument("--norm", choices=["sigma", "sqrt_mean"], default="sqrt_mean")
     args = ap.parse_args()
 

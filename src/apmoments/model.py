@@ -53,7 +53,7 @@ from .arith_fn import (
     lattice_steps,
 )
 from .config import COUNTING_CEILING, PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
-from .moments import CoMoments, MomentSummary, moment_summary, summarize
+from .moments import CoMoments, MomentSummary, counted_tables, moment_summary, summarize
 from .sieve import Progression, iter_prime_blocks
 
 MODES = ("restricted", "density")
@@ -423,32 +423,37 @@ def compare_pair(
 ) -> PairComparison:
     """Empirical moments of both pair members over the progression.
 
-    Both functions are evaluated in one factorization sweep.  Each side
-    keeps one accumulator of its kind: a lattice side folds every block of
-    its integer lattice indices into its value/count table, any other side
-    merges its float64 block into its running moments.  For pairs whose
-    compared member carries explicit prime-power overrides, the total
-    override weight sum |delta f(p^a)| * density(p^a exactly divides a
-    member) is reported; the density of an exact power p^a among members
+    When counting serves both members (:func:`moments.counted_tables`),
+    both tables come from one joint law of omega and Omega, with no sweep.
+    Otherwise both functions are evaluated in one factorization sweep, and
+    each side keeps one accumulator of its kind: a lattice side folds every
+    block of its integer lattice indices into its value/count table, any
+    other side merges its float64 block into its running moments.  For
+    pairs whose compared member carries explicit prime-power overrides, the
+    total override weight sum |delta f(p^a)| * density(p^a exactly divides
+    a member) is reported; the density of an exact power p^a among members
     is (1/p^a)(1 - 1/p) for p not dividing the modulus.
     """
     fn_star, ext_star = pair.f_star
     fn, ext = pair.f
     sides = [pair.f_star, pair.f]
-    rows = increment_table(sides, progression, n)
-    steps = lattice_steps(sides, rows, n)
-    accs = [CoMoments(u_max) if c is None else LatticeCounts(c) for c in steps]
-    for blocks in iter_progression_values(sides, progression, n, rows, steps):
-        for a, block in zip(accs, blocks):
-            a.add_batch(block)
+    datasets = counted_tables(sides, progression, n)
+    if datasets is None:
+        rows = increment_table(sides, progression, n)
+        steps = lattice_steps(sides, rows, n)
+        accs = [CoMoments(u_max) if c is None else LatticeCounts(c) for c in steps]
+        for blocks in iter_progression_values(sides, progression, n, rows, steps):
+            for a, block in zip(accs, blocks):
+                a.add_batch(block)
+        datasets = [a.table() if isinstance(a, LatticeCounts) else a for a in accs]
 
-    def summary(a: CoMoments | LatticeCounts) -> MomentSummary:
-        if isinstance(a, LatticeCounts):
-            x, counts = a.table()
-            return moment_summary(x, progression, n, u_max, counts)
-        return summarize(a, progression, n)
+    def summary(d: CoMoments | tuple[np.ndarray, np.ndarray]) -> MomentSummary:
+        if isinstance(d, CoMoments):
+            return summarize(d, progression, n)
+        x, counts = d
+        return moment_summary(x, progression, n, u_max, counts)
 
-    s_star, s = (summary(a) for a in accs)
+    s_star, s = (summary(d) for d in datasets)
     mu_diff = {u: s.mu[u] - s_star.mu[u] for u in s.mu}
 
     override_total: float | None = None

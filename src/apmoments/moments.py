@@ -1,9 +1,14 @@
 """Empirical moments of additive functions over progression members.
 
-A dataset is one pair (x, counts), filled by one member sweep.  A spec on
-a lattice (see :func:`arith_fn.lattice_steps`) gives the table of
-distinct values k*c and their counts, folded block by block from the
-sweep's lattice indices k, so no per-member array exists.  Any other spec
+A dataset is one pair (x, counts), counted or filled by one member sweep.
+A spec that is one constant c != 0 on every prime, with no overrides
+(c omega or c Omega), takes its table of values and counts from the
+class's joint law of omega and Omega (:func:`counted_tables`, from
+:func:`counting.omega_law`) when counting pays at (n, k) and there is no
+spill file, with no sweep.  Otherwise a spec on a lattice (see
+:func:`arith_fn.lattice_steps`) gives the table of distinct values k*c
+and their counts, folded block by block from the sweep's lattice
+indices k, so no per-member array exists.  Any other spec
 gives per-member values and counts=None: one float64 array, or with a
 spill file that file itself (:class:`SpillFile`), read back by block.
 With `--spill` the sweep writes each block to the file as it comes (k*c
@@ -33,7 +38,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from . import arith_fn, sieve
+from . import arith_fn, counting, sieve
 from .arith_fn import Extension, PrimeFunction
 from .config import CHEBYSHEV_B_DEFAULT, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression
@@ -256,6 +261,35 @@ def spill_dataset(
     return table.table()
 
 
+def counted_tables(
+    specs: Sequence[tuple[PrimeFunction, Extension]], progression: Progression, n: int
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Each spec's value/count table over the members up to n, counted from
+    the class's joint law of omega and Omega (:func:`counting.omega_law`),
+    or None when the dataset is to be swept.
+
+    Counting serves when every spec is one constant c != 0 on every prime
+    (omega, bigomega, half_omega, `const:c`, scaled constants) with no
+    overrides, and :func:`counting.pays` holds at (n, k).  Such an f is
+    c omega under the strong rule and c Omega under the complete one, on
+    the lattice of step |c|; each table is that marginal at lattice index
+    sign(c) j, packed as :class:`arith_fn.LatticeCounts` packs the sweep's,
+    so the arrays are the sweep's.
+    """
+    constants = [fn.constant_above(1) for fn, _ in specs]
+    if (not all(constants) or any(ext.overrides for _, ext in specs)
+            or not counting.pays(n, progression.modulus)):
+        return None
+    law = counting.omega_law(n, progression.modulus, progression.residue)
+    tables = []
+    for c, (_, ext) in zip(constants, specs):
+        marginal = law.sum(axis=1 if ext.mode == "strong" else 0)
+        table = arith_fn.LatticeCounts(abs(c))
+        table.lo, table.counts = (0, marginal) if c > 0 else (1 - marginal.size, marginal[::-1])
+        tables.append(table.table())
+    return tables
+
+
 def collect_dataset(
     fn: PrimeFunction,
     ext: Extension,
@@ -265,37 +299,44 @@ def collect_dataset(
     rows: list[arith_fn.Row] | None = None,
     acc: CoMoments | None = None,
 ) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
-    """f over the members up to n as one dataset (x, counts), from one sweep.
+    """f over the members up to n as one dataset (x, counts), counted
+    (:func:`counted_tables`) or from one sweep.
 
-    A lattice spec folds each sweep block (lattice indices) into its
-    value/count table; any other spec fills one float64 array (counts
-    None), or with `spill` set is the spill file itself.  `spill` gets every
-    block as the sweep yields it (one :func:`spill_file`; index k as
-    k * step), and `acc` absorbs the dataset as :func:`moment_summary`
-    would, a spill's blocks as they are written (no read of the file).
-    `rows` is the spec's increment table when the caller has built it.
+    Without `spill`, a spec that counting serves gets its table with no
+    sweep.  Otherwise a lattice spec folds each sweep block (lattice
+    indices) into its value/count table; any other spec fills one float64
+    array (counts None), or with `spill` set is the spill file itself.
+    `spill` gets every block as the sweep yields it (one :func:`spill_file`;
+    index k as k * step), and `acc` absorbs the dataset as
+    :func:`moment_summary` would, a spill's blocks as they are written (no
+    read of the file).  `rows` is the spec's increment table when the
+    caller has built it.
     """
     specs = [(fn, ext)]
-    if rows is None:
-        rows = arith_fn.increment_table(specs, progression, n)
-    steps = arith_fn.lattice_steps(specs, rows, n)
-    (step,) = steps
-    if step is None and spill is None:
-        dataset = arith_fn.collect_values(fn, ext, progression, n, rows), None
+    counted = None if spill is not None else counted_tables(specs, progression, n)
+    if counted is not None:
+        (dataset,) = counted
     else:
-        table = None if step is None else arith_fn.LatticeCounts(step)
-        label = spill_label(fn, ext, progression, n)
-        with spill_file(spill, label) if spill is not None else nullcontext() as fh:
-            for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows, steps):
-                if fh is not None:
-                    (block if table is None else block * step).astype("<f8", copy=False).tofile(fh)
-                if table is not None:
-                    table.add_batch(block)
-                elif acc is not None:
-                    acc.add_batch(block)
-        if table is None:
-            return SpillFile(spill, progression.count(n)), None
-        dataset = table.table()
+        if rows is None:
+            rows = arith_fn.increment_table(specs, progression, n)
+        steps = arith_fn.lattice_steps(specs, rows, n)
+        (step,) = steps
+        if step is None and spill is None:
+            dataset = arith_fn.collect_values(fn, ext, progression, n, rows), None
+        else:
+            table = None if step is None else arith_fn.LatticeCounts(step)
+            label = spill_label(fn, ext, progression, n)
+            with spill_file(spill, label) if spill is not None else nullcontext() as fh:
+                for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows, steps):
+                    if fh is not None:
+                        (block if table is None else block * step).astype("<f8", copy=False).tofile(fh)
+                    if table is not None:
+                        table.add_batch(block)
+                    elif acc is not None:
+                        acc.add_batch(block)
+            if table is None:
+                return SpillFile(spill, progression.count(n)), None
+            dataset = table.table()
     if acc is not None:
         for block, weights in iter_blocks(*dataset):
             acc.add_batch(block, weights)
@@ -311,7 +352,8 @@ def empirical_moments(
     spill: str | Path | None = None,
 ) -> MomentSummary:
     """Mean, deviation, and central moments of f over members up to n, from
-    one sweep (see :func:`collect_dataset`) that also writes `spill` if set.
+    one dataset (see :func:`collect_dataset`), whose sweep also writes
+    `spill` if set.
     Kept for `scripts/model_vs_empirical.py`; the benchmark's tracer hooks it."""
     acc = CoMoments(u_max)
     collect_dataset(fn, ext, progression, n, spill, acc=acc)

@@ -1,15 +1,20 @@
 """Class-wise prime counting against the sieve, known values of pi, of the
 digamma function and of the Hurwitz zeta function, the one-entry memo of
-tail sums, and the cost rule's measured decisions."""
+tail sums, the cost rule's measured decisions, and the joint law of omega
+and Omega on a class against brute force."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from apmoments import counting
 from apmoments.arith_fn import parse_fn
-from apmoments.counting import class_tables, digamma, hurwitz, tail_sums
+from apmoments.counting import class_tables, digamma, hurwitz, omega_law, tail_sums
 from apmoments.prime_sums import prime_power_sum
 from apmoments.sieve import Progression, sieve_primes
 
@@ -107,6 +112,13 @@ class TestClassTables:
         assert np.array_equal(one.counts, three.counts)
         assert np.array_equal(one.sums[0], three.sums[0])
 
+    @pytest.mark.parametrize("x, k", [(2, 1), (99_991, 4), (10**6 + 7, 9), (10**7, 12)])
+    def test_order_zero_builds_the_counts_alone(self, x, k):
+        alone, one = class_tables(x, k, 0), class_tables(x, k)
+        assert alone.sums.shape == (0, *one.counts.shape)
+        assert np.array_equal(alone.counts, one.counts)
+        assert alone.at(x, 1) == one.at(x, 1)[:1]
+
     @pytest.mark.parametrize("x, k, residues", [
         (10**8, 1, (0,)), (10**8, 3, (1, 2)), (10**8, 12, (1, 5, 7, 11)), (10**9, 4, (1,)),
     ])
@@ -129,7 +141,7 @@ class TestClassTables:
         with pytest.raises(ValueError):
             class_tables(100, 0)
         with pytest.raises(ValueError):
-            class_tables(100, 4, 0)
+            class_tables(100, 4, -1)
 
 
 class TestTailSums:
@@ -190,3 +202,58 @@ class TestCostRule:
     ])
     def test_measured_decisions(self, x, k, counts):
         assert counting.pays(x, k) is counts
+
+
+# The brute-force oracle's range: omega(m) and Omega(m) for every m <= it.
+ORACLE_N = 3 * 10**4
+
+
+@pytest.fixture(scope="module")
+def omegas():
+    """(omega(m), Omega(m)) for m = 0..ORACLE_N, each prime and prime power
+    marking its multiples."""
+    w = np.zeros(ORACLE_N + 1, dtype=np.int64)
+    big_w = np.zeros(ORACLE_N + 1, dtype=np.int64)
+    for p in sieve_primes(ORACLE_N).tolist():
+        w[p::p] += 1
+        pa = p
+        while pa <= ORACLE_N:
+            big_w[pa::pa] += 1
+            pa *= p
+    return w, big_w
+
+
+class TestOmegaLaw:
+    # n = p^2 - 1, p^2 and 3 p^2 are the edges of s p^2 <= n for p = 37, 97, 173
+    @pytest.mark.parametrize("n", [
+        2, 3, 8, 9, 10, 1368, 1369, 4107, 9408, 9409, 28226, 28227, 29928, 29929, ORACLE_N])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 12])
+    def test_equals_brute_force_cell_by_cell(self, omegas, k, n):
+        w, big_w = omegas
+        for r in [r for r in range(k) if math.gcd(r, k) == 1] if k > 1 else [0]:
+            members = np.arange(r or k, n + 1, k) if k > 1 else np.arange(1, n + 1)
+            want = np.zeros((n.bit_length() + 1,) * 2, dtype=np.int64)
+            np.add.at(want, (w[members], big_w[members]), 1)
+            got = omega_law(n, k, r)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n, k, r)
+
+    def test_rejects_bad_inputs(self):
+        for n, k, r in [(1, 4, 1), (100, 0, 0), (100, 4, 2), (100, 6, 3)]:
+            with pytest.raises(ValueError):
+                omega_law(n, k, r)
+
+    def test_peak_at_ten_to_the_ten(self):
+        # the walk takes its nodes in pieces: the process stays near the tables
+        code = (
+            "from apmoments.counting import omega_law\n"
+            "law = omega_law(10**10, 4, 1)\n"
+            "assert law.sum() == 2_500_000_000\n"
+            "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 100 * 1024  # KiB

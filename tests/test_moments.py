@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments import arith_fn, cli, model, stats
+from apmoments import arith_fn, cli, counting, model, stats
 from apmoments.arith_fn import (
     STRONG,
     Extension,
@@ -609,3 +609,119 @@ class TestNoPerMemberArray:
         without = json.loads(capsys.readouterr().out)
         for key in ("count", "mean", "sigma", "mu", "coverage"):
             assert with_spill[key] == without[key]
+
+
+# Every spec counting serves: (text, mode); one constant c != 0 on every prime.
+COUNTED_SPECS = [
+    ("omega", None), ("bigomega", None), ("half_omega", None), ("one", None),
+    ("const:-1.5", "strong"), ("const:-1.5", "complete"), ("const:2", "complete"),
+]
+COUNTED_CLASSES = [(1, 0), (2, 1), (3, 2), (4, 1), (4, 3), (5, 3), (7, 1), (12, 7)]
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The n of every member sweep, in call order, and of every joint law
+    counted (under "law")."""
+    calls = {"sweep": [], "law": []}
+    sweep, law = arith_fn.iter_progression_values, counting.omega_law
+
+    def spy_sweep(*args, **kwargs):
+        calls["sweep"].append(args[2])
+        return sweep(*args, **kwargs)
+
+    def spy_law(n, k, r):
+        calls["law"].append(n)
+        return law(n, k, r)
+
+    for mod in (arith_fn, model):  # every namespace holding the sweep
+        monkeypatch.setattr(mod, "iter_progression_values", spy_sweep)
+    monkeypatch.setattr(counting, "omega_law", spy_law)
+    return calls
+
+
+def _pays(monkeypatch, answer):
+    monkeypatch.setattr(counting, "pays", lambda n, k: answer)
+
+
+class TestCountedTables:
+    """A spec constant on every prime takes its table from the joint law of
+    omega and Omega; it equals the sweep's, arrays and dtypes."""
+
+    @pytest.mark.parametrize("k, r", COUNTED_CLASSES)
+    @pytest.mark.parametrize("text, mode", COUNTED_SPECS)
+    def test_equals_the_sweep(self, text, mode, k, r, routes, monkeypatch):
+        prog = Progression(k, r)
+        fn, ext = arith_fn.resolve_spec(text, prog, mode=mode)
+        for n in (10**4, 1369, 2883, 99_991, 10**6 + 7):
+            _pays(monkeypatch, False)
+            swept = collect_dataset(fn, ext, prog, n)
+            _pays(monkeypatch, True)
+            counted = collect_dataset(fn, ext, prog, n)
+            for a, b in zip(counted, swept):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, k, r)
+        assert routes["sweep"] == routes["law"] == [10**4, 1369, 2883, 99_991, 10**6 + 7]
+
+    @pytest.mark.parametrize("k, r", [(1, 0), (4, 3), (5, 3), (12, 7)])
+    @pytest.mark.parametrize("star, f", [
+        (("omega", None), ("bigomega", None)),
+        (("const:-1.5", "strong"), ("const:2", "complete")),
+    ])
+    def test_compare_equals_the_sweep(self, star, f, k, r, routes, monkeypatch):
+        prog = Progression(k, r)
+        pair = arith_fn.FunctionPair(arith_fn.resolve_spec(star[0], prog, mode=star[1]),
+                                     arith_fn.resolve_spec(f[0], prog, mode=f[1]), "H")
+        _pays(monkeypatch, False)
+        swept = model.compare_pair(pair, prog, 99_991)
+        _pays(monkeypatch, True)
+        assert model.compare_pair(pair, prog, 99_991) == swept
+        assert routes["sweep"] == routes["law"] == [99_991]  # one law serves both sides
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_the_rule_counts_at_3e7(self, r, routes, monkeypatch):
+        prog, n = Progression(4, r), 3 * 10**7
+        for text in ("omega", "bigomega"):
+            fn, ext = arith_fn.resolve_spec(text)
+            counted = collect_dataset(fn, ext, prog, n)
+            with monkeypatch.context() as m:
+                _pays(m, False)
+                swept = collect_dataset(fn, ext, prog, n)
+            for a, b in zip(counted, swept):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert routes == {"sweep": [n, n], "law": [n, n]}
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--fn", "omega"],
+        ["moments", "--fn", "const:-1.5", "--ext", "complete"],
+        ["ektest", "--fn", "half_omega"],
+        ["compare", "--fn-star", "omega", "--fn", "bigomega", "--class", "H"],
+    ], ids=["moments", "moments_complete", "ektest", "compare"])
+    def test_no_sweep_on_the_route(self, argv, routes, monkeypatch, capsys):
+        _pays(monkeypatch, True)
+        assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
+        assert routes == {"sweep": [], "law": [10**5]}
+
+    @pytest.mark.parametrize("argv, forced", [
+        (["moments", "--fn", "omega1"], True),
+        (["moments", "--fn", "tab:5=1,7=2,default=0.5"], True),
+        (["moments", "--fn", "omega", "--p0", "5"], True),
+        (["moments", "--fn", "omega", "--spill", "{tmp}/values.f64"], True),
+        (["moments", "--fn", "sqrtloglog"], True),
+        (["moments", "--fn", "omega"], False),
+        (["ektest", "--fn", "omega"], False),
+        (["compare", "--fn-star", "omega", "--fn", "sqrtloglog"], True),
+    ], ids=["omega1", "tab", "p0", "spill", "sqrtloglog", "pays_false", "ektest_pays_false",
+            "compare_one_side"])
+    def test_one_sweep_off_the_route(self, argv, forced, routes, monkeypatch, tmp_path, capsys):
+        if forced:
+            _pays(monkeypatch, True)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
+        assert routes == {"sweep": [10**5], "law": []}
+
+    def test_one_sweep_with_an_override(self, routes, monkeypatch):
+        _pays(monkeypatch, True)
+        ext = Extension("strong", overrides=(((3, 2), 2.0),))
+        x, counts = collect_dataset(OMEGA, ext, Progression(4, 1), 10**5)
+        assert counts is not None  # on the lattice, and swept
+        assert routes == {"sweep": [10**5], "law": []}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments import cli, config, stats
+from apmoments import arith_fn, cli, config, counting, stats
 from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values, resolve_spec
 from apmoments.model import exact_moments, sample
 from apmoments.moments import empirical_moments
@@ -159,6 +159,27 @@ class TestKsLattice:
         rep = erdos_kac_report(PrimeFunction("sqrt_loglog"), STRONG, Progression(1, 0), 10**4,
                                "sigma")
         assert rep.ks_lattice is None
+
+
+class TestErdosKacAtScale:
+    """omega on 1 mod 4 past the sweep's desk range, counted from the joint
+    law: the figures the lattice sweep gave (README) to 4 decimals."""
+
+    @pytest.mark.parametrize("n, ks, ks_floor, ks_lat", [
+        (10**8, 0.2218, 0.1745, 0.1188),
+        (10**9, 0.2135, 0.1734, 0.1161),
+    ])
+    def test_reproduces_the_sweep(self, n, ks, ks_floor, ks_lat, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("member sweep")
+
+        monkeypatch.setattr(arith_fn, "iter_progression_values", refuse)
+        om, ste = builtin("omega")
+        rep = erdos_kac_report(om, ste, Progression(4, 1), n, "sqrt_mean")
+        assert rep.count == n // 4
+        assert (round(rep.ks, 4), round(rep.ks_floor, 4), round(rep.ks_lattice, 4)) == (
+            ks, ks_floor, ks_lat)
+        assert counting.pays(n, 4)
 
 
 class TestErdosKacReport:
