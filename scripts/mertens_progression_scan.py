@@ -27,7 +27,8 @@ def main() -> None:
         progs.append(Progression(int(k), int(l)))
 
     # decades outside, classes inside: the classes of one modulus at one x
-    # follow each other, so past the prime cache they share one counting table
+    # follow each other, so where the primes past 10^6 are counted
+    # (from 10^8 on for mod 3 and mod 4) they share one counting table
     decades = range(3, args.max_decade + 1)
     exact = {(d, prog): prime_power_sum(fn, 1, 10**d, prog).value
              for d in decades for prog in progs}

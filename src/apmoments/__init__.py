@@ -34,7 +34,6 @@ from .moments import (
     MomentSummary,
     chebyshev_check,
     empirical_moments,
-    mean_via_counts,
 )
 from .prime_sums import (
     AsymptoticEstimate,

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, model, moments, prime_sums, stats
+from . import __version__, counting, model, moments, prime_sums, stats
 from .arith_fn import Extension, FunctionPair, PrimeFunction, resolve_spec
 from .config import (
     CHEBYSHEV_B_DEFAULT,
@@ -213,11 +213,14 @@ def _sieve_limit(flag: str, limit: int) -> int:
     return limit
 
 
-def _model_limit(fn: PrimeFunction, prog: Progression, n: int) -> int:
-    """--n of a model pass: a sieve limit, or past the sieve ceiling a size
-    the model counts the primes of (model.counted_constant)."""
-    if n <= SIEVE_CEILING or model.counted_constant(fn, prog, n) is None:
-        _sieve_limit("n", n)
+def _prime_pass_limit(flag: str, fn: PrimeFunction, prog: Progression, n: int,
+                      smax: int = 1) -> int:
+    """--x of `sum` or --n of `model exact` and `model lindeberg`: a sieve
+    limit, or past the sieve ceiling a size whose pass sieves only up to y
+    (counting.counted_tail).  smax is the pass's order of power sums, so
+    the numbers counted here are the ones the pass reads back."""
+    if n <= SIEVE_CEILING or counting.counted_tail(fn, prog, n, smax=smax)[0] == n:
+        _sieve_limit(flag, n)
     return n
 
 
@@ -265,9 +268,7 @@ def cmd_sieve(args) -> None:
 def cmd_sum(args) -> None:
     fn, _ = _resolve_fn(args)
     prog = _progression(args)
-    if args.x <= SIEVE_CEILING or prime_sums.counting_constant(fn, args.x, prog) is None:
-        _sieve_limit("x", args.x)  # past the sieve, only the counting route runs
-    res = prime_sums.prime_power_sum(fn, args.u, args.x, prog)
+    res = prime_sums.prime_power_sum(fn, args.u, _prime_pass_limit("x", fn, prog, args.x), prog)
     payload = {
         "x": res.x,
         "k": res.progression.modulus,
@@ -372,8 +373,8 @@ def cmd_moments(args) -> None:
 def cmd_model_exact(args) -> None:
     fn, _ = _resolve_fn(args)
     prog = _progression(args)
-    mm = model.exact_moments(fn, prog, _model_limit(fn, prog, args.n), u_max=args.umax,
-                             mode=args.mode)
+    n = _prime_pass_limit("n", fn, prog, args.n, model.COUNTED_ORDERS)
+    mm = model.exact_moments(fn, prog, n, u_max=args.umax, mode=args.mode)
     payload = {
         "n": mm.n,
         "k": args.mod,
@@ -422,7 +423,7 @@ def cmd_model_lindeberg(args) -> None:
     if not args.epsilon > 0.0:
         raise _UsageError(f"argument --epsilon: epsilon must be positive, got {args.epsilon}")
     prog = _progression(args)
-    rep = model.lindeberg_check(fn, prog, _model_limit(fn, prog, args.n), args.epsilon,
+    rep = model.lindeberg_check(fn, prog, _prime_pass_limit("n", fn, prog, args.n), args.epsilon,
                                 mode=args.mode)
     payload = {
         "n": rep.n,

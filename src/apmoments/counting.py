@@ -18,7 +18,9 @@ to sqrt(v) are done, S(v, a) holds the primes alone.  The work is about
 rows by 2 sqrt(x) values.  :func:`tail_sums` reads the tables at two floor
 values, x and y, and keeps those few numbers for the next call, not the
 tables.  Lagarias-Miller-Odlyzko (1985) and Deleglise-Rivat (1996) are the
-faster relatives of the method.
+faster relatives of the method.  :func:`counted_tail` decides, for every
+prime pass (`sum`, the model, the predictions), where the sieve stops and
+the counted tail starts.
 
 The same tables give the joint law of omega and Omega on a class
 (:func:`omega_law`): every m = s p, p a prime above the largest prime of
@@ -38,7 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import euler_phi, primes_upto_monolithic
+from .arith_fn import PrimeFunction
+from .config import COUNTING_CEILING
+from .sieve import Progression, euler_phi, primes_upto_monolithic
 
 # The Bernoulli terms B_2j / (2j) of the digamma series, j = 1..6: at z >= 12
 # the next term is below 1e-16 of psi(z).
@@ -55,6 +59,9 @@ _PAIRS = 1 << 16
 _COLUMN_PIECE = 1 << 16
 # About the most children of one piece of omega_law's prefix walk.
 _NODES = 1 << 14
+# A prime pass counts the primes past the floor value of n at or just above
+# this, where f allows (see counted_tail).
+COUNTED_FROM = 10**6
 
 
 def _shift_up(
@@ -274,6 +281,34 @@ def tail_sums(x: int, k: int, y: int, smax: int = 1) -> dict[int, tuple]:
     tails = {a: tuple(h - l for h, l in zip(t.at(x, a), t.at(y, a))) for a in t.units}
     _last_tail = (x, k, y, smax), tails
     return tails
+
+
+def counted_tail(
+    fn: PrimeFunction, progression: Progression, n: int, mode: str = "restricted",
+    smax: int = 1,
+) -> tuple[int, float, int, list[float]]:
+    """(limit, c, pi, [P_1, ..., P_smax]) for a pass over the primes p <= n:
+    the primes up to limit are sieved, and those past it, where f = c, enter
+    through their count pi and their sums P_s of p^(-s).
+
+    The one rule of every prime pass (prime_sums.prime_power_sum and the
+    model's exact moments, Lindeberg ratio and mean predictions): limit is
+    y = n // (n // COUNTED_FROM), the floor value of n at or just above
+    10^6, when 2 * 10^6 <= n <= COUNTING_CEILING, f(p) = c for every prime
+    p > y (fn.constant_above(y)) and :func:`pays` holds at (n, k).  The
+    primes are the class's (mode "restricted") or those of every unit class,
+    the primes not dividing k (mode "density"), read from :func:`tail_sums`.
+    Off the route limit is n, c is 0 and so are the count and the sums.
+    """
+    if 2 * COUNTED_FROM <= n <= COUNTING_CEILING:  # below, y = n
+        y, k = n // (n // COUNTED_FROM), progression.modulus
+        c = fn.constant_above(y)
+        if c is not None and pays(n, k):
+            tails = tail_sums(n, k, y, smax)
+            rows = [tails[progression.residue]] if mode == "restricted" else list(tails.values())
+            sums = [math.fsum(row[s] for row in rows) for s in range(1, smax + 1)]
+            return y, c, sum(row[0] for row in rows), sums
+    return n, 0.0, 0, [0.0] * smax
 
 
 def omega_law(n: int, k: int, r: int) -> np.ndarray:

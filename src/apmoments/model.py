@@ -20,13 +20,14 @@ Memory is bounded by one block, so the exact moments, the Lindeberg
 ratio, the mean predictions and the sampler also run past the prime
 cache.
 
-The exact moments, the Lindeberg ratio and the mean predictions of an f
-that is one constant c on the primes past y, the floor value of n at or
-just above 10^6, sieve only the primes up to y when counting pays
-(:func:`counted_constant`).  The primes y < p <= n then enter through
-their count and their power sums P_s = sum of p^(-s), s <= 3, by class
-(counting.tail_sums): each prime's Bernoulli cumulant c_j(1/p) is a
-polynomial in 1/p with integer coefficients, so the primes past y add
+The exact moments, the Lindeberg ratio and the mean predictions take
+the counted route of every prime pass (counting.counted_tail, shared with
+prime_sums.prime_power_sum): where f is one constant c on the primes past
+y, the floor value of n at or just above 10^6, and counting pays, only
+the primes up to y are sieved.  The primes y < p <= n then enter through
+their count and their power sums P_s = sum of p^(-s), s <= 3, by class:
+each prime's Bernoulli cumulant c_j(1/p) is a polynomial in 1/p with
+integer coefficients, so the primes past y add
 c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3) to kappa_j.  Power sums serve only
 where 1/p <= 10^-6, so their terms do not cancel; below y the per-prime
 recursion stays.  The Lindeberg ratio counts the same primes through
@@ -52,14 +53,11 @@ from .arith_fn import (
     iter_progression_values,
     lattice_steps,
 )
-from .config import COUNTING_CEILING, PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
+from .config import PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import CoMoments, MomentSummary, counted_tables, moment_summary, summarize
 from .sieve import Progression, iter_prime_blocks
 
 MODES = ("restricted", "density")
-# The model's passes count the primes past the floor value of n at or just
-# above this, where f allows (see counted_constant).
-COUNTED_FROM = 10**6
 # Orders of the counted power sums: the s >= 4 terms of the cumulants are
 # dropped (see exact_moments).
 COUNTED_ORDERS = 3
@@ -179,44 +177,6 @@ class _IntegerPolynomial(tuple):
 _COEFFICIENTS = _bernoulli_cumulants(_IntegerPolynomial((0, 1)), U_MAX_CAP)
 
 
-def counted_constant(
-    fn: PrimeFunction, progression: Progression, n: int
-) -> tuple[int, float] | None:
-    """(y, c) when the exact moments, the Lindeberg ratio and the mean
-    predictions count the primes y < p <= n instead of sieving them, else None.
-
-    y = n // (n // COUNTED_FROM) is the floor value of n at or just above
-    10^6.  The route needs f(p) = c for every prime p > y
-    (fn.constant_above(y)), y < n <= COUNTING_CEILING and counting.pays(n, k),
-    the measured cost rule of the tables.
-    """
-    if not 2 * COUNTED_FROM <= n <= COUNTING_CEILING:  # below, y = n
-        return None
-    y = n // (n // COUNTED_FROM)
-    c = fn.constant_above(y)
-    if c is None or not counting.pays(n, progression.modulus):
-        return None
-    return y, c
-
-
-def _counted_tail(
-    fn: PrimeFunction, progression: Progression, n: int, mode: str, smax: int
-) -> tuple[int, float, int, list[float]]:
-    """(limit, c, pi, [P_1..P_smax]): the model's primes p <= limit are sieved,
-    and those past it, where f = c, enter through their count pi and power
-    sums.  Off the counted route limit is n and the sums are 0."""
-    route = counted_constant(fn, progression, n)
-    if route is None:
-        return n, 0.0, 0, [0.0] * smax
-    y, c = route
-    tails = counting.tail_sums(n, progression.modulus, y, smax)
-    # density reads every unit class, the primes not dividing k (another mode
-    # is refused by _mode_blocks)
-    rows = [tails[progression.residue]] if mode == "restricted" else list(tails.values())
-    pi = sum(row[0] for row in rows) if c != 0.0 else 0  # inactive primes are not terms
-    return y, c, pi, [math.fsum(row[s] for row in rows) for s in range(1, smax + 1)]
-
-
 def _cumulants_to_central(kappa: Sequence[float]) -> list[float]:
     """Central moments from cumulants via the same recursion with kappa_1 = 0."""
     u_max = len(kappa) - 1
@@ -245,7 +205,7 @@ def exact_moments(
     and every order keeps one partial per block for kappa, first_order
     and gap_bound.
 
-    On the counted route (:func:`counted_constant`) the pass stops at y,
+    On the counted route (counting.counted_tail) the pass stops at y,
     and the primes y < p <= n add c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3) to
     kappa_j, c^j P_1 to first_order, |c|^j P_2 to gap_bound and their
     count to term_count; c_j(q) = sum_i a_ji q^i.  The terms with i >= 4
@@ -255,7 +215,8 @@ def exact_moments(
     if not 1 <= u_max <= U_MAX_CAP:
         raise ValueError(f"u_max must be in [1, {U_MAX_CAP}]")
     orders = range(1, u_max + 1)
-    limit, c, count, tail = _counted_tail(fn, progression, n, mode, COUNTED_ORDERS)
+    limit, c, count, tail = counting.counted_tail(fn, progression, n, mode, COUNTED_ORDERS)
+    count = count if c else 0  # inactive primes are not terms
     scale = np.float64(c) ** np.arange(u_max + 1)  # inf past the float range, like f**j
     kappa_parts: dict[int, list[float]] = {
         j: [float(scale[j]) * math.fsum(a * p_s for a, p_s in zip(_COEFFICIENTS[j - 1][1:], tail))]
@@ -375,15 +336,14 @@ def lindeberg_check(
     Returns (1/D) * sum of f(p)^2/p over primes with |f(p)| > eps*sqrt(D),
     where D = sum f(p)^2/p, plus the coarser diagnostic max|f|/sqrt(D).
     Two passes over the prime blocks: D and max|f| first, then the tail.
-    On the counted route (:func:`counted_constant`) the passes stop at y,
+    On the counted route (counting.counted_tail) the passes stop at y,
     and the primes past it, where f = c, add c^2 P_1 to D, add it to the
     tail when |c| exceeds the threshold, and count |c| in max|f|.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    limit, c, count, (p_1,) = _counted_tail(fn, progression, n, mode, 1)
-    parts = [c * c * p_1]
-    f_max = abs(c) if count else 0.0
+    limit, c, _, (p_1,) = counting.counted_tail(fn, progression, n, mode)
+    parts, f_max = [c * c * p_1], abs(c)
     for p, f in _active_blocks(fn, progression, limit, mode):
         parts.append(float(np.sum(f * f / p)))
         f_max = max(f_max, float(np.max(np.abs(f))))
@@ -405,10 +365,11 @@ def mean_predictions(
     fn: PrimeFunction, progression: Progression, n: int
 ) -> dict[str, float]:
     """First-moment prediction under both prime-set readings.  On the counted
-    route (:func:`counted_constant`) the primes past y add c P_1."""
+    route (counting.counted_tail) the primes past y add c P_1, so the
+    restricted one is prime_sums.prime_power_sum at u = 1, bit for bit."""
     predictions = {}
     for mode in MODES:
-        limit, c, _, (p_1,) = _counted_tail(fn, progression, n, mode, 1)
+        limit, c, _, (p_1,) = counting.counted_tail(fn, progression, n, mode)
         parts = [float(np.sum(fn.values_at(block) / block))
                  for block in _mode_blocks(progression, limit, mode)]
         predictions[mode] = math.fsum([*parts, c * p_1])

@@ -20,9 +20,7 @@ each spill file a JSON sidecar (its path + ".json") names the dataset
 and Chebyshev coverage read both kinds through :func:`iter_blocks`:
 a table whole, per-member values in the sweep's blocks.  Moments feed a
 mergeable central-moment state, exact in real arithmetic, so chunked
-evaluation matches a two-pass computation up to rounding.  The mean also
-has an exact closed-form cross-check for strongly additive functions,
-from counting the multiples of each prime in the progression.
+evaluation matches a two-pass computation up to rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from . import arith_fn, counting, sieve
+from . import arith_fn, counting
 from .arith_fn import Extension, PrimeFunction
 from .config import CHEBYSHEV_B_DEFAULT, U_MAX_CAP, U_MAX_DEFAULT
 from .sieve import Progression
@@ -395,42 +393,6 @@ def write_spill(path: str | Path, values: np.ndarray, label: dict) -> None:
     """values as a spill file, with its sidecar naming them (label)."""
     with spill_file(path, label) as fh:
         values.astype("<f8", copy=False).tofile(fh)
-
-
-def mean_via_counts(
-    fn: PrimeFunction, ext: Extension, progression: Progression, n: int
-) -> float:
-    """Exact progression mean of a strongly additive f from prime counts.
-
-    For each prime p not dividing the modulus, the members divisible by p
-    form a single residue class mod p*k (solve m = residue mod k, m = 0
-    mod p), so the number of such members has a closed form and the mean
-    is sum f(p) * N_p / count.  Primes dividing the modulus divide no
-    member at all.  Kept as the sweep mean's oracle (acceptance criterion 5)
-    and as the seed of computing moments by counting instead of sweeping.
-    """
-    if not ext.is_strongly_additive:
-        raise ValueError("mean_via_counts requires a strongly additive extension")
-    count = progression.count(n)
-    if count == 0:
-        raise ValueError(
-            f"no progression members <= {n} (first member is {progression.first_member})"
-        )
-    k, l = progression.modulus, progression.residue
-    primes = sieve.sieve_primes(n)
-    # p divides the members p*t with t = l/p mod k (k in place of 0), t + k,
-    # ... up to n // p.  Only the residues the primes take are inverted,
-    # with Python ints, so k may pass int64.  A first t past n counts
-    # nothing, so it is capped at n + 1, also for a p dividing k (no t at
-    # all); a k past n leaves at most one t, so n + 1 steps in for it.
-    residues, where = np.unique(primes % k if k <= n else primes, return_inverse=True)
-    first = [min(l * pow(r, -1, k) % k or k, n + 1) if math.gcd(r, k) == 1 else n + 1
-             for r in residues.tolist()]
-    top = n // primes
-    counts = np.maximum((top - np.array(first, dtype=np.int64)[where]) // min(k, n + 1) + 1, 0)
-
-    fvals = fn.values_at(primes)
-    return float(np.dot(fvals, counts.astype(np.float64))) / count
 
 
 def chebyshev_check(

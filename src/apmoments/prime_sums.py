@@ -2,9 +2,10 @@
 
 The central quantity is the partial sum of f(p)^u / p over primes p <= x
 in a residue class.  Exact values come from the sieve, with block
-partials combined by math.fsum, or, for an f that is one constant c on
-every prime from its start, past the prime cache, from class-wise prime
-counting (see :func:`counting_constant`); estimates come from the prime-density integral
+partials combined by math.fsum; where f is one constant c on the primes
+past y, the floor value of x at or just above 10^6, the sieve stops at y
+and the primes past it are counted by class (counting.counted_tail, the
+rule the model's passes share).  Estimates come from the prime-density integral
 (1/phi(k)) * integral of g(t)/ln(t), with the two error magnitudes
 |g(x)| sqrt(x) ln(x) and integral of |g'(t)| sqrt(t) ln(t) reported
 alongside (they are conditional magnitudes, not bounds).
@@ -18,10 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import counting, sieve
+from . import counting
 from .arith_fn import DecayCase, PrimeFunction
 from .config import PROBE_CHECKPOINTS, PROBE_GROWTH_FACTOR, PROBE_MAX_RATIO, PROBE_TAIL_FRACTION
-from .config import COUNTING_CEILING, QUAD_MAX_DEPTH, QUAD_REL_TOL
+from .config import QUAD_MAX_DEPTH, QUAD_REL_TOL
 from .sieve import Progression, euler_phi, iter_prime_blocks
 
 
@@ -76,24 +77,6 @@ class ProbeResult:
     tail_bound: float | None = None
 
 
-def counting_constant(fn: PrimeFunction, x: int, progression: Progression) -> float | None:
-    """c when :func:`prime_power_sum` counts primes instead of sieving them.
-
-    The counting route serves an f that is one constant c on every prime
-    from its start p0 (const:c, omega and one, scaled constants, any
-    --p0), with p0 <= isqrt(x) + 1, for x past the prime cache
-    (sieve.PRIME_CACHE_MAX, read at call time) and up to
-    COUNTING_CEILING (10^12, where the sieve stops at 2^34), where
-    counting.pays(x, k), the measured cost rule.  Every other case sieves.
-    """
-    c = fn.constant_above(fn.start_prime - 1)
-    if c is None or fn.start_prime > math.isqrt(x) + 1:
-        return None
-    if not sieve.PRIME_CACHE_MAX < x <= COUNTING_CEILING:
-        return None
-    return c if counting.pays(x, progression.modulus) else None
-
-
 def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression) -> PrimeSumResult:
     """Exact sum of f(p)^u / p over primes p <= x in the progression.
 
@@ -102,29 +85,25 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     moves the result only by the per-block rounding: for terms of one sign,
     a relative error of at most a few tens of ulps, not one final rounding.
 
-    On the counting route (:func:`counting_constant`) the sum is
-    c^u (W(x) - W(p0 - 1)), W(v) the sum of 1/p over the class's primes
-    <= v, and the term count pi(x) - pi(p0 - 1), both from
-    counting.tail_sums, which keeps every class's numbers for the next call
-    at the same (x, k, p0); the two routes agree within a few ulps (tested
-    at 1e-14 relative).  On a 2 vCPU Xeon the tables mod 4 take 0.06 s
-    at 4e8 (the streamed sieve of one class: 0.34 s), 0.55 s at 10^10,
-    2.6 s at 10^11 and 14 s at 10^12 (process peaks 41, 51, 73 and
-    138 MiB).
+    On the counted route (counting.counted_tail) the sieve stops at y, and
+    the primes y < p <= x, where f = c, add c^u P_1 (P_1 the sum of their
+    1/p) and their count, both from counting.tail_sums, which keeps every
+    class's numbers for the next call at the same (x, k, y).  The term
+    count is every prime >= p0 either way.  The sum is then the restricted
+    mean prediction of the model at u = 1, bit for bit, and the routes
+    agree within a few ulps (tested at 1e-14 relative).  On a 2 vCPU Xeon
+    the tables mod 4 take 0.06 s at 4e8 (the streamed sieve of one class:
+    0.34 s), 0.55 s at 10^10, 2.6 s at 10^11 and 14 s at 10^12 (process
+    peaks 41, 51, 73 and 138 MiB).
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")
     if x < 2:
         raise ValueError(f"limit x must be >= 2, got {x}")
-    p0 = fn.start_prime
-    c = counting_constant(fn, x, progression)
-    if c is not None:
-        count, reciprocals = counting.tail_sums(x, progression.modulus, p0 - 1)[progression.residue]
-        scale = np.float64(c) ** u  # inf past the float range, like the sieve's f**u
-        return PrimeSumResult(x, progression, u, float(scale * reciprocals), count)
-    parts: list[float] = []
-    count = 0
-    for block in iter_prime_blocks(x, progression):
+    limit, c, count, (reciprocals,) = counting.counted_tail(fn, progression, x)
+    scale = np.float64(c) ** u  # inf past the float range, like the sieve's f**u
+    parts, p0 = [float(scale * reciprocals)], fn.start_prime
+    for block in iter_prime_blocks(limit, progression):
         count += int(np.count_nonzero(block >= p0))
         f = fn.values_at(block)
         if u > 1:

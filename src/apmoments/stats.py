@@ -49,6 +49,7 @@ from .moments import (
     CoMoments,
     SpillFile,
     collect_dataset,
+    counted_tables,
     iter_blocks,
     spill_dataset,
     spill_label,
@@ -268,7 +269,9 @@ def erdos_kac_report(
     nonnegative functions bounded by 1 at primes, the regime where that
     scaling has a normal limit.  Values come from an existing spill file
     of this dataset (its sidecar must name it) when given, otherwise from
-    one member sweep.  A lattice spec's values
+    the class's law of omega and Omega (:func:`moments.counted_tables`,
+    lattice step |c|) or one member sweep; only a spill or a sweep builds
+    the increment table that gives the lattice step.  A lattice spec's values
     become one value/count table and everything is read off it; any other
     spec's are read in the sweep's blocks, for the center and scale and
     then for the bounded KS, the largest tie and the grid.
@@ -280,13 +283,17 @@ def erdos_kac_report(
             "sqrt_mean normalization requires 0 <= f(p) <= 1; use sigma instead"
         )
     specs = [(fn, ext)]
-    rows = increment_table(specs, progression, n)
-    (step,) = lattice_steps(specs, rows, n)
-    count = progression.count(n)
-    if spill is not None:
-        x, counts = spill_dataset(spill, spill_label(fn, ext, progression, n), step)
+    counted = None if spill is not None else counted_tables(specs, progression, n)
+    if counted is not None:  # c omega or c Omega, on the lattice of step |c|
+        (x, counts), step = counted[0], abs(fn.constant_above(1))
     else:
-        x, counts = collect_dataset(fn, ext, progression, n, rows=rows)
+        rows = increment_table(specs, progression, n)
+        (step,) = lattice_steps(specs, rows, n)
+        if spill is not None:
+            x, counts = spill_dataset(spill, spill_label(fn, ext, progression, n), step)
+        else:
+            x, counts = collect_dataset(fn, ext, progression, n, rows=rows)
+    count = progression.count(n)
     if count < 2:
         raise ValueError("degenerate progression: need at least 2 members")
     acc, piece = CoMoments(2), piece_length()

@@ -5,9 +5,10 @@ eval_by_increments does the same by adding the prime-power increments one
 at a time, primes ascending, as the member sweep adds them, so that the
 sweep's floats can be held to it bit for bit.  two_pass_central_moments
 takes moments in two plain passes; these are the slow, direct forms the
-sweep and the streaming moments are checked against.
-central_moment_first_order is the model's first-order stand-in for a
-central moment, one exact prime sum.  brute_force_central_moments
+sweep and the streaming moments are checked against.  mean_via_counts
+is the exact mean of a strongly additive f on a class from the number of
+members each prime divides.  central_moment_first_order is the model's
+first-order stand-in for a central moment, one exact prime sum.  brute_force_central_moments
 enumerates every outcome of a small model sum of BernoulliTerms, against
 which the model's cumulant recursion is checked, and poisson_binomial_pmf
 is the exact law of a count of independent successes, against which the
@@ -18,6 +19,7 @@ distinct_slots_merge the same redraw merging only the redrawn keys back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from apmoments.arith_fn import Extension, PrimeFunction, eval_at_prime
 from apmoments.prime_sums import prime_power_sum
-from apmoments.sieve import Progression
+from apmoments.sieve import Progression, sieve_primes
 
 
 def eval_additive(
@@ -53,6 +55,41 @@ def two_pass_central_moments(values: np.ndarray, u_max: int) -> dict[int, float]
     mean = float(np.mean(values))
     d = values - mean
     return {u: float(np.mean(d**u)) for u in range(2, u_max + 1)}
+
+
+def mean_via_counts(
+    fn: PrimeFunction, ext: Extension, progression: Progression, n: int
+) -> float:
+    """Exact progression mean of a strongly additive f from prime counts.
+
+    For each prime p not dividing the modulus, the members divisible by p
+    form a single residue class mod p*k (solve m = residue mod k, m = 0
+    mod p), so the number of such members has a closed form and the mean
+    is sum f(p) * N_p / count.  Primes dividing the modulus divide no
+    member at all.  The sweep mean's oracle (acceptance criterion 5).
+    """
+    if not ext.is_strongly_additive:
+        raise ValueError("mean_via_counts requires a strongly additive extension")
+    count = progression.count(n)
+    if count == 0:
+        raise ValueError(
+            f"no progression members <= {n} (first member is {progression.first_member})"
+        )
+    k, l = progression.modulus, progression.residue
+    primes = sieve_primes(n)
+    # p divides the members p*t with t = l/p mod k (k in place of 0), t + k,
+    # ... up to n // p.  Only the residues the primes take are inverted,
+    # with Python ints, so k may pass int64.  A first t past n counts
+    # nothing, so it is capped at n + 1, also for a p dividing k (no t at
+    # all); a k past n leaves at most one t, so n + 1 steps in for it.
+    residues, where = np.unique(primes % k if k <= n else primes, return_inverse=True)
+    first = [min(l * pow(r, -1, k) % k or k, n + 1) if math.gcd(r, k) == 1 else n + 1
+             for r in residues.tolist()]
+    top = n // primes
+    counts = np.maximum((top - np.array(first, dtype=np.int64)[where]) // min(k, n + 1) + 1, 0)
+
+    fvals = fn.values_at(primes)
+    return float(np.dot(fvals, counts.astype(np.float64))) / count
 
 
 def central_moment_first_order(

@@ -24,7 +24,6 @@ from apmoments.moments import (
     CoMoments,
     MomentSummary,
     chebyshev_check,
-    mean_via_counts,
 )
 from apmoments.prime_sums import (
     DecayCase,
@@ -34,7 +33,7 @@ from apmoments.prime_sums import (
 )
 from apmoments.sieve import Progression, euler_phi
 from apmoments.stats import erdos_kac_report
-from oracles import BernoulliTerm, brute_force_central_moments
+from oracles import BernoulliTerm, brute_force_central_moments, mean_via_counts
 
 ONE = PrimeFunction("constant", c=1.0)
 OMEGA, OMEGA_EXT = builtin("omega")

@@ -525,8 +525,7 @@ class TestNonFiniteReports:
          "exact_sum", True),
         (["model", "exact", "--fn", "const:1e200", "--n", "1e4"], "kappa[1]", False),
     ], ids=["sieve_route", "counting_route", "counting_route_csv", "model_exact"])
-    def test_refused_with_one_line(self, argv, field, counted, tmp_path, sieve_geometry,
-                                   monkeypatch, capsys):
+    def test_refused_with_one_line(self, argv, field, counted, tmp_path, monkeypatch, capsys):
         tables, build = [], counting.class_tables
 
         def spy(*args):
@@ -534,7 +533,6 @@ class TestNonFiniteReports:
             return build(*args)
 
         monkeypatch.setattr(counting, "class_tables", spy)
-        sieve_geometry(cache_max=1000)
         out_file = tmp_path / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -546,10 +544,9 @@ class TestNonFiniteReports:
 
 
 class TestSumPastTheSieveCeiling:
-    def test_counting_route_runs_past_the_sieve_ceiling(self, sieve_geometry, monkeypatch, capsys):
-        # a stand-in ceiling of 10^6 for 2^34; the counting route takes x to 10^12
+    def test_counting_route_runs_past_the_sieve_ceiling(self, monkeypatch, capsys):
+        # a stand-in ceiling of 10^6 for 2^34; the counted route takes x to 10^12
         monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**6)
-        sieve_geometry(cache_max=1000)
         code, out = run_cli(["sum", "--fn", "const:1", "--x", "3e6"], capsys)
         assert code == 0 and json.loads(out)["term_count"] == 216_816  # pi(3 10^6)
         with pytest.raises(SystemExit) as exc:
@@ -590,7 +587,7 @@ class TestModelExactPastTheSieveCeiling:
     def test_every_other_case_is_a_usage_error(self, argv, counting_ceiling, monkeypatch, capsys):
         monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**7)
         if counting_ceiling is not None:
-            monkeypatch.setattr("apmoments.model.COUNTING_CEILING", counting_ceiling)
+            monkeypatch.setattr("apmoments.counting.COUNTING_CEILING", counting_ceiling)
         with pytest.raises(SystemExit) as exc:
             main(["model", "exact", *argv])
         assert exc.value.code == 2

@@ -259,7 +259,7 @@ class TestCountedRoute:
 
         def run(call, *args):
             with monkeypatch.context() as m:
-                m.setattr(model, "counted_constant", lambda *a: None)
+                m.setattr(counting, "pays", lambda x, k: False)
                 return call(*args)
 
         return run
@@ -313,21 +313,6 @@ class TestCountedRoute:
         preds = mean_predictions(fn, prog, n)
         for m in MODES:
             assert preds[m] == pytest.approx(want_preds[m], rel=1e-14)
-
-    @pytest.mark.parametrize("fn, n, k", [
-        (PrimeFunction("sqrt_loglog"), 4 * 10**6, 1),  # not constant
-        (PrimeFunction("constant", c=1.0, p0=1_000_003), 4 * 10**6, 1),  # p0 > y = 10^6
-        (ONE, 2 * 10**7, 7),  # counting does not pay
-        (ONE, 2 * 10**6 - 1, 1),  # y = n
-    ], ids=["sqrtloglog", "p0-past-y", "mod7", "n-below-2y"])
-    def test_gate_negatives_keep_the_sieve(self, fn, n, k, streamed, route):
-        prog = Progression(k, 1 if k > 1 else 0)
-        for mode in MODES:
-            want = streamed(exact_moments, fn, prog, n, 6, mode)
-            assert exact_moments(fn, prog, n, 6, mode) == want
-        assert mean_predictions(fn, prog, n) == streamed(mean_predictions, fn, prog, n)
-        assert model.counted_constant(fn, prog, n) is None
-        assert route["tails"] == [] and set(route["limits"]) == {n}
 
     @pytest.mark.parametrize("fn, n, k, r", [
         (ONE, 2 * 10**7, 4, 1), (ONE, 4 * 10**6, 1, 0),

@@ -23,14 +23,13 @@ from apmoments.moments import (
     chebyshev_check,
     collect_dataset,
     empirical_moments,
-    mean_via_counts,
     moment_summary,
     spill_dataset,
     spill_label,
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
-from oracles import two_pass_central_moments
+from oracles import mean_via_counts, two_pass_central_moments
 
 OMEGA, OMEGA_EXT = builtin("omega")
 

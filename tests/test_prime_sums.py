@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from apmoments import counting, prime_sums, sieve
+from apmoments import counting, model, prime_sums, sieve
 from apmoments.arith_fn import PrimeFunction, resolve_spec
+from apmoments.cli import main
+from apmoments.model import MODES
 from apmoments.prime_sums import (
     ClosedFormUnavailable,
     DecayCase,
@@ -260,8 +262,27 @@ class TestProbes:
         assert all(g > 0 for g in growth)
 
 
+# The route table of every prime pass (counting.counted_tail): spec, --p0,
+# n, class, and whether the primes past y = n // (n // 10^6) are counted.
+ROUTES = [
+    ("const:1", None, 2 * 10**7, 4, 1, True),
+    ("const:-1.5", None, 4 * 10**6, 1, 0, True),
+    ("omega", None, 4 * 10**6, 1, 0, True),
+    ("tab:5=1.5,7=2,default=0.25", None, 4 * 10**6, 1, 0, True),  # keys below y
+    ("const:1", 7, 2 * 10**7, 4, 3, True),
+    ("sqrtloglog", None, 4 * 10**6, 1, 0, False),  # not constant
+    ("omega1", None, 2 * 10**7, 4, 1, False),  # a residue filter
+    ("const:1", 1_000_003, 4 * 10**6, 1, 0, False),  # p0 past y = 10^6
+    ("const:1", None, 2 * 10**7, 7, 1, False),  # counting does not pay
+    ("const:1", None, 2 * 10**6 - 1, 1, 0, False),  # n < 2 10^6: y would be n
+]
+ROUTE_IDS = ["const1-2e7-mod4", "const-1.5", "omega", "tab", "p0-7", "sqrtloglog",
+             "omega1", "p0-past-y", "mod7", "n-below-2e6"]
+
+
 class TestCountingRoute:
-    """prime_power_sum counts primes for constant f past the prime cache."""
+    """Every prime pass (sum, model exact, model lindeberg, the predictions)
+    counts the primes past y by one rule, and agrees with the sieve."""
 
     @pytest.fixture
     def route(self, monkeypatch):
@@ -281,68 +302,106 @@ class TestCountingRoute:
         monkeypatch.setattr(prime_sums, "iter_prime_blocks", spy_blocks)
         return taken
 
-    @pytest.mark.parametrize("x", [10**6, 3 * 10**6])
+    @pytest.fixture
+    def sieved(self, monkeypatch):
+        """call(*args) with counting refused: every prime sieved."""
+
+        def run(call, *args):
+            with monkeypatch.context() as m:
+                m.setattr(counting, "pays", lambda x, k: False)
+                return call(*args)
+
+        return run
+
+    @pytest.mark.parametrize("spec, p0, n, k, r, counted", ROUTES, ids=ROUTE_IDS)
+    def test_every_pass_takes_the_route(self, spec, p0, n, k, r, counted, sieved, monkeypatch):
+        prog = Progression(k, r)
+        fn, _ = resolve_spec(spec, prog, p0=p0)
+        tails, limits = [], []
+        tail_sums, blocks = counting.tail_sums, model.iter_prime_blocks
+        monkeypatch.setattr(counting, "tail_sums", lambda *a: tails.append(a) or tail_sums(*a))
+        monkeypatch.setattr(model, "iter_prime_blocks",
+                            lambda limit, *a: limits.append(limit) or blocks(limit, *a))
+        y = n // (n // 10**6) if counted else n
+
+        want = sieved(prime_power_sum, fn, 1, n, prog)
+        got = prime_power_sum(fn, 1, n, prog)
+        assert got.term_count == want.term_count > 0
+        assert got.value == pytest.approx(want.value, rel=1e-14, abs=0)
+        assert got.value == model.mean_predictions(fn, prog, n)["restricted"]
+        for mode in MODES:
+            want_mm = sieved(model.exact_moments, fn, prog, n, 6, mode)
+            want_rep = sieved(model.lindeberg_check, fn, prog, n, 0.5, mode)
+            limits.clear()
+            mm = model.exact_moments(fn, prog, n, 6, mode)
+            rep = model.lindeberg_check(fn, prog, n, 0.5, mode)
+            assert limits == [y, y, y]
+            if not counted:
+                assert (mm, rep) == (want_mm, want_rep)
+            assert mm.term_count == want_mm.term_count
+            for u in range(1, 7):
+                assert mm.kappa[u] == pytest.approx(want_mm.kappa[u], rel=1e-13)
+            assert rep.variance == pytest.approx(want_rep.variance, rel=1e-14)
+            assert rep.ratio == pytest.approx(want_rep.ratio, rel=1e-14)
+        preds, want_preds = model.mean_predictions(fn, prog, n), sieved(
+            model.mean_predictions, fn, prog, n)
+        for mode in MODES:
+            assert preds[mode] == pytest.approx(want_preds[mode], rel=1e-14, abs=0)
+        assert {a[:3] for a in tails} == ({(n, k, y)} if counted else set())
+
+    @pytest.mark.parametrize("spec, p0, n, k, r, counted", ROUTES, ids=ROUTE_IDS)
+    def test_one_gate_past_the_sieve_ceiling(self, spec, p0, n, k, r, counted, monkeypatch,
+                                              capsys):
+        # a stand-in sieve ceiling below every n: only the counted route runs
+        monkeypatch.setattr("apmoments.cli.SIEVE_CEILING", 10**6)
+        args = ["--fn", spec, "--mod", str(k), "--res", str(r)]
+        args += [] if p0 is None else ["--p0", str(p0)]
+        for argv in (["sum", *args, "--x", str(n)], ["model", "exact", *args, "--n", str(n)],
+                     ["model", "lindeberg", *args, "--n", str(n)]):
+            if counted:
+                assert main(argv) == 0
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert "exceeds ceiling" in capsys.readouterr().err
+
+    def test_sum_is_the_restricted_prediction(self):
+        fn, prog = ONE, Progression(4, 1)
+        got = prime_power_sum(fn, 1, 10**8, prog)
+        assert got.term_count == 2_880_504  # pi(10^8; 4, 1)
+        assert got.value == model.mean_predictions(fn, prog, 10**8)["restricted"]
+
+    @pytest.mark.parametrize("x", [2 * 10**6, 3 * 10**6])
     @pytest.mark.parametrize("k", [1, 3, 4, 6, 9, 12])
     @pytest.mark.parametrize("spec, u, p0", [
         ("const:1", 1, None), ("const:-2.5", 3, None), ("omega", 1, None),
         ("scaled:0.75:const:2", 2, None), ("const:1", 1, 7), ("const:1", 1, "root"),
     ])
-    def test_matches_the_cached_sieve(self, spec, u, p0, k, x, route, sieve_geometry, monkeypatch):
+    def test_matches_the_sieve(self, spec, u, p0, k, x, route, sieved, monkeypatch):
         prog = Progression(k, k - 1 if k > 1 else 0)
         fn, _ = resolve_spec(spec, prog, p0=math.isqrt(x) + 1 if p0 == "root" else p0)
-        cached = prime_power_sum(fn, u, x, prog)
-        sieve_geometry(cache_max=1000)
-        monkeypatch.setattr(counting, "pays", lambda x, k: True)  # the rule admits k <= 2 at 1e6
-        counted = prime_power_sum(fn, u, x, prog)
-        assert route == ["sieve", "counting"]
-        assert counted.term_count == cached.term_count > 0
-        assert counted.value == pytest.approx(cached.value, rel=1e-14, abs=0)
+        want = sieved(prime_power_sum, fn, u, x, prog)
+        monkeypatch.setattr(counting, "pays", lambda x, k: True)  # the rule admits k <= 2 here
+        got = prime_power_sum(fn, u, x, prog)
+        assert route == ["sieve", "counting", "sieve"]
+        assert got.term_count == want.term_count > 0
+        # the tail is the difference of two table columns near W(x), the sum of
+        # 1/p over the class's primes <= x, each carrying a few ulps of it
+        scale = abs(fn.constant_above(10**6)) ** u * math.fsum(1.0 / sieve_primes(x, prog))
+        assert got.value == pytest.approx(want.value, rel=1e-14, abs=1e-14 * scale)
 
-    def test_the_rule_routes_past_the_cache(self, route, sieve_geometry):
-        sieve_geometry(cache_max=1000)
-        x = 3 * 10**6  # the rule admits phi(k) lcm(2, k) <= sqrt(x) / 400 = 4.3
-        prime_power_sum(ONE, 1, x, Progression(1, 0))
-        prime_power_sum(ONE, 1, x, Progression(3, 1))
-        prime_power_sum(ONE, 1, 1000, Progression(1, 0))  # inside the cache
-        assert route == ["counting", "sieve", "sieve"]
-
-    def test_classes_of_one_modulus_build_the_tables_once(self, route, sieve_geometry,
-                                                           monkeypatch):
+    def test_classes_of_one_modulus_build_the_tables_once(self, route, monkeypatch):
         # the tail sums of every class are kept for the next call at the same
-        # (x, k, p0): a Mertens scan sums each class of a modulus in turn
-        sieve_geometry(cache_max=1000)
+        # (x, k, y): a Mertens scan sums each class of a modulus in turn
         monkeypatch.setattr(counting, "pays", lambda x, k: True)  # the rule admits k <= 2 at 3e6
         x = 3 * 10**6
         got = [prime_power_sum(ONE, 1, x, Progression(k, r)) for k, r in ((4, 1), (4, 3))]
-        assert route == ["counting"]
+        assert route.count("counting") == 1
         got.append(prime_power_sum(ONE, 1, x, Progression(1, 0)))
-        assert route == ["counting", "counting"]
+        assert route.count("counting") == 2
         assert got[0].term_count + got[1].term_count + 1 == got[2].term_count  # and 2
         assert got[0].value + got[1].value + 0.5 == pytest.approx(got[2].value, rel=1e-14)
-
-    @pytest.mark.parametrize("spec, p0", [
-        ("tab:5=1.5,7=2,default=0.25", None), ("invloglog", None), ("omega1", None),
-        ("const:1", 1002),  # starts past isqrt(x) + 1
-    ])
-    def test_other_functions_keep_the_sieve(self, spec, p0, route, sieve_geometry, monkeypatch):
-        prog = Progression(4, 1)
-        fn, _ = resolve_spec(spec, prog, p0=p0)
-        sieve_geometry(cache_max=1000)
-        monkeypatch.setattr(counting, "pays", lambda x, k: True)
-        prime_power_sum(fn, 1, 10**6, prog)
-        assert route == ["sieve"]
-
-    def test_constant_past_the_table_keys_counts(self, route, sieve_geometry, monkeypatch):
-        # with --p0 past every key a tabulated spec is its default on every prime
-        prog = Progression(4, 1)
-        fn, _ = resolve_spec("tab:5=1.5,7=2,default=0.25", prog, p0=11)
-        cached = prime_power_sum(fn, 2, 10**6, prog)
-        sieve_geometry(cache_max=1000)
-        monkeypatch.setattr(counting, "pays", lambda x, k: True)
-        counted = prime_power_sum(fn, 2, 10**6, prog)
-        assert route == ["sieve", "counting"]
-        assert counted.term_count == cached.term_count
-        assert counted.value == pytest.approx(cached.value, rel=1e-14, abs=0)
 
     def test_past_the_sieve_ceiling(self):
         res = prime_power_sum(ONE, 1, 2 * 10**10, Progression(1, 0))

@@ -31,12 +31,13 @@ def test_script_runs(script, args, header):
     assert proc.stdout.splitlines()[0] == header
 
 
-def test_mertens_scan_gap_steady_from_cached_to_counted_decade():
-    # decade 8 sums the cached sieve, decade 9 counts primes by class: the
-    # gap to the main term (the O(1) constant) must not jump between routes
+def test_mertens_scan_gap_steady_from_sieved_to_counted_decade():
+    # decade 7 sieves every prime (counting does not pay at 10^7 mod 3 or
+    # mod 4), decade 8 counts the primes past 10^6 by class: the gap to the
+    # main term (the O(1) constant) must not jump between routes
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "mertens_progression_scan.py"), "--max-decade", "9"],
+        [sys.executable, str(ROOT / "scripts" / "mertens_progression_scan.py"), "--max-decade", "8"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -44,16 +45,16 @@ def test_mertens_scan_gap_steady_from_cached_to_counted_decade():
     for line in proc.stdout.splitlines():
         if line.startswith("class "):
             cls = line
-        elif line.split() and line.split()[0] in ("100000000", "1000000000"):
+        elif line.split() and line.split()[0] in ("10000000", "100000000"):
             gaps.setdefault(cls, []).append(float(line.split()[-1]))
     assert len(gaps) == 4
-    for cls, (gap8, gap9) in gaps.items():
-        assert abs(gap9 - gap8) < 0.01, cls
+    for cls, (gap7, gap8) in gaps.items():
+        assert abs(gap8 - gap7) < 0.01, cls
 
 
-def test_mertens_scan_builds_each_table_once_per_decade(monkeypatch, sieve_geometry, capsys):
-    # with a stand-in prime cache of 1000, 10^8 is counted for both moduli
-    # (10^7 is outside the cost rule): one mod 4 and one mod 3 table
+def test_mertens_scan_builds_each_table_once_per_decade(monkeypatch, capsys):
+    # 10^8 is counted for both moduli (10^7 is outside the cost rule): one
+    # mod 4 and one mod 3 table
     builds, build = [], counting.class_tables
 
     def spy(*args):
@@ -61,7 +62,6 @@ def test_mertens_scan_builds_each_table_once_per_decade(monkeypatch, sieve_geome
         return build(*args)
 
     monkeypatch.setattr(counting, "class_tables", spy)
-    sieve_geometry(cache_max=1000)
     monkeypatch.setattr(sys, "argv", ["mertens_progression_scan.py", "--max-decade", "8"])
     runpy.run_path(str(ROOT / "scripts" / "mertens_progression_scan.py"), run_name="__main__")
     assert builds == [(10**8, 4, 1), (10**8, 3, 1)]
