@@ -213,13 +213,11 @@ def _sieve_limit(flag: str, limit: int) -> int:
     return limit
 
 
-def _prime_pass_limit(flag: str, fn: PrimeFunction, prog: Progression, n: int,
-                      smax: int = 1) -> int:
+def _prime_pass_limit(flag: str, fn: PrimeFunction, prog: Progression, n: int) -> int:
     """--x of `sum` or --n of `model exact` and `model lindeberg`: a sieve
     limit, or past the sieve ceiling a size whose pass sieves only up to y
-    (counting.counted_tail).  smax is the pass's order of power sums, so
-    the numbers counted here are the ones the pass reads back."""
-    if n <= SIEVE_CEILING or counting.counted_tail(fn, prog, n, smax=smax)[0] == n:
+    (counting.counted_limit)."""
+    if n <= SIEVE_CEILING or counting.counted_limit(fn, prog, n) == n:
         _sieve_limit(flag, n)
     return n
 
@@ -373,8 +371,8 @@ def cmd_moments(args) -> None:
 def cmd_model_exact(args) -> None:
     fn, _ = _resolve_fn(args)
     prog = _progression(args)
-    n = _prime_pass_limit("n", fn, prog, args.n, model.COUNTED_ORDERS)
-    mm = model.exact_moments(fn, prog, n, u_max=args.umax, mode=args.mode)
+    mm = model.exact_moments(fn, prog, _prime_pass_limit("n", fn, prog, args.n),
+                             u_max=args.umax, mode=args.mode)
     payload = {
         "n": mm.n,
         "k": args.mod,

@@ -21,15 +21,13 @@ from __future__ import annotations
 SIEVE_BLOCK = 1 << 20
 SIEVE_CEILING = 1 << 34
 # A prime pass whose f is constant past y = n // (n // 10^6) counts the
-# primes past y by class (counting.counted_tail) up to this limit, where the
-# sieve stops at SIEVE_CEILING; 10^12 takes about 14 s and 140 MiB for a
-# `sum` at k = 4 (30 s and 200 MiB for `model exact`, which also sums p^-2
-# and p^-3).
+# primes past y by class (counting.counted_limit) up to this limit, where the
+# sieve stops at SIEVE_CEILING; 10^12 takes about 16 s and 140 MiB for a `sum`
+# at k = 4 (30 s and 200 MiB for `model exact`, which also sums p^-2, p^-3).
 COUNTING_CEILING = 10**12
 # The sieve memoizes full prime arrays only up to this limit, as uint32
 # (5.76M primes at 10^8 is ~23 MB; the limit must stay below 2^32).  Beyond
-# it the sieve streams blocks.  It decides no route: every consumer takes
-# the blocks as they come.
+# it the sieve streams blocks; it decides no route.
 PRIME_CACHE_MAX = 200_000_000
 # Most primes in one block, cached or streamed, and most Monte Carlo
 # successes in one piece.  Every consumer takes the blocks as they come:

@@ -15,12 +15,12 @@ p-rough multiples of p out of every column v >= p^2:
 with g(p) = 1 for the counts and p^(-s) for the sums.  When the primes up
 to sqrt(v) are done, S(v, a) holds the primes alone.  The work is about
 (1 + smax) phi(k) x^(3/4) / ln x, and the memory 1 + smax arrays of phi(k)
-rows by 2 sqrt(x) values.  :func:`tail_sums` reads the tables at two floor
-values, x and y, and keeps those few numbers for the next call, not the
-tables.  Lagarias-Miller-Odlyzko (1985) and Deleglise-Rivat (1996) are the
-faster relatives of the method.  :func:`counted_tail` decides, for every
-prime pass (`sum`, the model, the predictions), where the sieve stops and
-the counted tail starts.
+rows by 2 sqrt(x) values; the sums of 1/p are integers until the end.
+:func:`tail_sums` reads the tables at two floor values, x and y, and keeps
+those few numbers, not the tables.  Lagarias-Miller-Odlyzko (1985) and
+Deleglise-Rivat (1996) are the faster relatives of the method.
+:func:`counted_limit` decides where every prime pass (`sum`, the model,
+the predictions) stops sieving, and :func:`counted_tail` counts the rest.
 
 The same tables give the joint law of omega and Omega on a class
 (:func:`omega_law`): every m = s p, p a prime above the largest prime of
@@ -60,7 +60,7 @@ _COLUMN_PIECE = 1 << 16
 # About the most children of one piece of omega_law's prefix walk.
 _NODES = 1 << 14
 # A prime pass counts the primes past the floor value of n at or just above
-# this, where f allows (see counted_tail).
+# this, where f allows (see counted_limit).
 COUNTED_FROM = 10**6
 
 
@@ -80,15 +80,41 @@ def _shift_up(
     return z, shift
 
 
-def digamma(z: np.ndarray | float) -> np.ndarray:
-    """psi(z) for real z > 0: the recurrence psi(z) = psi(z + 1) - 1/z up to
-    z >= 12, then ln z - 1/(2z) - sum of B_2j / (2j z^2j)."""
+def _digamma_parts(z: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """(z', psi(z) - ln z'): z raised by ones to z' >= 12 by the recurrence
+    psi(z) = psi(z + 1) - 1/z, then -1/(2z') - sum of B_2j / (2j z'^2j)."""
     z, shift = _shift_up(z, np.reciprocal)
     w = 1.0 / (z * z)
     series = np.zeros_like(z)
     for term in reversed(_DIGAMMA_TERMS):
         series = (series + term) * w
-    return np.log(z) - 0.5 / z - series - shift
+    return z, -0.5 / z - series - shift
+
+
+def digamma(z: np.ndarray | float) -> np.ndarray:
+    """psi(z) for real z > 0."""
+    z, rest = _digamma_parts(z)
+    return np.log(z) + rest
+
+
+def _digamma_fixed(t: float, m: np.ndarray, one: int) -> np.ndarray:
+    """psi(t + m) in units of 1 / one (int64, one a power of two), for
+    0 < t <= 1 and integers 1 <= m < 2^53, within a few 1e-17 past m = 12.
+
+    A float psi would round at the size of ln(t + m).  Here, after the
+    shift to t + m' >= 12, ln(t + m') = e ln 2 + ln f + log1p(t / m') with
+    m' = f 2^e, f in [sqrt(1/2), sqrt(2)): e ln 2 from the bits of ln 2, and
+    the rest, below 0.45 past m = 12, in floats.
+    """
+    z, rest = _digamma_parts(t + m)
+    m = m + np.rint(z - t - m).astype(np.int64)  # t + m' = z
+    f, e = np.frexp(m.astype(np.float64))  # m' = f 2^e, f in [1/2, 1)
+    low = f < math.sqrt(0.5)
+    f[low] *= 2.0
+    e[low] -= 1
+    ln2 = (0xB17217F7D1CF79AC * one + (1 << 63)) >> 64  # from ln 2 in units of 2^-64
+    rest += np.log(f) + np.log1p(t / m)
+    return e.astype(np.int64) * ln2 + np.rint(rest * one).astype(np.int64)
 
 
 def hurwitz(s: int, z: np.ndarray | float) -> np.ndarray:
@@ -180,29 +206,40 @@ def class_tables(x: int, k: int, smax: int = 1) -> ClassTables:
     # sum of 1/n is (psi(a'/k + j + 1) - psi(a'/k)) / k and the sum of n^(-s)
     # is (zeta(s, a'/k) - zeta(s, a'/k + j + 1)) / k^s, the constants at a'/k
     # taken as their first 12 terms plus a tail at z >= 12.
+    #
+    # The sums of 1/p are integers in units of 1 / one until the end: a row
+    # starts near ln v, where a float strike rounds, and a tail, a difference
+    # of two columns, is small beside it.  Integers subtract exactly and round
+    # once per quotient; no value reaches 2^62, a row staying below ln x + 1.
+    one = 1 << (62 - math.ceil(math.log2(math.log(x) + 2)))
     counts = np.empty((len(units), size), dtype=np.int64)
     sums = np.empty((smax, len(units), size))
+    fixed = sums[0].view(np.int64) if smax else None  # the same memory as sums[0]
     for row, a in enumerate(units):
         lead = a or k
-        heads = [math.fsum((lead + i * k) ** -s for i in range(_DIGAMMA_SHIFT))
-                 for s in range(1, smax + 1)]
         z = lead / k + _DIGAMMA_SHIFT
-        constants = [heads[0] - float(digamma(z)) / k] if smax else []
-        constants += [heads[s - 1] + float(hurwitz(s, z)) / k**s for s in range(2, smax + 1)]
+        constants = [math.fsum((lead + i * k) ** -s for i in range(_DIGAMMA_SHIFT))
+                     + float(hurwitz(s, z)) / k**s for s in range(2, smax + 1)]
+        # the sum of 1/n over a', ..., a' + jk is 1/a' + (psi(a'/k + j + 1) -
+        # psi(a'/k + 1)) / k, and 1/a' is the n = 1 left out when a' = 1
+        psi_1 = _digamma_fixed(lead / k, np.ones(1, np.int64), one)[0]
+        lead_term = (2 * one + lead) // (2 * lead) if lead > 1 else 0
         for lo in range(0, size, _COLUMN_PIECE):
             j = (values[lo : lo + _COLUMN_PIECE] - lead) // k
             np.maximum(j + 1, 0, out=counts[row, lo : lo + j.size])
             if not smax:
                 continue
-            z = lead / k + (j + 1)
             inside = j >= 0
-            sums[0, row, lo : lo + j.size] = np.where(inside, digamma(z) / k + constants[0], 0.0)
+            psi = _digamma_fixed(lead / k, np.maximum(j + 1, 1), one)
+            fixed[row, lo : lo + j.size] = np.where(
+                inside, lead_term + (psi - psi_1 + k // 2) // k, 0)
+            z = lead / k + (j + 1)
             for s in range(2, smax + 1):
                 sums[s - 1, row, lo : lo + j.size] = np.where(
-                    inside, constants[s - 1] - hurwitz(s, z) / k**s, 0.0)
+                    inside, constants[s - 2] - hurwitz(s, z) / k**s, 0.0)
         if lead == 1:  # n = 1 is not counted
             counts[row] -= 1
-            sums[:, row] -= 1.0
+            sums[1:, row] -= 1.0
 
     # perm[b][row of a] is the row of a / b mod k, for every unit b
     index = {a: i for i, a in enumerate(units)}
@@ -224,10 +261,13 @@ def class_tables(x: int, k: int, smax: int = 1) -> ClassTables:
             cols = slice(max(hi - _COLUMN_PIECE, lo), hi)
             w = values[cols] // p
             src = np.where(w <= r, w - 1, size - divisor[cols] * p)
-            for s, table in enumerate((counts, *sums)):
+            for s, table in enumerate((counts, fixed, *sums[1:])[: 1 + smax]):
                 hit = table[rows, src]
                 hit -= table[rows, p - 2]  # the column of p - 1
-                if s:
+                if s == 1:  # the nearest integer to hit / p
+                    hit += p // 2
+                    hit //= p
+                elif s:
                     hit /= p**s
                 table[:, cols] -= hit
     # Past cbrt(x) a prime writes only columns x // i >= p^2 > x^(2/3) and reads
@@ -246,69 +286,75 @@ def class_tables(x: int, k: int, smax: int = 1) -> ClassTables:
         src = np.where(w <= r, w - 1, size - i * p)[:, None]
         dst, rows, below = (size - i)[:, None], perm[p % k], (p - 2)[:, None]
         np.subtract.at(counts, (every, dst), counts[rows, src] - counts[rows, below])
-        weight = base = p[:, None].astype(np.float64)
-        for table in sums:
-            np.subtract.at(table, (every, dst), (table[rows, src] - table[rows, below]) / weight)
-            weight = weight * base
+        base = p[:, None].astype(np.float64)
+        if smax:  # a hit (< 2^62) is within 2^9 units as a float: / p within 1/2 + 2^9 / p
+            np.subtract.at(fixed, (every, dst),
+                           np.rint((fixed[rows, src] - fixed[rows, below]) / base).astype(np.int64))
+        for s, table in enumerate(sums[1:], start=2):
+            np.subtract.at(table, (every, dst), (table[rows, src] - table[rows, below]) / base**s)
         start = stop
+    if smax:  # the sums of 1/p to floats in place, a piece of temporaries at a time
+        for lo in range(0, size, _COLUMN_PIECE):
+            sums[0, :, lo : lo + _COLUMN_PIECE] = fixed[:, lo : lo + _COLUMN_PIECE] / one
     return ClassTables(x, k, values, units, counts, sums)
 
 
-# The last tail_sums result: ((x, k, y, smax), its sums).
-_last_tail: tuple[tuple[int, int, int, int], dict[int, tuple]] | None = None
+# The tail_sums results at one x: {(x, k, y): (smax, its sums)}.
+_tails: dict[tuple[int, int, int], tuple[int, dict[int, tuple]]] = {}
 
 
 def tail_sums(x: int, k: int, y: int, smax: int = 1) -> dict[int, tuple]:
     """{a: (pi, P_1, ..., P_smax)} over the primes y < p <= x with p = a mod k,
     for every unit a mod k; y is a floor value of x (y <= isqrt(x), or x // i).
 
-    The result of the last call is kept, and a call with the same x, k and y
-    and no larger smax reads it: callers that take several classes, or both
-    model modes, at one (x, k) build the tables once.  Only these few
-    numbers are kept: the tables would hold 1 + smax arrays of phi(k) rows
-    by 2 sqrt(x) values for the rest of the process.
+    The results at the x of the last call are kept by (k, y), not the
+    tables, and a call with no larger smax reads them: several classes,
+    moduli or model modes at one x build each modulus's tables once.
     """
-    global _last_tail
-    if _last_tail is not None:
-        (x0, k0, y0, smax0), tails = _last_tail
-        if (x0, k0, y0) == (x, k, y) and smax <= smax0:
-            return {a: sums[: 1 + smax] for a, sums in tails.items()}
+    kept = _tails.get((x, k, y))
+    if kept is not None and smax <= kept[0]:
+        return {a: sums[: 1 + smax] for a, sums in kept[1].items()}
     if not 1 <= y <= x:
         raise ValueError(f"need 1 <= y <= x, got y = {y}, x = {x}")
     t = class_tables(x, k, smax)
     if t.values[t.column(y)] != y:
         raise ValueError(f"{y} is not a floor value of {x}")
     tails = {a: tuple(h - l for h, l in zip(t.at(x, a), t.at(y, a))) for a in t.units}
-    _last_tail = (x, k, y, smax), tails
+    if _tails and next(iter(_tails))[0] != x:  # one x at a time
+        _tails.clear()
+    _tails[x, k, y] = smax, tails
     return tails
+
+
+def counted_limit(fn: PrimeFunction, progression: Progression, n: int) -> int:
+    """The sieve limit of a pass over the primes p <= n, the one rule of every
+    prime pass (`sum`, the model's moments, Lindeberg ratio and predictions):
+    y = n // (n // COUNTED_FROM), the floor value of n at or just above 10^6,
+    when 2 * 10^6 <= n <= COUNTING_CEILING, f is constant past y
+    (fn.constant_above) and :func:`pays` holds at (n, k); else n."""
+    if 2 * COUNTED_FROM <= n <= COUNTING_CEILING:  # below, y = n
+        y = n // (n // COUNTED_FROM)
+        if fn.constant_above(y) is not None and pays(n, progression.modulus):
+            return y
+    return n
 
 
 def counted_tail(
     fn: PrimeFunction, progression: Progression, n: int, mode: str = "restricted",
     smax: int = 1,
 ) -> tuple[int, float, int, list[float]]:
-    """(limit, c, pi, [P_1, ..., P_smax]) for a pass over the primes p <= n:
-    the primes up to limit are sieved, and those past it, where f = c, enter
-    through their count pi and their sums P_s of p^(-s).
-
-    The one rule of every prime pass (prime_sums.prime_power_sum and the
-    model's exact moments, Lindeberg ratio and mean predictions): limit is
-    y = n // (n // COUNTED_FROM), the floor value of n at or just above
-    10^6, when 2 * 10^6 <= n <= COUNTING_CEILING, f(p) = c for every prime
-    p > y (fn.constant_above(y)) and :func:`pays` holds at (n, k).  The
-    primes are the class's (mode "restricted") or those of every unit class,
-    the primes not dividing k (mode "density"), read from :func:`tail_sums`.
-    Off the route limit is n, c is 0 and so are the count and the sums.
-    """
-    if 2 * COUNTED_FROM <= n <= COUNTING_CEILING:  # below, y = n
-        y, k = n // (n // COUNTED_FROM), progression.modulus
-        c = fn.constant_above(y)
-        if c is not None and pays(n, k):
-            tails = tail_sums(n, k, y, smax)
-            rows = [tails[progression.residue]] if mode == "restricted" else list(tails.values())
-            sums = [math.fsum(row[s] for row in rows) for s in range(1, smax + 1)]
-            return y, c, sum(row[0] for row in rows), sums
-    return n, 0.0, 0, [0.0] * smax
+    """(limit, c, pi, [P_1, ..., P_smax]): the primes up to limit
+    (:func:`counted_limit`) are sieved, and those past it, where f = c,
+    enter through their count and their sums P_s of p^(-s), over the class
+    (mode "restricted") or every unit class (mode "density").  Off the
+    route limit is n and the rest is 0."""
+    limit = counted_limit(fn, progression, n)
+    if limit == n:
+        return n, 0.0, 0, [0.0] * smax
+    tails = tail_sums(n, progression.modulus, limit, smax)
+    rows = [tails[progression.residue]] if mode == "restricted" else list(tails.values())
+    sums = [math.fsum(row[s] for row in rows) for s in range(1, smax + 1)]
+    return limit, fn.constant_above(limit), sum(row[0] for row in rows), sums
 
 
 def omega_law(n: int, k: int, r: int) -> np.ndarray:

@@ -88,13 +88,13 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     On the counted route (counting.counted_tail) the sieve stops at y, and
     the primes y < p <= x, where f = c, add c^u P_1 (P_1 the sum of their
     1/p) and their count, both from counting.tail_sums, which keeps every
-    class's numbers for the next call at the same (x, k, y).  The term
-    count is every prime >= p0 either way.  The sum is then the restricted
-    mean prediction of the model at u = 1, bit for bit, and the routes
-    agree within a few ulps (tested at 1e-14 relative).  On a 2 vCPU Xeon
-    the tables mod 4 take 0.06 s at 4e8 (the streamed sieve of one class:
-    0.34 s), 0.55 s at 10^10, 2.6 s at 10^11 and 14 s at 10^12 (process
-    peaks 41, 51, 73 and 138 MiB).
+    class's numbers for the next call at the same x.  The term count is
+    every prime >= p0 either way.  The sum is then the restricted mean
+    prediction of the model at u = 1, bit for bit, and the routes agree
+    within a few ulps (tested at 1e-14 relative, late starts included).
+    On a 2 vCPU Xeon the tables mod 4 take 0.06 s at 4e8 (the streamed
+    sieve of one class: 0.34 s), 0.55 s at 10^10, 2.9 s at 10^11 and 16 s
+    at 10^12 (process peaks 41, 51, 73 and 139 MiB).
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")

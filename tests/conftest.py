@@ -42,4 +42,4 @@ def member_block(monkeypatch):
 def fresh_tail_memo(monkeypatch):
     """Each test starts with no remembered counting tail sums, so a test that
     counts table builds sees its own."""
-    monkeypatch.setattr("apmoments.counting._last_tail", None)
+    monkeypatch.setattr("apmoments.counting._tails", {})

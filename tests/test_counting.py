@@ -1,5 +1,5 @@
 """Class-wise prime counting against the sieve, known values of pi, of the
-digamma function and of the Hurwitz zeta function, the one-entry memo of
+digamma function and of the Hurwitz zeta function, the memo of
 tail sums, the cost rule's measured decisions, and the joint law of omega
 and Omega on a class against brute force."""
 
@@ -168,7 +168,18 @@ class TestTailSums:
             assert count == high[0] - low[0] > 0
             assert sums == [h - l for h, l in zip(high[1:], low[1:])]
 
-    def test_one_entry_memo(self, builds):
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_tails_hold_to_the_last_digits(self, k):
+        # the rows start near ln x; a tail is within an ulp of the sum at x,
+        # where float rows carried 7.5e-15 at k = 1
+        x, y = 3 * 10**6, 10**6
+        primes = sieve_primes(x)
+        for a, (count, p_1) in tail_sums(x, k, y).items():
+            cls = primes[(primes > y) & (primes % k == a % k)]
+            assert count == cls.size
+            assert p_1 == pytest.approx(math.fsum((1.0 / cls).tolist()), rel=0, abs=5e-16)
+
+    def test_memo_of_one_x(self, builds):
         x = 3 * 10**6
         three = tail_sums(x, 4, 10**6, 3)
         one = tail_sums(x, 4, 10**6, 1)  # fewer orders: read from the memo
@@ -178,8 +189,12 @@ class TestTailSums:
         tail_sums(x, 4, 1, 3)  # another y
         tail_sums(x, 4, 1, 3)
         tail_sums(x, 3, 1, 3)  # another k
-        tail_sums(x, 4, 1, 3)  # one entry: mod 4 is gone
-        assert builds == [(x, 4, 3), (x, 4, 3), (x, 3, 3), (x, 4, 3)]
+        tail_sums(x, 4, 1, 3)  # every (k, y) at one x is kept
+        tail_sums(x, 3, 1, 3)
+        assert builds == [(x, 4, 3), (x, 4, 3), (x, 3, 3)]
+        tail_sums(10**6, 4, 1, 3)  # another x drops them
+        tail_sums(x, 4, 1, 3)
+        assert builds[3:] == [(10**6, 4, 3), (x, 4, 3)]
 
     def test_more_orders_than_the_memo_rebuild(self, builds):
         tail_sums(10**6, 4, 1000, 1)

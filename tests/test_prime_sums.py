@@ -323,6 +323,7 @@ class TestCountingRoute:
         monkeypatch.setattr(model, "iter_prime_blocks",
                             lambda limit, *a: limits.append(limit) or blocks(limit, *a))
         y = n // (n // 10**6) if counted else n
+        assert counting.counted_limit(fn, prog, n) == y
 
         want = sieved(prime_power_sum, fn, 1, n, prog)
         got = prime_power_sum(fn, 1, n, prog)
@@ -345,6 +346,8 @@ class TestCountingRoute:
             assert rep.ratio == pytest.approx(want_rep.ratio, rel=1e-14)
         preds, want_preds = model.mean_predictions(fn, prog, n), sieved(
             model.mean_predictions, fn, prog, n)
+        if not counted:
+            assert preds == want_preds
         for mode in MODES:
             assert preds[mode] == pytest.approx(want_preds[mode], rel=1e-14, abs=0)
         assert {a[:3] for a in tails} == ({(n, k, y)} if counted else set())
@@ -386,10 +389,7 @@ class TestCountingRoute:
         got = prime_power_sum(fn, u, x, prog)
         assert route == ["sieve", "counting", "sieve"]
         assert got.term_count == want.term_count > 0
-        # the tail is the difference of two table columns near W(x), the sum of
-        # 1/p over the class's primes <= x, each carrying a few ulps of it
-        scale = abs(fn.constant_above(10**6)) ** u * math.fsum(1.0 / sieve_primes(x, prog))
-        assert got.value == pytest.approx(want.value, rel=1e-14, abs=1e-14 * scale)
+        assert got.value == pytest.approx(want.value, rel=1e-14, abs=0)
 
     def test_classes_of_one_modulus_build_the_tables_once(self, route, monkeypatch):
         # the tail sums of every class are kept for the next call at the same
