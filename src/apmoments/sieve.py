@@ -23,6 +23,7 @@ comes.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -176,8 +177,16 @@ def _sieve_array(limit: int) -> np.ndarray:
     pi(x) < 1.25506 x / ln x, and the primes are copied in as they are
     sieved, so the array is never held twice; the pages past the last
     prime are never written and so never become resident.
+
+    The buffer is an anonymous mapping of its own, not a block of the C
+    heap: glibc raises its mmap threshold to the size of a freed mapped
+    block, and its trim threshold to twice that.  Freeing a 3 MiB heap
+    buffer (the cache at 1e7, as it grows to 1e8) would let the heap keep
+    up to 6 MiB of later temporaries, and a process's peak would then
+    move by that much with the order of its work.
     """
-    buf = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.uint32)
+    size = int(1.25506 * limit / math.log(limit)) + 1
+    buf = np.frombuffer(mmap.mmap(-1, 4 * size), dtype=np.uint32)
     used = 0
     for seg in _class_segments(limit, 1, 0):
         buf[used : used + seg.size] = seg

@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,16 @@ class TestPrimeCache:
             assert all(b.dtype == np.int64 for b in iter_prime_blocks(10**5, prog))
         assert sieve._cache._primes.dtype == np.uint32
         assert sieve_primes(10**5).dtype == np.int64
+
+    def test_cache_buffer_is_an_anonymous_mapping(self, monkeypatch):
+        # a heap buffer freed as the cache grows raises glibc's mmap and trim
+        # thresholds, and the heap then keeps later passes' temporaries
+        monkeypatch.setattr(sieve, "_cache", sieve._PrimeCache())
+        for limit in (10**4, 10**5):
+            owner = sieve._cache.primes_upto(limit)
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            assert isinstance(owner.base.obj, mmap.mmap)
 
     def test_warm_class_pass_stays_within_two_chunks(self, monkeypatch, sieve_geometry):
         # a Python int in the cache's searchsorted converts the whole cache
