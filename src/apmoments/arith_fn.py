@@ -319,10 +319,12 @@ class PrimeFunction:
             # clip entries below the start prime, zeroed next, so they make no NaN
             vals = np.maximum(primes, float(self.start_prime))
             self.formula.value(vals, self.c, out=vals)
-        np.copyto(vals, 0.0, where=primes < self.start_prime)
+        # a multiply, not a masked copy that mispredicts; + 0.0 turns -0.0 to 0.0
+        vals *= primes >= self.start_prime
         if self.residue_filter is not None and not self.residue_filter.is_full:
             k, l = self.residue_filter.modulus, self.residue_filter.residue
-            np.copyto(vals, 0.0, where=np.remainder(primes, k, dtype=np.int64) != l)
+            vals *= np.remainder(primes, k, dtype=np.int64) == l
+        vals += 0.0
         return vals
 
 

@@ -30,6 +30,10 @@ dataset of every f that is one constant c != 0 on every prime with no
 overrides (c omega or c Omega): `moments`, `ektest` and `compare` take it
 from there when :func:`pays` holds at (n, k) (moments.counted_tables),
 and sweep the members otherwise.
+One store keeps the tails by (k, y) and the laws by (k, r) of the last x
+(not the tables; a law is at most (n.bit_length() + 1)^2 int64), and a call
+at another x clears both: one process that asks again at the same x, as
+`moments`, `ektest` and `compare` on one class do, counts them once.
 """
 
 from __future__ import annotations
@@ -299,8 +303,16 @@ def class_tables(x: int, k: int, smax: int = 1) -> ClassTables:
     return ClassTables(x, k, values, units, counts, sums)
 
 
-# The tail_sums results at one x: {(x, k, y): (smax, its sums)}.
-_tails: dict[tuple[int, int, int], tuple[int, dict[int, tuple]]] = {}
+# The results at the last x: tail_sums's by (x, "tails", k, y) as (smax,
+# the sums), omega_law's read-only laws by (x, "law", k, r).
+_store: dict[tuple[int, str, int, int], object] = {}
+
+
+def _keep(x: int, key: tuple[str, int, int], value: object) -> object:
+    if _store and next(iter(_store))[0] != x:  # one x at a time
+        _store.clear()
+    _store[(x, *key)] = value
+    return value
 
 
 def tail_sums(x: int, k: int, y: int, smax: int = 1) -> dict[int, tuple]:
@@ -311,7 +323,7 @@ def tail_sums(x: int, k: int, y: int, smax: int = 1) -> dict[int, tuple]:
     tables, and a call with no larger smax reads them: several classes,
     moduli or model modes at one x build each modulus's tables once.
     """
-    kept = _tails.get((x, k, y))
+    kept = _store.get((x, "tails", k, y))
     if kept is not None and smax <= kept[0]:
         return {a: sums[: 1 + smax] for a, sums in kept[1].items()}
     if not 1 <= y <= x:
@@ -320,10 +332,7 @@ def tail_sums(x: int, k: int, y: int, smax: int = 1) -> dict[int, tuple]:
     if t.values[t.column(y)] != y:
         raise ValueError(f"{y} is not a floor value of {x}")
     tails = {a: tuple(h - l for h, l in zip(t.at(x, a), t.at(y, a))) for a in t.units}
-    if _tails and next(iter(_tails))[0] != x:  # one x at a time
-        _tails.clear()
-    _tails[x, k, y] = smax, tails
-    return tails
+    return _keep(x, ("tails", k, y), (smax, tails))[1]
 
 
 def counted_limit(fn: PrimeFunction, progression: Progression, n: int) -> int:
@@ -374,6 +383,9 @@ def omega_law(n: int, k: int, r: int) -> np.ndarray:
     The walk takes the nodes depth first in pieces of about _NODES, so its
     arrays stay a few MiB whatever n is.
 
+    The law is stored read-only, so a later call at (n, k, r) in the
+    process returns it with no tables and no walk, until a call at another n.
+
     At k = 4 the walk visits 72,526 nodes past the root at n = 3e7, 172,111
     at 1e8, 911,882 at 1e9 and 4,918,230 at 1e10.  On a 2 vCPU Xeon, one
     process on 1 mod 4 took 0.15-0.22 s at 1e9 (VmHWM 47 MiB) and
@@ -398,6 +410,8 @@ def omega_law(n: int, k: int, r: int) -> np.ndarray:
     if n < 2 or k < 1 or (k > 1 and math.gcd(r, k) != 1):
         raise ValueError(f"need n >= 2 and r coprime to k >= 1, got n = {n}, k = {k}, r = {r}")
     r %= k
+    if (n, "law", k, r) in _store:
+        return _store[n, "law", k, r]
     width = n.bit_length() + 1  # omega(m) <= Omega(m) <= log2(n)
     law = np.zeros(width * width, dtype=np.int64)  # flat: law[i * width + j]
     if 1 % k == r:
@@ -444,4 +458,5 @@ def omega_law(n: int, k: int, r: int) -> np.ndarray:
 
     one = np.ones(1, dtype=np.int64)
     walk(one, one - 1, one - 1, one - 1)
-    return law.reshape(width, width)
+    law.flags.writeable = False
+    return _keep(n, ("law", k, r), law.reshape(width, width))

@@ -335,7 +335,8 @@ def lindeberg_check(
 
     Returns (1/D) * sum of f(p)^2/p over primes with |f(p)| > eps*sqrt(D),
     where D = sum f(p)^2/p, plus the coarser diagnostic max|f|/sqrt(D).
-    Two passes over the prime blocks: D and max|f| first, then the tail.
+    One pass over the prime blocks gives D, max|f| and each block's range
+    of |f|; a second sums the tail only if a block straddles the threshold.
     On the counted route (counting.counted_tail) the passes stop at y,
     and the primes past it, where f = c, add c^2 P_1 to D, add it to the
     tail when |c| exceeds the threshold, and count |c| in max|f|.
@@ -343,10 +344,12 @@ def lindeberg_check(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     limit, c, _, (p_1,) = counting.counted_tail(fn, progression, n, mode)
-    parts, f_max = [c * c * p_1], abs(c)
+    parts, spans = [c * c * p_1], []
     for p, f in _active_blocks(fn, progression, limit, mode):
         parts.append(float(np.sum(f * f / p)))
-        f_max = max(f_max, float(np.max(np.abs(f))))
+        size = np.abs(f)
+        spans.append((float(size.min()), float(size.max())))
+    f_max = max([abs(c), *(hi for _, hi in spans)])
     if f_max == 0.0:
         raise ValueError("degenerate: no primes contribute (variance is 0)")
     variance = math.fsum(parts)
@@ -354,9 +357,12 @@ def lindeberg_check(
         raise ValueError("degenerate: variance is 0")
     threshold = epsilon * math.sqrt(variance)
     tail = [parts[0] if abs(c) > threshold else 0.0]
-    for p, f in _active_blocks(fn, progression, limit, mode):
-        big = np.abs(f) > threshold
-        tail.append(float(np.sum(f[big] * f[big] / p[big])))
+    if all(lo > threshold or hi <= threshold for lo, hi in spans):
+        tail += [s if lo > threshold else 0.0 for s, (lo, _) in zip(parts[1:], spans)]
+    else:
+        for p, f in _active_blocks(fn, progression, limit, mode):
+            big = np.abs(f) > threshold
+            tail.append(float(np.sum(f[big] * f[big] / p[big])))
     ratio = math.fsum(tail) / variance
     return LindebergReport(n, epsilon, variance, ratio, f_max / math.sqrt(variance))
 
@@ -430,12 +436,14 @@ def compare_pair(
                 total += abs(v - base) * density
         override_total = total
 
+    predictions = mean_predictions(fn, progression, n)  # omega's serve bigomega too
     return PairComparison(
         summary_star=s_star,
         summary=s,
         mean_diff=s.mean - s_star.mean,
         mu_diff=mu_diff,
-        predictions_star=mean_predictions(fn_star, progression, n),
-        predictions=mean_predictions(fn, progression, n),
+        predictions_star=predictions if fn_star == fn else mean_predictions(
+            fn_star, progression, n),
+        predictions=predictions,
         override_contribution=override_total,
     )

@@ -39,7 +39,7 @@ def member_block(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def fresh_tail_memo(monkeypatch):
-    """Each test starts with no remembered counting tail sums, so a test that
-    counts table builds sees its own."""
-    monkeypatch.setattr("apmoments.counting._tails", {})
+def fresh_counting_store(monkeypatch):
+    """Each test starts with an empty counting store (no kept tail sums and
+    no kept laws), so a test that counts table builds or walks sees its own."""
+    monkeypatch.setattr("apmoments.counting._store", {})

@@ -1,7 +1,8 @@
 """Class-wise prime counting against the sieve, known values of pi, of the
 digamma function and of the Hurwitz zeta function, the memo of
-tail sums, the cost rule's measured decisions, and the joint law of omega
-and Omega on a class against brute force."""
+tail sums, the cost rule's measured decisions, the joint law of omega
+and Omega on a class against brute force, and the store that keeps the
+tails and the laws of one x."""
 
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apmoments import counting
+from apmoments import cli, counting
 from apmoments.arith_fn import parse_fn
 from apmoments.counting import class_tables, digamma, hurwitz, omega_law, tail_sums
 from apmoments.prime_sums import prime_power_sum
@@ -144,19 +145,20 @@ class TestClassTables:
             class_tables(100, 4, -1)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The (x, k, smax) of every table build."""
+    seen, build = [], counting.class_tables
+
+    def spy(x, k, smax=1):
+        seen.append((x, k, smax))
+        return build(x, k, smax)
+
+    monkeypatch.setattr(counting, "class_tables", spy)
+    return seen
+
+
 class TestTailSums:
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The (x, k, smax) of every table build."""
-        seen, build = [], counting.class_tables
-
-        def spy(x, k, smax=1):
-            seen.append((x, k, smax))
-            return build(x, k, smax)
-
-        monkeypatch.setattr(counting, "class_tables", spy)
-        return seen
-
     def test_differences_of_the_tables(self):
         x, k = 3 * 10**6, 4
         y = x // (x // 10**6)
@@ -254,6 +256,9 @@ class TestOmegaLaw:
             assert np.array_equal(got, want), (n, k, r)
 
     def test_rejects_bad_inputs(self):
+        # beside a kept law too: the input is checked before the store is
+        # read, and k = 0 would divide by zero in its key
+        omega_law(100, 4, 1)
         for n, k, r in [(1, 4, 1), (100, 0, 0), (100, 4, 2), (100, 6, 3)]:
             with pytest.raises(ValueError):
                 omega_law(n, k, r)
@@ -272,3 +277,60 @@ class TestOmegaLaw:
                               env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) <= 100 * 1024  # KiB
+
+
+class TestStore:
+    """The tails and the laws of the last x, kept in one store."""
+
+    def test_a_second_law_is_read_from_the_store(self, builds):
+        law = omega_law(10**5, 4, 1)
+        again = omega_law(10**5, 4, 5)  # 5 = 1 mod 4: the same class
+        assert builds == [(10**5, 4, 0)]
+        assert again is law and not law.flags.writeable
+        with pytest.raises(ValueError):
+            law[0, 0] = 1
+        omega_law(10**5, 4, 3)  # another class walks again
+        assert builds == [(10**5, 4, 0)] * 2
+
+    def test_another_x_clears_laws_and_tails_together(self, builds):
+        x = 3 * 10**6
+        law = omega_law(x, 4, 1)
+        tail_sums(x, 4, 10**6)
+        omega_law(x, 4, 1)
+        tail_sums(x, 4, 10**6)
+        assert builds == [(x, 4, 0), (x, 4, 1)]
+        assert sorted(key[1] for key in counting._store) == ["law", "tails"]
+        omega_law(10**5, 4, 1)  # another x
+        assert [key[0] for key in counting._store] == [10**5]
+        assert np.array_equal(omega_law(x, 4, 1), law)
+        tail_sums(x, 4, 10**6)
+        assert builds[2:] == [(10**5, 4, 0), (x, 4, 0), (x, 4, 1)]
+
+    def test_one_process_counts_the_law_once(self, builds, monkeypatch, tmp_path):
+        # counting does not pay at 3e5, so it is forced here and in the
+        # separate processes alike
+        monkeypatch.setattr(counting, "pays", lambda n, k: True)
+        cls = ["--mod", "4", "--res", "1", "--n", "3e5"]
+        ops = {
+            "moments": ["moments", "--fn", "omega", *cls, "--umax", "6"],
+            "ektest": ["ektest", "--fn", "omega", "--norm", "sqrt_mean", *cls],
+            "compare": ["compare", "--fn-star", "omega", "--fn", "bigomega", "--class", "H",
+                        *cls],
+        }
+        argv = {name: [*a, "--out", str(tmp_path / f"{name}.json")] for name, a in ops.items()}
+        for a in argv.values():
+            assert cli.main(a) == 0
+        assert builds == [(3 * 10**5, 4, 0)]
+        together = {name: (tmp_path / f"{name}.json").read_bytes() for name in ops}
+        code = ("import sys\n"
+                "from apmoments import cli, counting\n"
+                "counting.pays = lambda n, k: True\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for name, a in argv.items():
+            (tmp_path / f"{name}.json").unlink()
+            proc = subprocess.run([sys.executable, "-c", code, *a], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert (tmp_path / f"{name}.json").read_bytes() == together[name], name

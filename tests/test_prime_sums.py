@@ -336,7 +336,9 @@ class TestCountingRoute:
             limits.clear()
             mm = model.exact_moments(fn, prog, n, 6, mode)
             rep = model.lindeberg_check(fn, prog, n, 0.5, mode)
-            assert limits == [y, y, y]
+            # Lindeberg's second pass runs only where |f| straddles its threshold
+            straddles = spec.startswith(("tab:", "sqrtloglog"))
+            assert limits == ([y, y, y] if straddles else [y, y])
             if not counted:
                 assert (mm, rep) == (want_mm, want_rep)
             assert mm.term_count == want_mm.term_count
