@@ -216,8 +216,12 @@ def _sieve_limit(flag: str, limit: int) -> int:
 def _prime_pass_limit(flag: str, fn: PrimeFunction, prog: Progression, n: int) -> int:
     """--x of `sum` or --n of `model exact` and `model lindeberg`: a sieve
     limit, or past the sieve ceiling a size whose pass sieves only up to y
-    (counting.counted_limit)."""
+    (counting.counted_limit).  A size past the counting ceiling whose pass
+    would be counted there is refused naming that ceiling."""
     if n <= SIEVE_CEILING or counting.counted_limit(fn, prog, n) == n:
+        ceiling = counting.COUNTING_CEILING
+        if n > ceiling and counting.counted_limit(fn, prog, ceiling) < ceiling:
+            raise _UsageError(f"argument --{flag}: {n} exceeds the counting ceiling {ceiling}")
         _sieve_limit(flag, n)
     return n
 
@@ -347,10 +351,9 @@ def cmd_moments(args) -> None:
     n = _sieve_limit("n", args.n)
     # predictions first, so the sieve's temporaries are gone before the values exist
     preds = model.mean_predictions(fn, prog, n)
-    acc = moments.CoMoments(args.umax)
-    x, counts = moments.collect_dataset(fn, ext, prog, n, spill=args.spill, acc=acc)
-    summary = moments.summarize(acc, prog, n)
-    cheb = moments.chebyshev_check(summary, x, CHEBYSHEV_B_DEFAULT, counts)
+    (data,) = moments.collect_datasets([(fn, ext)], prog, n, args.umax, spill=args.spill)
+    summary = moments.summarize(data.moments, prog, n)
+    cheb = moments.chebyshev_check(summary, data.x, CHEBYSHEV_B_DEFAULT, data.counts)
     payload = {
         "n": summary.n,
         "k": prog.modulus,

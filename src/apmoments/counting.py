@@ -28,7 +28,7 @@ s, is counted at its prefix s as pi(n // s; k, r / s) - pi(P(s); k, r / s),
 so a walk over the prefixes s replaces the member sweep.  The law is the
 dataset of every f that is one constant c != 0 on every prime with no
 overrides (c omega or c Omega): `moments`, `ektest` and `compare` take it
-from there when :func:`pays` holds at (n, k) (moments.counted_tables),
+from there when :func:`pays` holds at (n, k) (moments.collect_datasets),
 and sweep the members otherwise.
 One store keeps the tails by (k, y) and the laws by (k, r) of the last x
 (not the tables; a law is at most (n.bit_length() + 1)^2 int64), and a call

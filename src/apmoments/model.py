@@ -32,6 +32,10 @@ c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3) to kappa_j.  Power sums serve only
 where 1/p <= 10^-6, so their terms do not cancel; below y the per-prime
 recursion stays.  The Lindeberg ratio counts the same primes through
 c^2 P_1; the sampler always sieves.
+
+:func:`compare_pair` sets the empirical moments of a pair beside these
+predictions.  Its two datasets come from the one dataset route of
+`moments` and `ektest` (:func:`moments.collect_datasets`), in one call.
 """
 
 from __future__ import annotations
@@ -44,17 +48,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import counting
-from .arith_fn import (
-    FunctionPair,
-    LatticeCounts,
-    PrimeFunction,
-    eval_at_prime,
-    increment_table,
-    iter_progression_values,
-    lattice_steps,
-)
+from .arith_fn import FunctionPair, PrimeFunction, eval_at_prime
 from .config import PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
-from .moments import CoMoments, MomentSummary, counted_tables, moment_summary, summarize
+from .moments import MomentSummary, collect_datasets, summarize
 from .sieve import Progression, iter_prime_blocks
 
 MODES = ("restricted", "density")
@@ -390,12 +386,11 @@ def compare_pair(
 ) -> PairComparison:
     """Empirical moments of both pair members over the progression.
 
-    When counting serves both members (:func:`moments.counted_tables`),
-    both tables come from one joint law of omega and Omega, with no sweep.
-    Otherwise both functions are evaluated in one factorization sweep, and
-    each side keeps one accumulator of its kind: a lattice side folds every
-    block of its integer lattice indices into its value/count table, any
-    other side merges its float64 block into its running moments.  For
+    Both members are one call of :func:`moments.collect_datasets`, the
+    route of `moments` and `ektest`: counted from one joint law of omega
+    and Omega when counting serves both, else one factorization sweep for
+    both, with no per-member array.  So each side's summary is its own
+    `moments` summary, bit for bit.  For
     pairs whose compared member carries explicit prime-power overrides, the
     total override weight sum |delta f(p^a)| * density(p^a exactly divides
     a member) is reported; the density of an exact power p^a among members
@@ -403,24 +398,8 @@ def compare_pair(
     """
     fn_star, ext_star = pair.f_star
     fn, ext = pair.f
-    sides = [pair.f_star, pair.f]
-    datasets = counted_tables(sides, progression, n)
-    if datasets is None:
-        rows = increment_table(sides, progression, n)
-        steps = lattice_steps(sides, rows, n)
-        accs = [CoMoments(u_max) if c is None else LatticeCounts(c) for c in steps]
-        for blocks in iter_progression_values(sides, progression, n, rows, steps):
-            for a, block in zip(accs, blocks):
-                a.add_batch(block)
-        datasets = [a.table() if isinstance(a, LatticeCounts) else a for a in accs]
-
-    def summary(d: CoMoments | tuple[np.ndarray, np.ndarray]) -> MomentSummary:
-        if isinstance(d, CoMoments):
-            return summarize(d, progression, n)
-        x, counts = d
-        return moment_summary(x, progression, n, u_max, counts)
-
-    s_star, s = (summary(d) for d in datasets)
+    datasets = collect_datasets([pair.f_star, pair.f], progression, n, u_max, keep=False)
+    s_star, s = (summarize(d.moments, progression, n) for d in datasets)
     mu_diff = {u: s.mu[u] - s_star.mu[u] for u in s.mu}
 
     override_total: float | None = None

@@ -1,26 +1,29 @@
 """Empirical moments of additive functions over progression members.
 
-A dataset is one pair (x, counts), counted or filled by one member sweep.
-A spec that is one constant c != 0 on every prime, with no overrides
-(c omega or c Omega), takes its table of values and counts from the
-class's joint law of omega and Omega (:func:`counted_tables`, from
-:func:`counting.omega_law`) when counting pays at (n, k) and there is no
+Every dataset that `moments`, `ektest` and `compare` read comes from one
+route, :func:`collect_datasets`: per spec a :class:`Dataset` of its
+values (x, counts), its lattice step and its moments, counted or from one
+member sweep shared by all specs.  A spec that is one constant c != 0 on
+every prime, with no overrides (c omega or c Omega), takes its table of
+values and counts from the class's joint law of omega and Omega
+(:func:`counting.omega_law`) when counting pays at (n, k) and there is no
 spill file, with no sweep.  Otherwise a spec on a lattice (see
 :func:`arith_fn.lattice_steps`) gives the table of distinct values k*c
 and their counts, folded block by block from the sweep's lattice
-indices k, so no per-member array exists.  Any other spec
-gives per-member values and counts=None: one float64 array, or with a
-spill file that file itself (:class:`SpillFile`), read back by block.
-With `--spill` the sweep writes each block to the file as it comes (k*c
-for a lattice spec), and the table or the moments are taken from the
-same blocks; only `ektest --spill` reads a spill file back into a
-dataset (:func:`spill_dataset`), and gets the sweep's dataset.  Beside
-each spill file a JSON sidecar (its path + ".json") names the dataset
-(:func:`spill_label`), and a file is read back only for that dataset.  Moments
-and Chebyshev coverage read both kinds through :func:`iter_blocks`:
-a table whole, per-member values in the sweep's blocks.  Moments feed a
-mergeable central-moment state, exact in real arithmetic, so chunked
-evaluation matches a two-pass computation up to rounding.
+indices k, so no per-member array exists.  Any other spec feeds its
+moments block by block and gives per-member values and counts=None: one
+float64 array when the caller keeps it, or with a spill file that file
+itself (:class:`SpillFile`), read back by block.  With `--spill` the
+sweep writes each block to the file as it comes (k*c for a lattice
+spec); only `ektest --spill` reads a spill file back into a dataset
+(:func:`spill_dataset`), and gets the sweep's dataset.  Beside each spill
+file a JSON sidecar (its path + ".json") names the dataset
+(:func:`spill_label`), and a file is read back only for that dataset.
+Moments and Chebyshev coverage read both kinds in the same pieces
+(:func:`iter_blocks`): a table whole, per-member values in the sweep's
+blocks.  Moments feed a mergeable central-moment state, exact in real
+arithmetic, so chunked evaluation matches a two-pass computation up to
+rounding.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class CoMoments:
     :func:`arith_fn.piece_length` values, and each order's piece sums are
     added with ``np.sum``: for a whole default block (eight pieces of 2^16)
     that is the tree numpy's pairwise sum takes over the block, so the sums
-    are those of one pass.
+    are those of one pass.  The least and largest value seen (lo, hi) are
+    kept from the same pieces, so the KS needs no pass of its own for them.
     """
 
     def __init__(self, u_max: int = U_MAX_DEFAULT):
@@ -63,6 +67,7 @@ class CoMoments:
         self.n = 0
         self.mean = 0.0
         self.m = np.zeros(u_max + 1)  # m[j] = M_j; m[0], m[1] unused
+        self.lo, self.hi = math.inf, -math.inf  # the least and largest value seen
 
     def add_batch(self, values: np.ndarray, counts: np.ndarray | None = None) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -74,7 +79,9 @@ class CoMoments:
         piece = arith_fn.piece_length()
         parts = np.zeros((self.u_max + 1, -(-values.size // piece)))
         for i, at in enumerate(range(0, values.size, piece)):
-            d = values[at : at + piece] - bmean
+            part = values[at : at + piece]
+            self.lo, self.hi = min(self.lo, float(part.min())), max(self.hi, float(part.max()))
+            d = part - bmean
             for j in range(2, self.u_max + 1):  # no power past the last order
                 power = d * d if j == 2 else np.multiply(power, d, out=power)
                 parts[j, i] = power.sum() if w is None else (w[at : at + piece] * power).sum()
@@ -125,26 +132,27 @@ class MomentSummary:
 
 
 @dataclass(frozen=True)
+class Dataset:
+    """One spec's values over the members up to n, and their moments.
+
+    A lattice spec's dataset is its table of distinct values x = k * step
+    and their counts; any other spec's is x, one float64 per member, or
+    the spill file itself (:class:`SpillFile`), or None when the collector
+    kept neither (counts and step None).
+    """
+
+    moments: CoMoments
+    x: np.ndarray | SpillFile | None
+    counts: np.ndarray | None
+    step: float | None
+
+
+@dataclass(frozen=True)
 class ChebyshevReport:
     b_values: tuple[float, ...]
     coverage: tuple[float, ...]
     bounds: tuple[float, ...]
     degenerate: bool = False
-
-
-def moment_summary(
-    values: np.ndarray | SpillFile,
-    progression: Progression,
-    n: int,
-    u_max: int = U_MAX_DEFAULT,
-    counts: np.ndarray | None = None,
-) -> MomentSummary:
-    """Mean, deviation, and central moments of one dataset (values, counts),
-    fed to the running state piece by piece (:func:`iter_blocks`)."""
-    acc = CoMoments(u_max)
-    for block, weights in iter_blocks(values, counts):
-        acc.add_batch(block, weights)
-    return summarize(acc, progression, n)
 
 
 def summarize(acc: CoMoments, progression: Progression, n: int) -> MomentSummary:
@@ -223,17 +231,20 @@ def spill_file(path: str | Path, label: dict) -> Iterator[BinaryIO]:
 
 
 def spill_dataset(
-    path: str | Path, label: dict, step: float | None
-) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
-    """The spill file of the dataset `label` (see :func:`spill_label`) as a
-    dataset: folded block by block into its lattice table (v at
-    k = round(v / step)) when step is set, else the file itself.
+    path: str | Path, fn: PrimeFunction, ext: Extension, progression: Progression, n: int,
+    u_max: int = U_MAX_DEFAULT,
+) -> Dataset:
+    """The spill file of f over the members up to n as that dataset, from
+    one read of the file: folded block by block into its lattice table (v
+    at k = round(v / step)) for a lattice spec (:func:`arith_fn.lattice_steps`),
+    else the file itself, whose blocks feed the moments as they are read.
 
-    A file whose sidecar is missing or names another dataset is rejected,
-    naming the file and the first field that differs.  This spec's sweep
-    writes exactly k * step, and a float sum of its increments sits a few
-    ulps off; a value further off than 1e-9 * step is from another spec,
-    and is rejected naming the file too."""
+    A file whose sidecar is missing or names another dataset (see
+    :func:`spill_label`) is rejected, naming the file and the first field
+    that differs.  This spec's sweep writes exactly k * step, and a float
+    sum of its increments sits a few ulps off; a value further off than
+    1e-9 * step is from another spec, and is rejected naming the file too."""
+    label = spill_label(fn, ext, progression, n)
     try:
         with open(_sidecar(path), "rb") as fh:
             found = json.load(fh)
@@ -247,98 +258,98 @@ def spill_dataset(
         key = next(key for key in {**label, **found} if found.get(key) != label.get(key))
         raise ValueError(
             f"spill file {path} holds {key} {found.get(key)!r}, not {label.get(key)!r}")
-    values = SpillFile(path, label["count"])
-    if step is None:
-        return values, None
-    table = arith_fn.LatticeCounts(step)
+    specs = [(fn, ext)]
+    (step,) = arith_fn.lattice_steps(specs, arith_fn.increment_table(specs, progression, n), n)
+    values, acc = SpillFile(path, label["count"]), CoMoments(u_max)
+    table = None if step is None else arith_fn.LatticeCounts(step)
     for block, _ in iter_blocks(values):
+        if table is None:
+            acc.add_batch(block)
+            continue
         k = np.rint(block / step)
         if not np.allclose(k * step, block, rtol=0.0, atol=1e-9 * step):
             raise ValueError(f"spill file {values.path} holds a value off the lattice of step {step}")
         table.add_batch(k.astype(np.int64))
-    return table.table()
+    return _dataset(acc, table, values)
 
 
-def counted_tables(
-    specs: Sequence[tuple[PrimeFunction, Extension]], progression: Progression, n: int
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Each spec's value/count table over the members up to n, counted from
-    the class's joint law of omega and Omega (:func:`counting.omega_law`),
-    or None when the dataset is to be swept.
-
-    Counting serves when every spec is one constant c != 0 on every prime
-    (omega, bigomega, half_omega, `const:c`, scaled constants) with no
-    overrides, and :func:`counting.pays` holds at (n, k).  Such an f is
-    c omega under the strong rule and c Omega under the complete one, on
-    the lattice of step |c|; each table is that marginal at lattice index
-    sign(c) j, packed as :class:`arith_fn.LatticeCounts` packs the sweep's,
-    so the arrays are the sweep's.
-    """
-    constants = [fn.constant_above(1) for fn, _ in specs]
-    if (not all(constants) or any(ext.overrides for _, ext in specs)
-            or not counting.pays(n, progression.modulus)):
-        return None
-    law = counting.omega_law(n, progression.modulus, progression.residue)
-    tables = []
-    for c, (_, ext) in zip(constants, specs):
-        marginal = law.sum(axis=1 if ext.mode == "strong" else 0)
-        table = arith_fn.LatticeCounts(abs(c))
-        table.lo, table.counts = (0, marginal) if c > 0 else (1 - marginal.size, marginal[::-1])
-        tables.append(table.table())
-    return tables
+def _dataset(
+    acc: CoMoments, table: arith_fn.LatticeCounts | None, values: np.ndarray | SpillFile | None
+) -> Dataset:
+    """A lattice table as a dataset, feeding its moments whole, else the
+    per-member `values` whose blocks fed them (counts and step None)."""
+    if table is None:
+        return Dataset(acc, values, None, None)
+    x, counts = table.table()
+    acc.add_batch(x, counts)
+    return Dataset(acc, x, counts, table.step)
 
 
-def collect_dataset(
-    fn: PrimeFunction,
-    ext: Extension,
+def collect_datasets(
+    specs: Sequence[tuple[PrimeFunction, Extension]],
     progression: Progression,
     n: int,
+    u_max: int = U_MAX_DEFAULT,
     spill: str | Path | None = None,
-    rows: list[arith_fn.Row] | None = None,
-    acc: CoMoments | None = None,
-) -> tuple[np.ndarray | SpillFile, np.ndarray | None]:
-    """f over the members up to n as one dataset (x, counts), counted
-    (:func:`counted_tables`) or from one sweep.
+    keep: bool = True,
+) -> list[Dataset]:
+    """Each spec's values over the members up to n as one :class:`Dataset`,
+    counted or from one sweep for all specs.
 
-    Without `spill`, a spec that counting serves gets its table with no
-    sweep.  Otherwise a lattice spec folds each sweep block (lattice
-    indices) into its value/count table; any other spec fills one float64
-    array (counts None), or with `spill` set is the spill file itself.
-    `spill` gets every block as the sweep yields it (one :func:`spill_file`;
-    index k as k * step), and `acc` absorbs the dataset as
-    :func:`moment_summary` would, a spill's blocks as they are written (no
-    read of the file).  `rows` is the spec's increment table when the
-    caller has built it.
+    Counting serves, with no sweep, when there is no spill file, every spec
+    is one constant c != 0 on every prime (omega, bigomega, half_omega,
+    `const:c`, scaled constants) with no overrides, and :func:`counting.pays`
+    holds at (n, k).  Such an f is c omega under the strong rule and c Omega
+    under the complete one, on the lattice of step |c|: its table is that
+    marginal of the class's joint law (:func:`counting.omega_law`) at
+    lattice index sign(c) j, packed as :class:`arith_fn.LatticeCounts`
+    packs the sweep's, so the arrays are the sweep's.
+
+    Otherwise one sweep evaluates every spec.  A lattice spec (see
+    :func:`arith_fn.lattice_steps`) folds each block of lattice indices
+    into its value/count table, so no per-member array exists; any other
+    spec feeds its moments block by block and, when `keep`, fills one
+    float64 array.  `spill` (one spec only) gets every block as the sweep
+    yields it (one :func:`spill_file`; index k as k * step), and a spec
+    off the lattice then is that file (:class:`SpillFile`), not an array.
+    A table feeds its moments whole, after the sweep.
     """
-    specs = [(fn, ext)]
-    counted = None if spill is not None else counted_tables(specs, progression, n)
-    if counted is not None:
-        (dataset,) = counted
+    accs = [CoMoments(u_max) for _ in specs]
+    constants = [fn.constant_above(1) for fn, _ in specs]
+    if (spill is None and all(constants) and not any(ext.overrides for _, ext in specs)
+            and counting.pays(n, progression.modulus)):
+        law = counting.omega_law(n, progression.modulus, progression.residue)
+        tables = []
+        for c, (_, ext) in zip(constants, specs):
+            marginal = law.sum(axis=1 if ext.mode == "strong" else 0)
+            table = arith_fn.LatticeCounts(abs(c))
+            table.lo, table.counts = (0, marginal) if c > 0 else (1 - marginal.size, marginal[::-1])
+            tables.append(table)
+        values = [None] * len(specs)
     else:
-        if rows is None:
-            rows = arith_fn.increment_table(specs, progression, n)
+        rows = arith_fn.increment_table(specs, progression, n)
         steps = arith_fn.lattice_steps(specs, rows, n)
-        (step,) = steps
-        if step is None and spill is None:
-            dataset = arith_fn.collect_values(fn, ext, progression, n, rows), None
-        else:
-            table = None if step is None else arith_fn.LatticeCounts(step)
-            label = spill_label(fn, ext, progression, n)
-            with spill_file(spill, label) if spill is not None else nullcontext() as fh:
-                for (block,) in arith_fn.iter_progression_values(specs, progression, n, rows, steps):
+        tables = [None if step is None else arith_fn.LatticeCounts(step) for step in steps]
+        count, at = progression.count(n), 0
+        values = [np.empty(count) if keep and spill is None and table is None else None
+                  for table in tables]
+        out = nullcontext()
+        if spill is not None:
+            ((fn, ext),) = specs  # a spill file holds one dataset
+            out = spill_file(spill, spill_label(fn, ext, progression, n))
+        with out as fh:
+            for blocks in arith_fn.iter_progression_values(specs, progression, n, rows, steps):
+                for acc, table, array, block in zip(accs, tables, values, blocks):
                     if fh is not None:
-                        (block if table is None else block * step).astype("<f8", copy=False).tofile(fh)
-                    if table is not None:
-                        table.add_batch(block)
-                    elif acc is not None:
-                        acc.add_batch(block)
-            if table is None:
-                return SpillFile(spill, progression.count(n)), None
-            dataset = table.table()
-    if acc is not None:
-        for block, weights in iter_blocks(*dataset):
-            acc.add_batch(block, weights)
-    return dataset
+                        spilled = block if table is None else block * table.step
+                        spilled.astype("<f8", copy=False).tofile(fh)
+                    (acc if table is None else table).add_batch(block)
+                    if array is not None:
+                        array[at : at + block.size] = block
+                at += blocks[0].size
+        if spill is not None:
+            values = [SpillFile(spill, count)]
+    return [_dataset(*parts) for parts in zip(accs, tables, values)]
 
 
 def empirical_moments(
@@ -350,12 +361,11 @@ def empirical_moments(
     spill: str | Path | None = None,
 ) -> MomentSummary:
     """Mean, deviation, and central moments of f over members up to n, from
-    one dataset (see :func:`collect_dataset`), whose sweep also writes
-    `spill` if set.
+    one dataset (see :func:`collect_datasets`) with no per-member array,
+    whose sweep also writes `spill` if set.
     Kept for `scripts/model_vs_empirical.py`; the benchmark's tracer hooks it."""
-    acc = CoMoments(u_max)
-    collect_dataset(fn, ext, progression, n, spill, acc=acc)
-    return summarize(acc, progression, n)
+    (dataset,) = collect_datasets([(fn, ext)], progression, n, u_max, spill, keep=False)
+    return summarize(dataset.moments, progression, n)
 
 
 @contextmanager

@@ -5,14 +5,15 @@ between an empirical CDF and the standard normal, measured after
 centering and scaling by either (mean, deviation) or (mean, sqrt(mean)).
 Raw distances only; no p-values.
 
-A dataset is what :mod:`moments` gives: a table of distinct values and
-counts (a lattice spec's sweep or spill file folds into it), or per-member
-values (one array, or a spill file read in blocks).  A table gives the
+A dataset is what :mod:`moments` gives (:func:`moments.collect_datasets`,
+the one route of `moments`, `ektest` and `compare`): a table of distinct
+values and counts on a lattice of step c (counted, or a lattice spec's
+sweep or spill file folded into it), or per-member values (one array, or
+a spill file read in blocks), each with its moments.  A table gives the
 normalization (center and scale), the KS gap, the CDF grid and the
-discreteness floor (largest point mass / 2) directly; for lattice values
-with step c it also gives Esseen's continuity-corrected KS, which compares
-the empirical CDF at each value x with the normal CDF at the half-lattice
-point x + c/2.
+discreteness floor (largest point mass / 2) directly, and Esseen's
+continuity-corrected KS at the step c, which compares the empirical CDF
+at each value x with the normal CDF at the half-lattice point x + c/2.
 
 The CDF grid sits at evenly spaced normal quantiles, found by Newton's
 method on ``math.erf``.  Either kind of dataset is read through
@@ -20,9 +21,10 @@ method on ``math.erf``.  Either kind of dataset is read through
 blocks, and each block in pieces of ``arith_fn.piece_length`` values, so
 that a pass's temporaries stay in L2.
 
-Per-member values are never sorted.  The center and scale come from one
-pass over the sweep's blocks (so the center is the ``moments`` mean bit
-for bit), and one more pass counts the values into equal-width range bins
+Per-member values are never sorted.  The center, scale and range come
+from the dataset's moments, fed with the sweep's blocks as ``moments``
+feeds them (so the center is the ``moments`` mean bit for bit), and one
+pass counts the values into equal-width range bins
 and into at most 2^16 hash buckets, whose counts (512 KiB) stay in L2
 beside a piece.  The empirical CDF and Phi are both monotone, so
 the counts before and after a bin and Phi at its edges bound every gap
@@ -43,17 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith_fn import Extension, PrimeFunction, increment_table, lattice_steps, piece_length
+from .arith_fn import Extension, PrimeFunction, piece_length
 from .config import CDF_GRID_HI, CDF_GRID_LO, CDF_GRID_POINTS
-from .moments import (
-    CoMoments,
-    SpillFile,
-    collect_dataset,
-    counted_tables,
-    iter_blocks,
-    spill_dataset,
-    spill_label,
-)
+from .moments import SpillFile, collect_datasets, iter_blocks, spill_dataset
 from .sieve import Progression
 
 NORMALIZATIONS = ("sigma", "sqrt_mean")
@@ -273,14 +267,13 @@ def erdos_kac_report(
     normalization="sigma" centers at the mean and scales by the
     deviation; "sqrt_mean" scales by sqrt(mean) and is only offered for
     nonnegative functions bounded by 1 at primes, the regime where that
-    scaling has a normal limit.  Values come from an existing spill file
-    of this dataset (its sidecar must name it) when given, otherwise from
-    the class's law of omega and Omega (:func:`moments.counted_tables`,
-    lattice step |c|) or one member sweep; only a spill or a sweep builds
-    the increment table that gives the lattice step.  A lattice spec's values
-    become one value/count table and everything is read off it; any other
-    spec's are read in the sweep's blocks, for the center and scale and
-    then for the bounded KS, the largest tie and the grid.
+    scaling has a normal limit.  The dataset is the one `moments` reads
+    (:func:`moments.collect_datasets`, with its moments, range and lattice
+    step), or that of an existing spill file of it (its sidecar must name
+    it; :func:`moments.spill_dataset`).  A table gives everything
+    directly, and Esseen's corrected KS at the dataset's step; per-member
+    values are read again, in the sweep's blocks, only for the bounded KS,
+    the largest tie and the grid.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -288,26 +281,14 @@ def erdos_kac_report(
         raise ValueError(
             "sqrt_mean normalization requires 0 <= f(p) <= 1; use sigma instead"
         )
-    specs = [(fn, ext)]
-    counted = None if spill is not None else counted_tables(specs, progression, n)
-    if counted is not None:  # c omega or c Omega, on the lattice of step |c|
-        (x, counts), step = counted[0], abs(fn.constant_above(1))
+    if spill is not None:
+        data = spill_dataset(spill, fn, ext, progression, n, 2)
     else:
-        rows = increment_table(specs, progression, n)
-        (step,) = lattice_steps(specs, rows, n)
-        if spill is not None:
-            x, counts = spill_dataset(spill, spill_label(fn, ext, progression, n), step)
-        else:
-            x, counts = collect_dataset(fn, ext, progression, n, rows=rows)
+        (data,) = collect_datasets([(fn, ext)], progression, n, 2)
     count = progression.count(n)
     if count < 2:
         raise ValueError("degenerate progression: need at least 2 members")
-    acc, piece = CoMoments(2), piece_length()
-    lo, hi = math.inf, -math.inf
-    for block, weights in iter_blocks(x, counts):
-        acc.add_batch(block, weights)
-        for part in np.split(block, range(piece, block.size, piece)):
-            lo, hi = min(lo, float(part.min())), max(hi, float(part.max()))
+    x, counts, acc = data.x, data.counts, data.moments
     center = acc.mean
     if normalization == "sigma":
         scale = acc.sigma
@@ -319,11 +300,10 @@ def erdos_kac_report(
         scale = math.sqrt(center)
     corrected = None
     if counts is None:
-        ks, tie, grid = _bounded_ks(x, lo, hi, center, scale)
+        ks, tie, grid = _bounded_ks(x, acc.lo, acc.hi, center, scale)
     else:
         ks, tie = ks_distance(x, counts, center, scale), int(counts.max())
-        if step is not None:
-            corrected = ks_lattice(x, counts, center, scale, step)
+        corrected = ks_lattice(x, counts, center, scale, data.step)
         grid = _cdf_grid(x, counts, center, scale)
     floor = tie / count / 2.0
     return NormalityReport(n, count, normalization, center, scale, ks, floor, corrected, grid)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments import arith_fn, cli, counting, model, stats
+from apmoments import arith_fn, cli, counting, model, moments, stats
 from apmoments.arith_fn import (
     STRONG,
     Extension,
@@ -21,11 +21,11 @@ from apmoments.moments import (
     CoMoments,
     SpillFile,
     chebyshev_check,
-    collect_dataset,
+    collect_datasets,
     empirical_moments,
-    moment_summary,
+    iter_blocks,
     spill_dataset,
-    spill_label,
+    summarize,
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
@@ -39,6 +39,20 @@ def read_whole(path):
 SQRTLOGLOG = PrimeFunction("sqrt_loglog")
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def collect(fn, ext, prog, n, spill=None):
+    """(x, counts) of one spec's dataset."""
+    (data,) = collect_datasets([(fn, ext)], prog, n, spill=spill)
+    return data.x, data.counts
+
+
+def summary_of(values, prog, n, u_max, counts=None):
+    """The summary of a dataset (values, counts), fed in its blocks."""
+    acc = CoMoments(u_max)
+    for block, weights in iter_blocks(values, counts):
+        acc.add_batch(block, weights)
+    return summarize(acc, prog, n)
 
 
 class TestCoMoments:
@@ -202,7 +216,7 @@ class TestEmpiricalMoments:
         blocks = -(-prog.count(n) // 4099)
         assert len(reads) == blocks and len(set(reads)) == blocks
         # the moments as the file read back gives them, bit for bit
-        want = moment_summary(SpillFile(path, prog.count(n)), prog, n, 6)
+        want = summary_of(SpillFile(path, prog.count(n)), prog, n, 6)
         assert empirical_moments(SQRTLOGLOG, STRONG, prog, n, spill=path) == want
         # and the same report bytes as without the spill, but for its name
         assert cli.main(argv) == 0
@@ -337,24 +351,6 @@ class TestChebyshev:
             chebyshev_check(s, np.zeros(5), (2.0,))
 
 
-class TestOneSweepPerDataset:
-    @pytest.fixture
-    def sweeps(self, monkeypatch):
-        calls = []
-        sweep = arith_fn.iter_progression_values
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(arith_fn, "iter_progression_values", counted)
-        return calls
-
-    def test_moments_subcommand_sweeps_once(self, sweeps, capsys):
-        assert cli.main(["moments", "--mod", "4", "--res", "1", "--n", "1e4", "--fn", "omega"]) == 0
-        assert sweeps == [10**4]
-
-
 class TestOneTableBuildPerDataset:
     """Each dataset builds its increment table once; the lattice decision
     and the sweep share it."""
@@ -368,9 +364,7 @@ class TestOneTableBuildPerDataset:
             calls.append(n)
             return build(specs, progression, n)
 
-        for mod in (arith_fn, stats, model):  # every namespace holding the name
-            if getattr(mod, "increment_table", None) is build:
-                monkeypatch.setattr(mod, "increment_table", counted)
+        monkeypatch.setattr(arith_fn, "increment_table", counted)
         return calls
 
     @pytest.mark.parametrize("text", ["omega", "sqrtloglog"])
@@ -426,7 +420,7 @@ class TestLatticeTable:
         prog, n = Progression(4, 1), 10**5
         assert _step(fn, ext, prog, n) == step
         member_block(257)
-        x, counts = collect_dataset(fn, ext, prog, n)
+        x, counts = collect(fn, ext, prog, n)
         member_block()
         want_x, want_counts = np.unique(collect_values(fn, ext, prog, n), return_counts=True)
         assert np.array_equal(x, want_x) and np.array_equal(counts, want_counts)
@@ -443,7 +437,7 @@ class TestLatticeTable:
         count = sum(per_member.values())
         mean = sum(v * c for v, c in per_member.items()) / count
         s = empirical_moments(fn, ext, prog, n, u_max=6)
-        assert collect_dataset(fn, ext, prog, n)[1] is not None  # the table path ran
+        assert collect(fn, ext, prog, n)[1] is not None  # the table path ran
         assert s.count == count
         assert s.mean == pytest.approx(float(mean), rel=1e-14)
         for u in range(2, 7):
@@ -457,11 +451,11 @@ class TestLatticeTable:
         prog, n = Progression(4, 1), 10**5
         assert _step(fn, ext, prog, n) == 0.1
         member_block(4099)
-        x, counts = collect_dataset(fn, ext, prog, n)
+        x, counts = collect(fn, ext, prog, n)
         member_block()
         assert counts is not None
-        table = moment_summary(x, prog, n, 6, counts)
-        array = moment_summary(collect_values(fn, ext, prog, n), prog, n, 6)
+        table = summary_of(x, prog, n, 6, counts)
+        array = summary_of(collect_values(fn, ext, prog, n), prog, n, 6)
         assert table.count == array.count
         assert table.mean == pytest.approx(array.mean, rel=1e-12)
         for u in range(2, 7):
@@ -483,7 +477,7 @@ class TestLatticeTable:
         prog, n = Progression(4, 1), 10**5
         assert _step(fn, ext, prog, n) == 0.7
         member_block(4099)
-        x, counts = collect_dataset(fn, ext, prog, n)
+        x, counts = collect(fn, ext, prog, n)
         member_block()
         k, want_counts = np.unique(np.rint(collect_values(fn, ext, prog, n) / 0.7),
                                    return_counts=True)
@@ -502,9 +496,10 @@ class TestLatticeTable:
         fn, ext = _spec("tab:5=125,default=1")  # values past int8
         prog, n = Progression(4, 1), 10**5
         path = tmp_path / "values.f64"
-        x, counts = collect_dataset(fn, ext, prog, n, spill=path)
+        x, counts = collect(fn, ext, prog, n, spill=path)
         if fold == "spill":
-            x, counts = spill_dataset(path, spill_label(fn, ext, prog, n), 1.0)
+            data = spill_dataset(path, fn, ext, prog, n)
+            x, counts = data.x, data.counts
         values = collect_values(fn, ext, prog, n)
         assert np.array_equal(read_whole(path), values)
         want_x, want_counts = np.unique(values, return_counts=True)
@@ -534,7 +529,7 @@ class TestLatticeTable:
         prog, n = Progression(4, 1), 10**5
         assert _step(fn, ext, prog, n) is None
         values = collect_values(fn, ext, prog, n)
-        x, counts = collect_dataset(fn, ext, prog, n)
+        x, counts = collect(fn, ext, prog, n)
         assert counts is None and np.array_equal(x, values)
         # the per-member path as it was before weights: blocks of MEMBER_BLOCK,
         # each reduced by unweighted sums and merged into one state
@@ -566,20 +561,31 @@ class TestLatticeTable:
     def test_weighted_coverage_equals_per_member_coverage(self):
         prog, n = Progression(4, 3), 10**5
         s = empirical_moments(OMEGA, OMEGA_EXT, prog, n)
-        x, counts = collect_dataset(OMEGA, OMEGA_EXT, prog, n)
+        x, counts = collect(OMEGA, OMEGA_EXT, prog, n)
         bs = (1.0, 1.5, 2.0, 3.0)
         per_member = chebyshev_check(s, collect_values(OMEGA, OMEGA_EXT, prog, n), bs)
         assert chebyshev_check(s, x, bs, counts).coverage == per_member.coverage
 
 
 class TestNoPerMemberArray:
-    """Lattice subcommands never build one float64 per member."""
+    """Lattice subcommands, and compare and empirical_moments on any spec,
+    never build one float64 per member."""
 
     @pytest.fixture
     def no_arrays(self, monkeypatch):
+        """Refuse the collector's per-member array (its one np.empty) and
+        arith_fn.collect_values."""
+
         def refuse(*args, **kwargs):
             raise AssertionError("per-member array built")
 
+        class Numpy:
+            empty = staticmethod(refuse)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(moments, "np", Numpy())
         monkeypatch.setattr(arith_fn, "collect_values", refuse)
 
     @pytest.mark.parametrize(
@@ -590,11 +596,21 @@ class TestNoPerMemberArray:
             ["ektest", "--fn", "omega"],
             ["ektest", "--fn", "bigomega", "--norm", "sigma"],
             ["compare", "--fn-star", "omega", "--fn", "bigomega", "--class", "H"],
+            ["compare", "--fn-star", "sqrtloglog", "--fn", "invloglog"],
         ],
-        ids=["moments_omega", "moments_bigomega", "ektest_omega", "ektest_bigomega", "compare"],
+        ids=["moments_omega", "moments_bigomega", "ektest_omega", "ektest_bigomega", "compare",
+             "compare_off_the_lattice"],
     )
     def test_subcommand_runs_without_collect_values(self, no_arrays, argv, capsys):
         assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
+
+    def test_empirical_moments_off_the_lattice(self, no_arrays):
+        assert empirical_moments(SQRTLOGLOG, STRONG, Progression(4, 1), 10**5).count == 25000
+
+    def test_the_guard_sees_a_kept_array(self, no_arrays, capsys):
+        # moments keeps the values of a spec off the lattice for its coverage
+        with pytest.raises(AssertionError, match="per-member array built"):
+            cli.main(["moments", "--fn", "sqrtloglog", "--mod", "4", "--res", "1", "--n", "1e5"])
 
     def test_spill_still_writes_one_float64_per_member(self, tmp_path, capsys):
         spill = tmp_path / "values.f64"
@@ -633,8 +649,7 @@ def routes(monkeypatch):
         calls["law"].append(n)
         return law(n, k, r)
 
-    for mod in (arith_fn, model):  # every namespace holding the sweep
-        monkeypatch.setattr(mod, "iter_progression_values", spy_sweep)
+    monkeypatch.setattr(arith_fn, "iter_progression_values", spy_sweep)
     monkeypatch.setattr(counting, "omega_law", spy_law)
     return calls
 
@@ -654,9 +669,9 @@ class TestCountedTables:
         fn, ext = arith_fn.resolve_spec(text, prog, mode=mode)
         for n in (10**4, 1369, 2883, 99_991, 10**6 + 7):
             _pays(monkeypatch, False)
-            swept = collect_dataset(fn, ext, prog, n)
+            swept = collect(fn, ext, prog, n)
             _pays(monkeypatch, True)
-            counted = collect_dataset(fn, ext, prog, n)
+            counted = collect(fn, ext, prog, n)
             for a, b in zip(counted, swept):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (n, k, r)
         assert routes["sweep"] == routes["law"] == [10**4, 1369, 2883, 99_991, 10**6 + 7]
@@ -681,46 +696,96 @@ class TestCountedTables:
         prog, n = Progression(4, r), 3 * 10**7
         for text in ("omega", "bigomega"):
             fn, ext = arith_fn.resolve_spec(text)
-            counted = collect_dataset(fn, ext, prog, n)
+            counted = collect(fn, ext, prog, n)
             with monkeypatch.context() as m:
                 _pays(m, False)
-                swept = collect_dataset(fn, ext, prog, n)
+                swept = collect(fn, ext, prog, n)
             for a, b in zip(counted, swept):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         assert routes == {"sweep": [n, n], "law": [n, n]}
 
     @pytest.mark.parametrize("argv", [
-        ["moments", "--fn", "omega"],
-        ["moments", "--fn", "const:-1.5", "--ext", "complete"],
-        ["ektest", "--fn", "half_omega"],
-        ["compare", "--fn-star", "omega", "--fn", "bigomega", "--class", "H"],
-    ], ids=["moments", "moments_complete", "ektest", "compare"])
-    def test_no_sweep_on_the_route(self, argv, routes, monkeypatch, capsys):
+        ["moments", "--fn", "omega1"],
+        ["moments", "--fn", "omega", "--p0", "5"],
+        ["compare", "--fn-star", "omega", "--fn", "sqrtloglog"],
+    ], ids=["omega1", "p0", "compare_one_side"])
+    def test_one_sweep_off_the_route(self, argv, routes, monkeypatch, capsys):
         _pays(monkeypatch, True)
-        assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
-        assert routes == {"sweep": [], "law": [10**5]}
-
-    @pytest.mark.parametrize("argv, forced", [
-        (["moments", "--fn", "omega1"], True),
-        (["moments", "--fn", "tab:5=1,7=2,default=0.5"], True),
-        (["moments", "--fn", "omega", "--p0", "5"], True),
-        (["moments", "--fn", "omega", "--spill", "{tmp}/values.f64"], True),
-        (["moments", "--fn", "sqrtloglog"], True),
-        (["moments", "--fn", "omega"], False),
-        (["ektest", "--fn", "omega"], False),
-        (["compare", "--fn-star", "omega", "--fn", "sqrtloglog"], True),
-    ], ids=["omega1", "tab", "p0", "spill", "sqrtloglog", "pays_false", "ektest_pays_false",
-            "compare_one_side"])
-    def test_one_sweep_off_the_route(self, argv, forced, routes, monkeypatch, tmp_path, capsys):
-        if forced:
-            _pays(monkeypatch, True)
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
         assert routes == {"sweep": [10**5], "law": []}
 
     def test_one_sweep_with_an_override(self, routes, monkeypatch):
         _pays(monkeypatch, True)
         ext = Extension("strong", overrides=(((3, 2), 2.0),))
-        x, counts = collect_dataset(OMEGA, ext, Progression(4, 1), 10**5)
+        x, counts = collect(OMEGA, ext, Progression(4, 1), 10**5)
         assert counts is not None  # on the lattice, and swept
         assert routes == {"sweep": [10**5], "law": []}
+
+
+# The dataset routes of `moments`, `ektest` and `compare`: (id, spec flags,
+# ektest's normalization, counting.pays forced to (None: left as it is),
+# spill file, the route each op takes (c counted, s swept, r a spill read),
+# the lattice step).
+DATASET_ROUTES = [
+    ("counted", ["--fn", "omega"], "sqrt_mean", True, False, "ccc", 1.0),
+    ("counted_scaled", ["--fn", "scaled:-1.5:one"], "sigma", True, False, "ccc", 1.5),
+    ("counted_complete", ["--fn", "const:-1.5", "--ext", "complete"], "sigma", True, False,
+     "ccc", 1.5),
+    ("lattice_tab", ["--fn", "tab:5=1,7=2,default=0.5"], "sigma", True, False, "sss", 0.5),
+    ("lattice_omega", ["--fn", "omega"], "sqrt_mean", False, False, "sss", 1.0),
+    ("lattice_scaled", ["--fn", "scaled:-1.5:one"], "sigma", False, False, "sss", 1.5),
+    ("float", ["--fn", "sqrtloglog"], "sigma", None, False, "sss", None),
+    ("spill_lattice", ["--fn", "omega"], "sqrt_mean", True, True, "src", 1.0),
+    ("spill_float", ["--fn", "sqrtloglog"], "sigma", None, True, "srs", None),
+]
+
+
+class TestDatasetRoutes:
+    """`moments`, `ektest` and `compare` read one dataset, on every route:
+    the same summary bit for bit, ektest centered at its mean with Esseen's
+    KS at its step, and at most one sweep per op.  A spill is written by
+    `moments --spill` and read back by `ektest --spill`; compare has no
+    spill, so it takes the route of the dataset without one."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Every moments summary, compare result, ektest report and step
+        given to ks_lattice, in call order."""
+        seen = {"summary": [], "compare": [], "ektest": [], "step": []}
+
+        def spy(mod, name, key, pick=lambda args, out: out):
+            real = getattr(mod, name)
+
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen[key].append(pick(args, out))
+                return out
+
+            monkeypatch.setattr(mod, name, call)
+
+        spy(moments, "summarize", "summary")
+        spy(model, "compare_pair", "compare")
+        spy(stats, "erdos_kac_report", "ektest")
+        spy(stats, "ks_lattice", "step", lambda args, out: args[4])
+        return seen
+
+    @pytest.mark.parametrize("route, spec, norm, pays, spill, taken, step", DATASET_ROUTES,
+                             ids=[row[0] for row in DATASET_ROUTES])
+    def test_one_dataset_three_ways(self, route, spec, norm, pays, spill, taken, step, seen,
+                                    routes, monkeypatch, tmp_path, capsys, member_block):
+        member_block(4099)  # a sweep, its spill and the moments in several blocks
+        if pays is not None:
+            _pays(monkeypatch, pays)
+        spilled = ["--spill", str(tmp_path / "values.f64")] if spill else []
+        ops = (["moments", *spec, *spilled], ["ektest", *spec, "--norm", norm, *spilled],
+               ["compare", "--fn-star", spec[1], *spec])
+        for argv, how in zip(ops, taken):
+            sweeps, laws = len(routes["sweep"]), len(routes["law"])
+            assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
+            assert len(routes["sweep"]) - sweeps == (how == "s"), argv
+            assert len(routes["law"]) - laws == (how == "c"), argv
+        (summary,), (cmp,), (report,) = seen["summary"], seen["compare"], seen["ektest"]
+        assert cmp.summary_star == cmp.summary == summary
+        assert report.center == summary.mean
+        assert seen["step"] == ([] if step is None else [step])
+        assert (report.ks_lattice is None) == (step is None)

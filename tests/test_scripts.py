@@ -19,30 +19,37 @@ ROOT = Path(__file__).resolve().parents[1]
         ("erdos_kac_table.py", ["--decades", "3,4"], "omega over 1 mod 4, normalization=sqrt_mean"),
         ("model_vs_empirical.py", ["--n", "1e4"], "fn=omega ext=strong over 1 mod 4, n=10000"),
         ("mertens_progression_scan.py", ["--max-decade", "4"], "fn=const:1  (start prime 2)"),
+        ("report_digests.py", ["--small"], "sha256 workload variant op"),
     ],
 )
 def test_script_runs(script, args, header):
+    assert _run(script, *args).splitlines()[0] == header
+
+
+def _run(script, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == header
+    return proc.stdout
+
+
+def test_report_digests_repeat():
+    # one digest per op of every workload, the same in a second process,
+    # although each run spills into a directory of its own
+    first = _run("report_digests.py", "--small")
+    assert len(first.splitlines()) == 1 + 3 + 4 + 21
+    assert _run("report_digests.py", "--small") == first
 
 
 def test_mertens_scan_gap_steady_from_sieved_to_counted_decade():
     # decade 7 sieves every prime (counting does not pay at 10^7 mod 3 or
     # mod 4), decade 8 counts the primes past 10^6 by class: the gap to the
     # main term (the O(1) constant) must not jump between routes
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "mertens_progression_scan.py"), "--max-decade", "8"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
     gaps = {}
-    for line in proc.stdout.splitlines():
+    for line in _run("mertens_progression_scan.py", "--max-decade", "8").splitlines():
         if line.startswith("class "):
             cls = line
         elif line.split() and line.split()[0] in ("10000000", "100000000"):

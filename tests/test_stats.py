@@ -1,4 +1,3 @@
-import json
 import math
 from statistics import NormalDist
 from unittest import mock
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments import arith_fn, cli, config, counting, stats
+from apmoments import arith_fn, config, counting, stats
 from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values, resolve_spec
 from apmoments.model import exact_moments, sample
 from apmoments.moments import empirical_moments
@@ -487,19 +486,6 @@ class TestReportWithoutSort:
         rep = erdos_kac_report(PrimeFunction("sqrt_loglog"), STRONG, Progression(1, 0), 10**5,
                                "sigma")
         assert sizes and max(sizes) < rep.count // 20
-
-    def test_spill_center_is_the_moments_mean(self, tmp_path, member_block, capsys):
-        # blocks of 4099 move the sweep, the moments and the KS pass together
-        member_block(4099)
-        spill = str(tmp_path / "values.f64")
-        argv = ["--fn", "sqrtloglog", "--mod", "3", "--res", "1", "--n", "1e5", "--spill", spill]
-        assert cli.main(["moments", *argv]) == 0
-        mean = json.loads(capsys.readouterr().out)["mean"]
-        assert cli.main(["ektest", "--norm", "sigma", *argv]) == 0
-        assert json.loads(capsys.readouterr().out)["center"] == mean
-        fn, ext = resolve_spec("sqrtloglog")
-        rep = erdos_kac_report(fn, ext, Progression(3, 1), 10**5, "sigma", spill=spill)
-        assert rep.center == empirical_moments(fn, ext, Progression(3, 1), 10**5, spill=spill).mean
 
     @pytest.mark.parametrize("spec", ["omega", "sqrtloglog", "tab:5=0.7,default=0.5"])
     def test_spill_and_sweep_agree_in_small_blocks(self, tmp_path, member_block, spec):
