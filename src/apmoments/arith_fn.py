@@ -7,11 +7,12 @@ number-of-distinct-prime-divisors function, its with-multiplicity variant,
 the residue-class-restricted variant, and the half-weight variant are all
 built from these two pieces.
 
-Everything known about a formula kind of f(p) (its formula and
-derivative, start primes, bound, decay case and closed form) is one entry
-of :data:`FORMULAS`; ``scaled`` and ``tabulated`` are the two structural
-kinds built on top.  :func:`resolve_spec` turns spec text, built-in names
-included, into a function and its prime-power rule.
+Every spec is f(p) = c * g(p): its kind names the shape g and c is
+always its factor.  Everything known about a formula shape (its formula
+and derivative, start primes, bound, decay case and closed form) is one
+entry of :data:`FORMULAS`; ``tabulated``, a finite table of values, is
+the one other shape.  :func:`resolve_spec` turns spec text, built-in
+names included, into a function and its prime-power rule.
 
 Bulk evaluation over progression members reads an additive function as one
 table of increments f(p^a) - f(p^(a-1)), one row per prime power: every
@@ -64,30 +65,31 @@ class DecayCase(Enum):
 
 @dataclass(frozen=True)
 class Formula:
-    """Everything catalogued about one formula kind of f(p).
+    """Everything catalogued about one shape g of f(p) = c * g(p).
 
-    c is the constant kind's value; the other kinds ignore it.  value and
-    derivative are numpy expressions in t: values_at applies them to
-    arrays of primes (value in place, into `out`), the quadrature to floats
-    and ints.  bound and antiderivative are evaluated at single points.
-    Every formula keeps, on all p >= minimum, the sign of its value at
-    minimum.
+    The factor c belongs to the spec (:class:`PrimeFunction`), never to
+    the formula.  value and derivative are numpy expressions in t:
+    values_at applies them to arrays of primes (value in place, into
+    `out`), the quadrature to floats and ints.  bound and antiderivative
+    are evaluated at single points.  Every formula keeps, on all
+    p >= minimum, the sign of its value at minimum.
     """
 
-    value: Callable[..., Any]  # f(t, c, out=None)
-    derivative: Callable[[Any, float], Any]  # f'(t)
-    bound: Callable[[int, float], float | None]  # sup |f(p)| over p >= p0, None if unbounded
-    case: Callable[[int], tuple[DecayCase | None, str]]  # decay case of f^u and a note
-    # F(t) with F'(t) = f(t)^u / (t ln t), None at orders without a closed form
-    antiderivative: Callable[[float, int, float], float | None] = lambda t, u, c: None
+    value: Callable[..., Any]  # g(t, out=None)
+    derivative: Callable[[Any], Any]  # g'(t)
+    bound: Callable[[int], float | None]  # sup |g(p)| over p >= p0, None if unbounded
+    case: Callable[[int], tuple[DecayCase | None, str]]  # decay case of g^u and a note
+    # G(t) with G'(t) = g(t)^u / (t ln t), None at orders without a closed form
+    antiderivative: Callable[[float, int], float | None] = lambda t, u: None
     tag: str = ""  # formula tag of the closed form
     names: tuple[str, ...] = ()  # spec names; one ending in ":" takes c after it
     start: int = 2  # default start prime
     minimum: int = 2  # smallest allowed start prime
 
-    def sign(self, c: float) -> float:
-        """Sign of f(p) on every prime past the minimum start (0 for the zero constant)."""
-        return float(np.sign(self.value(self.minimum, c)))
+    @property
+    def sign(self) -> float:
+        """Sign of g(p) on every prime past the minimum start."""
+        return float(np.sign(self.value(self.minimum)))
 
 
 def _lnln(t: float) -> float:
@@ -96,68 +98,59 @@ def _lnln(t: float) -> float:
 
 FORMULAS: dict[str, Formula] = {
     "constant": Formula(
-        # t / t is 1.0 on t > 0, so the constant kinds also fill `out`
-        value=lambda t, c, out=None: np.multiply(np.divide(t, t, out=out), c, out=out),
-        derivative=lambda t, c: 0.0,
-        bound=lambda p0, c: abs(c),
+        # t / t is 1.0 on t > 0, so the constant kind also fills `out`
+        value=lambda t, out=None: np.divide(t, t, out=out),
+        derivative=lambda t: 0.0,
+        bound=lambda p0: 1.0,
         case=lambda u: (DecayCase.CASE1, ""),
-        antiderivative=lambda t, u, c: c**u * _lnln(t),
+        antiderivative=lambda t, u: _lnln(t),
         tag="mertens",
-        names=("const:", "constant:"),
-    ),
-    "indicator_one": Formula(
-        value=lambda t, c, out=None: np.divide(t, t, out=out),
-        derivative=lambda t, c: 0.0,
-        bound=lambda p0, c: 1.0,
-        case=lambda u: (DecayCase.CASE1, ""),
-        antiderivative=lambda t, u, c: _lnln(t),
-        tag="mertens",
-        names=("one", "indicator_one", "omega"),
+        names=("const:", "constant:", "one", "indicator_one", "omega"),
     ),
     "one_over_loglog": Formula(
-        value=lambda t, c, out=None: np.divide(1.0, np.log(np.log(t, out=out), out=out), out=out),
-        derivative=lambda t, c: -1.0 / (t * np.log(t) * np.log(np.log(t)) ** 2),
-        bound=lambda p0, c: 1.0 / _lnln(p0),
+        value=lambda t, out=None: np.divide(1.0, np.log(np.log(t, out=out), out=out), out=out),
+        derivative=lambda t: -1.0 / (t * np.log(t) * np.log(np.log(t)) ** 2),
+        bound=lambda p0: 1.0 / _lnln(p0),
         case=lambda u: (DecayCase.CASE3, "") if u == 1 else (
             DecayCase.CASE4, "order >= 2: series converges despite sub-log decay"),
-        antiderivative=lambda t, u, c: math.log(_lnln(t)) if u == 1 else None,
+        antiderivative=lambda t, u: math.log(_lnln(t)) if u == 1 else None,
         tag="lnlnln",
         names=("invloglog",),
         start=11,
         minimum=11,
     ),
     "one_over_log": Formula(
-        value=lambda t, c, out=None: np.divide(1.0, np.log(t, out=out), out=out),
-        derivative=lambda t, c: -1.0 / (t * np.log(t) ** 2),
-        bound=lambda p0, c: 1.0 / math.log(p0),
+        value=lambda t, out=None: np.divide(1.0, np.log(t, out=out), out=out),
+        derivative=lambda t: -1.0 / (t * np.log(t) ** 2),
+        bound=lambda p0: 1.0 / math.log(p0),
         case=lambda u: (DecayCase.CASE4, ""),
         names=("invlog",),
         start=3,
         minimum=3,
     ),
     "sqrt_loglog": Formula(
-        value=lambda t, c, out=None: np.sqrt(np.log(np.log(t, out=out), out=out), out=out),
-        derivative=lambda t, c: 1.0 / (2.0 * t * np.log(t) * np.sqrt(np.log(np.log(t)))),
-        bound=lambda p0, c: None,
+        value=lambda t, out=None: np.sqrt(np.log(np.log(t, out=out), out=out), out=out),
+        derivative=lambda t: 1.0 / (2.0 * t * np.log(t) * np.sqrt(np.log(np.log(t)))),
+        bound=lambda p0: None,
         case=lambda u: (None, "unbounded kind; outside the catalogue"),
-        antiderivative=lambda t, u, c: _lnln(t) ** (u / 2.0 + 1.0) / (u / 2.0 + 1.0),
+        antiderivative=lambda t, u: _lnln(t) ** (u / 2.0 + 1.0) / (u / 2.0 + 1.0),
         tag="power-of-loglog",
         names=("sqrtloglog",),
         start=3,
         minimum=3,
     ),
     "one_minus_one_over_p": Formula(
-        value=lambda t, c, out=None: np.subtract(1.0, np.divide(1.0, t, out=out), out=out),
-        derivative=lambda t, c: 1.0 / (t * t),
-        bound=lambda p0, c: 1.0,
+        value=lambda t, out=None: np.subtract(1.0, np.divide(1.0, t, out=out), out=out),
+        derivative=lambda t: 1.0 / (t * t),
+        bound=lambda p0: 1.0,
         case=lambda u: (DecayCase.CASE2, ""),
         names=("one_minus_inv_p", "oneminusinvp"),
     ),
     "one_minus_one_over_log": Formula(
-        value=lambda t, c, out=None: np.subtract(
+        value=lambda t, out=None: np.subtract(
             1.0, np.divide(1.0, np.log(t, out=out), out=out), out=out),
-        derivative=lambda t, c: 1.0 / (t * np.log(t) ** 2),
-        bound=lambda p0, c: max(abs(1.0 - 1.0 / math.log(p0)), 1.0),
+        derivative=lambda t: 1.0 / (t * np.log(t) ** 2),
+        bound=lambda p0: max(abs(1.0 - 1.0 / math.log(p0)), 1.0),
         case=lambda u: (DecayCase.CASE2, ""),
         names=("one_minus_inv_log", "oneminusinvlog"),
         start=3,
@@ -165,7 +158,7 @@ FORMULAS: dict[str, Formula] = {
     ),
 }
 
-KINDS = (*FORMULAS, "scaled", "tabulated")
+KINDS = (*FORMULAS, "tabulated")
 
 _SPEC_KINDS = {name: kind for kind, f in FORMULAS.items() for name in f.names}
 
@@ -176,18 +169,16 @@ class TabulatedLookupError(LookupError):
 
 @dataclass(frozen=True)
 class PrimeFunction:
-    """Value of an arithmetic function at primes.
+    """Value f(p) = c * g(p) of an arithmetic function at primes.
 
     Parameters
     ----------
     kind : str
-        One of :data:`KINDS`.
+        The shape g: one of :data:`KINDS`.
     c : float
-        Value of the constant formula kind, or the factor of kind="scaled".
-    inner : PrimeFunction, optional
-        Wrapped spec for kind="scaled".
+        The factor of g (`one` is the constant shape at c = 1).
     table : tuple of (prime, value), optional
-        Entries for kind="tabulated".
+        Entries of g for kind="tabulated".
     default : float, optional
         Fallback for tabulated lookups; without it a missing prime raises.
     p0 : int, optional
@@ -199,7 +190,6 @@ class PrimeFunction:
 
     kind: str
     c: float = 1.0
-    inner: "PrimeFunction | None" = None
     table: tuple[tuple[int, float], ...] | None = None
     default: float | None = None
     p0: int | None = None
@@ -208,8 +198,6 @@ class PrimeFunction:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown function kind {self.kind!r}")
-        if self.kind == "scaled" and self.inner is None:
-            raise ValueError("scaled kind requires an inner spec")
         if self.kind == "tabulated" and not self.table:
             raise ValueError("tabulated kind requires a non-empty table")
         if not all(math.isfinite(v) for v in (self.c, *self._table_values())):
@@ -226,48 +214,33 @@ class PrimeFunction:
 
     @property
     def formula(self) -> Formula | None:
-        """The kind's entry in :data:`FORMULAS` (None for scaled and tabulated)."""
+        """The kind's entry in :data:`FORMULAS` (None for tabulated)."""
         return FORMULAS.get(self.kind)
-
-    def unscaled(self) -> tuple[float, PrimeFunction]:
-        """(s, g) with f = s * g at primes past the start, and g not scaled."""
-        if self.kind != "scaled":
-            return 1.0, self
-        s, g = self.inner.unscaled()
-        return self.c * s, g
 
     @property
     def minimum_start(self) -> int:
-        if self.kind == "scaled":
-            return self.inner.minimum_start
         return self.formula.minimum if self.formula else 2
 
     @property
     def start_prime(self) -> int:
         if self.p0 is not None:
             return self.p0
-        if self.kind == "scaled":
-            return self.inner.start_prime
         if self.kind == "tabulated":
             return min(p for p, _ in self.table)
         return self.formula.start
 
     @property
     def nonnegative(self) -> bool:
-        if self.kind == "scaled":
-            return self.c >= 0 and self.inner.nonnegative
         if self.kind == "tabulated":
-            return all(v >= 0 for v in self._table_values())
-        return self.formula.sign(self.c) >= 0
+            return all(self.c * v >= 0 for v in self._table_values())
+        return self.c * self.formula.sign >= 0
 
     def value_bound(self) -> float | None:
         """Supremum of |f(p)| over p >= start prime, None if unbounded."""
-        if self.kind == "scaled":
-            inner = self.inner.value_bound()
-            return None if inner is None else abs(self.c) * inner
         if self.kind == "tabulated":
-            return max(abs(v) for v in self._table_values())
-        return self.formula.bound(self.start_prime, self.c)
+            return abs(self.c) * max(abs(v) for v in self._table_values())
+        bound = self.formula.bound(self.start_prime)
+        return None if bound is None else abs(self.c) * bound
 
     @property
     def bounded_by_one(self) -> bool:
@@ -275,35 +248,29 @@ class PrimeFunction:
         return bound is not None and bound <= 1.0 + 1e-15
 
     def constant_above(self, x: int) -> float | None:
-        """c when f(p) = c for every prime p > x, else None.
+        """The one value of f(p) on every prime p > x, or None if it has several.
 
-        A property of the spec alone: Case1 (constant) formulas, and scaled
-        ones of those, that start by x + 1 and have no residue filter, and
-        tabulated specs with a default and every key <= x.
+        A property of the spec alone: constant specs at any factor that
+        start by x + 1 and have no residue filter, and tabulated specs with
+        a default and every key <= x.
         """
         if self.start_prime > x + 1:
             return None
         if self.residue_filter is not None and not self.residue_filter.is_full:
             return None
-        if self.kind == "scaled":
-            inner = self.inner.constant_above(x)
-            return None if inner is None else self.c * inner
         if self.kind == "tabulated":
             if self.default is not None and max(p for p, _ in self.table) <= x:
-                return self.default
+                return self.c * self.default
             return None
         if self.formula.case(1)[0] is DecayCase.CASE1:
-            return float(self.formula.value(x, self.c))
+            return self.c * float(self.formula.value(x))
         return None
 
     def values_at(self, primes: np.ndarray | Sequence[int]) -> np.ndarray:
         """Vectorized f(p) for primes of any integer type, as one new float64
         array (0 below start / off-class, so f(1) = 0); primes is never written."""
         primes = np.asarray(primes)
-        if self.kind == "scaled":
-            vals = self.inner.values_at(primes)
-            vals *= self.c
-        elif self.kind == "tabulated":
+        if self.kind == "tabulated":
             lookup = dict(self.table)
             keys = np.array(sorted(lookup), dtype=np.int64)
             pos = np.minimum(np.searchsorted(keys, primes), keys.size - 1)
@@ -318,7 +285,9 @@ class PrimeFunction:
         else:
             # clip entries below the start prime, zeroed next, so they make no NaN
             vals = np.maximum(primes, float(self.start_prime))
-            self.formula.value(vals, self.c, out=vals)
+            self.formula.value(vals, out=vals)
+        if self.c != 1.0:
+            vals *= self.c
         # a multiply, not a masked copy that mispredicts; + 0.0 turns -0.0 to 0.0
         vals *= primes >= self.start_prime
         if self.residue_filter is not None and not self.residue_filter.is_full:
@@ -427,12 +396,14 @@ def builtin(name: str, progression: Progression | None = None) -> tuple[PrimeFun
 
 def parse_fn(text: str) -> PrimeFunction:
     """Parse the spec syntax: a spec name from :data:`FORMULAS` (const:0.7,
-    invloglog), scaled:<c>:<spec>, or tab:<p>=<v>,...[,default=<v>]."""
+    invloglog), tab:<p>=<v>,...[,default=<v>], or scaled:<a>:<spec>, which
+    is <spec> with its factor c multiplied by a."""
     head, colon, rest = text.partition(":")
     head = head.lower()
     if head == "scaled":
         factor, _, inner = rest.partition(":")
-        return PrimeFunction("scaled", c=float(factor), inner=parse_fn(inner))
+        fn = parse_fn(inner)
+        return dataclasses.replace(fn, c=float(factor) * fn.c)
     if head == "tab":
         entries = {}
         default = None

@@ -13,10 +13,10 @@ Exit codes: 0 success, 2 usage error, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
-import re
 import sys
 import time
 from pathlib import Path
@@ -153,30 +153,21 @@ def _resolve_fn(args, flag: str = "fn") -> tuple[PrimeFunction, Extension]:
     return fn, ext
 
 
-_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
-
-
 def _integer(text: str) -> int:
     """Parser type for sizes (--n, --x, --limit, --trials, each --checkpoints
     value): a whole number, 1e6 and 2.5e3 allowed; 12.9, and a size past the
     float range, are not.
 
-    float() checks the syntax and the range; the digits are then read
-    exactly as digits * 10^scale, with trailing zeros moved to the scale.
+    float() checks the syntax and the range; the text is then read exactly
+    as a Decimal, which must be whole.
     """
     try:
-        finite = math.isfinite(float(text))
-    except ValueError:
-        finite = False
-    m = _DECIMAL.fullmatch(text.strip().replace("_", "")) if finite else None
-    if m:
-        frac = m[3] or ""
-        digits = (m[2] + frac).rstrip("0")
-        scale = int(m[4] or 0) - len(frac) + len(m[2] + frac) - len(digits)
-        if not digits:
-            return 0
-        if scale >= 0:
-            return int(m[1] + digits) * 10**scale
+        if math.isfinite(float(text)):
+            value = decimal.Decimal(text)
+            if value == value.to_integral_value():
+                return int(value)
+    except (ValueError, decimal.InvalidOperation):
+        pass
     raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
 
 

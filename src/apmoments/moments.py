@@ -298,7 +298,7 @@ def collect_datasets(
 
     Counting serves, with no sweep, when there is no spill file, every spec
     is one constant c != 0 on every prime (omega, bigomega, half_omega,
-    `const:c`, scaled constants) with no overrides, and :func:`counting.pays`
+    constant specs at any factor) with no overrides, and :func:`counting.pays`
     holds at (n, k).  Such an f is c omega under the strong rule and c Omega
     under the complete one, on the lattice of step |c|: its table is that
     marginal of the class's joint law (:func:`counting.omega_law`) at

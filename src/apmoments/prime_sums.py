@@ -155,11 +155,10 @@ def adaptive_simpson(
 
 def _continuous(fn: PrimeFunction) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """f and f' as functions of a real t, from the kinds table (no start/filter masking)."""
-    s, g = fn.unscaled()
-    if g.formula is None:
-        raise ValueError(f"kind {g.kind!r} has no continuous form")
-    value, derivative, c = g.formula.value, g.formula.derivative, g.c
-    return (lambda t: s * float(value(t, c))), (lambda t: s * float(derivative(t, c)))
+    if fn.formula is None:
+        raise ValueError(f"kind {fn.kind!r} has no continuous form")
+    value, derivative, c = fn.formula.value, fn.formula.derivative, fn.c
+    return (lambda t: c * float(value(t))), (lambda t: c * float(derivative(t)))
 
 
 def _summand_derivative(fn: PrimeFunction, u: int) -> Callable[[float], float]:
@@ -203,24 +202,23 @@ def integral_asymptotic(fn: PrimeFunction, u: int, x: float, k: int) -> Asymptot
 def closed_form_asymptotic(fn: PrimeFunction, u: int, x: float, k: int) -> AsymptoticEstimate:
     """The kinds table's antiderivative F of f^u/(t ln t), anchored at the start prime.
 
-    For f = s * g with g a formula kind: (s^u/phi(k)) (F(x) - F(p0)), e.g.
-    Mertens' lnln for the constant kinds, lnlnln for 1/lnln p at u = 1 and
+    For f = c * g with g a formula kind: (c^u/phi(k)) (G(x) - G(p0)), e.g.
+    Mertens' lnln for the constant kind, lnlnln for 1/lnln p at u = 1 and
     (lnln)^(u/2+1)/(u/2+1) for sqrt(lnln p).  Raises ClosedFormUnavailable
     where the table has none.
     """
     p0 = fn.start_prime
     if x <= p0:
         raise ValueError(f"x must exceed the start prime {p0}, got {x}")
-    s, g = fn.unscaled()
-    high = None if g.formula is None else g.formula.antiderivative(x, u, g.c)
+    high = None if fn.formula is None else fn.formula.antiderivative(x, u)
     if high is None:
         raise ClosedFormUnavailable(
-            f"no catalogued closed form for kind {g.kind!r} at order {u}; "
+            f"no catalogued closed form for kind {fn.kind!r} at order {u}; "
             "use integral_asymptotic"
         )
-    main = (s**u / euler_phi(k)) * (high - g.formula.antiderivative(p0, u, g.c))
+    main = (fn.c**u / euler_phi(k)) * (high - fn.formula.antiderivative(p0, u))
     err1, err2 = _error_terms(fn, u, x)
-    return AsymptoticEstimate(main, err1, err2, g.formula.tag)
+    return AsymptoticEstimate(main, err1, err2, fn.formula.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +237,12 @@ def classify_decay(fn: PrimeFunction, u: int = 1) -> Classification:
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")
-    s, g = fn.unscaled()
-    if g.formula is None:
-        return Classification(None, 1, f"{g.kind} kind has no symbolic form")
-    lead = s * g.formula.sign(g.c)
+    if fn.formula is None:
+        return Classification(None, 1, f"{fn.kind} kind has no symbolic form")
+    lead = fn.c * fn.formula.sign
     if lead == 0.0:
         raise ValueError("zero function has no catalogued decay case")
-    case, note = g.formula.case(u)
+    case, note = fn.formula.case(u)
     sign = (1 if lead > 0 else -1) ** u if case is not None else 1
     return Classification(case, sign, note)
 

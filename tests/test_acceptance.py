@@ -179,7 +179,7 @@ def test_criterion_4_classifier_table():
         (PrimeFunction("one_over_log"), DecayCase.CASE4, 1),
         (PrimeFunction("constant", c=-0.7), DecayCase.CASE1, -1),
         (
-            PrimeFunction("scaled", c=-1.0, inner=PrimeFunction("one_over_loglog")),
+            PrimeFunction("one_over_loglog", c=-1.0),
             DecayCase.CASE3,
             -1,
         ),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -77,7 +78,7 @@ class TestEvalAtPrime:
             PrimeFunction("one_over_log", p0=2)
 
     def test_residue_filter(self):
-        fn = PrimeFunction("indicator_one", residue_filter=Progression(4, 1))
+        fn = PrimeFunction("constant", residue_filter=Progression(4, 1))
         assert eval_at_prime(fn, 5) == 1.0
         assert eval_at_prime(fn, 3) == 0.0
         assert eval_at_prime(fn, 7) == 0.0
@@ -105,8 +106,15 @@ class TestBoundedness:
 
     def test_negative_kinds_flagged(self):
         assert not PrimeFunction("constant", c=-0.7).nonnegative
-        assert not PrimeFunction("scaled", c=-1.0, inner=PrimeFunction("indicator_one")).nonnegative
-        assert PrimeFunction("indicator_one").nonnegative
+        assert not parse_fn("scaled:-1:one").nonnegative
+        assert parse_fn("one").nonnegative
+
+    @pytest.mark.parametrize("spec", ["scaled:-1:const:-1", "scaled:-1:tab:5=-0.5,default=-1"])
+    def test_negative_factor_of_a_negative_shape(self, spec):
+        # the sign of f is the sign of c * g, not of c and g apart
+        fn = parse_fn(spec)
+        assert fn.nonnegative and fn.bounded_by_one
+        assert np.all(fn.values_at(sieve_primes(100)) >= 0)
 
 
 class TestAdditiveEval:
@@ -190,7 +198,9 @@ class TestParseFn:
         assert parse_fn("invloglog").kind == "one_over_loglog"
         assert parse_fn("sqrtloglog").kind == "sqrt_loglog"
         scaled = parse_fn("scaled:-1:invloglog")
-        assert scaled.c == -1.0 and scaled.inner.kind == "one_over_loglog"
+        assert scaled == PrimeFunction("one_over_loglog", c=-1.0)
+        assert parse_fn("scaled:-2:tab:5=1.5,default=0.5") == PrimeFunction(
+            "tabulated", c=-2.0, table=((5, 1.5),), default=0.5)
         tab = parse_fn("tab:5=1.5,7=2.0,default=0")
         assert dict(tab.table) == {5: 1.5, 7: 2.0}
         assert tab.default == 0.0
@@ -208,15 +218,15 @@ class TestBulkEvaluation:
             (BIG_OMEGA, BIG_OMEGA_EXT),
             (PrimeFunction("sqrt_loglog"), STRONG),
             (PrimeFunction("one_over_loglog"), COMPLETE),
-            (PrimeFunction("indicator_one", residue_filter=Progression(4, 3)), STRONG),
-            (PrimeFunction("indicator_one"), Extension("strong", overrides=(((3, 2), 9.0), ((7, 1), -1.0)))),
-            (PrimeFunction("indicator_one"), Extension("complete", overrides=(((2, 5), 0.0),))),
-            (PrimeFunction("indicator_one"), Extension("strong", overrides=(((61, 1), 4.0),))),
+            (PrimeFunction("constant", residue_filter=Progression(4, 3)), STRONG),
+            (PrimeFunction("constant"), Extension("strong", overrides=(((3, 2), 9.0), ((7, 1), -1.0)))),
+            (PrimeFunction("constant"), Extension("complete", overrides=(((2, 5), 0.0),))),
+            (PrimeFunction("constant"), Extension("strong", overrides=(((61, 1), 4.0),))),
             (PrimeFunction("one_over_log"), Extension("complete", overrides=(((5, 1), 2.0),))),
             # constant from a start prime between sqrt(n) and n: leftovers
             # below it are worth 0, so it must take the gather path
             (PrimeFunction("constant", c=2.5, p0=101), STRONG),
-            (PrimeFunction("scaled", c=-1.5, inner=PrimeFunction("indicator_one")), COMPLETE),
+            (PrimeFunction("constant", c=-1.5), COMPLETE),
             (PrimeFunction("tabulated", table=((5, 1.5), (7, 2.0), (103, -3.0)), default=0.25), STRONG),
         ],
     )
@@ -333,8 +343,9 @@ class TestSweepExactness:
     @pytest.mark.parametrize(
         "fn",
         [PrimeFunction(kind, c=-1.3) for kind in FORMULAS]
-        + [PrimeFunction("constant", c=-1.3, p0=101)],  # priced, as its start is above sqrt(n)
-        ids=[*FORMULAS, "constant-p0"],
+        + [parse_fn("indicator_one"),  # at factor 1, which values_at does not multiply
+           PrimeFunction("constant", c=-1.3, p0=101)],  # priced, as its start is above sqrt(n)
+        ids=[*FORMULAS, "indicator_one", "constant-p0"],
     )
     @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(4, 3)])
     def test_float_columns_bit_identical_to_member_oracle(self, fn, ext, prog, member_block):
@@ -359,7 +370,8 @@ class TestSweepExactness:
 
     @pytest.mark.parametrize("ext", [STRONG, COMPLETE], ids=["strong", "complete"])
     @pytest.mark.parametrize(
-        "fn", [PrimeFunction(kind, c=-1.3) for kind in FORMULAS], ids=list(FORMULAS))
+        "fn", [*(PrimeFunction(kind, c=-1.3) for kind in FORMULAS), parse_fn("indicator_one")],
+        ids=[*FORMULAS, "indicator_one"])
     @pytest.mark.parametrize("block,n", [(1, 500), (2, 501)])
     def test_batched_rows_bit_identical_to_member_oracle(self, block, n, fn, ext, member_block):
         # blocks of 1 and 2 members batch every row (isqrt is 1); blocks of
@@ -635,23 +647,23 @@ class TestConstantAbove:
 
     def test_constant_and_indicator(self):
         assert PrimeFunction("constant", c=-0.7).constant_above(self.X) == -0.7
-        assert PrimeFunction("indicator_one").constant_above(self.X) == 1.0
+        assert PrimeFunction("constant").constant_above(self.X) == 1.0
         assert PrimeFunction("constant", c=2.5, p0=51).constant_above(self.X) == 2.5
         assert PrimeFunction("constant", c=2.5, p0=53).constant_above(self.X) is None
 
     def test_residue_filter(self):
-        restricted = PrimeFunction("indicator_one", residue_filter=Progression(4, 1))
+        restricted = PrimeFunction("constant", residue_filter=Progression(4, 1))
         assert restricted.constant_above(self.X) is None
-        full = PrimeFunction("indicator_one", residue_filter=Progression(1, 0))
+        full = PrimeFunction("constant", residue_filter=Progression(1, 0))
         assert full.constant_above(self.X) == 1.0
 
-    def test_scaled(self):
-        one = PrimeFunction("indicator_one")
-        assert PrimeFunction("scaled", c=-1.5, inner=one).constant_above(self.X) == -1.5
+    def test_factor(self):
+        assert parse_fn("scaled:-1.5:one").constant_above(self.X) == -1.5
         late = PrimeFunction("constant", c=2.0, p0=101)
-        assert PrimeFunction("scaled", c=0.5, inner=late).constant_above(self.X) is None
-        curved = PrimeFunction("one_over_log")
-        assert PrimeFunction("scaled", c=0.5, inner=curved).constant_above(self.X) is None
+        assert dataclasses.replace(late, c=0.5).constant_above(self.X) is None
+        assert parse_fn("scaled:0.5:invlog").constant_above(self.X) is None
+        tab = PrimeFunction("tabulated", c=-2.0, table=((5, 1.5), (47, 2.0)), default=0.25)
+        assert tab.constant_above(self.X) == -0.5
 
     def test_tabulated(self):
         tab = PrimeFunction("tabulated", table=((5, 1.5), (47, 2.0)), default=0.25)
@@ -673,8 +685,9 @@ class TestConstantAbove:
         "fn",
         [
             PrimeFunction("constant", c=-0.7),
-            PrimeFunction("scaled", c=-1.5, inner=PrimeFunction("indicator_one")),
+            PrimeFunction("constant", c=-1.5),
             PrimeFunction("tabulated", table=((5, 1.5), (47, 2.0)), default=0.25),
+            PrimeFunction("tabulated", c=-3.0, table=((5, 1.5), (47, 2.0)), default=0.25),
         ],
     )
     def test_agrees_with_values_at(self, fn):

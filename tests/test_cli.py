@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apmoments import counting
+from apmoments import counting, model
 from apmoments.cli import _integer, build_parser, main
+from apmoments.model import mean_predictions
 from apmoments.sieve import Progression, factorize, primes_upto_monolithic, sieve_primes
 
 
@@ -246,7 +247,9 @@ class TestExitCodes:
         "text,value",
         [("1e6", 10**6), ("2.5e3", 2500), ("100e-2", 1), ("5.", 5), ("1e40", 10**40),
          ("12.9", None), ("150e-2", None), ("12345678901234567.5", None),
-         ("12.9999999999999999999", None), ("1e-999999999", None), ("1e400", None), ("", None)],
+         ("12.9999999999999999999", None), ("1e-999999999", None), ("1e400", None), ("", None),
+         ("1_000", 1000), (" 7 ", 7), (".5e1", 5), ("0e-400", 0), ("1e1_0", 10**10),
+         ("0x10", None), ("Infinity", None)],
     )
     def test_size_digits_are_read_exactly(self, text, value):
         # a fraction past float precision, or 10^-1e9, is still not whole
@@ -379,6 +382,33 @@ class TestExtensionRule:
         report = json.loads(out)
         assert (report["f_star"]["ext"], report["f"]["ext"]) == ("strong", "complete")
         assert report["config"]["ext"] == "complete"
+
+
+class TestOneFunctionOneSpec:
+    """A spec is c * g, so each way of writing one f runs as that f."""
+
+    def test_negative_factor_of_a_negative_constant_is_omega(self, capsys):
+        argv = ["ektest", "--norm", "sqrt_mean", "--mod", "4", "--res", "1", "--n", "1e4"]
+        reports = []
+        for spec in ("scaled:-1:const:-1", "omega"):
+            code, out = run_cli([*argv, "--fn", spec], capsys)
+            assert code == 0
+            report = json.loads(out)
+            assert report.pop("config")["fn"] == spec
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_compare_predicts_one_function_once(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return mean_predictions(*args)
+
+        monkeypatch.setattr(model, "mean_predictions", spy)
+        code, _ = run_cli(["compare", "--n", "1000", "--fn-star", "omega", "--fn", "const:1",
+                           "--ext", "complete"], capsys)
+        assert code == 0 and len(calls) == 1
 
 
 class TestZeroFunction:

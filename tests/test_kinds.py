@@ -1,12 +1,14 @@
 """The table of formula kinds against the per-kind code it replaced.
 
 Two frozen oracles from the if-chain implementation that preceded
-``FORMULAS``: ``_chain_values_at`` (its values_at, kept here verbatim)
-and ``data/formula_kinds.json`` (its start prime, bound, sign, constant
+``FORMULAS``: ``_chain_values_at`` (its values_at, with the factor that
+its ``scaled`` branch applied now applied to every shape) and
+``data/formula_kinds.json`` (its start prime, bound, sign, constant
 tail, closed form, quadrature and decay case of every formula kind, plain,
 scaled by -2 and started at 13, for orders 1..4 at x = 1e6, k = 4).
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -44,8 +46,6 @@ def _chain_values_at(fn, primes):
     p = p_int.astype(np.float64)
     if fn.p0 is not None:
         start = fn.p0
-    elif fn.kind == "scaled":
-        start = fn.inner.start_prime
     elif fn.kind == "tabulated":
         start = min(q for q, _ in fn.table)
     else:
@@ -53,8 +53,6 @@ def _chain_values_at(fn, primes):
     pc = np.maximum(p, float(start))
     kind = fn.kind
     if kind == "constant":
-        vals = np.full(p.shape, fn.c)
-    elif kind == "indicator_one":
         vals = np.ones(p.shape)
     elif kind == "one_over_loglog":
         vals = 1.0 / np.log(np.log(pc))
@@ -66,8 +64,6 @@ def _chain_values_at(fn, primes):
         vals = 1.0 - 1.0 / pc
     elif kind == "one_minus_one_over_log":
         vals = 1.0 - 1.0 / np.log(pc)
-    elif kind == "scaled":
-        vals = fn.c * _chain_values_at(fn.inner, p_int)
     else:
         lookup = dict(fn.table)
         keys = np.array(sorted(lookup), dtype=np.int64)
@@ -75,6 +71,7 @@ def _chain_values_at(fn, primes):
         hit = keys[pos] == p_int
         table_vals = np.array([lookup[q] for q in keys.tolist()])
         vals = np.where(hit, table_vals[pos], fn.default or 0.0)
+    vals = fn.c * vals
     vals = np.where(p_int < start, 0.0, vals)
     if fn.residue_filter is not None and not fn.residue_filter.is_full:
         k, l = fn.residue_filter.modulus, fn.residue_filter.residue
@@ -83,28 +80,31 @@ def _chain_values_at(fn, primes):
 
 
 def _fact_specs() -> dict[str, PrimeFunction]:
-    """The specs of ``FACTS``, by the names used there."""
+    """The specs of ``FACTS``, by the names used there (indicator_one, a
+    kind of the chain, is the constant shape at factor 1)."""
     base = {"constant:-1.3": PrimeFunction("constant", c=-1.3),
-            "constant:0.7": PrimeFunction("constant", c=0.7)}
+            "constant:0.7": PrimeFunction("constant", c=0.7),
+            "indicator_one": PrimeFunction("constant")}
     curved = [kind for kind in FORMULAS if kind != "constant"]
     base.update((kind, PrimeFunction(kind)) for kind in curved)
     out = dict(base)
-    for name in ["constant:0.7", *curved]:
-        out[f"scaled:-2:{name}"] = PrimeFunction("scaled", c=-2.0, inner=base[name])
-    out["constant:0.7@p0=13"] = PrimeFunction("constant", c=0.7, p0=13)
-    out.update((f"{kind}@p0=13", PrimeFunction(kind, p0=13)) for kind in curved)
+    for name in ["constant:0.7", "indicator_one", *curved]:
+        out[f"scaled:-2:{name}"] = dataclasses.replace(base[name], c=-2.0 * base[name].c)
+        out[f"{name}@p0=13"] = dataclasses.replace(base[name], p0=13)
     return out
 
 
 def _values_at_cases():
+    # every formula kind, and the constant one at factor 1, which skips the multiply
+    plains = {kind: PrimeFunction(kind) for kind in FORMULAS}
+    plains.update(constant=PrimeFunction("constant", c=-1.3), indicator_one=parse_fn("one"))
     cases = []
-    for kind in FORMULAS:
-        plain = PrimeFunction(kind, c=-1.3) if kind == "constant" else PrimeFunction(kind)
+    for name, plain in plains.items():
         cases += [
-            (kind, plain),
-            (f"{kind}-p0", PrimeFunction(kind, c=plain.c, p0=101)),
-            (f"{kind}-filter", PrimeFunction(kind, c=plain.c, residue_filter=Progression(4, 3))),
-            (f"{kind}-scaled", PrimeFunction("scaled", c=-0.75, inner=plain)),
+            (name, plain),
+            (f"{name}-p0", dataclasses.replace(plain, p0=101)),
+            (f"{name}-filter", dataclasses.replace(plain, residue_filter=Progression(4, 3))),
+            (f"{name}-scaled", dataclasses.replace(plain, c=-0.75 * plain.c)),
         ]
     table = ((5, 1.5), (7, 2.0), (103, -3.0))
     cases += [
@@ -119,13 +119,12 @@ def _zero_at_one_cases():
 
 
 _MATH_VALUE = {
-    "constant": lambda t, c: c,
-    "indicator_one": lambda t, c: 1.0,
-    "one_over_loglog": lambda t, c: 1.0 / math.log(math.log(t)),
-    "one_over_log": lambda t, c: 1.0 / math.log(t),
-    "sqrt_loglog": lambda t, c: math.sqrt(math.log(math.log(t))),
-    "one_minus_one_over_p": lambda t, c: 1.0 - 1.0 / t,
-    "one_minus_one_over_log": lambda t, c: 1.0 - 1.0 / math.log(t),
+    "constant": lambda t: 1.0,
+    "one_over_loglog": lambda t: 1.0 / math.log(math.log(t)),
+    "one_over_log": lambda t: 1.0 / math.log(t),
+    "sqrt_loglog": lambda t: math.sqrt(math.log(math.log(t))),
+    "one_minus_one_over_p": lambda t: 1.0 - 1.0 / t,
+    "one_minus_one_over_log": lambda t: 1.0 - 1.0 / math.log(t),
 }
 
 
@@ -171,8 +170,8 @@ class TestValuesAt:
         # the quadrature and the sign check pass Python ints and floats;
         # an int must never be integer-divided (np.reciprocal(11) is 0)
         value = FORMULAS[kind].value
-        assert float(value(t, -1.3)) == float(value(float(t), -1.3))
-        assert float(value(t, -1.3)) == pytest.approx(_MATH_VALUE[kind](t, -1.3), rel=1e-14)
+        assert float(value(t)) == float(value(float(t)))
+        assert float(value(t)) == pytest.approx(_MATH_VALUE[kind](t), rel=1e-14)
 
 
 class TestFacts:
@@ -199,7 +198,8 @@ class TestFacts:
             assert [c.label, c.sign, c.note] == want["classify"][u - 1]
 
     def test_every_formula_kind_covered(self):
-        assert {fn.unscaled()[1].kind for fn in _fact_specs().values()} == set(FORMULAS)
+        assert set(_fact_specs()) == set(FACTS)
+        assert {fn.kind for fn in _fact_specs().values()} == set(FORMULAS)
 
 
 class TestTableInvariants:
@@ -207,16 +207,18 @@ class TestTableInvariants:
     @pytest.mark.parametrize("c", [-1.3, 0.0, 0.7])
     def test_one_sign_past_minimum(self, kind, c):
         formula = FORMULAS[kind]
-        past = PRIMES[PRIMES >= formula.minimum].astype(np.float64)
-        values = np.broadcast_to(formula.value(past, c), past.shape)
-        assert np.all(np.sign(values) == formula.sign(c))
+        past = PRIMES[PRIMES >= formula.minimum]
+        assert np.all(np.sign(formula.value(past.astype(np.float64))) == formula.sign)
+        fn = PrimeFunction(kind, c=c, p0=formula.minimum)
+        assert np.all(np.sign(fn.values_at(past)) == np.sign(c) * formula.sign)
+        assert fn.nonnegative == (c >= 0)
 
     @pytest.mark.parametrize("kind", list(FORMULAS))
     def test_derivative_matches_difference_quotient(self, kind):
         formula = FORMULAS[kind]
         t, h = 1000.0, 1e-3
-        slope = (formula.value(t + h, 0.7) - formula.value(t - h, 0.7)) / (2 * h)
-        assert formula.derivative(t, 0.7) == pytest.approx(slope, rel=1e-6, abs=1e-12)
+        slope = (formula.value(t + h) - formula.value(t - h)) / (2 * h)
+        assert formula.derivative(t) == pytest.approx(slope, rel=1e-6, abs=1e-12)
 
     @pytest.mark.parametrize("kind", [k for k, f in FORMULAS.items() if f.tag])
     def test_antiderivative_matches_quadrature(self, kind):
@@ -235,7 +237,7 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="start prime"):
             PrimeFunction("tabulated", table=((1, 0.5),), default=1.0)
         with pytest.raises(ValueError, match="start prime >= 11"):
-            PrimeFunction("scaled", c=2.0, inner=PrimeFunction("one_over_loglog"), p0=5)
+            resolve_spec("scaled:2:invloglog", p0=5)
 
     @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "scaled:-inf:invlog",
                                       "tab:5=nan,default=1", "tab:5=1,default=inf"])
@@ -275,9 +277,19 @@ class TestResolveSpec:
         one = parse_fn("one")
         assert builtin("omega") == (one, STRONG)
         assert builtin("big_omega") == (one, COMPLETE)
-        assert builtin("half_omega") == (PrimeFunction("scaled", c=0.5, inner=one), STRONG)
+        assert builtin("half_omega") == (PrimeFunction("constant", c=0.5), STRONG)
         fn, _ = builtin("omega1", self.PROG)
         assert fn.residue_filter == self.PROG and fn.kind == one.kind
+
+    @pytest.mark.parametrize("group", [
+        ["one", "indicator_one", "const:1", "omega", "scaled:2:const:0.5"],
+        ["half_omega", "const:0.5", "scaled:0.5:one"],
+        ["scaled:2:scaled:3:invloglog", "scaled:6:invloglog"],
+    ])
+    def test_one_function_one_spec(self, group):
+        # a spec is c * g, so every way of writing one f gives one PrimeFunction
+        fns = [resolve_spec(text)[0] for text in group]
+        assert all(fn == fns[0] for fn in fns)
 
     def test_omega1_needs_a_progression(self):
         with pytest.raises(ValueError, match="progression"):

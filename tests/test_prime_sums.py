@@ -70,7 +70,7 @@ class TestPrimePowerSum:
         [
             (ONE, 1, Progression(4, 1)),
             (SQRTLOGLOG, 2, Progression(1, 0)),
-            (PrimeFunction("scaled", c=-1.0, inner=INVLOGLOG), 1, Progression(3, 2)),
+            (PrimeFunction("one_over_loglog", c=-1.0), 1, Progression(3, 2)),
         ],
     )
     def test_block_partition_moves_sum_by_ulps(self, fn, u, prog, sieve_geometry):
@@ -161,13 +161,13 @@ class TestClassifier:
         "fn,case,sign",
         [
             (PrimeFunction("constant", c=0.7), DecayCase.CASE1, 1),
-            (PrimeFunction("indicator_one"), DecayCase.CASE1, 1),
+            (PrimeFunction("constant"), DecayCase.CASE1, 1),
             (PrimeFunction("one_minus_one_over_log"), DecayCase.CASE2, 1),
             (PrimeFunction("one_minus_one_over_p"), DecayCase.CASE2, 1),
             (INVLOGLOG, DecayCase.CASE3, 1),
             (PrimeFunction("one_over_log"), DecayCase.CASE4, 1),
             (PrimeFunction("constant", c=-0.7), DecayCase.CASE1, -1),
-            (PrimeFunction("scaled", c=-1.0, inner=PrimeFunction("one_over_loglog")), DecayCase.CASE3, -1),
+            (PrimeFunction("one_over_loglog", c=-1.0), DecayCase.CASE3, -1),
         ],
     )
     def test_catalogue(self, fn, case, sign):
@@ -185,7 +185,7 @@ class TestClassifier:
             classify_decay(PrimeFunction("constant", c=0.0), 1)
 
     def test_zero_scale_rejected_like_zero_constant(self):
-        zero = PrimeFunction("scaled", c=0.0, inner=PrimeFunction("one_over_log"))
+        zero = PrimeFunction("one_over_log", c=0.0)
         with pytest.raises(ValueError, match="zero function"):
             classify_decay(zero, 1)
 
