@@ -22,13 +22,18 @@ SIEVE_BLOCK = 1 << 20
 SIEVE_CEILING = 1 << 34
 # A prime pass whose f is constant past y = n // (n // 10^6) counts the
 # primes past y by class (counting.counted_limit) up to this limit, where the
-# sieve stops at SIEVE_CEILING; 10^12 takes about 16 s and 140 MiB for a `sum`
-# at k = 4 (30 s and 200 MiB for `model exact`, which also sums p^-2, p^-3).
+# sieve stops at SIEVE_CEILING; 10^12 takes about 13 s and 129 MiB for a `sum`
+# at k = 4 (23 s and 192 MiB for `model exact`, which also sums p^-2, p^-3).
 COUNTING_CEILING = 10**12
 # The sieve memoizes full prime arrays only up to this limit, as uint32
-# (5.76M primes at 10^8 is ~23 MB; the limit must stay below 2^32).  Beyond
-# it the sieve streams blocks; it decides no route.
-PRIME_CACHE_MAX = 200_000_000
+# (664,579 primes at 10^7, 2.6 MB; the limit must stay below 2^32).  Beyond
+# it the sieve streams blocks; it decides no route.  Why 10^7: past it the
+# class sieve streams one class faster than a cache fill sieves every prime
+# to cut the class out (the sum of 1/p over 1 mod 4 to 10^8 as a process's
+# first op: 0.09 s against 0.17 s), and a cache to 10^8 holds 5.76M primes
+# (23 MB).  On a 2 vCPU Xeon, perfbench's primes_model peaks at 45.0 MiB with
+# this cap and at 65.5 MiB with a cache to 2*10^8.
+PRIME_CACHE_MAX = 10_000_000
 # Most primes in one block, cached or streamed, and most Monte Carlo
 # successes in one piece.  Every consumer takes the blocks as they come:
 # the model's u_max per-prime cumulant rows of PRIME_CHUNK float64 stay a

@@ -56,8 +56,14 @@ _DIGAMMA_SHIFT = 12
 # term is below 1e-17.
 _BERNOULLI_2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
-# About the most (prime, column) pairs struck together past cbrt(x).
-_PAIRS = 1 << 16
+# About the most (prime, column) pairs struck together past cbrt(x).  A
+# strike's temporaries (the pairs, their columns and rows, the gathers and
+# the quotients) hold up to _PAIRS * phi(k) values of 8 bytes, 128 KiB at
+# k = 4.  At 2^16 pairs (1 MiB each) they grew the C heap, which kept the
+# growth for the rest of the process; at 2^13 the builds take the same time
+# (3e7 to 10^11, best of 3), and the counts mod 4 alone peak at 41.5 MiB at
+# 10^10 and 55.6 MiB at 10^11, not 46.1 and 61.1 MiB.
+_PAIRS = 1 << 13
 # Columns per piece of the start values and of each small prime's strike,
 # so that their temporaries stay a few MiB whatever x is.
 _COLUMN_PIECE = 1 << 16

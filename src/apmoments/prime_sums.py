@@ -93,8 +93,8 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     prediction of the model at u = 1, bit for bit, and the routes agree
     within a few ulps (tested at 1e-14 relative, late starts included).
     On a 2 vCPU Xeon the tables mod 4 take 0.06 s at 4e8 (the streamed
-    sieve of one class: 0.34 s), 0.55 s at 10^10, 2.9 s at 10^11 and 16 s
-    at 10^12 (process peaks 41, 51, 73 and 139 MiB).
+    sieve of one class: 0.34 s), 0.56 s at 10^10, 2.4 s at 10^11 and 13 s
+    at 10^12 (process peaks 36, 45, 67 and 129 MiB).
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")

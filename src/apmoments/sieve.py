@@ -180,10 +180,10 @@ def _sieve_array(limit: int) -> np.ndarray:
 
     The buffer is an anonymous mapping of its own, not a block of the C
     heap: glibc raises its mmap threshold to the size of a freed mapped
-    block, and its trim threshold to twice that.  Freeing a 3 MiB heap
-    buffer (the cache at 1e7, as it grows to 1e8) would let the heap keep
-    up to 6 MiB of later temporaries, and a process's peak would then
-    move by that much with the order of its work.
+    block, and its trim threshold to twice that.  Freeing a heap buffer as
+    the cache grows (355 KiB at 1e6, as it grows to 1e7) would let the
+    heap keep up to twice that of later temporaries, and a process's peak
+    would then move by that much with the order of its work.
     """
     size = int(1.25506 * limit / math.log(limit)) + 1
     buf = np.frombuffer(mmap.mmap(-1, 4 * size), dtype=np.uint32)

@@ -131,6 +131,23 @@ class TestClassTables:
             res = prime_power_sum(one, 1, x, Progression(k, a))
             assert t.at(x, a) == (res.term_count, pytest.approx(res.value, rel=1e-14, abs=0))
 
+    @pytest.mark.parametrize("x", [10**4 + 7, 3 * 10**6])
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    @pytest.mark.parametrize("smax", [0, 1, 3])
+    def test_strike_chunk_leaves_the_tables(self, x, k, smax, monkeypatch):
+        # every column takes the strikes past cbrt(x) in ascending p whatever
+        # the chunk, so the fixed-point P_1 and the float P_2, P_3 rows too
+        # are the same bit for bit
+        tables = []
+        for pairs in (1, 7, 1 << 13, 1 << 16):
+            monkeypatch.setattr(counting, "_PAIRS", pairs)
+            tables.append(class_tables(x, k, smax))
+        first = tables[0]
+        assert first.sums.shape == (smax, len(first.units), first.values.size)
+        for t in tables[1:]:
+            assert np.array_equal(t.counts, first.counts)
+            assert np.array_equal(t.sums, first.sums)
+
     def test_pi_of_ten_to_the_ten(self):
         t = class_tables(10**10, 4)
         # 2 is the one prime in neither class

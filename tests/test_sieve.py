@@ -253,6 +253,22 @@ class TestPrimeCache:
                 owner = owner.base
             assert isinstance(owner.base.obj, mmap.mmap)
 
+    def test_cache_stays_within_its_budget(self, monkeypatch, sieve_geometry, tmp_path):
+        # passes past the budget stream the class sieve and leave the cache
+        # where it was, for a class and for every prime
+        monkeypatch.setattr(sieve, "_cache", sieve._PrimeCache())
+        sieve_geometry(cache_max=10**4)
+        for _ in iter_prime_blocks(10**4, Progression(4, 1)):
+            pass
+        assert sieve._cache._limit == 10**4
+        for _ in iter_prime_blocks(10**5, Progression(4, 1)):
+            pass
+        assert sieve._cache._limit <= 10**4
+        out = tmp_path / "primes.txt"
+        assert main(["sieve", "--limit", "1e5", "--out", str(out)]) == 0
+        assert sieve._cache._limit <= 10**4
+        assert out.read_text().split() == [str(p) for p in ORACLE_PRIMES[ORACLE_PRIMES <= 10**5]]
+
     def test_warm_class_pass_stays_within_two_chunks(self, monkeypatch, sieve_geometry):
         # a Python int in the cache's searchsorted converts the whole cache
         # (78498 primes at 1e6, 628 kB as int64) to int64 on every call
@@ -283,6 +299,20 @@ class TestStreamedSum:
         streamed = json.loads(capsys.readouterr().out)
         assert streamed["term_count"] == cached["term_count"] == 39175
         assert streamed["exact_sum"] == pytest.approx(cached["exact_sum"], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--fn", "invloglog", "--mod", "4", "--res", "1", "--x", "1e6"],
+        ["sum", "--fn", "sqrtloglog", "--u", "2", "--mod", "3", "--res", "2", "--x", "1e6"],
+        ["model", "lindeberg", "--fn", "sqrtloglog", "--mod", "4", "--res", "3", "--n", "1e6"],
+    ], ids=["sum_invloglog", "sum_sqrtloglog", "lindeberg"])
+    def test_passes_past_the_cache_report_the_same(self, argv, sieve_geometry, capsys):
+        # the benchmark's passes to 1e8 stream past the cache; here the same
+        # ops at 1e6 from the cache and from short streamed segments
+        assert main(argv) == 0
+        cached = capsys.readouterr().out
+        sieve_geometry(1 << 12, cache_max=1000)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cached
 
 
 class TestModulusPastTheLimit:
