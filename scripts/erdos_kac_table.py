@@ -9,7 +9,7 @@ which has no such floor.
 
 import argparse
 
-from apmoments.arith_fn import builtin
+from apmoments.arith_fn import resolve_spec
 from apmoments.sieve import Progression
 from apmoments.stats import erdos_kac_report
 
@@ -23,7 +23,7 @@ def main() -> None:
     args = ap.parse_args()
 
     prog = Progression(args.mod, args.res)
-    fn, ext = builtin("omega")
+    fn, ext = resolve_spec("omega", prog)
     print(f"omega over {args.res} mod {args.mod}, normalization={args.norm}")
     print(f"{'n':>12} {'count':>10} {'mean':>8} {'scale':>8} {'KS':>8} {'floor':>8} {'KS_lat':>8}")
     for d in (int(t) for t in args.decades.split(",")):

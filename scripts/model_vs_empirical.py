@@ -12,7 +12,7 @@ import argparse
 
 from apmoments.arith_fn import resolve_spec
 from apmoments.model import exact_moments
-from apmoments.moments import empirical_moments
+from apmoments.moments import collect_datasets, summarize
 from apmoments.sieve import Progression
 
 
@@ -30,7 +30,8 @@ def main() -> None:
     prog = Progression(args.mod, args.res)
     fn, ext = resolve_spec(args.fn, prog, args.ext)
 
-    emp = empirical_moments(fn, ext, prog, args.n, u_max=args.umax)
+    (dataset,) = collect_datasets([(fn, ext)], prog, args.n, args.umax, keep=False)
+    emp = summarize(dataset.moments, prog, args.n)
     restricted = exact_moments(fn, prog, args.n, u_max=args.umax, mode="restricted")
     density = exact_moments(fn, prog, args.n, u_max=args.umax, mode="density")
 

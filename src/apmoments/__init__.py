@@ -14,9 +14,6 @@ from .arith_fn import (
     Extension,
     FunctionPair,
     PrimeFunction,
-    builtin,
-    collect_values,
-    eval_at_prime,
     parse_fn,
 )
 from .model import (
@@ -33,7 +30,6 @@ from .moments import (
     CoMoments,
     MomentSummary,
     chebyshev_check,
-    empirical_moments,
 )
 from .prime_sums import (
     AsymptoticEstimate,
@@ -48,7 +44,7 @@ from .prime_sums import (
     integral_asymptotic,
     prime_power_sum,
 )
-from .sieve import Progression, euler_phi, factorize, sieve_primes
+from .sieve import Progression, euler_phi, factorize
 from .stats import NormalityReport, erdos_kac_report, ks_distance, phi
 
 __all__ = [name for name in dir() if not name.startswith("_")]

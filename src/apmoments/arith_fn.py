@@ -207,6 +207,9 @@ class PrimeFunction:
                 f"kind {self.kind} requires start prime >= {self.minimum_start}, "
                 f"got {self.start_prime}"
             )
+        for p, _ in self.table or ():
+            if p < 2 or factorize(p) != [(p, 1)]:
+                raise ValueError(f"tabulated key {p} is not a prime")
 
     def _table_values(self) -> list[float]:
         values = [v for _, v in self.table or ()]
@@ -297,11 +300,6 @@ class PrimeFunction:
         return vals
 
 
-def eval_at_prime(fn: PrimeFunction, p: int) -> float:
-    """f(p) for a single prime; 0 below the start prime."""
-    return float(fn.values_at(np.array([p], dtype=np.int64))[0])
-
-
 @dataclass(frozen=True)
 class Extension:
     """Prime-power rule: f(p^a) = f(p) ("strong") or a*f(p) ("complete").
@@ -327,10 +325,6 @@ class Extension:
     @property
     def override_map(self) -> dict[tuple[int, int], float]:
         return dict(self.overrides)
-
-    @property
-    def is_strongly_additive(self) -> bool:
-        return self.mode == "strong" and not self.overrides
 
     def base_value(self, a: int, fp: float) -> float:
         """f(p^a) by the mode alone, given f(p) = fp."""
@@ -381,19 +375,6 @@ _BUILTINS = {
 }
 
 
-def builtin(name: str, progression: Progression | None = None) -> tuple[PrimeFunction, Extension]:
-    """Canonical built-in functions by name.
-
-    omega        distinct prime divisors
-    big_omega    prime divisors with multiplicity
-    omega1       distinct prime divisors lying in the given residue class
-    half_omega   omega scaled by 0.5
-    """
-    if name.lower() not in _BUILTINS:
-        raise ValueError(f"unknown builtin {name!r}")
-    return resolve_spec(name, progression)
-
-
 def parse_fn(text: str) -> PrimeFunction:
     """Parse the spec syntax: a spec name from :data:`FORMULAS` (const:0.7,
     invloglog), tab:<p>=<v>,...[,default=<v>], or scaled:<a>:<spec>, which
@@ -430,9 +411,12 @@ def resolve_spec(
 ) -> tuple[PrimeFunction, Extension]:
     """(f, prime-power rule) for a built-in name or a spec (see :func:`parse_fn`).
 
-    A built-in brings its own rule and a spec the strong one; mode, when
-    given, replaces either.  omega1 takes its residue filter from the
-    progression; p0, when given, replaces the start prime.
+    The built-ins, in any case, are omega and w (distinct prime divisors),
+    big_omega, bigomega and capital_omega (with multiplicity), omega1 (the
+    distinct prime divisors in the progression's class) and half_omega
+    (omega scaled by 0.5).  A built-in brings its own rule and a spec the
+    strong one; mode, when given, replaces either.  omega1 takes its residue
+    filter from the progression; p0, when given, replaces the start prime.
     """
     spec, ext, restricted = _BUILTINS.get(text.lower(), (text, STRONG, False))
     fn = parse_fn(spec)
@@ -648,22 +632,6 @@ def iter_progression_values(
                 v += c * big
 
         yield vals
-
-
-def collect_values(
-    fn: PrimeFunction,
-    ext: Extension,
-    progression: Progression,
-    n: int,
-    rows: list[Row] | None = None,
-) -> np.ndarray:
-    """f over all members up to n as one float64 array, filled block by block
-    (the form of a dataset off the lattice, see :func:`lattice_steps`)."""
-    values = np.empty(progression.count(n))
-    blocks = iter_progression_values([(fn, ext)], progression, n, rows)
-    for i, (block,) in enumerate(blocks):
-        values[i * MEMBER_BLOCK : i * MEMBER_BLOCK + block.size] = block
-    return values
 
 
 def lattice_steps(

@@ -397,7 +397,8 @@ def cmd_model_sample(args) -> None:
     if args.spill:
         label = {"dataset": f"model sample ({args.mode})", "spec": repr(fn), "k": prog.modulus,
                  "r": prog.residue, "n": n, "count": ss.trials, "seed": ss.seed}
-        moments.write_spill(args.spill, ss.values, label)
+        with moments.spill_file(args.spill, label) as fh:
+            ss.values.astype("<f8", copy=False).tofile(fh)
     payload = {
         "mode": args.mode,
         "seed": ss.seed,

@@ -101,12 +101,6 @@ def _digamma_parts(z: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     return z, -0.5 / z - series - shift
 
 
-def digamma(z: np.ndarray | float) -> np.ndarray:
-    """psi(z) for real z > 0."""
-    z, rest = _digamma_parts(z)
-    return np.log(z) + rest
-
-
 def _digamma_fixed(t: float, m: np.ndarray, one: int) -> np.ndarray:
     """psi(t + m) in units of 1 / one (int64, one a power of two), for
     0 < t <= 1 and integers 1 <= m < 2^53, within a few 1e-17 past m = 12.

@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import counting
-from .arith_fn import FunctionPair, PrimeFunction, eval_at_prime
+from .arith_fn import FunctionPair, PrimeFunction
 from .config import PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import MomentSummary, collect_datasets, summarize
 from .sieve import Progression, iter_prime_blocks
@@ -410,7 +410,7 @@ def compare_pair(
             for (p, a), v in ext_i.overrides:
                 if k % p == 0:
                     continue
-                base = ext_i.base_value(a, eval_at_prime(fn_i, p))
+                base = ext_i.base_value(a, float(fn_i.values_at([p])[0]))
                 density = (1.0 / p**a) * (1.0 - 1.0 / p)
                 total += abs(v - base) * density
         override_total = total

@@ -352,22 +352,6 @@ def collect_datasets(
     return [_dataset(*parts) for parts in zip(accs, tables, values)]
 
 
-def empirical_moments(
-    fn: PrimeFunction,
-    ext: Extension,
-    progression: Progression,
-    n: int,
-    u_max: int = U_MAX_DEFAULT,
-    spill: str | Path | None = None,
-) -> MomentSummary:
-    """Mean, deviation, and central moments of f over members up to n, from
-    one dataset (see :func:`collect_datasets`) with no per-member array,
-    whose sweep also writes `spill` if set.
-    Kept for `scripts/model_vs_empirical.py`; the benchmark's tracer hooks it."""
-    (dataset,) = collect_datasets([(fn, ext)], progression, n, u_max, spill, keep=False)
-    return summarize(dataset.moments, progression, n)
-
-
 @contextmanager
 def atomic_file(path: str | Path, *, unlink_first: bool = False) -> Iterator[BinaryIO]:
     """A binary file that replaces `path` only when the block completes: it is
@@ -397,12 +381,6 @@ def atomic_file(path: str | Path, *, unlink_first: bool = False) -> Iterator[Bin
         if isinstance(exc, OSError) and exc.filename == tmp:
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
-
-
-def write_spill(path: str | Path, values: np.ndarray, label: dict) -> None:
-    """values as a spill file, with its sidecar naming them (label)."""
-    with spill_file(path, label) as fh:
-        values.astype("<f8", copy=False).tofile(fh)
 
 
 def chebyshev_check(

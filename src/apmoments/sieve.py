@@ -70,10 +70,6 @@ class Progression:
             return 0
         return (n - self.first_member) // self.modulus + 1
 
-    def members(self, n: int) -> np.ndarray:
-        """All members up to n as an int64 array (desk-scale use only)."""
-        return np.arange(self.first_member, n + 1, self.modulus, dtype=np.int64)
-
 
 def primes_upto_monolithic(limit: int) -> np.ndarray:
     """Plain one-array Eratosthenes sieve.
@@ -213,15 +209,6 @@ class _PrimeCache:
 
 
 _cache = _PrimeCache()
-
-
-def sieve_primes(limit: int, progression: Progression | None = None) -> np.ndarray:
-    """All primes <= limit in the progression as one ascending int64 array.
-
-    Materializes the full list; for limits past the cache budget prefer
-    :func:`iter_prime_blocks`.
-    """
-    return np.concatenate([np.empty(0, dtype=np.int64), *iter_prime_blocks(limit, progression)])
 
 
 def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Iterator[np.ndarray]:

@@ -15,6 +15,14 @@ is the exact law of a count of independent successes, against which the
 Monte Carlo sampler's histogram is checked.  distinct_slots_full_sort is
 the sampler's slot redraw with a full sort on every round, and
 distinct_slots_merge the same redraw merging only the redrawn keys back.
+squarefree_in_class counts the squarefree members of a class by Moebius
+inversion, the diagonal (omega = Omega) of the counted joint law.
+
+The helpers at the end serve the tests only, each on the route the
+program runs: every prime of a class as one array (sieve_primes), a
+spec's values over the members as one array (collect_values), f at one
+prime (eval_at_prime), a spec's moment summary (empirical_moments) and a
+spill file of given values (write_spill).
 """
 
 from __future__ import annotations
@@ -25,9 +33,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from apmoments.arith_fn import Extension, PrimeFunction, eval_at_prime
+from apmoments.arith_fn import Extension, PrimeFunction, iter_progression_values
+from apmoments.config import U_MAX_DEFAULT
+from apmoments.moments import MomentSummary, collect_datasets, spill_file, summarize
 from apmoments.prime_sums import prime_power_sum
-from apmoments.sieve import Progression, sieve_primes
+from apmoments.sieve import Progression, iter_prime_blocks
 
 
 def eval_additive(
@@ -68,7 +78,7 @@ def mean_via_counts(
     is sum f(p) * N_p / count.  Primes dividing the modulus divide no
     member at all.  The sweep mean's oracle (acceptance criterion 5).
     """
-    if not ext.is_strongly_additive:
+    if ext.mode != "strong" or ext.overrides:
         raise ValueError("mean_via_counts requires a strongly additive extension")
     count = progression.count(n)
     if count == 0:
@@ -167,3 +177,69 @@ def distinct_slots_merge(owner: np.ndarray, trials: int, rng: np.random.Generato
         redrawn = np.sort(owner[repeat] * trials + rng.integers(trials, size=repeat.size))
         key = np.delete(key, repeat)
         key = np.insert(key, np.searchsorted(key, redrawn), redrawn)
+
+
+def squarefree_in_class(n: int, k: int, r: int) -> int:
+    """#{m <= n squarefree : m = r mod k}, as the sum over d <= sqrt(n),
+    gcd(d, k) = 1, of mu(d) #{m <= n / d^2 : m = r / d^2 mod k}: O(sqrt(n))
+    steps, with mu from a linear sieve.  (k, r) = (1, 0) is every m."""
+    root = math.isqrt(n)
+    mu = [1] * (root + 1)
+    composite = [False] * (root + 1)
+    primes: list[int] = []
+    for i in range(2, root + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if i * p > root:
+                break
+            composite[i * p] = True
+            if i % p == 0:
+                mu[i * p] = 0
+                break
+            mu[i * p] = -mu[i]
+    total = 0
+    for d in range(1, root + 1):
+        if mu[d] and math.gcd(d, k) == 1:
+            top = n // (d * d)
+            first = r * pow(d * d, -1, k) % k or k  # the least m >= 1 of the class
+            if first <= top:
+                total += mu[d] * ((top - first) // k + 1)
+    return total
+
+
+def sieve_primes(limit: int, progression: Progression | None = None) -> np.ndarray:
+    """All primes <= limit in the progression as one ascending int64 array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *iter_prime_blocks(limit, progression)])
+
+
+def collect_values(
+    fn: PrimeFunction, ext: Extension, progression: Progression, n: int, rows=None
+) -> np.ndarray:
+    """f over all members up to n as one float64 array, from the member sweep."""
+    values, at = np.empty(progression.count(n)), 0
+    for (block,) in iter_progression_values([(fn, ext)], progression, n, rows):
+        values[at : at + block.size] = block
+        at += block.size
+    return values
+
+
+def eval_at_prime(fn: PrimeFunction, p: int) -> float:
+    """f(p) for a single prime; 0 below the start prime."""
+    return float(fn.values_at(np.array([p], dtype=np.int64))[0])
+
+
+def empirical_moments(
+    fn: PrimeFunction, ext: Extension, progression: Progression, n: int,
+    u_max: int = U_MAX_DEFAULT, spill=None,
+) -> MomentSummary:
+    """The moment summary of f over the members up to n, as `moments` takes it."""
+    (dataset,) = collect_datasets([(fn, ext)], progression, n, u_max, spill, keep=False)
+    return summarize(dataset.moments, progression, n)
+
+
+def write_spill(path, values: np.ndarray, label: dict) -> None:
+    """values as a spill file, with its sidecar naming them (label)."""
+    with spill_file(path, label) as fh:
+        values.astype("<f8", copy=False).tofile(fh)

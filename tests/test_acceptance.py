@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from apmoments.arith_fn import STRONG, FunctionPair, PrimeFunction, builtin, collect_values
+from apmoments.arith_fn import STRONG, FunctionPair, PrimeFunction, resolve_spec
 from apmoments.cli import main as cli_main
 from apmoments.model import (
     compare_pair,
@@ -33,10 +33,10 @@ from apmoments.prime_sums import (
 )
 from apmoments.sieve import Progression, euler_phi
 from apmoments.stats import erdos_kac_report
-from oracles import BernoulliTerm, brute_force_central_moments, mean_via_counts
+from oracles import BernoulliTerm, brute_force_central_moments, collect_values, mean_via_counts
 
 ONE = PrimeFunction("constant", c=1.0)
-OMEGA, OMEGA_EXT = builtin("omega")
+OMEGA, OMEGA_EXT = resolve_spec("omega")
 LNLN = lambda x: math.log(math.log(x))
 
 
@@ -207,7 +207,7 @@ def test_criterion_5_exact_mean_identity(random_config_datasets):
 
 
 def test_criterion_6_model_oracle_equivalence():
-    from apmoments.sieve import sieve_primes
+    from oracles import sieve_primes
 
     primes10 = sieve_primes(29)  # first 10 primes
     worst = 0.0
@@ -335,7 +335,7 @@ def test_criterion_10_unbounded_function_moment_ratio():
 
 
 def test_criterion_11_multiplicity_gap_stability():
-    pair = FunctionPair(builtin("omega"), builtin("big_omega"), "H")
+    pair = FunctionPair(resolve_spec("omega"), resolve_spec("big_omega"), "H")
     prog = Progression(4, 1)
     c6 = compare_pair(pair, prog, 10**6, u_max=2)
     c7 = compare_pair(pair, prog, 10**7, u_max=2)

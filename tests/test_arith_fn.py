@@ -15,9 +15,6 @@ from apmoments.arith_fn import (
     PrimeFunction,
     TabulatedLookupError,
     increment_table,
-    builtin,
-    collect_values,
-    eval_at_prime,
     found_dtype,
     iter_progression_values,
     lattice_dtype,
@@ -28,11 +25,11 @@ from apmoments.arith_fn import (
 )
 from apmoments import config
 from apmoments.cli import main as cli_main
-from apmoments.sieve import Progression, factorize, sieve_primes
-from oracles import eval_additive, eval_by_increments
+from apmoments.sieve import Progression, factorize
+from oracles import collect_values, eval_additive, eval_at_prime, eval_by_increments, sieve_primes
 
-OMEGA, OMEGA_EXT = builtin("omega")
-BIG_OMEGA, BIG_OMEGA_EXT = builtin("big_omega")
+OMEGA, OMEGA_EXT = resolve_spec("omega")
+BIG_OMEGA, BIG_OMEGA_EXT = resolve_spec("big_omega")
 
 
 class TestEvalAtPrime:
@@ -179,8 +176,8 @@ class TestBuiltins:
     def test_class_v_contrast_at_primes(self):
         # the half-weight counter is 0.5 at every prime; the restricted
         # counter is 1 on its class and 0 off it
-        half, half_ext = builtin("half_omega")
-        om1, om1_ext = builtin("omega1", Progression(4, 1))
+        half, half_ext = resolve_spec("half_omega")
+        om1, om1_ext = resolve_spec("omega1", Progression(4, 1))
         for p in (5, 13, 17):
             assert eval_additive(half, half_ext, factorize(p)) == 0.5
             assert eval_additive(om1, om1_ext, factorize(p)) == 1.0
@@ -189,7 +186,7 @@ class TestBuiltins:
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            builtin("totient")
+            resolve_spec("totient")
 
 
 class TestParseFn:
@@ -235,9 +232,8 @@ class TestBulkEvaluation:
         member_block(257)
         for n in (3000, 59**2):  # at 59^2, sqrt(n) is itself a prime
             got = collect_values(spec, ext, prog, n)
-            want = np.array(
-                [eval_additive(spec, ext, factorize(int(m))) for m in prog.members(n)]
-            )
+            members = range(prog.first_member, n + 1, prog.modulus)
+            want = np.array([eval_additive(spec, ext, factorize(m)) for m in members])
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_block_size_invariance(self, member_block):
@@ -299,7 +295,7 @@ def _division_sweep(specs, progression, n, block_members):
 EXACT_SPECS = {
     "omega": (OMEGA, OMEGA_EXT),
     "bigomega": (BIG_OMEGA, BIG_OMEGA_EXT),
-    "half_omega": builtin("half_omega"),
+    "half_omega": resolve_spec("half_omega"),
     "const-0.7": (parse_fn("const:-0.7"), STRONG),
     "const0": (parse_fn("const:0"), STRONG),
     "tab": (parse_fn("tab:5=1.5,7=2,default=0.25"), STRONG),
@@ -315,7 +311,7 @@ class TestSweepExactness:
 
     @staticmethod
     def _spec(name, prog):
-        return builtin("omega1", prog) if name == "omega1" else EXACT_SPECS[name]
+        return resolve_spec("omega1", prog) if name == "omega1" else EXACT_SPECS[name]
 
     @pytest.mark.parametrize("name", list(EXACT_SPECS))
     @pytest.mark.parametrize("prog", [Progression(4, 1), Progression(12, 7), Progression(1, 0)])
@@ -357,7 +353,7 @@ class TestSweepExactness:
         blocks = [block for (block,) in iter_progression_values([(fn, ext)], prog, n)]
         assert [b.size for b in blocks] == [997] * 6 + [18]
         got = np.concatenate(blocks)
-        want = np.array([eval_by_increments(fn, ext, factorize(int(m))) for m in prog.members(n)])
+        want = self._oracle(fn, ext, prog, n)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -366,7 +362,8 @@ class TestSweepExactness:
 
     @staticmethod
     def _oracle(fn, ext, prog, n):
-        return np.array([eval_by_increments(fn, ext, factorize(int(m))) for m in prog.members(n)])
+        members = range(prog.first_member, n + 1, prog.modulus)
+        return np.array([eval_by_increments(fn, ext, factorize(m)) for m in members])
 
     @pytest.mark.parametrize("ext", [STRONG, COMPLETE], ids=["strong", "complete"])
     @pytest.mark.parametrize(
@@ -403,7 +400,7 @@ class TestSweepExactness:
         # yielded column shows
         prog = Progression(4, 3)
         n = 4 * (6 * 997 + 18) - 1
-        specs = [builtin(name)]
+        specs = [resolve_spec(name)]
         steps = lattice_steps(specs, increment_table(specs, prog, n), n)
         member_block(997)
         blocks = [block for (block,) in iter_progression_values(specs, prog, n, steps=steps)]
@@ -482,7 +479,7 @@ class TestPresievePattern:
     @pytest.mark.parametrize("floats", [[False], [True]], ids=["lattice", "float"])
     def test_period_and_covered_rows_at_the_default_block(self, prog, period, covered, floats):
         # omega's rows past a = 1 add 0, so the order rule keeps nothing out
-        rows = self._strided([builtin("omega")], prog, 3 * 10**7, config.MEMBER_BLOCK)
+        rows = self._strided([resolve_spec("omega")], prog, 3 * 10**7, config.MEMBER_BLOCK)
         got_period, got = pattern_rows(rows, floats)
         assert got_period == period and [rows[i][1] for i in got] == covered
 
@@ -493,7 +490,7 @@ class TestPresievePattern:
         (Progression(1, 0), [False, True], 16, [2, 4, 8, 16]),  # one float column decides
     ], ids=["mod4-lattice", "mod4-float", "k1-float", "k1-mixed"])
     def test_order_rule_for_complete_columns(self, prog, floats, period, covered):
-        rows = self._strided([builtin("bigomega")] * len(floats), prog, 3 * 10**7,
+        rows = self._strided([resolve_spec("bigomega")] * len(floats), prog, 3 * 10**7,
                              config.MEMBER_BLOCK)
         got_period, got = pattern_rows(rows, floats)
         assert got_period == period and [rows[i][1] for i in got] == covered
@@ -504,7 +501,7 @@ class TestPresievePattern:
         # 1000 members against W = 3465 at blocks of 2^15 (pieces of 4096);
         # a last block of 16 members against W = 105 at blocks of 997
         prog = Progression(4, 1)
-        specs = [builtin("omega"), (PrimeFunction("sqrt_loglog"), STRONG)]
+        specs = [resolve_spec("omega"), (PrimeFunction("sqrt_loglog"), STRONG)]
         member_block(block)
         period, _ = pattern_rows(self._strided(specs, prog, n, min(block, prog.count(n))),
                                  [False, True])
@@ -518,7 +515,7 @@ class TestPresievePattern:
         # sweep: omega's float column adds 0 past a = 1 and covers W = 120,
         # bigomega's adds f(2) at 16, which 120 does not hold
         prog, n = Progression(1, 0), 6000
-        specs = [builtin(name)] * 2
+        specs = [resolve_spec(name)] * 2
         member_block(997)
         rows = self._strided(specs, prog, n, 997)
         _, got = pattern_rows(rows, [False, True])

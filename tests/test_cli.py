@@ -12,7 +12,8 @@ import pytest
 from apmoments import counting, model
 from apmoments.cli import _integer, build_parser, main
 from apmoments.model import mean_predictions
-from apmoments.sieve import Progression, factorize, primes_upto_monolithic, sieve_primes
+from apmoments.sieve import Progression, factorize, primes_upto_monolithic
+from oracles import sieve_primes
 
 
 def run_cli(argv, capsys):

@@ -1,5 +1,6 @@
 """Class-wise prime counting against the sieve, known values of pi, of the
-digamma function and of the Hurwitz zeta function, the memo of
+digamma function (in the fixed point the tables take) and of the Hurwitz
+zeta function, the memo of
 tail sums, the cost rule's measured decisions, the joint law of omega
 and Omega on a class against brute force, and the store that keeps the
 tails and the laws of one x."""
@@ -15,26 +16,37 @@ import pytest
 
 from apmoments import cli, counting
 from apmoments.arith_fn import parse_fn
-from apmoments.counting import class_tables, digamma, hurwitz, omega_law, tail_sums
+from apmoments.counting import _digamma_fixed, class_tables, hurwitz, omega_law, tail_sums
 from apmoments.prime_sums import prime_power_sum
-from apmoments.sieve import Progression, sieve_primes
+from apmoments.sieve import Progression
+from oracles import sieve_primes, squarefree_in_class
 
 EULER_GAMMA = 0.5772156649015329
 
 
 class TestDigamma:
+    """psi(t + m) as class_tables takes it (_digamma_fixed): fixed point in
+    units of 1 / ONE, for 0 < t <= 1 and integers m >= 1."""
+
+    ONE = 1 << 57  # the unit class_tables takes at x = 10^12
+
+    def psi(self, t, m):
+        return int(_digamma_fixed(t, np.array([m], dtype=np.int64), self.ONE)[0]) / self.ONE
+
     def test_known_values(self):
-        # psi(1) = -gamma, psi(1/2) = -gamma - 2 ln 2, psi(n + 1) = H_n - gamma
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-15)
-        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), rel=1e-15)
+        # psi(2) = 1 - gamma, psi(3/2) = 2 - gamma - 2 ln 2, psi(n + 1) = H_n - gamma
+        assert self.psi(1.0, 1) == pytest.approx(1 - EULER_GAMMA, rel=1e-15)
+        assert self.psi(0.5, 1) == pytest.approx(2 - EULER_GAMMA - 2 * math.log(2), rel=1e-15)
         for n in (5, 11, 12, 40, 10**6):
             harmonic = math.fsum(1.0 / i for i in range(1, n + 1))
-            assert digamma(n + 1.0) == pytest.approx(harmonic - EULER_GAMMA, rel=2e-15)
+            assert self.psi(1.0, n) == pytest.approx(harmonic - EULER_GAMMA, rel=2e-15)
 
     def test_recurrence_across_the_series_threshold(self):
-        # |psi| <= 21 here, so a few ulps of psi are below 1e-14
-        z = np.array([0.05, 0.3, 2.5, 11.5, 11.999, 12.0, 12.5, 1e3])
-        assert np.allclose(digamma(z + 1.0) - digamma(z), 1.0 / z, rtol=0, atol=1e-14)
+        # psi(t + m + 1) - psi(t + m) = 1 / (t + m) on both sides of the shift to 12
+        for t in (0.05, 0.3, 0.5, 0.999, 1.0):
+            for m in (1, 2, 10, 11, 12, 13, 1000):
+                gap = self.psi(t, m + 1) - self.psi(t, m)
+                assert gap == pytest.approx(1.0 / (t + m), rel=0, abs=1e-14)
 
 
 class TestHurwitz:
@@ -271,6 +283,25 @@ class TestOmegaLaw:
             got = omega_law(n, k, r)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (n, k, r)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 1368, 1369, 29929, ORACLE_N])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 12])
+    def test_squarefree_oracle_equals_brute_force(self, omegas, k, n):
+        w, big_w = omegas
+        for r in [r for r in range(k) if math.gcd(r, k) == 1] if k > 1 else [0]:
+            members = np.arange(r or k, n + 1, k) if k > 1 else np.arange(1, n + 1)
+            want = int(np.count_nonzero(w[members] == big_w[members]))
+            assert squarefree_in_class(n, k, r) == want, (n, k, r)
+
+    @pytest.mark.parametrize("n, k, r, want", [
+        (10**9, 4, 1, 202_642_379), (10**9, 12, 5, 75_990_876), (3 * 10**7, 4, 3, 6_079_300),
+        (10**6, 1, 0, 607_926),
+    ])
+    def test_diagonal_counts_the_squarefree_members(self, n, k, r, want):
+        # omega = Omega exactly on the squarefree members, which the Moebius
+        # sum counts with no table and no walk
+        assert squarefree_in_class(n, k, r) == want
+        assert int(np.trace(omega_law(n, k, r))) == want
 
     def test_rejects_bad_inputs(self):
         # beside a kept law too: the input is checked before the store is

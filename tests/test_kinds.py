@@ -21,17 +21,18 @@ from apmoments.arith_fn import (
     COMPLETE,
     STRONG,
     PrimeFunction,
-    builtin,
     parse_fn,
     resolve_spec,
 )
+from apmoments.cli import main
 from apmoments.prime_sums import (
     ClosedFormUnavailable,
     classify_decay,
     closed_form_asymptotic,
     integral_asymptotic,
 )
-from apmoments.sieve import Progression, sieve_primes
+from apmoments.sieve import Progression
+from oracles import sieve_primes
 
 PRIMES = sieve_primes(10**5)
 FACTS = json.loads((Path(__file__).parent / "data" / "formula_kinds.json").read_text())
@@ -115,7 +116,7 @@ def _values_at_cases():
 
 
 def _zero_at_one_cases():
-    return [*_values_at_cases(), ("omega1", builtin("omega1", Progression(4, 3))[0])]
+    return [*_values_at_cases(), ("omega1", resolve_spec("omega1", Progression(4, 3))[0])]
 
 
 _MATH_VALUE = {
@@ -245,6 +246,19 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="finite"):
             parse_fn(spec)
 
+    @pytest.mark.parametrize("spec", ["tab:4=1,default=1", "tab:2=1,9=0.5", "tab:5=1,1000001=2"])
+    def test_tabulated_keys_must_be_primes(self, spec, capsys):
+        # a key 4 would be the start prime, zeroing f(2) and f(3) below it
+        with pytest.raises(ValueError, match="tabulated key .* is not a prime"):
+            parse_fn(spec)
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--fn", spec, "--x", "100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a prime" in err and err.count("\n") == 1
+        with pytest.raises(ValueError, match="tabulated key 0 is not a prime"):
+            PrimeFunction("tabulated", table=((0, 1.0), (5, 1.0)), p0=2)
+
 
 class TestResolveSpec:
     PROG = Progression(4, 1)
@@ -275,10 +289,10 @@ class TestResolveSpec:
 
     def test_builtins_are_specs(self):
         one = parse_fn("one")
-        assert builtin("omega") == (one, STRONG)
-        assert builtin("big_omega") == (one, COMPLETE)
-        assert builtin("half_omega") == (PrimeFunction("constant", c=0.5), STRONG)
-        fn, _ = builtin("omega1", self.PROG)
+        assert resolve_spec("omega") == (one, STRONG)
+        assert resolve_spec("big_omega") == (one, COMPLETE)
+        assert resolve_spec("half_omega") == (PrimeFunction("constant", c=0.5), STRONG)
+        fn, _ = resolve_spec("omega1", self.PROG)
         assert fn.residue_filter == self.PROG and fn.kind == one.kind
 
     @pytest.mark.parametrize("group", [

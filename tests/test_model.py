@@ -9,7 +9,7 @@ from apmoments.arith_fn import (
     Extension,
     FunctionPair,
     PrimeFunction,
-    builtin,
+    resolve_spec,
 )
 from apmoments.config import PRIME_CHUNK
 from apmoments.model import (
@@ -22,7 +22,7 @@ from apmoments.model import (
     sample,
 )
 from apmoments.prime_sums import prime_power_sum
-from apmoments.sieve import Progression, sieve_primes
+from apmoments.sieve import Progression
 from oracles import (
     BernoulliTerm,
     brute_force_central_moments,
@@ -30,6 +30,7 @@ from oracles import (
     distinct_slots_full_sort,
     distinct_slots_merge,
     poisson_binomial_pmf,
+    sieve_primes,
 )
 
 ONE = PrimeFunction("constant", c=1.0)
@@ -219,11 +220,6 @@ class TestStreamedModel:
                        lindeberg_check(fn, prog, n, 0.5, mode=mode)) for mode in MODES}
         want_preds = mean_predictions(fn, prog, n)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the model materialized its whole prime set")
-
-        monkeypatch.setattr(model, "sieve_primes", refuse, raising=False)
-        monkeypatch.setattr(sieve, "sieve_primes", refuse)
         sieve_geometry(1 << 12, cache_max=0)  # small sieve segments, never the prime cache
         blocks = []
 
@@ -489,11 +485,6 @@ class TestSample:
         n, trials = 2 * 10**6, 10**4
         mm = exact_moments(ONE, FULL, n, u_max=2)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("sample materialized its whole prime set")
-
-        monkeypatch.setattr(model, "sieve_primes", refuse, raising=False)
-        monkeypatch.setattr(sieve, "sieve_primes", refuse)
         sieve_geometry(cache_max=0)
         seen = []
         blocks = model._active_blocks
@@ -536,13 +527,13 @@ class TestLindeberg:
 
 class TestComparePair:
     def test_identity_pair_all_zero(self):
-        pair = FunctionPair(builtin("omega"), builtin("omega"), "H")
+        pair = FunctionPair(resolve_spec("omega"), resolve_spec("omega"), "H")
         cmp = compare_pair(pair, Progression(4, 1), 10**4, u_max=4)
         assert cmp.mean_diff == 0.0
         assert all(v == 0.0 for v in cmp.mu_diff.values())
 
     def test_omega_vs_big_omega(self):
-        pair = FunctionPair(builtin("omega"), builtin("big_omega"), "H")
+        pair = FunctionPair(resolve_spec("omega"), resolve_spec("big_omega"), "H")
         cmp = compare_pair(pair, Progression(4, 1), 10**5, u_max=3)
         # extra multiplicity only adds
         assert cmp.mean_diff > 0
@@ -554,7 +545,7 @@ class TestComparePair:
 
     def test_restricted_vs_half_weight(self):
         prog = Progression(4, 1)
-        pair = FunctionPair(builtin("omega1", prog), builtin("half_omega"), "V")
+        pair = FunctionPair(resolve_spec("omega1", prog), resolve_spec("half_omega"), "V")
         cmp = compare_pair(pair, prog, 10**5, u_max=2)
         # both means are reported side by side; no equality is asserted
         assert cmp.summary_star.mean > 0
@@ -562,7 +553,7 @@ class TestComparePair:
         assert cmp.override_contribution is None
 
     def test_override_contribution(self):
-        base = builtin("omega")
+        base = resolve_spec("omega")
         tweaked = (
             base[0],
             Extension("strong", overrides=(((3, 1), 2.0),)),
@@ -580,8 +571,8 @@ class TestComparePair:
     def test_each_side_matches_its_own_dataset(self, star, f, member_block):
         # a lattice side reads its value/count table, any other side its
         # per-member blocks: each summary equals that side's moments alone
-        from apmoments.arith_fn import increment_table, lattice_steps, resolve_spec
-        from apmoments.moments import empirical_moments
+        from apmoments.arith_fn import increment_table, lattice_steps
+        from oracles import empirical_moments
 
         prog, n = Progression(4, 1), 10**5
         pair = FunctionPair(resolve_spec(star), resolve_spec(f), "V")

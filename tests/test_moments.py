@@ -13,8 +13,7 @@ from apmoments.arith_fn import (
     STRONG,
     Extension,
     PrimeFunction,
-    builtin,
-    collect_values,
+    resolve_spec,
 )
 from apmoments.config import MEMBER_BLOCK
 from apmoments.moments import (
@@ -22,16 +21,15 @@ from apmoments.moments import (
     SpillFile,
     chebyshev_check,
     collect_datasets,
-    empirical_moments,
     iter_blocks,
     spill_dataset,
     summarize,
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
-from oracles import mean_via_counts, two_pass_central_moments
+from oracles import collect_values, empirical_moments, mean_via_counts, two_pass_central_moments
 
-OMEGA, OMEGA_EXT = builtin("omega")
+OMEGA, OMEGA_EXT = resolve_spec("omega")
 
 
 def read_whole(path):
@@ -573,8 +571,7 @@ class TestNoPerMemberArray:
 
     @pytest.fixture
     def no_arrays(self, monkeypatch):
-        """Refuse the collector's per-member array (its one np.empty) and
-        arith_fn.collect_values."""
+        """Refuse the collector's per-member array (its one np.empty)."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-member array built")
@@ -586,7 +583,6 @@ class TestNoPerMemberArray:
                 return getattr(np, name)
 
         monkeypatch.setattr(moments, "np", Numpy())
-        monkeypatch.setattr(arith_fn, "collect_values", refuse)
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,7 +19,8 @@ from apmoments.prime_sums import (
     integral_asymptotic,
     prime_power_sum,
 )
-from apmoments.sieve import Progression, sieve_primes
+from apmoments.sieve import Progression
+from oracles import sieve_primes
 
 ONE = PrimeFunction("constant", c=1.0)
 INVLOGLOG = PrimeFunction("one_over_loglog")

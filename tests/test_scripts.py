@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script runs at a small size and prints its header."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from apmoments import counting
+from apmoments.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +26,17 @@ ROOT = Path(__file__).resolve().parents[1]
 )
 def test_script_runs(script, args, header):
     assert _run(script, *args).splitlines()[0] == header
+
+
+def test_model_vs_empirical_prints_the_moments_subcommand(capsys):
+    # the empirical column is `moments`' summary, to the script's 6 decimals
+    out = _run("model_vs_empirical.py", "--n", "1e4")
+    column = {line.split()[0]: line.split()[1] for line in out.splitlines()[2:]}
+    assert main(["moments", "--fn", "omega", "--mod", "4", "--res", "1", "--n", "1e4",
+                 "--umax", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    want = [report["mean"], *report["mu"]]
+    assert column == {name: f"{v:.6f}" for name, v in zip(["mean", "mu_2", "mu_3", "mu_4"], want)}
 
 
 def _run(script, *args):

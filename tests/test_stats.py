@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmoments import arith_fn, config, counting, stats
-from apmoments.arith_fn import PrimeFunction, STRONG, builtin, collect_values, resolve_spec
+from apmoments.arith_fn import PrimeFunction, STRONG, resolve_spec
 from apmoments.model import exact_moments, sample
-from apmoments.moments import empirical_moments
 from apmoments.sieve import Progression
 from apmoments.stats import erdos_kac_report, ks_distance, ks_lattice, phi
+from oracles import collect_values, empirical_moments, write_spill
 
 
 def table(values):
@@ -137,7 +137,7 @@ class TestKsLattice:
         assert got == pytest.approx(brute_force_ks_lattice(values, center, scale, step), abs=1e-15)
 
     def test_report_field_on_omega(self):
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         prog = Progression(4, 3)
         rep = erdos_kac_report(om, ste, prog, 3000, "sqrt_mean")
         values = collect_values(om, ste, prog, 3000)
@@ -147,7 +147,7 @@ class TestKsLattice:
         assert rep.ks_lattice < rep.ks_floor < rep.ks
 
     def test_half_omega_uses_its_step(self):
-        half, ext = builtin("half_omega")
+        half, ext = resolve_spec("half_omega")
         prog = Progression(4, 1)
         rep = erdos_kac_report(half, ext, prog, 3000, "sigma")
         values = collect_values(half, ext, prog, 3000)
@@ -173,7 +173,7 @@ class TestErdosKacAtScale:
             raise AssertionError("member sweep")
 
         monkeypatch.setattr(arith_fn, "iter_progression_values", refuse)
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         rep = erdos_kac_report(om, ste, Progression(4, 1), n, "sqrt_mean")
         assert rep.count == n // 4
         assert (round(rep.ks, 4), round(rep.ks_floor, 4), round(rep.ks_lattice, 4)) == (
@@ -183,7 +183,7 @@ class TestErdosKacAtScale:
 
 class TestErdosKacReport:
     def test_omega_full_series(self):
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         rep = erdos_kac_report(om, ste, Progression(1, 0), 10**5, "sqrt_mean")
         assert 0.0 < rep.ks < 0.5
         assert rep.count == 10**5
@@ -204,14 +204,14 @@ class TestErdosKacReport:
         assert rep.grid[config.CDF_GRID_POINTS // 2][0] == 0.0
 
     def test_trend_with_n(self):
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         prog = Progression(4, 1)
         ks4 = erdos_kac_report(om, ste, prog, 10**4, "sqrt_mean").ks
         ks6 = erdos_kac_report(om, ste, prog, 10**6, "sqrt_mean").ks
         assert ks6 < ks4
 
     def test_sigma_normalization(self):
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         rep = erdos_kac_report(om, ste, Progression(4, 3), 10**4, "sigma")
         assert rep.scale > 0
         assert rep.normalization == "sigma"
@@ -225,13 +225,13 @@ class TestErdosKacReport:
         assert rep.ks > 0
 
     def test_degenerate_single_member(self):
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         with pytest.raises(ValueError):
             erdos_kac_report(om, ste, Progression(10**4, 9973), 9973, "sqrt_mean")
 
     @pytest.mark.parametrize("n", [10**4, 10**6])
     def test_ks_at_least_discreteness_floor(self, n):
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         prog = Progression(4, 1)
         rep = erdos_kac_report(om, ste, prog, n, "sqrt_mean")
         values = collect_values(om, ste, prog, n)
@@ -240,9 +240,7 @@ class TestErdosKacReport:
         assert rep.ks >= rep.ks_floor
 
     def test_spill_input(self, tmp_path):
-        from apmoments.moments import empirical_moments
-
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         prog = Progression(4, 1)
         path = tmp_path / "spill.f64"
         empirical_moments(om, ste, prog, 10**4, spill=path)
@@ -257,9 +255,6 @@ class TestErdosKacReport:
         [("omega", "sqrt_mean", 4, 3), ("sqrtloglog", "sigma", 4, 3), ("const:0.1", "sigma", 1, 0)],
     )
     def test_spill_and_sweep_agree_bit_for_bit(self, tmp_path, spec, norm, k, l):
-        from apmoments.arith_fn import resolve_spec
-        from apmoments.moments import empirical_moments
-
         fn, ext = resolve_spec(spec)
         prog = Progression(k, l)
         path = tmp_path / "spill.f64"
@@ -272,9 +267,9 @@ class TestErdosKacReport:
 
     def test_spill_is_read_onto_the_lattice(self, tmp_path):
         # a spilled value an ulp off its lattice point still counts there
-        from apmoments.moments import spill_label, write_spill
+        from apmoments.moments import spill_label
 
-        om, ste = builtin("omega")
+        om, ste = resolve_spec("omega")
         prog = Progression(4, 3)
         values = collect_values(om, ste, prog, 10**4)
         modal = np.flatnonzero(values == np.bincount(values.astype(np.int64)).argmax())[0]
@@ -400,7 +395,7 @@ class TestBoundedKsInPieces:
 
     @pytest.mark.parametrize("block", [997, 1])
     def test_multi_block_spill_file(self, tmp_path, member_block, block):
-        from apmoments.moments import SpillFile, write_spill
+        from apmoments.moments import SpillFile
 
         member_block(block)
         rng = np.random.default_rng(block)
@@ -416,7 +411,7 @@ class TestBoundedKsInPieces:
     def test_extremes_in_a_later_piece(self, tmp_path, member_block):
         # the least and largest values sit in neither the first piece nor the
         # first block, so the range pass must read every piece of every block
-        from apmoments.moments import spill_label, write_spill
+        from apmoments.moments import spill_label
 
         member_block(997)
         fn, ext = resolve_spec("sqrtloglog")
