@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import MEMBER_BLOCK
-from .sieve import Progression, _fill_pattern, factorize, primes_upto_monolithic
+from .sieve import Progression, _fill_pattern, is_prime, primes_upto_monolithic
 
 
 class DecayCase(Enum):
@@ -208,7 +208,7 @@ class PrimeFunction:
                 f"got {self.start_prime}"
             )
         for p, _ in self.table or ():
-            if p < 2 or factorize(p) != [(p, 1)]:
+            if not is_prime(p):
                 raise ValueError(f"tabulated key {p} is not a prime")
 
     def _table_values(self) -> list[float]:
@@ -319,7 +319,7 @@ class Extension:
         if self.mode not in ("strong", "complete"):
             raise ValueError(f"extension mode must be strong|complete, got {self.mode!r}")
         for (p, a), _ in self.overrides:
-            if p < 2 or a < 1 or factorize(p) != [(p, 1)]:
+            if a < 1 or not is_prime(p):
                 raise ValueError(f"invalid override position ({p}, {a})")
 
     @property

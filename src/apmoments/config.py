@@ -30,8 +30,10 @@ COUNTING_CEILING = 10**12
 # it the sieve streams blocks; it decides no route.  Why 10^7: past it the
 # class sieve streams one class faster than a cache fill sieves every prime
 # to cut the class out (the sum of 1/p over 1 mod 4 to 10^8 as a process's
-# first op: 0.09 s against 0.17 s), and a cache to 10^8 holds 5.76M primes
-# (23 MB).  On a 2 vCPU Xeon, perfbench's primes_model peaks at 45.0 MiB with
+# first op: 0.09 s against 0.17 s on one CPU; with the streamed pass split
+# across two CPUs, 0.06-0.07 s against 0.10-0.12 s on one in the same runs),
+# and a cache to 10^8 holds 5.76M primes (23 MB).  On a 2 vCPU Xeon,
+# perfbench's primes_model peaks at 45.0 MiB with
 # this cap and at 65.5 MiB with a cache to 2*10^8.
 PRIME_CACHE_MAX = 10_000_000
 # Most primes in one block, cached or streamed, and most Monte Carlo

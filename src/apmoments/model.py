@@ -11,11 +11,14 @@ on the Bernoulli cumulants c_j.  Alongside the exact values we carry the
 first-order approximation sum f(p)^u / p and its gap budget
 sum |f(p)|^u / p^2.
 
-Every function here takes the prime set block by block from the sieve's
-block iterator, in its blocks of at most PRIME_CHUNK primes.  The exact
-moments reduce each block to one partial per order and combine the
-partials exactly with math.fsum (as in prime_sums); the Monte Carlo
-sampler draws each block's successes in pieces of at most PRIME_CHUNK.
+Every function here takes the prime set block by block from the sieve,
+in its blocks of at most PRIME_CHUNK primes.  The exact moments, the
+Lindeberg ratio and the mean predictions reduce each block to partials
+(sieve.map_prime_blocks, which may split a streamed pass across CPUs)
+and combine them exactly with math.fsum (as in prime_sums), so the split
+moves no bit; the Monte Carlo sampler keeps the serial block iterator,
+since its one RNG stream runs in block order, and draws each block's
+successes in pieces of at most PRIME_CHUNK.
 Memory is bounded by one block, so the exact moments, the Lindeberg
 ratio, the mean predictions and the sampler also run past the prime
 cache.
@@ -51,7 +54,7 @@ from . import counting
 from .arith_fn import FunctionPair, PrimeFunction
 from .config import PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
 from .moments import MomentSummary, collect_datasets, summarize
-from .sieve import Progression, iter_prime_blocks
+from .sieve import Progression, iter_prime_blocks, map_prime_blocks
 
 MODES = ("restricted", "density")
 # Orders of the counted power sums: the s >= 4 terms of the cumulants are
@@ -98,34 +101,58 @@ class PairComparison:
     override_contribution: float | None  # class-H pairs with explicit overrides
 
 
-def _mode_blocks(progression: Progression, n: int, mode: str) -> Iterator[np.ndarray]:
-    """Prime set behind a model, in the sieve's ascending blocks: the residue
-    class itself, or all p not dividing the modulus (the uniform-density
+def _mode_source(progression: Progression, mode: str):
+    """The prime set behind a model as (the class whose primes the sieve
+    gives, the cut applied to each of its blocks): the residue class
+    itself, or all p not dividing the modulus (the uniform-density
     reading)."""
     if mode == "restricted":
-        return iter_prime_blocks(n, progression)
+        return progression, lambda b: b
     if mode == "density":
         k = progression.modulus
 
         def coprime(b: np.ndarray) -> np.ndarray:
+            if b[0] > k:  # a prime dividing k is at most k
+                return b
             # a k past int64 is reduced by each prime as a Python int
             residues = k % b if k < 2**63 else np.array([k % p for p in b.tolist()])
             return np.compress(residues != 0, b)
 
-        # a prime dividing k is at most k, so only blocks starting there are cut
-        return (b if b[0] > k else coprime(b) for b in iter_prime_blocks(n))
+        return None, coprime
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _active(fn: PrimeFunction, block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(p as float64, f(p)) for the block's primes with f(p) != 0, or None
+    when it has none."""
+    fv = fn.values_at(block)
+    active = fv != 0.0
+    return (block[active].astype(np.float64), fv[active]) if np.any(active) else None
 
 
 def _active_blocks(
     fn: PrimeFunction, progression: Progression, n: int, mode: str
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(p as float64, f(p)) per block, restricted to the primes with f(p) != 0."""
-    for block in _mode_blocks(progression, n, mode):
-        fv = fn.values_at(block)
-        active = fv != 0.0
-        if np.any(active):
-            yield block[active].astype(np.float64), fv[active]
+    """:func:`_active` of every block of the mode's primes <= n that has an
+    active prime, one after the other in block order."""
+    source, cut = _mode_source(progression, mode)
+    for block in iter_prime_blocks(n, source):
+        active = _active(fn, cut(block))
+        if active is not None:
+            yield active
+
+
+def _map_active(fn: PrimeFunction, progression: Progression, n: int, mode: str, per_active) -> list:
+    """per_active(p, f) of every block of the mode's primes <= n that has an
+    active prime (:func:`_active`), in block order; the sieve may split the
+    pass across CPUs (sieve.map_prime_blocks)."""
+    source, cut = _mode_source(progression, mode)
+
+    def per_block(block: np.ndarray):
+        active = _active(fn, cut(block))
+        return None if active is None else per_active(*active)
+
+    return [r for r in map_prime_blocks(n, source, per_block) if r is not None]
 
 
 def _bernoulli_cumulants(q, u_max: int) -> list:
@@ -220,20 +247,30 @@ def exact_moments(
     }
     first_parts: dict[int, list[float]] = {j: [float(scale[j]) * tail[0]] for j in orders}
     gap_parts: dict[int, list[float]] = {j: [abs(float(scale[j])) * tail[1]] for j in orders}
-    for p, f in _active_blocks(fn, progression, limit, mode):
-        count += p.size
+
+    def per_active(p: np.ndarray, f: np.ndarray) -> tuple[int, list[tuple[float, float, float]]]:
+        """The block's size and its (first_order, gap_bound, kappa) partial per order."""
         inv_p = 1.0 / p
         cumulants = _bernoulli_cumulants(inv_p, u_max)
         power = np.ones_like(f)
         term = np.empty_like(f)
+        partials = []
         for j in orders:
             power *= f
-            first_parts[j].append(float(np.sum(np.multiply(power, inv_p, out=term))))
+            first = float(np.sum(np.multiply(power, inv_p, out=term)))
             np.abs(power, out=term)
             term *= inv_p
             term *= inv_p
-            gap_parts[j].append(float(np.sum(term)))
-            kappa_parts[j].append(float(np.sum(np.multiply(power, cumulants[j - 1], out=term))))
+            gap = float(np.sum(term))
+            partials.append((first, gap, float(np.sum(np.multiply(power, cumulants[j - 1], out=term)))))
+        return p.size, partials
+
+    for size, partials in _map_active(fn, progression, limit, mode, per_active):
+        count += size
+        for j, (first, gap, kappa_j) in zip(orders, partials):
+            first_parts[j].append(first)
+            gap_parts[j].append(gap)
+            kappa_parts[j].append(kappa_j)
 
     kappa = {j: math.fsum(kappa_parts[j]) for j in orders}
     first = {j: math.fsum(first_parts[j]) for j in orders}
@@ -340,11 +377,14 @@ def lindeberg_check(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     limit, c, _, (p_1,) = counting.counted_tail(fn, progression, n, mode)
-    parts, spans = [c * c * p_1], []
-    for p, f in _active_blocks(fn, progression, limit, mode):
-        parts.append(float(np.sum(f * f / p)))
+
+    def per_active(p: np.ndarray, f: np.ndarray) -> tuple[float, float, float]:
         size = np.abs(f)
-        spans.append((float(size.min()), float(size.max())))
+        return float(np.sum(f * f / p)), float(size.min()), float(size.max())
+
+    blocks = _map_active(fn, progression, limit, mode, per_active)
+    parts = [c * c * p_1, *(s for s, _, _ in blocks)]
+    spans = [(lo, hi) for _, lo, hi in blocks]
     f_max = max([abs(c), *(hi for _, hi in spans)])
     if f_max == 0.0:
         raise ValueError("degenerate: no primes contribute (variance is 0)")
@@ -356,9 +396,12 @@ def lindeberg_check(
     if all(lo > threshold or hi <= threshold for lo, hi in spans):
         tail += [s if lo > threshold else 0.0 for s, (lo, _) in zip(parts[1:], spans)]
     else:
-        for p, f in _active_blocks(fn, progression, limit, mode):
+
+        def tail_of(p: np.ndarray, f: np.ndarray) -> float:
             big = np.abs(f) > threshold
-            tail.append(float(np.sum(f[big] * f[big] / p[big])))
+            return float(np.sum(f[big] * f[big] / p[big]))
+
+        tail += _map_active(fn, progression, limit, mode, tail_of)
     ratio = math.fsum(tail) / variance
     return LindebergReport(n, epsilon, variance, ratio, f_max / math.sqrt(variance))
 
@@ -372,9 +415,13 @@ def mean_predictions(
     predictions = {}
     for mode in MODES:
         limit, c, _, (p_1,) = counting.counted_tail(fn, progression, n, mode)
-        parts = [float(np.sum(fn.values_at(block) / block))
-                 for block in _mode_blocks(progression, limit, mode)]
-        predictions[mode] = math.fsum([*parts, c * p_1])
+        source, cut = _mode_source(progression, mode)
+
+        def per_block(block: np.ndarray) -> float:
+            block = cut(block)
+            return float(np.sum(fn.values_at(block) / block))
+
+        predictions[mode] = math.fsum([*map_prime_blocks(limit, source, per_block), c * p_1])
     return predictions
 
 

@@ -23,7 +23,7 @@ from . import counting
 from .arith_fn import DecayCase, PrimeFunction
 from .config import PROBE_CHECKPOINTS, PROBE_GROWTH_FACTOR, PROBE_MAX_RATIO, PROBE_TAIL_FRACTION
 from .config import QUAD_MAX_DEPTH, QUAD_REL_TOL
-from .sieve import Progression, euler_phi, iter_prime_blocks
+from .sieve import Progression, euler_phi, map_prime_blocks
 
 
 class QuadratureError(RuntimeError):
@@ -84,6 +84,9 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     block partials are combined exactly (math.fsum), so the block partition
     moves the result only by the per-block rounding: for terms of one sign,
     a relative error of at most a few tens of ulps, not one final rounding.
+    The partials come from sieve.map_prime_blocks, which may split a
+    streamed pass across CPUs into the serial blocks, so the sum does not
+    depend on the split.
 
     On the counted route (counting.counted_tail) the sieve stops at y, and
     the primes y < p <= x, where f = c, add c^u P_1 (P_1 the sum of their
@@ -93,8 +96,9 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     prediction of the model at u = 1, bit for bit, and the routes agree
     within a few ulps (tested at 1e-14 relative, late starts included).
     On a 2 vCPU Xeon the tables mod 4 take 0.06 s at 4e8 (the streamed
-    sieve of one class: 0.34 s), 0.56 s at 10^10, 2.4 s at 10^11 and 13 s
-    at 10^12 (process peaks 36, 45, 67 and 129 MiB).
+    sieve of one class: 0.34 s on one CPU; 0.28-0.33 s split across both,
+    against 0.48-0.58 s on one in the same runs), 0.56 s at 10^10, 2.4 s
+    at 10^11 and 13 s at 10^12 (process peaks 36, 45, 67 and 129 MiB).
     """
     if u < 1:
         raise ValueError(f"order u must be >= 1, got {u}")
@@ -102,14 +106,18 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
         raise ValueError(f"limit x must be >= 2, got {x}")
     limit, c, count, (reciprocals,) = counting.counted_tail(fn, progression, x)
     scale = np.float64(c) ** u  # inf past the float range, like the sieve's f**u
-    parts, p0 = [float(scale * reciprocals)], fn.start_prime
-    for block in iter_prime_blocks(limit, progression):
-        count += int(np.count_nonzero(block >= p0))
+    p0 = fn.start_prime
+
+    def per_block(block: np.ndarray) -> tuple[int, float]:
         f = fn.values_at(block)
         if u > 1:
             f = f**u
-        parts.append(float(np.sum(f / block)))
-    return PrimeSumResult(x, progression, u, math.fsum(parts), count)
+        return int(np.count_nonzero(block >= p0)), float(np.sum(f / block))
+
+    blocks = map_prime_blocks(limit, progression, per_block)
+    count += sum(n for n, _ in blocks)
+    value = math.fsum([float(scale * reciprocals), *(s for _, s in blocks)])
+    return PrimeSumResult(x, progression, u, value, count)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +324,16 @@ def convergence_probe(
         of_float, p_min = _SERIES[series]
         term = lambda p: of_float(p.astype(np.float64))
 
-    # one stream to the last checkpoint, each block split at the checkpoints
-    parts: list[tuple[int, float]] = []  # (checkpoint index, sum over a piece)
-    for block in iter_prime_blocks(cps[-1], progression):
+    # one pass to the last checkpoint, each block split at the checkpoints
+    def per_block(block: np.ndarray) -> list[tuple[int, float]]:
+        """(checkpoint index, sum over a piece) per nonempty piece."""
         block = block[block >= p_min]
         cuts = np.searchsorted(block, cps, side="right").tolist()
-        for i, (a, b) in enumerate(zip([0, *cuts], cuts)):
-            if a < b:
-                parts.append((i, float(np.sum(term(block[a:b])))))
+        return [(i, float(np.sum(term(block[a:b]))))
+                for i, (a, b) in enumerate(zip([0, *cuts], cuts)) if a < b]
+
+    parts = [piece for pieces in map_prime_blocks(cps[-1], progression, per_block)
+             for piece in pieces]
     sums = [math.fsum(s for j, s in parts if j <= i) for i in range(len(cps))]
 
     verdict = _verdict(sums)

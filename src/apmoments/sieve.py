@@ -1,4 +1,5 @@
-"""Segmented prime sieve, progression filtering, and trial-division factorization.
+"""Segmented prime sieve, progression filtering, primality and trial-division
+factorization.
 
 All operations are deterministic and pure given their inputs.  Prime
 arrays are handed out as int64; a module-level cache memoizes the
@@ -18,14 +19,24 @@ its limit and cuts a class out of it with np.compress, one chunk at a
 time, widening only the cut to int64.  Either way a block holds at most
 PRIME_CHUNK primes, the one block length every consumer takes as it
 comes.
+
+A pass that reduces each block to a partial (map_prime_blocks) splits
+the streamed segments into one contiguous run per usable CPU and sieves
+each run but the first in a forked child, which sends its partials back
+pickled over a pipe.  Every part yields the blocks the serial stream
+yields there, so the partials, and any exact fold of them, do not
+depend on the split.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -110,10 +121,20 @@ def _fill_pattern(out: np.ndarray, pattern: np.ndarray, phase: int) -> None:
         out[at : at + pattern.size] = pattern[: out.size - at]
 
 
-def _class_segments(limit: int, k: int, r: int) -> Iterator[np.ndarray]:
+def _class_members(limit: int, k: int, r: int) -> tuple[int, int, int]:
+    """(P, v0, members) of the class sieve: flag j stands for the odd member
+    v0 + P*j of the class r mod k, P = lcm(2, k), for 0 <= j < members."""
+    period = k if k % 2 == 0 else 2 * k
+    v0 = r if r % 2 else r + k
+    return period, v0, (limit - v0) // period + 1 if v0 <= limit else 0
+
+
+def _class_segments(limit: int, k: int, r: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
     """Yield the ascending primes p <= limit with p % k == r, for k <= limit,
     as int64 arrays: [2] first when 2 is in the class, then one array per
-    segment of SIEVE_BLOCK member flags.
+    segment of SIEVE_BLOCK member flags.  With parts > 1 only the part-th
+    of `parts` contiguous runs of segments is sieved, and only part 0
+    yields [2], so the parts in order yield the arrays of the whole stream.
 
     Flag j stands for the odd member v0 + P*j of the class, P = lcm(2, k).
     A segment starts as the class's pre-sieve pattern.  Each base prime q
@@ -122,11 +143,10 @@ def _class_segments(limit: int, k: int, r: int) -> Iterator[np.ndarray]:
     divides are those with j = -v0/P mod q, and the segment's offsets are
     one vector computation.  At k = 1 the flags are the odd numbers.
     """
-    period = k if k % 2 == 0 else 2 * k
-    v0 = r if r % 2 else r + k
-    if 2 % k == r:
+    period, v0, members = _class_members(limit, k, r)
+    if part == 0 and 2 % k == r:
         yield np.array([2], dtype=np.int64)
-    members = (limit - v0) // period + 1 if v0 <= limit else 0
+    segments = -(-members // SIEVE_BLOCK)
 
     odd = primes_upto_monolithic(max(_PRESIEVE_PRIMES[-1], math.isqrt(limit)))[1:]
     odd = odd[k % odd != 0]
@@ -145,13 +165,14 @@ def _class_segments(limit: int, k: int, r: int) -> Iterator[np.ndarray]:
     base_list = base.tolist()
     buf = np.empty(SIEVE_BLOCK, dtype=bool)
 
-    for lo in range(0, members, SIEVE_BLOCK):
+    for segment in range(part * segments // parts, (part + 1) * segments // parts):
+        lo = segment * SIEVE_BLOCK
         flags = buf[: min(SIEVE_BLOCK, members - lo)]
         hi = lo + flags.size
         _fill_pattern(flags, pattern, lo % _PRESIEVE_PERIOD)
-        for j, is_prime in fixes:
+        for j, flag in fixes:
             if lo <= j < hi:
-                flags[j - lo] = is_prime
+                flags[j - lo] = flag
         m = int(np.searchsorted(square, hi))  # the base primes with q^2 below member hi
         start = np.maximum(square[:m], lo)
         offsets = start + (first[:m] - start) % base[:m] - lo
@@ -160,9 +181,37 @@ def _class_segments(limit: int, k: int, r: int) -> Iterator[np.ndarray]:
         yield np.flatnonzero(flags) * period + (v0 + period * lo)
 
 
-def _is_prime(m: int) -> bool:
-    """Trial division by the primes up to sqrt(m)."""
-    return m >= 2 and bool(np.all(m % primes_upto_monolithic(math.isqrt(m))))
+# The first twelve primes: as Miller-Rabin bases they decide every m < 2^64
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(m: int) -> bool:
+    """Whether the integer m < 2^64 is prime: deterministic Miller-Rabin
+    with the prime bases up to 37, so a 20-digit m costs about as much as
+    a small one.  At m >= 2^64, where those bases decide nothing, it
+    raises ValueError."""
+    if m >= 1 << 64:
+        raise ValueError(f"primality is decided only below 2^64, got {m}")
+    if m < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _sieve_array(limit: int) -> np.ndarray:
@@ -231,19 +280,115 @@ def iter_prime_blocks(limit: int, progression: Progression | None = None) -> Ite
     is that residue when it is prime.
     """
     _validate_limit(limit)
-    k, r = (1, 0) if progression is None else (progression.modulus, progression.residue)
+    k, r = _class(progression)
     if k > limit:
-        if r <= limit and _is_prime(r):
+        if r <= limit and is_prime(r):
             yield np.array([r], dtype=np.int64)
         return
+    yield from _blocks(limit, k, r)
+
+
+def _class(progression: Progression | None) -> tuple[int, int]:
+    return (1, 0) if progression is None else (progression.modulus, progression.residue)
+
+
+def _blocks(limit: int, k: int, r: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
+    """iter_prime_blocks' blocks for k <= limit; with parts > 1 (streamed
+    layout only), those of the part-th run of segments."""
     cached = limit <= PRIME_CACHE_MAX
-    for arr in [_cache.primes_upto(limit)] if cached else _class_segments(limit, k, r):
+    for arr in [_cache.primes_upto(limit)] if cached else _class_segments(limit, k, r, part, parts):
         for i in range(0, arr.size, PRIME_CHUNK):
             blk = arr[i : i + PRIME_CHUNK]
             if cached:
                 blk = (np.compress(blk - blk // k * k == r, blk) if k > 1 else blk).astype(np.int64)
             if blk.size:
                 yield blk
+
+
+def map_prime_blocks(
+    limit: int, progression: Progression | None, per_block: Callable[[np.ndarray], object]
+) -> list:
+    """[per_block(b) for b in iter_prime_blocks(limit, progression)], with
+    the streamed layout split across the usable CPUs.
+
+    The class sieve's segments are cut into one contiguous run per usable
+    CPU, at most one run per segment.  Each run after the first goes to a
+    forked child, which maps its blocks and sends the list, or the
+    exception it raised, back pickled over a pipe.  This process maps the
+    first run, then reads and reaps the children in order and re-raises a
+    child's exception.  Every run yields the blocks the serial stream
+    yields there, so the list is the serial list.  On any error the
+    children still running are killed and reaped: none outlives the call.
+
+    The cached layout, a modulus past the limit, one usable CPU and a
+    platform without os.sched_getaffinity or os.fork map serially.  The
+    results must pickle, and per_block's effects on other state stay in
+    the process that ran it.
+    """
+    _validate_limit(limit)
+    k, r = _class(progression)
+    parts = 1
+    if PRIME_CACHE_MAX < limit and k <= limit and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        segments = -(-_class_members(limit, k, r)[2] // SIEVE_BLOCK)
+        parts = min(len(os.sched_getaffinity(0)), segments)
+    if parts <= 1:
+        return [per_block(b) for b in iter_prime_blocks(limit, progression)]
+
+    def run(part: int) -> list:
+        return [per_block(b) for b in _blocks(limit, k, r, part, parts)]
+
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for part in range(1, parts):
+            children.append(_fork(run, part))
+        out = run(0)
+        while children:
+            pid, fd = children[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            children.pop(0)
+            os.close(fd)
+            _, status = os.waitpid(pid, 0)
+            if not payload:
+                raise RuntimeError(f"sieve part ended with wait status {status} and no result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            out += value
+        return out
+    finally:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _fork(run: Callable[[int], list], part: int) -> tuple[int, int]:
+    """Fork a child that writes (True, run(part)), or (False, the exception
+    raised), pickled to a pipe, and leaves by os._exit, so no cleanup
+    handler or buffered output of this process runs twice.  Returns the
+    child's pid and the read end of the pipe."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((True, run(part)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # re-raised by the parent
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:  # an exception that does not pickle and back
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

@@ -223,12 +223,13 @@ class TestStreamedModel:
         sieve_geometry(1 << 12, cache_max=0)  # small sieve segments, never the prime cache
         blocks = []
 
-        def streamed(limit, progression=None):
-            for block in sieve.iter_prime_blocks(limit, progression):
-                blocks.append(block.size)
-                yield block
+        def streamed(limit, progression, per_block):
+            # the sizes come back with the results, from every part of a split pass
+            sized = sieve.map_prime_blocks(limit, progression, lambda b: (b.size, per_block(b)))
+            blocks.extend(size for size, _ in sized)
+            return [result for _, result in sized]
 
-        monkeypatch.setattr(model, "iter_prime_blocks", streamed)
+        monkeypatch.setattr(model, "map_prime_blocks", streamed)
         for mode in MODES:
             mm, rep = want[mode]
             got = exact_moments(fn, prog, n, u_max=6, mode=mode)
@@ -264,18 +265,18 @@ class TestCountedRoute:
     def route(self, monkeypatch):
         """The tail_sums calls and the sieve limits of the model's passes."""
         seen = {"tails": [], "limits": []}
-        tails, blocks = counting.tail_sums, model.iter_prime_blocks
+        tails, blocks = counting.tail_sums, model.map_prime_blocks
 
         def spy_tails(*args):
             seen["tails"].append(args)
             return tails(*args)
 
-        def spy_blocks(limit, progression=None):
+        def spy_blocks(limit, progression, per_block):
             seen["limits"].append(limit)
-            return blocks(limit, progression)
+            return blocks(limit, progression, per_block)
 
         monkeypatch.setattr(counting, "tail_sums", spy_tails)
-        monkeypatch.setattr(model, "iter_prime_blocks", spy_blocks)
+        monkeypatch.setattr(model, "map_prime_blocks", spy_blocks)
         return seen
 
     def test_coefficients_are_the_exact_polynomials(self):

@@ -289,7 +289,7 @@ class TestCountingRoute:
     def route(self, monkeypatch):
         """The routes prime_power_sum took, in call order."""
         taken = []
-        tables, blocks = counting.class_tables, prime_sums.iter_prime_blocks
+        tables, blocks = counting.class_tables, prime_sums.map_prime_blocks
 
         def spy_tables(*args):
             taken.append("counting")
@@ -300,7 +300,7 @@ class TestCountingRoute:
             return blocks(*args)
 
         monkeypatch.setattr(counting, "class_tables", spy_tables)
-        monkeypatch.setattr(prime_sums, "iter_prime_blocks", spy_blocks)
+        monkeypatch.setattr(prime_sums, "map_prime_blocks", spy_blocks)
         return taken
 
     @pytest.fixture
@@ -319,9 +319,9 @@ class TestCountingRoute:
         prog = Progression(k, r)
         fn, _ = resolve_spec(spec, prog, p0=p0)
         tails, limits = [], []
-        tail_sums, blocks = counting.tail_sums, model.iter_prime_blocks
+        tail_sums, blocks = counting.tail_sums, model.map_prime_blocks
         monkeypatch.setattr(counting, "tail_sums", lambda *a: tails.append(a) or tail_sums(*a))
-        monkeypatch.setattr(model, "iter_prime_blocks",
+        monkeypatch.setattr(model, "map_prime_blocks",
                             lambda limit, *a: limits.append(limit) or blocks(limit, *a))
         y = n // (n // 10**6) if counted else n
         assert counting.counted_limit(fn, prog, n) == y

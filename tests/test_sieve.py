@@ -1,6 +1,8 @@
 import json
 import math
 import mmap
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmoments import sieve
+from apmoments.arith_fn import Extension, PrimeFunction
 from apmoments.cli import main
 from apmoments.sieve import (
     Progression,
     euler_phi,
     factorize,
+    is_prime,
     iter_prime_blocks,
+    map_prime_blocks,
     primes_upto_monolithic,
 )
 from oracles import sieve_primes
@@ -129,6 +134,46 @@ class TestFactorize:
             seen.add(p)
             prod *= p**a
         assert prod == m
+
+
+class TestIsPrime:
+    def test_matches_the_sieve_to_1e5(self):
+        flags = np.zeros(10**5 + 1, dtype=bool)
+        flags[primes_upto_monolithic(10**5)] = True
+        assert [is_prime(m) for m in range(-3, 10**5 + 1)] == [False] * 3 + flags.tolist()
+
+    @pytest.mark.parametrize("m", [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        (1 << 64) - 1,
+    ])
+    def test_strong_pseudoprimes_are_composite(self, m):
+        assert not is_prime(m)
+
+    @pytest.mark.parametrize("m", [10000000000037, (1 << 61) - 1, (1 << 64) - 59])
+    def test_large_primes(self, m):
+        assert is_prime(m)
+
+    def test_refuses_2_to_the_64(self):
+        with pytest.raises(ValueError, match="2\\^64"):
+            is_prime(1 << 64)
+
+    def test_tab_keys_and_overrides_check_in_constant_time(self):
+        started = time.perf_counter()
+        PrimeFunction("tabulated", table=((10000000000037, 1.0),), default=0.0)
+        Extension(overrides=(((10000000000037, 2), 1.0),))
+        assert time.perf_counter() - started < 0.05  # trial division took 0.23 s
+        with pytest.raises(ValueError, match="not a prime"):
+            PrimeFunction("tabulated", table=((3215031751, 1.0),))
+        with pytest.raises(ValueError, match="override"):
+            Extension(overrides=(((3825123056546413051, 1), 1.0),))
+
+    def test_cli_refuses_a_key_past_2_to_the_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--fn", f"tab:{(1 << 64) + 13}=1,default=0", "--x", "1e4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2^64" in err
 
 
 class TestEulerPhi:
@@ -343,3 +388,108 @@ class TestModulusPastTheLimit:
         cached, streamed = reports
         assert cached["term_count"] == streamed["term_count"] == sum(1 for p in ORACLE_PRIMES.tolist() if k % p)
         assert streamed["kappa"] == pytest.approx(cached["kappa"], rel=1e-12)
+
+
+@pytest.fixture
+def split_sieve(monkeypatch, sieve_geometry):
+    """Short streamed segments from 2 up (no cache), pieces of at most 64
+    primes, and set(cpus): the number of usable CPUs the split sees."""
+    sieve_geometry(1 << 8, cache_max=0, chunk=64)
+
+    def set_cpus(cpus):
+        monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    return set_cpus
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestSplitPass:
+    """map_prime_blocks returns the serial list whatever the split, and
+    leaves no child behind."""
+
+    @pytest.mark.parametrize("x", [10**4, 10**5 + 3])
+    @pytest.mark.parametrize("k", [1, 3, 4, 12, 30])
+    def test_every_class_maps_to_the_serial_list(self, k, x, split_sieve):
+        for r in coprime_classes(k, x):
+            prog = Progression(k, r)
+            want = [b.tolist() for b in iter_prime_blocks(x, prog)]
+            segments = -(-sieve._class_members(x, k, r)[2] // sieve.SIEVE_BLOCK)
+            assert segments >= 2
+            for cpus in (1, 2, 3):
+                split_sieve(cpus)
+                got = map_prime_blocks(x, prog, lambda b: (os.getpid(), b.tolist()))
+                assert [b for _, b in got] == want, (k, r, cpus)
+                # one process per part, the first of them this one
+                pids = list(dict.fromkeys(pid for pid, _ in got))
+                assert len(pids) == min(cpus, segments) and pids[0] == os.getpid()
+        assert no_child_left()
+
+    def test_the_cached_layout_and_a_platform_without_fork_stay_serial(
+            self, split_sieve, sieve_geometry, monkeypatch):
+        split_sieve(2)
+        pids = lambda: {pid for pid in map_prime_blocks(10**5, None, lambda b: os.getpid())}
+        assert len(pids()) == 2
+        with monkeypatch.context() as m:
+            m.delattr(sieve.os, "fork")
+            assert pids() == {os.getpid()}
+        sieve_geometry(1 << 8, cache_max=10**5)
+        assert pids() == {os.getpid()}
+
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--fn", "sqrtloglog", "--u", "2", "--mod", "4", "--res", "1", "--x", "1e5"],
+        ["sum", "--fn", "tab:2=1,7=3,default=0.5", "--mod", "1", "--x", "1e5"],
+        ["probe", "--fn", "invloglog", "--mod", "4", "--res", "3", "--checkpoints", "1e3,3e4,1e5"],
+        ["probe", "--series", "inv_p_squared", "--fn", "const:1", "--mod", "3", "--res", "1",
+         "--checkpoints", "1e3,1e4,1e5"],
+        ["model", "exact", "--fn", "sqrtloglog", "--mod", "4", "--res", "1", "--n", "1e5"],
+        ["model", "exact", "--fn", "sqrtloglog", "--mod", "12", "--res", "5", "--n", "1e5",
+         "--mode", "density"],
+        ["model", "lindeberg", "--fn", "tab:2=1,7=3,default=0.5", "--mod", "3", "--res", "1",
+         "--n", "1e5", "--epsilon", "0.5"],
+        ["model", "lindeberg", "--fn", "tab:2=1,7=3,default=0.5", "--mod", "3", "--res", "1",
+         "--n", "1e5", "--epsilon", "0.5", "--mode", "density"],
+    ], ids=["sum", "sum_tab", "probe_custom", "probe_series", "exact", "exact_density",
+            "lindeberg", "lindeberg_density"])
+    def test_reports_do_not_depend_on_the_split(self, argv, split_sieve, capsys):
+        reports = []
+        for cpus in (1, 2):
+            split_sieve(cpus)
+            assert main(argv) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert no_child_left()
+
+    def test_an_error_in_a_child_is_raised_here(self, split_sieve):
+        split_sieve(2)
+        parent = os.getpid()
+
+        def per_block(block):
+            if os.getpid() != parent:
+                raise ArithmeticError(f"block from {int(block[0])}")
+            return block.size
+
+        with pytest.raises(ArithmeticError, match="block from"):
+            map_prime_blocks(10**5, Progression(4, 1), per_block)
+        assert no_child_left()
+
+    def test_an_error_here_kills_and_reaps_the_children(self, split_sieve):
+        split_sieve(3)
+        parent, slept = os.getpid(), []
+
+        def per_block(block):
+            if os.getpid() == parent:
+                raise ArithmeticError("parent's half")
+            if not slept:  # each child is still running when the parent fails
+                slept.append(time.sleep(30))
+            return block.size
+
+        started = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="parent's half"):
+            map_prime_blocks(10**5, Progression(4, 1), per_block)
+        assert time.perf_counter() - started < 10
+        assert no_child_left()
