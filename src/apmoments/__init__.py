@@ -12,7 +12,6 @@ from .arith_fn import (
     COMPLETE,
     STRONG,
     Extension,
-    FunctionPair,
     PrimeFunction,
     parse_fn,
 )
@@ -20,7 +19,6 @@ from .model import (
     LindebergReport,
     ModelMoments,
     SampleSet,
-    compare_pair,
     exact_moments,
     lindeberg_check,
     sample,
@@ -30,6 +28,7 @@ from .moments import (
     CoMoments,
     MomentSummary,
     chebyshev_check,
+    compare_pair,
 )
 from .prime_sums import (
     AsymptoticEstimate,

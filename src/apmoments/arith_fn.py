@@ -349,19 +349,6 @@ STRONG = Extension("strong")
 COMPLETE = Extension("complete")
 
 
-@dataclass(frozen=True)
-class FunctionPair:
-    """A strongly additive reference function and a compared function."""
-
-    f_star: tuple[PrimeFunction, Extension]
-    f: tuple[PrimeFunction, Extension]
-    declared_class: str  # "H" | "V"
-
-    def __post_init__(self) -> None:
-        if self.declared_class not in ("H", "V"):
-            raise ValueError("declared_class must be 'H' or 'V'")
-
-
 # Built-in functions: name -> (spec, default prime-power rule, whether its
 # primes are restricted to the progression's class).
 _BUILTINS = {

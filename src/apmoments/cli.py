@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, counting, model, moments, prime_sums, stats
-from .arith_fn import Extension, FunctionPair, PrimeFunction, resolve_spec
+from .arith_fn import Extension, PrimeFunction, resolve_spec
 from .config import (
     CHEBYSHEV_B_DEFAULT,
     PROBE_CHECKPOINTS,
@@ -119,8 +119,10 @@ def _report(args: argparse.Namespace, payload: dict) -> dict:
     return {"config": _resolved_config(args), "version": __version__, **payload}
 
 
-def _predictions(preds: dict[str, float]) -> dict[str, float]:
-    return {"restricted_sum": preds["restricted"], "density_sum": preds["density"]}
+def _predictions(fn: PrimeFunction, prog: Progression, n: int) -> dict[str, float]:
+    """The model's mean prediction, sum f(p)/p over the primes p <= n of each reading."""
+    return {f"{mode}_sum": prime_sums.prime_power_sum(fn, 1, n, prog, mode).value
+            for mode in counting.MODES}
 
 
 class _UsageError(ValueError):
@@ -341,7 +343,7 @@ def cmd_moments(args) -> None:
     prog = _progression(args)
     n = _sieve_limit("n", args.n)
     # predictions first, so the sieve's temporaries are gone before the values exist
-    preds = model.mean_predictions(fn, prog, n)
+    preds = _predictions(fn, prog, n)
     (data,) = moments.collect_datasets([(fn, ext)], prog, n, args.umax, spill=args.spill)
     summary = moments.summarize(data.moments, prog, n)
     cheb = moments.chebyshev_check(summary, data.x, CHEBYSHEV_B_DEFAULT, data.counts)
@@ -353,7 +355,7 @@ def cmd_moments(args) -> None:
         "mean": summary.mean,
         "sigma": summary.sigma,
         "mu": [summary.mu[u] for u in sorted(summary.mu)],
-        "predictions": _predictions(preds),
+        "predictions": preds,
         "coverage": [
             {"b": b, "coverage": c, "bound": bound}
             for b, c, bound in zip(cheb.b_values, cheb.coverage, cheb.bounds)
@@ -431,8 +433,11 @@ def cmd_model_lindeberg(args) -> None:
 def cmd_compare(args) -> None:
     prog = _progression(args)
     star = _resolve_fn(args, "fn_star")  # before --fn, which records its rule in args.ext
-    pair = FunctionPair(star, _resolve_fn(args), args.pair_class)
-    cmp = model.compare_pair(pair, prog, _sieve_limit("n", args.n), u_max=args.umax)
+    f = _resolve_fn(args)
+    n = _sieve_limit("n", args.n)
+    cmp = moments.compare_pair(star, f, prog, n, u_max=args.umax)
+    preds = _predictions(f[0], prog, n)  # omega's serve bigomega too
+    preds_star = preds if star[0] == f[0] else _predictions(star[0], prog, n)
 
     def summary_dict(s) -> dict:
         return {
@@ -447,13 +452,12 @@ def cmd_compare(args) -> None:
         "k": prog.modulus,
         "l": prog.residue,
         "class": args.pair_class,
-        "f_star": {"fn": args.fn_star, "ext": pair.f_star[1].mode,
-                   **summary_dict(cmp.summary_star)},
-        "f": {"fn": args.fn, "ext": pair.f[1].mode, **summary_dict(cmp.summary)},
+        "f_star": {"fn": args.fn_star, "ext": star[1].mode, **summary_dict(cmp.summary_star)},
+        "f": {"fn": args.fn, "ext": f[1].mode, **summary_dict(cmp.summary)},
         "mean_diff": cmp.mean_diff,
         "mu_diff": [cmp.mu_diff[u] for u in sorted(cmp.mu_diff)],
-        "predictions_f_star": _predictions(cmp.predictions_star),
-        "predictions_f": _predictions(cmp.predictions),
+        "predictions_f_star": preds_star,
+        "predictions_f": preds,
         "override_contribution": cmp.override_contribution,
     }
     _emit(_report(args, payload), args)
@@ -501,7 +505,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--umax", type=int, default=U_MAX_DEFAULT, metavar="U",
                        choices=range(2, U_MAX_CAP + 1), help="highest central moment")
     if "mode" in names:
-        p.add_argument("--mode", choices=["restricted", "density"], default="restricted")
+        p.add_argument("--mode", choices=counting.MODES, default="restricted")
     if "spill" in names:
         p.add_argument("--spill", default=None, help="raw float64 value file")
     if "format" in names:

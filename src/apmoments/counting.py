@@ -19,8 +19,9 @@ rows by 2 sqrt(x) values; the sums of 1/p are integers until the end.
 :func:`tail_sums` reads the tables at two floor values, x and y, and keeps
 those few numbers, not the tables.  Lagarias-Miller-Odlyzko (1985) and
 Deleglise-Rivat (1996) are the faster relatives of the method.
-:func:`counted_limit` decides where every prime pass (`sum`, the model,
-the predictions) stops sieving, and :func:`counted_tail` counts the rest.
+Every prime pass (`sum`, the predictions, the model) takes the primes of
+its reading (:func:`mode_source`), stops sieving where :func:`counted_limit`
+says, and counts the rest of the reading's primes (:func:`counted_tail`).
 
 The same tables give the joint law of omega and Omega on a class
 (:func:`omega_law`): every m = s p, p a prime above the largest prime of
@@ -72,6 +73,8 @@ _NODES = 1 << 14
 # A prime pass counts the primes past the floor value of n at or just above
 # this, where f allows (see counted_limit).
 COUNTED_FROM = 10**6
+# The readings of a prime set on a progression (see mode_source).
+MODES = ("restricted", "density")
 
 
 def _shift_up(
@@ -335,9 +338,29 @@ def tail_sums(x: int, k: int, y: int, smax: int = 1) -> dict[int, tuple]:
     return _keep(x, ("tails", k, y), (smax, tails))[1]
 
 
+def mode_source(progression: Progression, mode: str):
+    """The primes of a reading as (the class the sieve gives, the cut of each
+    of its blocks): the residue class (mode "restricted"), or every p not
+    dividing the modulus (mode "density", the uniform-density reading)."""
+    if mode == "restricted":
+        return progression, lambda b: b
+    if mode == "density":
+        k = progression.modulus
+
+        def coprime(b: np.ndarray) -> np.ndarray:
+            if b[0] > k:  # a prime dividing k is at most k
+                return b
+            # a k past int64 is reduced by each prime as a Python int
+            residues = k % b if k < 2**63 else np.array([k % p for p in b.tolist()])
+            return np.compress(residues != 0, b)
+
+        return None, coprime
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def counted_limit(fn: PrimeFunction, progression: Progression, n: int) -> int:
     """The sieve limit of a pass over the primes p <= n, the one rule of every
-    prime pass (`sum`, the model's moments, Lindeberg ratio and predictions):
+    prime pass (`sum`, the predictions, the model's moments and Lindeberg ratio):
     y = n // (n // COUNTED_FROM), the floor value of n at or just above 10^6,
     when 2 * 10^6 <= n <= COUNTING_CEILING, f is constant past y
     (fn.constant_above) and :func:`pays` holds at (n, k); else n."""

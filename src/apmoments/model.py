@@ -11,34 +11,32 @@ on the Bernoulli cumulants c_j.  Alongside the exact values we carry the
 first-order approximation sum f(p)^u / p and its gap budget
 sum |f(p)|^u / p^2.
 
-Every function here takes the prime set block by block from the sieve,
-in its blocks of at most PRIME_CHUNK primes.  The exact moments, the
-Lindeberg ratio and the mean predictions reduce each block to partials
-(sieve.map_prime_blocks, which may split a streamed pass across CPUs)
-and combine them exactly with math.fsum (as in prime_sums), so the split
-moves no bit; the Monte Carlo sampler keeps the serial block iterator,
-since its one RNG stream runs in block order, and draws each block's
-successes in pieces of at most PRIME_CHUNK.
+Every function here takes the prime set of its reading (restricted or
+density, counting.mode_source) block by block from the sieve, in its
+blocks of at most PRIME_CHUNK primes.  The exact moments and the
+Lindeberg ratio reduce each block to partials (sieve.map_prime_blocks,
+which may split a streamed pass across CPUs) and combine them exactly
+with math.fsum (as in prime_sums), so the split moves no bit; the Monte
+Carlo sampler keeps the serial block iterator, since its one RNG stream
+runs in block order, and draws each block's successes in pieces of at
+most PRIME_CHUNK.
 Memory is bounded by one block, so the exact moments, the Lindeberg
-ratio, the mean predictions and the sampler also run past the prime
-cache.
+ratio and the sampler also run past the prime cache.
 
-The exact moments, the Lindeberg ratio and the mean predictions take
-the counted route of every prime pass (counting.counted_tail, shared with
-prime_sums.prime_power_sum): where f is one constant c on the primes past
-y, the floor value of n at or just above 10^6, and counting pays, only
-the primes up to y are sieved.  The primes y < p <= n then enter through
-their count and their power sums P_s = sum of p^(-s), s <= 3, by class:
-each prime's Bernoulli cumulant c_j(1/p) is a polynomial in 1/p with
-integer coefficients, so the primes past y add
-c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3) to kappa_j.  Power sums serve only
-where 1/p <= 10^-6, so their terms do not cancel; below y the per-prime
-recursion stays.  The Lindeberg ratio counts the same primes through
-c^2 P_1; the sampler always sieves.
+The exact moments and the Lindeberg ratio take the counted route of every
+prime pass (counting.counted_tail, shared with prime_sums.prime_power_sum):
+where f is one constant c on the primes past y, the floor value of n at
+or just above 10^6, and counting pays, only the primes up to y are
+sieved.  The primes y < p <= n then enter through their count and their
+power sums P_s = sum of p^(-s), s <= 3, by class: each prime's Bernoulli
+cumulant c_j(1/p) is a polynomial in 1/p with integer coefficients, so
+the primes past y add c^j (a_j1 P_1 + a_j2 P_2 + a_j3 P_3) to kappa_j.
+Power sums serve only where 1/p <= 10^-6, so their terms do not cancel;
+below y the per-prime recursion stays.  The Lindeberg ratio counts the
+same primes through c^2 P_1; the sampler always sieves.
 
-:func:`compare_pair` sets the empirical moments of a pair beside these
-predictions.  Its two datasets come from the one dataset route of
-`moments` and `ektest` (:func:`moments.collect_datasets`), in one call.
+The model's mean prediction, sum f(p)/p over a reading's primes, is
+prime_sums.prime_power_sum at u = 1 in that reading.
 """
 
 from __future__ import annotations
@@ -51,12 +49,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import counting
-from .arith_fn import FunctionPair, PrimeFunction
+from .arith_fn import PrimeFunction
 from .config import PRIME_CHUNK, U_MAX_CAP, U_MAX_DEFAULT
-from .moments import MomentSummary, collect_datasets, summarize
 from .sieve import Progression, iter_prime_blocks, map_prime_blocks
 
-MODES = ("restricted", "density")
 # Orders of the counted power sums: the s >= 4 terms of the cumulants are
 # dropped (see exact_moments).
 COUNTED_ORDERS = 3
@@ -90,38 +86,6 @@ class LindebergReport:
     max_over_sqrt_d: float  # max |f(p)| / sqrt(D(n))
 
 
-@dataclass(frozen=True)
-class PairComparison:
-    summary_star: MomentSummary
-    summary: MomentSummary
-    mean_diff: float
-    mu_diff: dict[int, float]
-    predictions_star: dict[str, float]
-    predictions: dict[str, float]
-    override_contribution: float | None  # class-H pairs with explicit overrides
-
-
-def _mode_source(progression: Progression, mode: str):
-    """The prime set behind a model as (the class whose primes the sieve
-    gives, the cut applied to each of its blocks): the residue class
-    itself, or all p not dividing the modulus (the uniform-density
-    reading)."""
-    if mode == "restricted":
-        return progression, lambda b: b
-    if mode == "density":
-        k = progression.modulus
-
-        def coprime(b: np.ndarray) -> np.ndarray:
-            if b[0] > k:  # a prime dividing k is at most k
-                return b
-            # a k past int64 is reduced by each prime as a Python int
-            residues = k % b if k < 2**63 else np.array([k % p for p in b.tolist()])
-            return np.compress(residues != 0, b)
-
-        return None, coprime
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def _active(fn: PrimeFunction, block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(p as float64, f(p)) for the block's primes with f(p) != 0, or None
     when it has none."""
@@ -135,7 +99,7 @@ def _active_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:func:`_active` of every block of the mode's primes <= n that has an
     active prime, one after the other in block order."""
-    source, cut = _mode_source(progression, mode)
+    source, cut = counting.mode_source(progression, mode)
     for block in iter_prime_blocks(n, source):
         active = _active(fn, cut(block))
         if active is not None:
@@ -146,7 +110,7 @@ def _map_active(fn: PrimeFunction, progression: Progression, n: int, mode: str, 
     """per_active(p, f) of every block of the mode's primes <= n that has an
     active prime (:func:`_active`), in block order; the sieve may split the
     pass across CPUs (sieve.map_prime_blocks)."""
-    source, cut = _mode_source(progression, mode)
+    source, cut = counting.mode_source(progression, mode)
 
     def per_block(block: np.ndarray):
         active = _active(fn, cut(block))
@@ -404,72 +368,3 @@ def lindeberg_check(
         tail += _map_active(fn, progression, limit, mode, tail_of)
     ratio = math.fsum(tail) / variance
     return LindebergReport(n, epsilon, variance, ratio, f_max / math.sqrt(variance))
-
-
-def mean_predictions(
-    fn: PrimeFunction, progression: Progression, n: int
-) -> dict[str, float]:
-    """First-moment prediction under both prime-set readings.  On the counted
-    route (counting.counted_tail) the primes past y add c P_1, so the
-    restricted one is prime_sums.prime_power_sum at u = 1, bit for bit."""
-    predictions = {}
-    for mode in MODES:
-        limit, c, _, (p_1,) = counting.counted_tail(fn, progression, n, mode)
-        source, cut = _mode_source(progression, mode)
-
-        def per_block(block: np.ndarray) -> float:
-            block = cut(block)
-            return float(np.sum(fn.values_at(block) / block))
-
-        predictions[mode] = math.fsum([*map_prime_blocks(limit, source, per_block), c * p_1])
-    return predictions
-
-
-def compare_pair(
-    pair: FunctionPair,
-    progression: Progression,
-    n: int,
-    u_max: int = U_MAX_DEFAULT,
-) -> PairComparison:
-    """Empirical moments of both pair members over the progression.
-
-    Both members are one call of :func:`moments.collect_datasets`, the
-    route of `moments` and `ektest`: counted from one joint law of omega
-    and Omega when counting serves both, else one factorization sweep for
-    both, with no per-member array.  So each side's summary is its own
-    `moments` summary, bit for bit.  For
-    pairs whose compared member carries explicit prime-power overrides, the
-    total override weight sum |delta f(p^a)| * density(p^a exactly divides
-    a member) is reported; the density of an exact power p^a among members
-    is (1/p^a)(1 - 1/p) for p not dividing the modulus.
-    """
-    fn_star, ext_star = pair.f_star
-    fn, ext = pair.f
-    datasets = collect_datasets([pair.f_star, pair.f], progression, n, u_max, keep=False)
-    s_star, s = (summarize(d.moments, progression, n) for d in datasets)
-    mu_diff = {u: s.mu[u] - s_star.mu[u] for u in s.mu}
-
-    override_total: float | None = None
-    if pair.declared_class == "H" and (ext_star.overrides or ext.overrides):
-        k = progression.modulus
-        total = 0.0
-        for fn_i, ext_i in (pair.f_star, pair.f):
-            for (p, a), v in ext_i.overrides:
-                if k % p == 0:
-                    continue
-                base = ext_i.base_value(a, float(fn_i.values_at([p])[0]))
-                density = (1.0 / p**a) * (1.0 - 1.0 / p)
-                total += abs(v - base) * density
-        override_total = total
-
-    predictions = mean_predictions(fn, progression, n)  # omega's serve bigomega too
-    return PairComparison(
-        summary_star=s_star,
-        summary=s,
-        mean_diff=s.mean - s_star.mean,
-        mu_diff=mu_diff,
-        predictions_star=predictions if fn_star == fn else mean_predictions(
-            fn_star, progression, n),
-        predictions=predictions,
-        override_contribution=override_total,
-    )

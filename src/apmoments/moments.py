@@ -23,7 +23,8 @@ Moments and Chebyshev coverage read both kinds in the same pieces
 (:func:`iter_blocks`): a table whole, per-member values in the sweep's
 blocks.  Moments feed a mergeable central-moment state, exact in real
 arithmetic, so chunked evaluation matches a two-pass computation up to
-rounding.
+rounding.  :func:`compare_pair` sets the summaries of a pair's two
+datasets, taken in one call, side by side.
 """
 
 from __future__ import annotations
@@ -153,6 +154,15 @@ class ChebyshevReport:
     coverage: tuple[float, ...]
     bounds: tuple[float, ...]
     degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class PairComparison:
+    summary_star: MomentSummary
+    summary: MomentSummary
+    mean_diff: float
+    mu_diff: dict[int, float]
+    override_contribution: float | None  # pairs with explicit overrides
 
 
 def summarize(acc: CoMoments, progression: Progression, n: int) -> MomentSummary:
@@ -350,6 +360,39 @@ def collect_datasets(
         if spill is not None:
             values = [SpillFile(spill, count)]
     return [_dataset(*parts) for parts in zip(accs, tables, values)]
+
+
+def compare_pair(
+    f_star: tuple[PrimeFunction, Extension],
+    f: tuple[PrimeFunction, Extension],
+    progression: Progression,
+    n: int,
+    u_max: int = U_MAX_DEFAULT,
+) -> PairComparison:
+    """Empirical moments of a reference spec f_star and a compared spec f.
+
+    Both sides are one call of :func:`collect_datasets`, the route of
+    `moments` and `ektest` (one joint law or one sweep for both, with no
+    per-member array), so each side's summary is its own `moments` summary,
+    bit for bit.  When a side carries explicit prime-power overrides, the
+    total override weight sum |delta f(p^a)| * density(p^a exactly divides
+    a member) is reported; the density of an exact power p^a among members
+    is (1/p^a)(1 - 1/p) for p not dividing the modulus.
+    """
+    datasets = collect_datasets([f_star, f], progression, n, u_max, keep=False)
+    s_star, s = (summarize(d.moments, progression, n) for d in datasets)
+    override_total: float | None = None
+    if f_star[1].overrides or f[1].overrides:
+        override_total = 0.0
+        for fn, ext in (f_star, f):
+            for (p, a), v in ext.overrides:
+                if progression.modulus % p == 0:
+                    continue
+                base = ext.base_value(a, float(fn.values_at([p])[0]))
+                density = (1.0 / p**a) * (1.0 - 1.0 / p)
+                override_total += abs(v - base) * density
+    mu_diff = {u: s.mu[u] - s_star.mu[u] for u in s.mu}
+    return PairComparison(s_star, s, s.mean - s_star.mean, mu_diff, override_total)
 
 
 @contextmanager

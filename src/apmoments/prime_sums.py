@@ -1,7 +1,9 @@
 """Exact prime sums over progressions, asymptotic estimates, and probes.
 
 The central quantity is the partial sum of f(p)^u / p over primes p <= x
-in a residue class.  Exact values come from the sieve, with block
+in a residue class, or over every p not dividing the modulus (the readings
+of counting.mode_source; at u = 1 the mean predictions of `moments` and
+`compare`).  Exact values come from the sieve, with block
 partials combined by math.fsum; where f is one constant c on the primes
 past y, the floor value of x at or just above 10^6, the sieve stops at y
 and the primes past it are counted by class (counting.counted_tail, the
@@ -77,8 +79,12 @@ class ProbeResult:
     tail_bound: float | None = None
 
 
-def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression) -> PrimeSumResult:
-    """Exact sum of f(p)^u / p over primes p <= x in the progression.
+def prime_power_sum(
+    fn: PrimeFunction, u: int, x: int, progression: Progression, mode: str = "restricted"
+) -> PrimeSumResult:
+    """Exact sum of f(p)^u / p over primes p <= x in the progression (mode
+    "restricted"), or over every prime p <= x not dividing its modulus
+    (mode "density"; counting.mode_source).
 
     Each block's terms are added with numpy's pairwise summation and the
     block partials are combined exactly (math.fsum), so the block partition
@@ -89,12 +95,12 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
     depend on the split.
 
     On the counted route (counting.counted_tail) the sieve stops at y, and
-    the primes y < p <= x, where f = c, add c^u P_1 (P_1 the sum of their
-    1/p) and their count, both from counting.tail_sums, which keeps every
-    class's numbers for the next call at the same x.  The term count is
-    every prime >= p0 either way.  The sum is then the restricted mean
-    prediction of the model at u = 1, bit for bit, and the routes agree
-    within a few ulps (tested at 1e-14 relative, late starts included).
+    the primes y < p <= x of the reading, where f = c, add c^u P_1 (P_1
+    the sum of their 1/p) and their count, both from counting.tail_sums,
+    which keeps every class's numbers for the next call at the same x.
+    The term count is every prime >= p0 of the reading either way, and the
+    routes agree within a few ulps (tested at 1e-14 relative, late starts
+    included).
     On a 2 vCPU Xeon the tables mod 4 take 0.06 s at 4e8 (the streamed
     sieve of one class: 0.34 s on one CPU; 0.28-0.33 s split across both,
     against 0.48-0.58 s on one in the same runs), 0.56 s at 10^10, 2.4 s
@@ -104,17 +110,19 @@ def prime_power_sum(fn: PrimeFunction, u: int, x: int, progression: Progression)
         raise ValueError(f"order u must be >= 1, got {u}")
     if x < 2:
         raise ValueError(f"limit x must be >= 2, got {x}")
-    limit, c, count, (reciprocals,) = counting.counted_tail(fn, progression, x)
+    source, cut = counting.mode_source(progression, mode)
+    limit, c, count, (reciprocals,) = counting.counted_tail(fn, progression, x, mode)
     scale = np.float64(c) ** u  # inf past the float range, like the sieve's f**u
     p0 = fn.start_prime
 
     def per_block(block: np.ndarray) -> tuple[int, float]:
+        block = cut(block)
         f = fn.values_at(block)
         if u > 1:
             f = f**u
         return int(np.count_nonzero(block >= p0)), float(np.sum(f / block))
 
-    blocks = map_prime_blocks(limit, progression, per_block)
+    blocks = map_prime_blocks(limit, source, per_block)
     count += sum(n for n, _ in blocks)
     value = math.fsum([float(scale * reciprocals), *(s for _, s in blocks)])
     return PrimeSumResult(x, progression, u, value, count)

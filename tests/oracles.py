@@ -16,7 +16,9 @@ Monte Carlo sampler's histogram is checked.  distinct_slots_full_sort is
 the sampler's slot redraw with a full sort on every round, and
 distinct_slots_merge the same redraw merging only the redrawn keys back.
 squarefree_in_class counts the squarefree members of a class by Moebius
-inversion, the diagonal (omega = Omega) of the counted joint law.
+inversion, the diagonal (omega = Omega) of the counted joint law, and
+omega_power_sums gives the first two power sums of its omega marginal by
+counting the members each prime and each pair of primes divides.
 
 The helpers at the end serve the tests only, each on the route the
 program runs: every prime of a class as one array (sieve_primes), a
@@ -38,6 +40,11 @@ from apmoments.config import U_MAX_DEFAULT
 from apmoments.moments import MomentSummary, collect_datasets, spill_file, summarize
 from apmoments.prime_sums import prime_power_sum
 from apmoments.sieve import Progression, iter_prime_blocks
+
+# Moduli past any int64 prime and past int64 itself.
+HUGE_MODULI = [5_000_000_000, 9 * 10**19 + 1]
+# The most divisors p or p q omega_power_sums takes at once.
+_PAIR_PIECE = 1 << 16
 
 
 def eval_additive(
@@ -207,6 +214,35 @@ def squarefree_in_class(n: int, k: int, r: int) -> int:
             if first <= top:
                 total += mu[d] * ((top - first) // k + 1)
     return total
+
+
+def omega_power_sums(n: int, k: int, r: int) -> tuple[int, int]:
+    """(sum of omega(m), sum of omega(m)^2) over the members m <= n of the
+    class r mod k, by the counting identities sum omega = sum_p N_p and
+    sum omega^2 = sum omega + 2 sum_{p<q} N_pq, N_d the members d divides,
+    over the primes p <= n from the sieve.  Each pair's count is that of a
+    class mod k below n / pq.  The primes, and the q of each p, come in
+    pieces of at most _PAIR_PIECE, so the memory past the one array of
+    primes stays a few MiB at any n.
+    (k, r) = (1, 0) is every m."""
+    primes = sieve_primes(n)
+    primes = primes[k % primes != 0]  # no member is divisible by a prime of k
+    inverse = np.array([pow(a, -1, k) if math.gcd(a, k) == 1 else 0 for a in range(k)])
+
+    def members_divisible(d: np.ndarray) -> int:
+        """sum over d of #{m <= n : m = r mod k, d | m}, d prime to k."""
+        first = r * inverse[d % k] % k  # m = d t with t = r / d mod k
+        first[first == 0] = k  # the least t >= 1 of its class
+        return int(np.sum((n // d - first) // k + 1))  # 0 where n // d < first
+
+    total = sum(members_divisible(primes[lo : lo + _PAIR_PIECE])
+                for lo in range(0, primes.size, _PAIR_PIECE))
+    pairs = 0
+    for i, p in enumerate(primes[: np.searchsorted(primes, math.isqrt(n), "right")].tolist()):
+        stop = int(np.searchsorted(primes, n // p, side="right"))
+        for lo in range(i + 1, stop, _PAIR_PIECE):
+            pairs += members_divisible(p * primes[lo : min(lo + _PAIR_PIECE, stop)])
+    return total, total + 2 * pairs
 
 
 def sieve_primes(limit: int, progression: Progression | None = None) -> np.ndarray:

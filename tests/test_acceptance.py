@@ -7,16 +7,16 @@ see the assertion message for why its failure is a property of the data
 rather than of the implementation.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from apmoments.arith_fn import STRONG, FunctionPair, PrimeFunction, resolve_spec
+from apmoments.arith_fn import STRONG, PrimeFunction, resolve_spec
 from apmoments.cli import main as cli_main
 from apmoments.model import (
-    compare_pair,
     exact_moments,
     sample,
 )
@@ -24,6 +24,7 @@ from apmoments.moments import (
     CoMoments,
     MomentSummary,
     chebyshev_check,
+    compare_pair,
 )
 from apmoments.prime_sums import (
     DecayCase,
@@ -334,16 +335,21 @@ def test_criterion_10_unbounded_function_moment_ratio():
     report_line(10, True, f"R(1e4) = {r4:.4f} < R(1e8) = {r8:.4f}, |R(1e8)-1| = {abs(r8-1):.4f} < 0.25")
 
 
-def test_criterion_11_multiplicity_gap_stability():
-    pair = FunctionPair(resolve_spec("omega"), resolve_spec("big_omega"), "H")
+def test_criterion_11_multiplicity_gap_stability(capsys):
+    pair = (resolve_spec("omega"), resolve_spec("big_omega"))
     prog = Progression(4, 1)
-    c6 = compare_pair(pair, prog, 10**6, u_max=2)
-    c7 = compare_pair(pair, prog, 10**7, u_max=2)
+    c6 = compare_pair(*pair, prog, 10**6, u_max=2)
+    c7 = compare_pair(*pair, prog, 10**7, u_max=2)
     change = abs(c7.mean_diff - c6.mean_diff)
     assert change < 0.005
-    # both prediction modes are present and no equality with either is claimed
-    for preds in (c7.predictions, c7.predictions_star):
-        assert set(preds) == {"restricted", "density"}
+    # the report has both prediction modes, and no equality with either is claimed
+    argv = ["compare", "--fn-star", "omega", "--fn", "big_omega", "--mod", "4", "--res", "1",
+            "--n", "1e7", "--umax", "2"]
+    assert cli_main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mean_diff"] == pytest.approx(c7.mean_diff, rel=1e-14)
+    for side in ("predictions_f", "predictions_f_star"):
+        assert set(report[side]) == {"restricted_sum", "density_sum"}
     report_line(
         11,
         True,

@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apmoments import counting, model
+from apmoments import counting, prime_sums
 from apmoments.cli import _integer, build_parser, main
-from apmoments.model import mean_predictions
 from apmoments.sieve import Progression, factorize, primes_upto_monolithic
 from oracles import sieve_primes
 
@@ -400,16 +399,20 @@ class TestOneFunctionOneSpec:
         assert reports[0] == reports[1]
 
     def test_compare_predicts_one_function_once(self, monkeypatch, capsys):
-        calls = []
+        # omega and const:1 share f on the primes: one prediction per reading
+        calls, prime_power_sum = [], prime_sums.prime_power_sum
 
         def spy(*args):
             calls.append(args)
-            return mean_predictions(*args)
+            return prime_power_sum(*args)
 
-        monkeypatch.setattr(model, "mean_predictions", spy)
-        code, _ = run_cli(["compare", "--n", "1000", "--fn-star", "omega", "--fn", "const:1",
-                           "--ext", "complete"], capsys)
-        assert code == 0 and len(calls) == 1
+        monkeypatch.setattr(prime_sums, "prime_power_sum", spy)
+        code, out = run_cli(["compare", "--n", "1000", "--fn-star", "omega", "--fn", "const:1",
+                             "--ext", "complete"], capsys)
+        assert code == 0 and [args[-1] for args in calls] == ["restricted", "density"]
+        report = json.loads(out)
+        assert report["predictions_f"] == report["predictions_f_star"]
+        assert set(report["predictions_f"]) == {"restricted_sum", "density_sum"}
 
 
 class TestZeroFunction:

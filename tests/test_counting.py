@@ -19,7 +19,7 @@ from apmoments.arith_fn import parse_fn
 from apmoments.counting import _digamma_fixed, class_tables, hurwitz, omega_law, tail_sums
 from apmoments.prime_sums import prime_power_sum
 from apmoments.sieve import Progression
-from oracles import sieve_primes, squarefree_in_class
+from oracles import omega_power_sums, sieve_primes, squarefree_in_class
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -302,6 +302,27 @@ class TestOmegaLaw:
         # sum counts with no table and no walk
         assert squarefree_in_class(n, k, r) == want
         assert int(np.trace(omega_law(n, k, r))) == want
+
+    @pytest.mark.parametrize("n", [2, 6, 9, 1368, 1369, 29929, ORACLE_N])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 12])
+    def test_pair_identity_oracle_equals_brute_force(self, omegas, k, n):
+        w, _ = omegas
+        for r in [r for r in range(k) if math.gcd(r, k) == 1] if k > 1 else [0]:
+            members = np.arange(r or k, n + 1, k) if k > 1 else np.arange(1, n + 1)
+            want = (int(np.sum(w[members])), int(np.sum(w[members] ** 2)))
+            assert omega_power_sums(n, k, r) == want, (n, k, r)
+
+    @pytest.mark.parametrize("n, k, r, want", [
+        (10**6, 4, 1, (601_757, 1_652_239)), (10**7, 12, 5, (1_883_095, 4_899_283)),
+        (10**8, 4, 1, (67_243_872, 206_649_440)),
+    ])
+    def test_omega_marginal_power_sums_by_counting(self, n, k, r, want):
+        # sum omega and sum omega^2 over the class from the members each prime
+        # and each pair of primes divides, with no table and no walk
+        assert omega_power_sums(n, k, r) == want
+        marginal = omega_law(n, k, r).sum(axis=1)
+        i = np.arange(marginal.size)
+        assert (int(np.sum(i * marginal)), int(np.sum(i * i * marginal))) == want
 
     def test_rejects_bad_inputs(self):
         # beside a kept law too: the input is checked before the store is

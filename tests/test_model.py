@@ -4,21 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apmoments import counting, model, sieve
-from apmoments.arith_fn import (
-    Extension,
-    FunctionPair,
-    PrimeFunction,
-    resolve_spec,
-)
+from apmoments import counting, model, prime_sums, sieve
+from apmoments.arith_fn import PrimeFunction
 from apmoments.config import PRIME_CHUNK
+from apmoments.counting import MODES
 from apmoments.model import (
-    MODES,
     _cumulants_to_central,
-    compare_pair,
     exact_moments,
     lindeberg_check,
-    mean_predictions,
     sample,
 )
 from apmoments.prime_sums import prime_power_sum
@@ -35,6 +28,11 @@ from oracles import (
 
 ONE = PrimeFunction("constant", c=1.0)
 FULL = Progression(1, 0)
+
+
+def mean_predictions(fn, progression, n):
+    """The model's mean prediction in each reading: prime_power_sum at u = 1."""
+    return {mode: prime_power_sum(fn, 1, n, progression, mode).value for mode in MODES}
 
 
 class TestExactMoments:
@@ -230,6 +228,7 @@ class TestStreamedModel:
             return [result for _, result in sized]
 
         monkeypatch.setattr(model, "map_prime_blocks", streamed)
+        monkeypatch.setattr(prime_sums, "map_prime_blocks", streamed)
         for mode in MODES:
             mm, rep = want[mode]
             got = exact_moments(fn, prog, n, u_max=6, mode=mode)
@@ -524,73 +523,6 @@ class TestLindeberg:
         fn = PrimeFunction("one_over_loglog")
         with pytest.raises(ValueError):
             lindeberg_check(fn, FULL, 9, epsilon=0.5)
-
-
-class TestComparePair:
-    def test_identity_pair_all_zero(self):
-        pair = FunctionPair(resolve_spec("omega"), resolve_spec("omega"), "H")
-        cmp = compare_pair(pair, Progression(4, 1), 10**4, u_max=4)
-        assert cmp.mean_diff == 0.0
-        assert all(v == 0.0 for v in cmp.mu_diff.values())
-
-    def test_omega_vs_big_omega(self):
-        pair = FunctionPair(resolve_spec("omega"), resolve_spec("big_omega"), "H")
-        cmp = compare_pair(pair, Progression(4, 1), 10**5, u_max=3)
-        # extra multiplicity only adds
-        assert cmp.mean_diff > 0
-        # both prediction modes reported
-        assert set(cmp.predictions) == {"restricted", "density"}
-        assert set(cmp.predictions_star) == {"restricted", "density"}
-        # at primes the functions agree, so the first-moment predictions match
-        assert cmp.predictions["restricted"] == cmp.predictions_star["restricted"]
-
-    def test_restricted_vs_half_weight(self):
-        prog = Progression(4, 1)
-        pair = FunctionPair(resolve_spec("omega1", prog), resolve_spec("half_omega"), "V")
-        cmp = compare_pair(pair, prog, 10**5, u_max=2)
-        # both means are reported side by side; no equality is asserted
-        assert cmp.summary_star.mean > 0
-        assert cmp.summary.mean > 0
-        assert cmp.override_contribution is None
-
-    def test_override_contribution(self):
-        base = resolve_spec("omega")
-        tweaked = (
-            base[0],
-            Extension("strong", overrides=(((3, 1), 2.0),)),
-        )
-        pair = FunctionPair(base, tweaked, "H")
-        cmp = compare_pair(pair, Progression(4, 1), 10**4, u_max=2)
-        # |2 - 1| * density of (3 exactly once) = (1/3)(1 - 1/3)
-        assert cmp.override_contribution == pytest.approx(2.0 / 9.0, rel=1e-12)
-        assert cmp.mean_diff > 0
-
-
-    @pytest.mark.parametrize(
-        "star,f", [("omega", "bigomega"), ("omega", "sqrtloglog"), ("invloglog", "half_omega")]
-    )
-    def test_each_side_matches_its_own_dataset(self, star, f, member_block):
-        # a lattice side reads its value/count table, any other side its
-        # per-member blocks: each summary equals that side's moments alone
-        from apmoments.arith_fn import increment_table, lattice_steps
-        from oracles import empirical_moments
-
-        prog, n = Progression(4, 1), 10**5
-        pair = FunctionPair(resolve_spec(star), resolve_spec(f), "V")
-        member_block(4099)
-        cmp = compare_pair(pair, prog, n, u_max=6)
-        member_block()
-        sides = [pair.f_star, pair.f]
-        steps = lattice_steps(sides, increment_table(sides, prog, n), n)
-        assert steps != [None, None]
-        for side, got, step in zip(sides, (cmp.summary_star, cmp.summary), steps):
-            want = empirical_moments(*side, prog, n, u_max=6)
-            assert got.count == want.count
-            assert got.mean == pytest.approx(want.mean, rel=1e-14)
-            for u in range(2, 7):
-                assert got.mu[u] == pytest.approx(want.mu[u], rel=1e-12)
-            if step is not None:
-                assert got == want  # the same table, read the same way
 
 
 class TestPredictions:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmoments import arith_fn, cli, counting, model, moments, stats
+from apmoments import arith_fn, cli, counting, moments, stats
 from apmoments.arith_fn import (
     STRONG,
     Extension,
@@ -21,6 +21,7 @@ from apmoments.moments import (
     SpillFile,
     chebyshev_check,
     collect_datasets,
+    compare_pair,
     iter_blocks,
     spill_dataset,
     summarize,
@@ -382,9 +383,67 @@ class TestOneTableBuildPerDataset:
         assert builds == [n, n]
 
     def test_compare_builds_once_for_both_sides(self, builds):
-        pair = arith_fn.FunctionPair(_spec("omega"), _spec("sqrtloglog"), "V")
-        model.compare_pair(pair, Progression(4, 1), 10**4)
+        compare_pair(_spec("omega"), _spec("sqrtloglog"), Progression(4, 1), 10**4)
         assert builds == [10**4]
+
+
+class TestComparePair:
+    def test_identity_pair_all_zero(self):
+        cmp = compare_pair(resolve_spec("omega"), resolve_spec("omega"), Progression(4, 1), 10**4,
+                           u_max=4)
+        assert cmp.mean_diff == 0.0
+        assert all(v == 0.0 for v in cmp.mu_diff.values())
+
+    def test_omega_vs_big_omega(self):
+        cmp = compare_pair(resolve_spec("omega"), resolve_spec("big_omega"), Progression(4, 1),
+                           10**5, u_max=3)
+        # extra multiplicity only adds
+        assert cmp.mean_diff > 0
+        assert cmp.override_contribution is None
+
+    def test_restricted_vs_half_weight(self):
+        prog = Progression(4, 1)
+        cmp = compare_pair(resolve_spec("omega1", prog), resolve_spec("half_omega"), prog, 10**5,
+                           u_max=2)
+        # both means are reported side by side; no equality is asserted
+        assert cmp.summary_star.mean > 0
+        assert cmp.summary.mean > 0
+        assert cmp.override_contribution is None
+
+    @pytest.mark.parametrize("side", ["f", "f_star"])
+    def test_override_contribution(self, side):
+        # reported whenever either side has overrides
+        base = resolve_spec("omega")
+        tweaked = (base[0], Extension("strong", overrides=(((3, 1), 2.0),)))
+        pair = (base, tweaked) if side == "f" else (tweaked, base)
+        cmp = compare_pair(*pair, Progression(4, 1), 10**4, u_max=2)
+        # |2 - 1| * density of (3 exactly once) = (1/3)(1 - 1/3)
+        assert cmp.override_contribution == pytest.approx(2.0 / 9.0, rel=1e-12)
+        assert (cmp.mean_diff > 0) == (side == "f")
+
+    @pytest.mark.parametrize(
+        "star,f", [("omega", "bigomega"), ("omega", "sqrtloglog"), ("invloglog", "half_omega")]
+    )
+    def test_each_side_matches_its_own_dataset(self, star, f, member_block):
+        # a lattice side reads its value/count table, any other side its
+        # per-member blocks: each summary equals that side's moments alone
+        from apmoments.arith_fn import increment_table, lattice_steps
+
+        prog, n = Progression(4, 1), 10**5
+        sides = [resolve_spec(star), resolve_spec(f)]
+        member_block(4099)
+        cmp = compare_pair(*sides, prog, n, u_max=6)
+        member_block()
+        steps = lattice_steps(sides, increment_table(sides, prog, n), n)
+        assert steps != [None, None]
+        for side, got, step in zip(sides, (cmp.summary_star, cmp.summary), steps):
+            want = empirical_moments(*side, prog, n, u_max=6)
+            assert got.count == want.count
+            assert got.mean == pytest.approx(want.mean, rel=1e-14)
+            for u in range(2, 7):
+                assert got.mu[u] == pytest.approx(want.mu[u], rel=1e-12)
+            if step is not None:
+                assert got == want  # the same table, read the same way
 
 
 def _spec(text, p0=None):
@@ -510,7 +569,7 @@ class TestLatticeTable:
         prog, n = Progression(4, 1), 10**5
         omega, invloglog = (OMEGA, OMEGA_EXT), arith_fn.resolve_spec("invloglog")
         member_block(4099)
-        cmp = model.compare_pair(arith_fn.FunctionPair(omega, invloglog, "V"), prog, n, 6)
+        cmp = compare_pair(omega, invloglog, prog, n, 6)
         assert cmp.summary_star == empirical_moments(*omega, prog, n, 6)
         assert cmp.summary == empirical_moments(*invloglog, prog, n, 6)
 
@@ -679,12 +738,12 @@ class TestCountedTables:
     ])
     def test_compare_equals_the_sweep(self, star, f, k, r, routes, monkeypatch):
         prog = Progression(k, r)
-        pair = arith_fn.FunctionPair(arith_fn.resolve_spec(star[0], prog, mode=star[1]),
-                                     arith_fn.resolve_spec(f[0], prog, mode=f[1]), "H")
+        pair = (arith_fn.resolve_spec(star[0], prog, mode=star[1]),
+                arith_fn.resolve_spec(f[0], prog, mode=f[1]))
         _pays(monkeypatch, False)
-        swept = model.compare_pair(pair, prog, 99_991)
+        swept = compare_pair(*pair, prog, 99_991)
         _pays(monkeypatch, True)
-        assert model.compare_pair(pair, prog, 99_991) == swept
+        assert compare_pair(*pair, prog, 99_991) == swept
         assert routes["sweep"] == routes["law"] == [99_991]  # one law serves both sides
 
     @pytest.mark.parametrize("r", [1, 3])
@@ -745,8 +804,8 @@ class TestDatasetRoutes:
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Every moments summary, compare result, ektest report and step
-        given to ks_lattice, in call order."""
+        """Every summary (of `moments`, then of compare's two sides), compare
+        result, ektest report and step given to ks_lattice, in call order."""
         seen = {"summary": [], "compare": [], "ektest": [], "step": []}
 
         def spy(mod, name, key, pick=lambda args, out: out):
@@ -760,7 +819,7 @@ class TestDatasetRoutes:
             monkeypatch.setattr(mod, name, call)
 
         spy(moments, "summarize", "summary")
-        spy(model, "compare_pair", "compare")
+        spy(moments, "compare_pair", "compare")
         spy(stats, "erdos_kac_report", "ektest")
         spy(stats, "ks_lattice", "step", lambda args, out: args[4])
         return seen
@@ -780,7 +839,8 @@ class TestDatasetRoutes:
             assert cli.main([*argv, "--mod", "4", "--res", "1", "--n", "1e5"]) == 0
             assert len(routes["sweep"]) - sweeps == (how == "s"), argv
             assert len(routes["law"]) - laws == (how == "c"), argv
-        (summary,), (cmp,), (report,) = seen["summary"], seen["compare"], seen["ektest"]
+        (summary, *compared), (cmp,), (report,) = seen["summary"], seen["compare"], seen["ektest"]
+        assert compared == [cmp.summary_star, cmp.summary]  # compare summarizes each side
         assert cmp.summary_star == cmp.summary == summary
         assert report.center == summary.mean
         assert seen["step"] == ([] if step is None else [step])

@@ -1,7 +1,8 @@
 """Only what runs stays in the package: every public function, class,
 method and property of ``src/apmoments`` is named somewhere in the package
 or its scripts, outside its own definition and ``__init__.py``.  A helper
-only the tests call belongs in ``tests/oracles.py``."""
+only the tests call belongs in ``tests/oracles.py``.  And the modules form
+layers (LAYERS): each imports only from the layers below its own."""
 
 import ast
 from collections import Counter
@@ -9,6 +10,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "apmoments").glob("*.py") if p.name != "__init__.py")
+# The package's layers, lowest first; the modules of one layer import none
+# of each other.
+LAYERS = [{"config"}, {"sieve"}, {"arith_fn"}, {"counting"}, {"prime_sums", "moments", "model"},
+          {"stats"}, {"cli"}]
 
 
 def _names(tree: ast.AST) -> Counter:
@@ -38,3 +43,21 @@ def test_every_public_def_has_a_caller():
               for path, tree in trees.items() for qualified, node in _public_defs(tree)
               if names[node.name] <= _names(node)[node.name]]
     assert not unused, f"public defs nothing calls: {', '.join(unused)}"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports: from .x import ... and from . import x."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    assert {path.stem for path in MODULES} == set(layer)
+    upward = [f"{path.stem} -> {name}" for path in MODULES
+              for name in sorted(_imported_modules(ast.parse(path.read_text(), str(path))))
+              if layer.get(name, -1) >= layer[path.stem]]
+    assert not upward, f"imports from the same or a higher layer: {', '.join(upward)}"

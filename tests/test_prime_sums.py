@@ -5,8 +5,8 @@ import pytest
 
 from apmoments import counting, model, prime_sums, sieve
 from apmoments.arith_fn import PrimeFunction, resolve_spec
-from apmoments.cli import main
-from apmoments.model import MODES
+from apmoments.cli import _predictions, main
+from apmoments.counting import MODES
 from apmoments.prime_sums import (
     ClosedFormUnavailable,
     DecayCase,
@@ -20,7 +20,7 @@ from apmoments.prime_sums import (
     prime_power_sum,
 )
 from apmoments.sieve import Progression
-from oracles import sieve_primes
+from oracles import HUGE_MODULI, sieve_primes
 
 ONE = PrimeFunction("constant", c=1.0)
 INVLOGLOG = PrimeFunction("one_over_loglog")
@@ -100,6 +100,49 @@ class TestPrimePowerSum:
         f = fn.values_at(np.array(modulus_primes, dtype=np.int64)) if modulus_primes else np.array([])
         parts.append(float(np.sum(f**2 / np.array(modulus_primes, dtype=np.float64))) if modulus_primes else 0.0)
         assert math.fsum(parts) == pytest.approx(total, rel=1e-12)
+
+
+class TestDensityReading:
+    """prime_power_sum(..., mode="density") sums over every prime not dividing k."""
+
+    @pytest.mark.parametrize("k, r", [(1, 0), (4, 1), (12, 5), (30, 7),
+                                      *((k, 4999) for k in HUGE_MODULI)])
+    @pytest.mark.parametrize("u", [1, 2])
+    @pytest.mark.parametrize("fn", [ONE, SQRTLOGLOG, INVLOGLOG], ids=["const1", "sqrtloglog",
+                                                                     "invloglog"])
+    @pytest.mark.parametrize("layout", ["cached", "streamed"])
+    def test_matches_brute_force(self, fn, u, k, r, layout, sieve_geometry):
+        x = 10**5
+        if layout == "streamed":
+            sieve_geometry(1 << 12, cache_max=0)
+        primes = np.array([p for p in sieve_primes(x).tolist()
+                           if k % p and p >= fn.start_prime], dtype=np.int64)
+        terms = fn.values_at(primes) ** u / primes
+        got = prime_power_sum(fn, u, x, Progression(k, r), "density")
+        assert got.term_count == primes.size  # the primes >= p0 not dividing k
+        assert got.value == pytest.approx(math.fsum(terms.tolist()), rel=1e-14, abs=0)
+
+    def test_one_value_for_every_class(self):
+        x, k = 10**5, 12
+        got = {(res.value, res.term_count) for res in (
+            prime_power_sum(SQRTLOGLOG, 2, x, Progression(k, r), "density") for r in (1, 5, 7, 11))}
+        assert len(got) == 1
+
+    def test_counted_route_matches_the_sieve(self, monkeypatch):
+        fn, x, prog = ONE, 2 * 10**7, Progression(4, 1)
+        builds, build = [], counting.class_tables
+        monkeypatch.setattr(counting, "class_tables", lambda *a: builds.append(a) or build(*a))
+        got = prime_power_sum(fn, 1, x, prog, "density")
+        assert builds == [(x, 4, 1)]
+        monkeypatch.setattr(counting, "pays", lambda x, k: False)
+        want = prime_power_sum(fn, 1, x, prog, "density")
+        assert builds == [(x, 4, 1)]
+        assert got.term_count == want.term_count == 1_270_606  # pi(2 10^7) less the prime 2
+        assert got.value == pytest.approx(want.value, rel=1e-14, abs=0)
+
+    def test_rejects_an_unknown_reading(self):
+        with pytest.raises(ValueError, match="mode"):
+            prime_power_sum(ONE, 1, 100, Progression(4, 1), "weighted")
 
 
 class TestQuadrature:
@@ -330,7 +373,6 @@ class TestCountingRoute:
         got = prime_power_sum(fn, 1, n, prog)
         assert got.term_count == want.term_count > 0
         assert got.value == pytest.approx(want.value, rel=1e-14, abs=0)
-        assert got.value == model.mean_predictions(fn, prog, n)["restricted"]
         for mode in MODES:
             want_mm = sieved(model.exact_moments, fn, prog, n, 6, mode)
             want_rep = sieved(model.lindeberg_check, fn, prog, n, 0.5, mode)
@@ -347,12 +389,13 @@ class TestCountingRoute:
                 assert mm.kappa[u] == pytest.approx(want_mm.kappa[u], rel=1e-13)
             assert rep.variance == pytest.approx(want_rep.variance, rel=1e-14)
             assert rep.ratio == pytest.approx(want_rep.ratio, rel=1e-14)
-        preds, want_preds = model.mean_predictions(fn, prog, n), sieved(
-            model.mean_predictions, fn, prog, n)
-        if not counted:
-            assert preds == want_preds
-        for mode in MODES:
-            assert preds[mode] == pytest.approx(want_preds[mode], rel=1e-14, abs=0)
+        for mode in MODES:  # the mean predictions
+            pred, want_pred = prime_power_sum(fn, 1, n, prog, mode), sieved(
+                prime_power_sum, fn, 1, n, prog, mode)
+            if not counted:
+                assert pred == want_pred
+            assert pred.term_count == want_pred.term_count
+            assert pred.value == pytest.approx(want_pred.value, rel=1e-14, abs=0)
         assert {a[:3] for a in tails} == ({(n, k, y)} if counted else set())
 
     @pytest.mark.parametrize("spec, p0, n, k, r, counted", ROUTES, ids=ROUTE_IDS)
@@ -373,10 +416,14 @@ class TestCountingRoute:
                 assert "exceeds ceiling" in capsys.readouterr().err
 
     def test_sum_is_the_restricted_prediction(self):
+        # the reports' predictions are the sum at u = 1, one per reading
         fn, prog = ONE, Progression(4, 1)
         got = prime_power_sum(fn, 1, 10**8, prog)
+        density = prime_power_sum(fn, 1, 10**8, prog, "density")
         assert got.term_count == 2_880_504  # pi(10^8; 4, 1)
-        assert got.value == model.mean_predictions(fn, prog, 10**8)["restricted"]
+        assert density.term_count == 5_761_454  # pi(10^8) less the prime 2
+        assert _predictions(fn, prog, 10**8) == {"restricted_sum": got.value,
+                                                 "density_sum": density.value}
 
     @pytest.mark.parametrize("x", [2 * 10**6, 3 * 10**6])
     @pytest.mark.parametrize("k", [1, 3, 4, 6, 9, 12])

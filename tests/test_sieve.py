@@ -22,7 +22,7 @@ from apmoments.sieve import (
     map_prime_blocks,
     primes_upto_monolithic,
 )
-from oracles import sieve_primes
+from oracles import HUGE_MODULI, sieve_primes
 
 
 def trial_division_primes(limit):
@@ -204,8 +204,6 @@ ORACLE_MODULI = [1, 2, 3, 4, 7, 12, 15, 17, 30, 105, 15015, (1 << 21) + 1]
 ORACLE_LIMITS = list(range(2, 21)) + [15015 * j + d for j in (1, 2) for d in (-1, 1)] + [10**6]
 ORACLE_BLOCKS = [1024, 4099, 999_983]
 ORACLE_PRIMES = primes_upto_monolithic(max(ORACLE_LIMITS))
-# Moduli past any int64 prime and past int64 itself.
-HUGE_MODULI = [5_000_000_000, 9 * 10**19 + 1]
 
 
 def use_layout(sieve_geometry, block_size):
