@@ -529,10 +529,16 @@ def iter_progression_values(
     n: int,
     rows: list[Row] | None = None,
     steps: Sequence[float | None] | None = None,
+    starts: range | None = None,
 ) -> Iterator[list[np.ndarray]]:
     """Evaluate additive functions over all progression members up to n.
 
-    Yields, per block of MEMBER_BLOCK members, one array per spec.
+    Yields, per block of MEMBER_BLOCK members, one array per spec.  The
+    blocks start at the member indices `starts`, a slice of
+    range(0, count, MEMBER_BLOCK) (all of it when None), and each is the
+    block the whole sweep yields there, bit for bit: the cut, the pattern
+    and the template are those of the whole sweep's first block, and the
+    member buffer starts at the member of index starts[0].
     One table of prime-power increments serves every spec: `rows`, when the
     caller has built it, else a fresh :func:`increment_table`.
     The members form an arithmetic sequence with step coprime to p, so the
@@ -559,7 +565,8 @@ def iter_progression_values(
     specs get float64 sums.
     """
     total = progression.count(n)
-    if total == 0:
+    starts = range(0, total, MEMBER_BLOCK) if starts is None else starts
+    if not starts:
         return
     start, k = progression.first_member, progression.modulus
     if rows is None:
@@ -587,15 +594,17 @@ def iter_progression_values(
     first = np.concatenate(([0], np.cumsum(hits))).tolist()  # each row's first hit, then the total
     step = np.concatenate([np.zeros(0, np.int32)] + [
         np.arange(0, size, min(pa, size), dtype=np.int32) for pa in pas.tolist()])
-    starts = np.flatnonzero(np.diff(np.array(first[:-1]) // -(-size // 8), prepend=-1)).tolist()
-    pieces = list(zip(starts, starts[1:] + [ps.size]))  # of about size / 8 hits
+    heads = np.flatnonzero(np.diff(np.array(first[:-1]) // -(-size // 8), prepend=-1)).tolist()
+    pieces = list(zip(heads, heads[1:] + [ps.size]))  # of about size / 8 hits
     sparse = [np.array(col[cut:], dtype=t) for col, t in zip(columns, dtypes)]
-    members, found = np.arange(start, start + k * size, k, dtype=fdt), np.empty(size + 1, dtype=fdt)
+    first_member = start + k * starts[0]
+    members = np.arange(first_member, first_member + k * size, k, dtype=fdt)
+    found = np.empty(size + 1, dtype=fdt)
 
-    for t_lo in range(0, total, MEMBER_BLOCK):
+    for t_lo in starts:
         size = min(MEMBER_BLOCK, total - t_lo)
         m, f = members[:size], found[: size + 1]
-        m += k * MEMBER_BLOCK if t_lo else 0  # advance the last block's members
+        m += k * MEMBER_BLOCK if t_lo != starts[0] else 0  # advance the last block's members
         vals = [np.empty(size + 1, dtype=t) for t in dtypes]  # [size]: hits past the block
         for buf, pattern in zip([f, *vals], [found_pattern, *patterns]):
             _fill_pattern(buf, pattern, t_lo % period)
@@ -652,8 +661,9 @@ class LatticeCounts:
     A block of lattice indices k (any integer type) that spans at most
     SPAN_COUNTED lattice points is counted with one np.count_nonzero(k == v)
     per point; a wider one is binned by k relative to its own minimum, in
-    pieces of :func:`piece_length` through one small intp buffer.  Blocks
-    merge by adding counts, so memory follows the number of lattice points
+    pieces of :func:`piece_length` through one small intp buffer.  A
+    block's histogram (:meth:`batch`) merges by adding counts
+    (:meth:`merge`), so memory follows the number of lattice points
     spanned, not the number of values.
 
     The crossover, measured on blocks of 2^19 uniform indices (2 vCPU Xeon,
@@ -670,15 +680,21 @@ class LatticeCounts:
         self.lo = 0  # lattice index of counts[0]
         self.counts = np.zeros(0, dtype=np.int64)
 
-    def add_batch(self, k: np.ndarray) -> None:
+    def batch(self, k: np.ndarray) -> tuple[int, np.ndarray]:
+        """(lo, hist): the histogram of one block of lattice indices k, hist[i]
+        counting the k equal to lo + i."""
         lo, hi, piece = int(k.min()), int(k.max()), piece_length()
         if hi - lo < self.SPAN_COUNTED:
-            hist = np.array([np.count_nonzero(k == v) for v in range(lo, hi + 1)], np.int64)
-        else:
-            buf, hist = np.empty(min(piece, k.size), np.intp), np.zeros(hi - lo + 1, np.int64)
-            for part in np.split(k, range(piece, k.size, piece)):
-                d = np.subtract(part, lo, out=buf[: part.size], dtype=np.intp)  # int8 would wrap
-                hist += np.bincount(d, minlength=hist.size)
+            return lo, np.array([np.count_nonzero(k == v) for v in range(lo, hi + 1)], np.int64)
+        buf, hist = np.empty(min(piece, k.size), np.intp), np.zeros(hi - lo + 1, np.int64)
+        for part in np.split(k, range(piece, k.size, piece)):
+            d = np.subtract(part, lo, out=buf[: part.size], dtype=np.intp)  # int8 would wrap
+            hist += np.bincount(d, minlength=hist.size)
+        return lo, hist
+
+    def merge(self, batch: tuple[int, np.ndarray]) -> None:
+        """Add a block's histogram (:meth:`batch`) to the counts."""
+        lo, hist = batch
         if not self.counts.size:
             self.lo, self.counts = lo, hist
             return

@@ -23,14 +23,24 @@ Moments and Chebyshev coverage read both kinds in the same pieces
 (:func:`iter_blocks`): a table whole, per-member values in the sweep's
 blocks.  Moments feed a mergeable central-moment state, exact in real
 arithmetic, so chunked evaluation matches a two-pass computation up to
-rounding.  :func:`compare_pair` sets the summaries of a pair's two
-datasets, taken in one call, side by side.
+rounding.  The sweep and the spill read-back cut their blocks into one
+contiguous run per usable CPU (:func:`sieve.map_parts`, a forked child
+per run after the first).  Each run returns its blocks' own statistics
+(:meth:`CoMoments.batch`, :meth:`arith_fn.LatticeCounts.batch`), a few
+hundred bytes a block, and this process merges them in block order, the
+serial sequence of operations: moments are bit for bit those of one
+process and lattice counts exact sums.  A kept array is an anonymous
+shared mapping whose slices the runs fill, and each run writes its
+blocks into the spill file with ``os.pwrite`` at their own offsets.
+:func:`compare_pair` sets the summaries of a pair's two datasets, taken
+in one call, side by side.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import tempfile
 from contextlib import contextmanager, nullcontext, suppress
@@ -43,16 +53,17 @@ import numpy as np
 from . import arith_fn, counting
 from .arith_fn import Extension, PrimeFunction
 from .config import CHEBYSHEV_B_DEFAULT, U_MAX_CAP, U_MAX_DEFAULT
-from .sieve import Progression
+from .sieve import Progression, map_parts
 
 class CoMoments:
     """Running state for central moments up to order u_max.
 
     Tracks n, the mean, and the centered power sums M_j = sum (x - mean)^j
     for j = 2..u_max.  Batches are absorbed by computing their exact local
-    statistics and merging, which keeps the update one-pass over the data
-    while staying associative.  A batch with counts weighs each value by
-    its count (a distinct-value table); without, every value counts once.
+    statistics (:meth:`batch`) and merging (:meth:`merge`), which keeps the
+    update one-pass over the data while staying associative.  A batch with
+    counts weighs each value by its count (a distinct-value table); without,
+    every value counts once.
     A batch's deviations and their powers are taken in pieces of
     :func:`arith_fn.piece_length` values, and each order's piece sums are
     added with ``np.sum``: for a whole default block (eight pieces of 2^16)
@@ -71,25 +82,35 @@ class CoMoments:
         self.lo, self.hi = math.inf, -math.inf  # the least and largest value seen
 
     def add_batch(self, values: np.ndarray, counts: np.ndarray | None = None) -> None:
+        self.merge(self.batch(values, counts))
+
+    def batch(self, values: np.ndarray, counts: np.ndarray | None = None) -> tuple:
+        """(n, mean, M, lo, hi): one batch's own statistics, M[j] its
+        centered power sum of order j, for :meth:`merge`."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
-            return
+            return 0, 0.0, None, math.inf, -math.inf
         w = None if counts is None else np.asarray(counts, dtype=np.float64)
         bn = values.size if w is None else int(np.sum(counts))
         bmean = float(values.mean()) if w is None else float((w * values).sum()) / bn
         piece = arith_fn.piece_length()
         parts = np.zeros((self.u_max + 1, -(-values.size // piece)))
+        lo, hi = math.inf, -math.inf
         for i, at in enumerate(range(0, values.size, piece)):
             part = values[at : at + piece]
-            self.lo, self.hi = min(self.lo, float(part.min())), max(self.hi, float(part.max()))
+            lo, hi = min(lo, float(part.min())), max(hi, float(part.max()))
             d = part - bmean
             for j in range(2, self.u_max + 1):  # no power past the last order
                 power = d * d if j == 2 else np.multiply(power, d, out=power)
                 parts[j, i] = power.sum() if w is None else (w[at : at + piece] * power).sum()
-        bm = np.array([np.sum(row) for row in parts])
-        self._merge_raw(bn, bmean, bm)
+        return bn, bmean, np.array([np.sum(row) for row in parts]), lo, hi
 
-    def _merge_raw(self, bn: int, bmean: float, bm: np.ndarray) -> None:
+    def merge(self, batch: tuple) -> None:
+        """Fold a batch's statistics (:meth:`batch`) into the state: the
+        pairwise update of Pebay (2008), so batches merged in their order
+        give the state of adding them in that order."""
+        bn, bmean, bm, lo, hi = batch
+        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
         if bn == 0:
             return
         if self.n == 0:
@@ -253,7 +274,9 @@ def spill_dataset(
     :func:`spill_label`) is rejected, naming the file and the first field
     that differs.  This spec's sweep writes exactly k * step, and a float
     sum of its increments sits a few ulps off; a value further off than
-    1e-9 * step is from another spec, and is rejected naming the file too."""
+    1e-9 * step is from another spec, and is rejected naming the file too;
+    the process of the split read (see the module docstring) that reads
+    that block raises it."""
     label = spill_label(fn, ext, progression, n)
     try:
         with open(_sidecar(path), "rb") as fh:
@@ -272,15 +295,39 @@ def spill_dataset(
     (step,) = arith_fn.lattice_steps(specs, arith_fn.increment_table(specs, progression, n), n)
     values, acc = SpillFile(path, label["count"]), CoMoments(u_max)
     table = None if step is None else arith_fn.LatticeCounts(step)
-    for block, _ in iter_blocks(values):
-        if table is None:
-            acc.add_batch(block)
-            continue
-        k = np.rint(block / step)
-        if not np.allclose(k * step, block, rtol=0.0, atol=1e-9 * step):
-            raise ValueError(f"spill file {values.path} holds a value off the lattice of step {step}")
-        table.add_batch(k.astype(np.int64))
+
+    def run(starts: range) -> list:
+        batches = []
+        for lo in starts:
+            block = values[lo : lo + arith_fn.MEMBER_BLOCK]
+            if table is None:
+                batches.append(acc.batch(block))
+                continue
+            k = np.rint(block / step)
+            if not np.allclose(k * step, block, rtol=0.0, atol=1e-9 * step):
+                raise ValueError(f"spill file {values.path} holds a value off the lattice of step {step}")
+            batches.append(table.batch(k.astype(np.int64)))
+        return batches
+
+    for batch in map_parts(run, range(0, values.size, arith_fn.MEMBER_BLOCK)):
+        (acc if table is None else table).merge(batch)
     return _dataset(acc, table, values)
+
+
+def _shared_array(count: int) -> np.ndarray:
+    """An array of count float64 in an anonymous shared mapping, so that the
+    forked parts of a sweep (:func:`sieve.map_parts`) fill one array.  The
+    mapping holds at least one value: mmap refuses a length of 0."""
+    return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), dtype=np.float64)[:count]
+
+
+def _pwrite(fd: int, values: np.ndarray, at: int) -> None:
+    """values as little-endian float64 at value index `at` of the file fd,
+    written from the array's own buffer."""
+    view, offset = memoryview(values.astype("<f8", copy=False)).cast("B"), 8 * at
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
 
 
 def _dataset(
@@ -322,7 +369,9 @@ def collect_datasets(
     float64 array.  `spill` (one spec only) gets every block as the sweep
     yields it (one :func:`spill_file`; index k as k * step), and a spec
     off the lattice then is that file (:class:`SpillFile`), not an array.
-    A table feeds its moments whole, after the sweep.
+    The sweep's blocks are split across the usable CPUs and merged in
+    block order (see the module docstring).  A table feeds its moments
+    whole, after the sweep.
     """
     accs = [CoMoments(u_max) for _ in specs]
     constants = [fn.constant_above(1) for fn, _ in specs]
@@ -340,23 +389,31 @@ def collect_datasets(
         rows = arith_fn.increment_table(specs, progression, n)
         steps = arith_fn.lattice_steps(specs, rows, n)
         tables = [None if step is None else arith_fn.LatticeCounts(step) for step in steps]
-        count, at = progression.count(n), 0
-        values = [np.empty(count) if keep and spill is None and table is None else None
+        count = progression.count(n)
+        values = [_shared_array(count) if keep and spill is None and table is None else None
                   for table in tables]
         out = nullcontext()
         if spill is not None:
             ((fn, ext),) = specs  # a spill file holds one dataset
             out = spill_file(spill, spill_label(fn, ext, progression, n))
         with out as fh:
-            for blocks in arith_fn.iter_progression_values(specs, progression, n, rows, steps):
-                for acc, table, array, block in zip(accs, tables, values, blocks):
-                    if fh is not None:
-                        spilled = block if table is None else block * table.step
-                        spilled.astype("<f8", copy=False).tofile(fh)
-                    (acc if table is None else table).add_batch(block)
-                    if array is not None:
-                        array[at : at + block.size] = block
-                at += blocks[0].size
+
+            def run(starts: range) -> list:
+                batches = []
+                sweep = arith_fn.iter_progression_values(specs, progression, n, rows, steps, starts)
+                for t_lo, blocks in zip(starts, sweep):
+                    for table, array, block in zip(tables, values, blocks):
+                        if fh is not None:
+                            _pwrite(fh.fileno(), block if table is None else block * table.step, t_lo)
+                        if array is not None:
+                            array[t_lo : t_lo + block.size] = block
+                    batches.append([(acc if table is None else table).batch(block)
+                                    for acc, table, block in zip(accs, tables, blocks)])
+                return batches
+
+            for batches in map_parts(run, range(0, count, arith_fn.MEMBER_BLOCK)):
+                for acc, table, batch in zip(accs, tables, batches):
+                    (acc if table is None else table).merge(batch)
         if spill is not None:
             values = [SpillFile(spill, count)]
     return [_dataset(*parts) for parts in zip(accs, tables, values)]

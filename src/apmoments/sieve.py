@@ -21,11 +21,14 @@ PRIME_CHUNK primes, the one block length every consumer takes as it
 comes.
 
 A pass that reduces each block to a partial (map_prime_blocks) splits
-the streamed segments into one contiguous run per usable CPU and sieves
-each run but the first in a forked child, which sends its partials back
-pickled over a pipe.  Every part yields the blocks the serial stream
-yields there, so the partials, and any exact fold of them, do not
-depend on the split.
+the streamed segments with map_parts, the one fork map of the package:
+it cuts a sequence of blocks into one contiguous run per usable CPU and
+runs each run but the first in a forked child, which sends its partials
+back pickled over a pipe, and returns them in block order.  The member
+sweep and the spill read-back in moments split their member blocks the
+same way.  Every part yields the blocks the serial pass yields there, so
+the partials, and any exact fold of them in order, do not depend on the
+split.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,12 +132,13 @@ def _class_members(limit: int, k: int, r: int) -> tuple[int, int, int]:
     return period, v0, (limit - v0) // period + 1 if v0 <= limit else 0
 
 
-def _class_segments(limit: int, k: int, r: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
+def _class_segments(limit: int, k: int, r: int, run: range | None = None) -> Iterator[np.ndarray]:
     """Yield the ascending primes p <= limit with p % k == r, for k <= limit,
     as int64 arrays: [2] first when 2 is in the class, then one array per
-    segment of SIEVE_BLOCK member flags.  With parts > 1 only the part-th
-    of `parts` contiguous runs of segments is sieved, and only part 0
-    yields [2], so the parts in order yield the arrays of the whole stream.
+    segment of SIEVE_BLOCK member flags.  Given `run`, a slice of the
+    segment numbers, only those segments are sieved, and [2] comes only
+    with a run from segment 0, so contiguous runs in order yield the arrays
+    of the whole stream.
 
     Flag j stands for the odd member v0 + P*j of the class, P = lcm(2, k).
     A segment starts as the class's pre-sieve pattern.  Each base prime q
@@ -144,9 +148,9 @@ def _class_segments(limit: int, k: int, r: int, part: int = 0, parts: int = 1) -
     one vector computation.  At k = 1 the flags are the odd numbers.
     """
     period, v0, members = _class_members(limit, k, r)
-    if part == 0 and 2 % k == r:
+    run = range(-(-members // SIEVE_BLOCK)) if run is None else run
+    if run.start == 0 and 2 % k == r:
         yield np.array([2], dtype=np.int64)
-    segments = -(-members // SIEVE_BLOCK)
 
     odd = primes_upto_monolithic(max(_PRESIEVE_PRIMES[-1], math.isqrt(limit)))[1:]
     odd = odd[k % odd != 0]
@@ -165,7 +169,7 @@ def _class_segments(limit: int, k: int, r: int, part: int = 0, parts: int = 1) -
     base_list = base.tolist()
     buf = np.empty(SIEVE_BLOCK, dtype=bool)
 
-    for segment in range(part * segments // parts, (part + 1) * segments // parts):
+    for segment in run:
         lo = segment * SIEVE_BLOCK
         flags = buf[: min(SIEVE_BLOCK, members - lo)]
         hi = lo + flags.size
@@ -292,11 +296,11 @@ def _class(progression: Progression | None) -> tuple[int, int]:
     return (1, 0) if progression is None else (progression.modulus, progression.residue)
 
 
-def _blocks(limit: int, k: int, r: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
-    """iter_prime_blocks' blocks for k <= limit; with parts > 1 (streamed
-    layout only), those of the part-th run of segments."""
+def _blocks(limit: int, k: int, r: int, run: range | None = None) -> Iterator[np.ndarray]:
+    """iter_prime_blocks' blocks for k <= limit; given `run` (streamed
+    layout only), those of that run of segments."""
     cached = limit <= PRIME_CACHE_MAX
-    for arr in [_cache.primes_upto(limit)] if cached else _class_segments(limit, k, r, part, parts):
+    for arr in [_cache.primes_upto(limit)] if cached else _class_segments(limit, k, r, run):
         for i in range(0, arr.size, PRIME_CHUNK):
             blk = arr[i : i + PRIME_CHUNK]
             if cached:
@@ -309,40 +313,49 @@ def map_prime_blocks(
     limit: int, progression: Progression | None, per_block: Callable[[np.ndarray], object]
 ) -> list:
     """[per_block(b) for b in iter_prime_blocks(limit, progression)], with
-    the streamed layout split across the usable CPUs.
-
-    The class sieve's segments are cut into one contiguous run per usable
-    CPU, at most one run per segment.  Each run after the first goes to a
-    forked child, which maps its blocks and sends the list, or the
-    exception it raised, back pickled over a pipe.  This process maps the
-    first run, then reads and reaps the children in order and re-raises a
-    child's exception.  Every run yields the blocks the serial stream
-    yields there, so the list is the serial list.  On any error the
-    children still running are killed and reaped: none outlives the call.
-
-    The cached layout, a modulus past the limit, one usable CPU and a
-    platform without os.sched_getaffinity or os.fork map serially.  The
-    results must pickle, and per_block's effects on other state stay in
-    the process that ran it.
+    the streamed layout split across the usable CPUs (:func:`map_parts`
+    over the class sieve's segments).  The cached layout and a modulus past
+    the limit map serially.  The results must pickle, and per_block's
+    effects on other state stay in the process that ran it.
     """
     _validate_limit(limit)
     k, r = _class(progression)
-    parts = 1
-    if PRIME_CACHE_MAX < limit and k <= limit and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        segments = -(-_class_members(limit, k, r)[2] // SIEVE_BLOCK)
-        parts = min(len(os.sched_getaffinity(0)), segments)
-    if parts <= 1:
+    if limit <= PRIME_CACHE_MAX or k > limit:
         return [per_block(b) for b in iter_prime_blocks(limit, progression)]
+    segments = range(-(-_class_members(limit, k, r)[2] // SIEVE_BLOCK))
+    return map_parts(lambda run: [per_block(b) for b in _blocks(limit, k, r, run)], segments)
 
-    def run(part: int) -> list:
-        return [per_block(b) for b in _blocks(limit, k, r, part, parts)]
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, 1 on a platform without
+    os.sched_getaffinity or os.fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def map_parts(run: Callable[[Sequence], list], units: Sequence) -> list:
+    """run(part 0) + run(part 1) + ...: `units` cut into one contiguous part
+    per usable CPU (:func:`_usable_cpus`), at most one part per unit.
+
+    Each part after the first goes to a forked child, which runs it and
+    sends the list, or the exception it raised, back pickled over a pipe.
+    This process runs the first part, then reads and reaps the children in
+    order and re-raises a child's exception.  On any error the children
+    still running are killed and reaped: none outlives the call.  One part
+    (one CPU, one unit, none) runs here, with no fork.  The results must
+    pickle, and run's effects on other state stay in the process that ran
+    it, except writes to shared mappings and files.
+    """
+    parts = max(1, min(_usable_cpus(), len(units)))
+    cuts = [part * len(units) // parts for part in range(parts + 1)]
+    slices = [units[a:b] for a, b in zip(cuts, cuts[1:])]
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
     try:
-        for part in range(1, parts):
+        for part in slices[1:]:
             children.append(_fork(run, part))
-        out = run(0)
-        while children:
+        out = run(slices[0])
+        for part in range(1, parts):
             pid, fd = children[0]
             with open(fd, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -350,7 +363,7 @@ def map_prime_blocks(
             os.close(fd)
             _, status = os.waitpid(pid, 0)
             if not payload:
-                raise RuntimeError(f"sieve part ended with wait status {status} and no result")
+                raise RuntimeError(f"part {part} of {parts} ended with wait status {status} and no result")
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value
@@ -363,7 +376,7 @@ def map_prime_blocks(
             os.close(fd)
 
 
-def _fork(run: Callable[[int], list], part: int) -> tuple[int, int]:
+def _fork(run: Callable[[Sequence], list], part: Sequence) -> tuple[int, int]:
     """Fork a child that writes (True, run(part)), or (False, the exception
     raised), pickled to a pipe, and leaves by os._exit, so no cleanup
     handler or buffered output of this process runs twice.  Returns the

@@ -1,10 +1,13 @@
-"""Fixtures that set the package's block geometry for one test.
+"""Fixtures that set the package's block geometry and CPU count for one test.
 
 The sieve's segment length, cache budget and prime-block length and the
-member sweep's block length are module constants, read at call time;
-these fixtures set them with monkeypatch, so the defaults come back when
-the test ends.
+member sweep's block length are module constants, read at call time, and
+the split passes read the usable CPUs from os.sched_getaffinity at call
+time; these fixtures set them with monkeypatch, so the defaults come back
+when the test ends.
 """
+
+import os
 
 import pytest
 
@@ -36,6 +39,17 @@ def member_block(monkeypatch):
         monkeypatch.setattr("apmoments.arith_fn.MEMBER_BLOCK", n)
 
     return set_block
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """set(cpus): the number of usable CPUs the split passes see
+    (sieve.map_parts)."""
+
+    def set_cpus(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    return set_cpus
 
 
 @pytest.fixture(autouse=True)

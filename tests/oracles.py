@@ -24,16 +24,19 @@ The helpers at the end serve the tests only, each on the route the
 program runs: every prime of a class as one array (sieve_primes), a
 spec's values over the members as one array (collect_values), f at one
 prime (eval_at_prime), a spec's moment summary (empirical_moments) and a
-spill file of given values (write_spill).
+spill file of given values (write_spill).  no_child_left checks that a
+split pass left no child process behind.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import pytest
 
 from apmoments.arith_fn import Extension, PrimeFunction, iter_progression_values
 from apmoments.config import U_MAX_DEFAULT
@@ -279,3 +282,10 @@ def write_spill(path, values: np.ndarray, label: dict) -> None:
     """values as a spill file, with its sidecar naming them (label)."""
     with spill_file(path, label) as fh:
         values.astype("<f8", copy=False).tofile(fh)
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True

@@ -573,7 +573,7 @@ class TestLatticeFold:
     def _fold(blocks, step=1.0):
         table = LatticeCounts(step)
         for block in blocks:
-            table.add_batch(block)
+            table.merge(table.batch(block))
         return table.table()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16])

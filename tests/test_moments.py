@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -28,7 +30,13 @@ from apmoments.moments import (
 )
 from apmoments.sieve import Progression, factorize
 from apmoments.stats import erdos_kac_report
-from oracles import collect_values, empirical_moments, mean_via_counts, two_pass_central_moments
+from oracles import (
+    collect_values,
+    empirical_moments,
+    mean_via_counts,
+    no_child_left,
+    two_pass_central_moments,
+)
 
 OMEGA, OMEGA_EXT = resolve_spec("omega")
 
@@ -36,6 +44,7 @@ OMEGA, OMEGA_EXT = resolve_spec("omega")
 def read_whole(path):
     return np.fromfile(path, dtype="<f8")
 SQRTLOGLOG = PrimeFunction("sqrt_loglog")
+SQRTLOGLOG_SPEC = (SQRTLOGLOG, STRONG)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -522,7 +531,7 @@ class TestLatticeTable:
     def test_block_merge_spans_negative_and_positive_indices(self):
         table = arith_fn.LatticeCounts(0.5)
         for block in ([2, 3], [-4, -4], [0], [6, -4]):
-            table.add_batch(np.array(block, dtype=np.int8))
+            table.merge(table.batch(np.array(block, dtype=np.int8)))
         x, counts = table.table()
         assert x.tolist() == [-2.0, 0.0, 1.0, 1.5, 3.0]
         assert counts.tolist() == [3, 1, 1, 1, 1]
@@ -544,7 +553,7 @@ class TestLatticeTable:
     def test_int8_block_fold_does_not_wrap(self):
         # -100 and 100 are 200 apart, past int8
         table = arith_fn.LatticeCounts(1.0)
-        table.add_batch(np.array([100, -100, 100], dtype=np.int8))
+        table.merge(table.batch(np.array([100, -100, 100], dtype=np.int8)))
         x, counts = table.table()
         assert x.tolist() == [-100.0, 100.0] and counts.tolist() == [1, 2]
 
@@ -599,7 +608,7 @@ class TestLatticeTable:
             for j in range(2, 7):
                 bm[j] = float(power.sum())
                 power = power * d
-            acc._merge_raw(block.size, bmean, bm)
+            acc.merge((block.size, bmean, bm, float(block.min()), float(block.max())))
         s = empirical_moments(fn, ext, prog, n, u_max=6)
         assert (s.count, s.mean, s.sigma) == (acc.n, acc.mean, acc.sigma)
         assert s.mu == acc.central_moments()
@@ -630,13 +639,14 @@ class TestNoPerMemberArray:
 
     @pytest.fixture
     def no_arrays(self, monkeypatch):
-        """Refuse the collector's per-member array (its one np.empty)."""
+        """Refuse the collector's per-member array (np.frombuffer on a shared
+        mapping), and any np.empty."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-member array built")
 
         class Numpy:
-            empty = staticmethod(refuse)
+            empty = frombuffer = staticmethod(refuse)
 
             def __getattr__(self, name):
                 return getattr(np, name)
@@ -845,3 +855,177 @@ class TestDatasetRoutes:
         assert report.center == summary.mean
         assert seen["step"] == ([] if step is None else [step])
         assert (report.ks_lattice is None) == (step is None)
+
+
+# Specs the split sweep is held to the serial one on: a lattice spec, a
+# spec off the lattice, and a mixed pair.
+SPLIT_SPECS = {
+    "lattice": ["tab:5=1.5,7=2,default=0.25"],
+    "real": ["sqrtloglog"],
+    "mixed": ["omega", "sqrtloglog"],
+}
+
+
+def dataset_bits(data):
+    """Everything a dataset holds, as exact values: its moments, its values
+    (a spill file's bytes) and counts, and its step."""
+    acc, x = data.moments, data.x
+    if isinstance(x, SpillFile):
+        x = read_whole(x.path)
+    return (acc.n, acc.mean.hex(), acc.m.tobytes(), acc.lo.hex(), acc.hi.hex(),
+            None if x is None else x.tobytes(),
+            None if data.counts is None else data.counts.tobytes(), data.step)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+class TestSplitSweep:
+    """The member sweep and the spill read-back split across 1, 2 and 3 CPUs
+    give the datasets, spill files and reports of one process, bit for bit,
+    and leave no child behind.  Blocks of 1000 members: n = 3000, 6000 and
+    10^4 on 1 mod 4 give one block, two, and three with a ragged last one."""
+
+    @pytest.mark.parametrize("n", [3000, 6000, 10**4], ids=["one_block", "two_blocks", "ragged"])
+    @pytest.mark.parametrize("keep", [True, False], ids=["keep", "no_keep"])
+    @pytest.mark.parametrize("kind", SPLIT_SPECS)
+    def test_datasets_equal_the_serial_ones(self, kind, keep, n, member_block, usable_cpus, forks):
+        member_block(1000)
+        specs, prog = [resolve_spec(text) for text in SPLIT_SPECS[kind]], Progression(4, 1)
+        got = []
+        for cpus in (1, 2, 3):
+            usable_cpus(cpus)
+            got.append([dataset_bits(d) for d in collect_datasets(specs, prog, n, keep=keep)])
+        assert got[1] == got[0] and got[2] == got[0]
+        blocks = -(-prog.count(n) // 1000)
+        assert len(forks) == sum(min(cpus, blocks) - 1 for cpus in (1, 2, 3))
+        assert no_child_left()
+
+    @pytest.mark.parametrize("n", [6000, 10**4], ids=["two_blocks", "ragged"])
+    @pytest.mark.parametrize("text", ["tab:5=1.5,7=2,default=0.25", "sqrtloglog", "omega"])
+    def test_spill_files_and_read_back_equal_the_serial_ones(
+            self, text, n, member_block, usable_cpus, forks, tmp_path):
+        member_block(1000)
+        spec, prog = resolve_spec(text), Progression(4, 1)
+        files, datasets = [], []
+        for cpus in (1, 2, 3):
+            usable_cpus(cpus)
+            path = tmp_path / f"{cpus}.f64"
+            (swept,) = collect_datasets([spec], prog, n, spill=path)
+            files.append((path.read_bytes(), (tmp_path / f"{cpus}.f64.json").read_bytes()))
+            read_back = spill_dataset(path, *spec, prog, n)
+            assert dataset_bits(read_back) == dataset_bits(swept)
+            datasets.append(dataset_bits(read_back))
+        assert files[1] == files[0] and files[2] == files[0]
+        assert len(files[0][0]) == 8 * prog.count(n)
+        assert datasets[1] == datasets[0] and datasets[2] == datasets[0]
+        assert forks  # the children wrote and read their own blocks
+        assert no_child_left()
+
+    def test_the_empty_progression(self, usable_cpus, tmp_path):
+        prog, spill = Progression(4, 3), tmp_path / "empty.f64"
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            for texts in SPLIT_SPECS.values():
+                datasets = collect_datasets([resolve_spec(t) for t in texts], prog, 2)
+                assert [d.moments.n for d in datasets] == [0] * len(texts)
+                with pytest.raises(ValueError, match="no progression members"):
+                    summarize(datasets[-1].moments, prog, 2)
+            collect_datasets([SQRTLOGLOG_SPEC], prog, 2, spill=spill)
+            assert spill.read_bytes() == b""
+            assert spill_dataset(spill, *SQRTLOGLOG_SPEC, prog, 2).moments.n == 0
+        assert no_child_left()
+
+    @pytest.mark.parametrize("argvs", [
+        [["moments", "--fn", "sqrtloglog", "--mod", "1", "--n", "1e4", "--spill", "{spill}"]],
+        [["moments", "--fn", "sqrtloglog", "--mod", "1", "--n", "1e4", "--spill", "{spill}"],
+         ["ektest", "--fn", "sqrtloglog", "--norm", "sigma", "--mod", "1", "--n", "1e4",
+          "--spill", "{spill}"]],
+        [["moments", "--fn", "invloglog", "--ext", "complete", "--mod", "3", "--res", "2",
+          "--n", "1e4"]],
+        [["compare", "--fn-star", "omega", "--fn", "sqrtloglog", "--mod", "4", "--res", "1",
+          "--n", "1e4"]],
+    ], ids=["moments_spill", "ektest_spill", "moments_complete", "compare"])
+    def test_reports_do_not_depend_on_the_split(
+            self, argvs, member_block, usable_cpus, tmp_path, capsys):
+        member_block(1000)
+        reports = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            for argv in argvs:
+                assert cli.main([a.replace("{spill}", str(tmp_path / "v.f64")) for a in argv]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0]
+        assert no_child_left()
+
+    def test_an_off_lattice_value_read_by_a_child_is_reported(
+            self, member_block, usable_cpus, tmp_path, capsys):
+        member_block(1000)
+        prog, n, spill = Progression(4, 1), 10**4, tmp_path / "omega.f64"
+        cls = ["--fn", "omega", "--mod", "4", "--res", "1", "--n", "1e4", "--spill", str(spill)]
+        assert cli.main(["moments", *cls]) == 0
+        values = read_whole(spill)
+        values[2200] += 0.5  # in the last block, which a child reads at 2 CPUs
+        values.tofile(spill)
+        capsys.readouterr()
+        errors = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            with pytest.raises(ValueError, match="off the lattice of step 1.0") as raised:
+                spill_dataset(spill, OMEGA, OMEGA_EXT, prog, n)
+            errors.append(str(raised.value))
+            assert cli.main(["ektest", *cls]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {errors[-1]}\n"
+        assert errors[1] == errors[0]
+        assert no_child_left()
+
+    def test_an_error_in_a_child_sweep_is_reported(
+            self, member_block, usable_cpus, monkeypatch, capsys):
+        member_block(1000)
+        usable_cpus(2)
+        parent, values_at = os.getpid(), PrimeFunction.values_at
+
+        def refused_in_a_child(self, primes):
+            if os.getpid() != parent:
+                raise ValueError("values_at refused in a child")
+            return values_at(self, primes)
+
+        monkeypatch.setattr(PrimeFunction, "values_at", refused_in_a_child)
+        with pytest.raises(ValueError, match="^values_at refused in a child$"):
+            collect_datasets([SQRTLOGLOG_SPEC], Progression(4, 1), 10**4)
+        argv = ["moments", "--fn", "sqrtloglog", "--mod", "4", "--res", "1", "--n", "1e4"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: values_at refused in a child\n"
+        assert no_child_left()
+
+    def test_an_error_here_kills_and_reaps_the_children(self, member_block, usable_cpus, monkeypatch):
+        member_block(1000)
+        usable_cpus(3)
+        parent, sweep = os.getpid(), arith_fn.iter_progression_values
+
+        def failing(*args, **kwargs):
+            if os.getpid() == parent:
+                raise ArithmeticError("this process's part")
+            time.sleep(30)  # each child is still running when this process fails
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(arith_fn, "iter_progression_values", failing)
+        started = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="this process's part"):
+            collect_datasets([SQRTLOGLOG_SPEC], Progression(4, 1), 10**4)
+        assert time.perf_counter() - started < 10
+        assert no_child_left()

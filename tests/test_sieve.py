@@ -19,10 +19,11 @@ from apmoments.sieve import (
     factorize,
     is_prime,
     iter_prime_blocks,
+    map_parts,
     map_prime_blocks,
     primes_upto_monolithic,
 )
-from oracles import HUGE_MODULI, sieve_primes
+from oracles import HUGE_MODULI, no_child_left, sieve_primes
 
 
 def trial_division_primes(limit):
@@ -389,21 +390,11 @@ class TestModulusPastTheLimit:
 
 
 @pytest.fixture
-def split_sieve(monkeypatch, sieve_geometry):
+def split_sieve(sieve_geometry, usable_cpus):
     """Short streamed segments from 2 up (no cache), pieces of at most 64
     primes, and set(cpus): the number of usable CPUs the split sees."""
     sieve_geometry(1 << 8, cache_max=0, chunk=64)
-
-    def set_cpus(cpus):
-        monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-    return set_cpus
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
+    return usable_cpus
 
 
 class TestSplitPass:
@@ -490,4 +481,32 @@ class TestSplitPass:
         with pytest.raises(ArithmeticError, match="parent's half"):
             map_prime_blocks(10**5, Progression(4, 1), per_block)
         assert time.perf_counter() - started < 10
+        assert no_child_left()
+
+
+class TestMapParts:
+    """map_parts runs contiguous parts, one per usable CPU, and returns their
+    lists in part order."""
+
+    @pytest.mark.parametrize("units", [0, 1, 2, 5])
+    def test_parts_are_contiguous_and_in_order(self, units, usable_cpus):
+        for cpus in (1, 2, 3, 7):
+            usable_cpus(cpus)
+            got = map_parts(lambda part: [(os.getpid(), list(part))], range(units))
+            assert [u for _, part in got for u in part] == list(range(units))
+            assert len(got) == max(1, min(cpus, units)) and got[0][0] == os.getpid()
+            assert len({pid for pid, _ in got}) == len(got)
+        assert no_child_left()
+
+    def test_a_child_that_ends_without_a_result_is_named(self, usable_cpus):
+        usable_cpus(3)
+        parent = os.getpid()
+
+        def run(part):
+            if os.getpid() != parent and part[0] == 1:
+                os._exit(3)
+            return list(part)
+
+        with pytest.raises(RuntimeError, match=r"^part 1 of 3 ended with wait status 768 and no result$"):
+            map_parts(run, range(3))
         assert no_child_left()
